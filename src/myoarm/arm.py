@@ -8,9 +8,9 @@ moment-arm matrix L (with L[i, j] = sign_i * r_i) satisfies dl = -L dq, and
 tendon tensions map to joint torques through tau = L^T f (a taut muscle that
 shortens when its joint angle grows pulls that angle up).
 
-Rigid-body dynamics use a planar recursive Newton-Euler formulation, exact
-for arbitrary chain length, with an optional point mass rigidly attached to
-the end effector (payload). Integration is classic RK4 on (q, qdot) with
+Rigid-body dynamics use a fused composite-inertia pass and a Cholesky solve,
+exact for arbitrary chain length, with an optional point mass rigidly attached
+to the end effector (payload). Integration is classic RK4 on (q, qdot) with
 muscle forces frozen over the tick and hard joint stops applied afterwards.
 """
 
@@ -254,124 +254,129 @@ def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
     return qdot, singular
 
 
-def _rne(model: ArmModel, q, qdot, qddot, with_gravity: bool) -> list[float]:
-    """Planar recursive Newton-Euler inverse dynamics (pure tensions excluded).
+def _composite(model: ArmModel, q, qd):
+    """Mass matrix rows, bias torques C qdot + G and joint origins in one sweep.
 
-    Returns the joint torques that realize qddot at (q, qdot) against inertia,
-    Coriolis/centrifugal and (optionally) gravity. The payload point mass is
-    folded in at the tip. Python scalars throughout: this sits inside RK4.
+    Forward: joint origins p_j (ending at the tip), link COMs and the
+    velocity-product accelerations. Backward: suffix sums over the bodies
+    distal to joint j, payload included, of mass M, first moment S, polar
+    inertia P about the base, the force F = sum m (a - g) and its moment N, so
+    H_ij = P - (p_i + p_j) . S + M p_i . p_j (i <= j) and bias_j = N - p_j x F.
+    Row j of H holds H_j0..H_jj. Python scalars throughout: this sits inside RK4.
     """
-    n = model.n_joints
-    gx, gy = model.gravity if with_gravity else (0.0, 0.0)
-    phi = 0.0
-    w = 0.0
-    al = 0.0
-    ax, ay = -gx, -gy            # base acceleration trick absorbs gravity
-    ux = [0.0] * n
-    uy = [0.0] * n
-    acx = [0.0] * n
-    acy = [0.0] * n
-    apx = [0.0] * n              # acceleration of the distal joint of link i
-    apy = [0.0] * n
-    ws = [0.0] * n
-    als = [0.0] * n
-    for i in range(n):
-        link = model.links[i]
-        phi += q[i]
-        w += qdot[i]
-        al += qddot[i]
-        c, s = math.cos(phi), math.sin(phi)
-        ux[i], uy[i] = c, s
-        ws[i], als[i] = w, al
+    gx, gy = model.gravity
+    cos, sin = math.cos, math.sin
+    origins = [(0.0, 0.0)]
+    bodies = []                  # (m, I, COM x, y, m (a - g) x, y) per link
+    phi = w = x = y = ax = ay = 0.0
+    for link, qi, qdi in zip(model.links, q, qd):
+        phi += qi
+        w += qdi
+        c, s = cos(phi), sin(phi)
         w2 = w * w
-        acx[i] = ax + (-al * s - w2 * c) * link.com
-        acy[i] = ay + (al * c - w2 * s) * link.com
-        ax = ax + (-al * s - w2 * c) * link.length
-        ay = ay + (al * c - w2 * s) * link.length
-        apx[i], apy[i] = ax, ay
-    fx = fy = tau_next = 0.0
-    if model.tip_mass > 0.0:
-        fx = model.tip_mass * apx[n - 1]
-        fy = model.tip_mass * apy[n - 1]
-    tau = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        link = model.links[i]
-        Fx = link.mass * acx[i]
-        Fy = link.mass * acy[i]
-        rcx, rcy = link.com * ux[i], link.com * uy[i]
-        rlx, rly = link.length * ux[i], link.length * uy[i]
-        t = (tau_next + link.inertia * als[i]
-             + rcx * Fy - rcy * Fx
-             + rlx * fy - rly * fx)
-        fx += Fx
-        fy += Fy
-        tau_next = t
-        tau[i] = t
-    return tau
+        r, ell, m = link.com, link.length, link.mass
+        bodies.append((m, link.inertia, x + r * c, y + r * s,
+                       m * (ax - w2 * r * c - gx), m * (ay - w2 * r * s - gy)))
+        x += ell * c
+        y += ell * s
+        ax -= w2 * ell * c
+        ay -= w2 * ell * s
+        origins.append((x, y))
+    n = len(bodies)
+    M = mt = model.tip_mass
+    sx, sy = mt * x, mt * y
+    P = mt * (x * x + y * y)
+    fx, fy = mt * (ax - gx), mt * (ay - gy)
+    N = x * fy - y * fx
+    rows = [None] * n
+    bias = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        m, inertia, cx, cy, bx, by = bodies[j]
+        M += m
+        sx += m * cx
+        sy += m * cy
+        P += inertia + m * (cx * cx + cy * cy)
+        fx += bx
+        fy += by
+        N += cx * by - cy * bx
+        pjx, pjy = origins[j]
+        bias[j] = N - pjx * fy + pjy * fx
+        # H_ij = (P - p_j . S) + p_i . (M p_j - S)
+        hj, ux, uy = P - pjx * sx - pjy * sy, M * pjx - sx, M * pjy - sy
+        rows[j] = [hj + pix * ux + piy * uy for pix, piy in origins[:j + 1]]
+    return rows, bias, origins
 
 
 def mass_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix via unit-acceleration inverse dynamics."""
+    """Joint-space inertia matrix from the composite-inertia sweep."""
     n = model.n_joints
-    ql = [float(v) for v in q]
-    zeros = [0.0] * n
+    rows = _composite(model, [float(v) for v in q], [0.0] * n)[0]
     H = np.empty((n, n))
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        H[:, j] = _rne(model, ql, zeros, e, with_gravity=False)
+    for j, row in enumerate(rows):
+        H[j, :j + 1] = H[:j + 1, j] = row
     return H
 
 
 def bias_forces(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     """Coriolis/centrifugal plus gravity torques, C(q, qdot) qdot + G(q)."""
-    ql = [float(v) for v in q]
-    qdl = [float(v) for v in qdot]
-    return np.array(_rne(model, ql, qdl, [0.0] * model.n_joints, with_gravity=True))
+    return np.array(_composite(model, [float(v) for v in q], [float(v) for v in qdot])[1])
 
 
 def gravity_torques(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    ql = [float(v) for v in q]
-    z = [0.0] * model.n_joints
-    return np.array(_rne(model, ql, z, z, with_gravity=True))
+    return bias_forces(model, q, np.zeros(model.n_joints))
 
 
 def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
            f_ext: tuple[float, float] | None) -> list[float]:
-    """Joint accelerations; list-based hot path shared by the integrator."""
-    n = model.n_joints
-    zeros = [0.0] * n
-    bias = _rne(model, q, qd, zeros, with_gravity=True)
+    """Joint accelerations; list-based hot path shared by the integrator.
+
+    Raises np.linalg.LinAlgError when a pivot or determinant of H is <= 0 or not finite.
+    """
+    H, bias, origins = _composite(model, q, qd)
+    n = len(H)
     b = model.viscous_friction
     rhs = [tau[j] - bias[j] - b * qd[j] for j in range(n)]
     if f_ext is not None:
         fx, fy = f_ext
-        phi = 0.0
-        px = py = 0.0
-        pxs = [0.0] * n
-        pys = [0.0] * n
-        for i in range(n):
-            pxs[i], pys[i] = px, py
-            phi += q[i]
-            px += model.links[i].length * math.cos(phi)
-            py += model.links[i].length * math.sin(phi)
-        for j in range(n):
-            rhs[j] += -(py - pys[j]) * fx + (px - pxs[j]) * fy
-    cols = []
-    for j in range(n):
-        e = [0.0] * n
-        e[j] = 1.0
-        cols.append(_rne(model, q, zeros, e, with_gravity=False))
+        px, py = origins[n]
+        rhs = [r + (px - ox) * fy - (py - oy) * fx for r, (ox, oy) in zip(rhs, origins)]
     if n == 1:
-        return [rhs[0] / cols[0][0]]
+        h = H[0][0]
+        if not 0.0 < h < math.inf:
+            raise np.linalg.LinAlgError(f"mass matrix not positive definite (H = {h})")
+        return [rhs[0] / h]
     if n == 2:
-        a, c = cols[0][0], cols[1][1]
-        bb = cols[1][0]
+        a, (bb, c) = H[0][0], H[1]
         det = a * c - bb * bb
+        if not 0.0 < det < math.inf:
+            raise np.linalg.LinAlgError(f"mass matrix not positive definite (det = {det})")
         return [(c * rhs[0] - bb * rhs[1]) / det,
                 (a * rhs[1] - bb * rhs[0]) / det]
-    H = np.array(cols).T
-    return list(np.linalg.solve(H, np.array(rhs)))
+    # Cholesky H = L L^T in place. Row j of L is final once its pivot is, so
+    # L y = rhs advances in the same loop; L^T x = y runs column by column.
+    for j, row in enumerate(H):
+        for k in range(j):
+            lk = H[k]
+            s = row[k]
+            for m in range(k):
+                s -= row[m] * lk[m]
+            row[k] = s / lk[k]
+        d = row[j]
+        for m in range(j):
+            d -= row[m] * row[m]
+        if not 0.0 < d < math.inf:
+            raise np.linalg.LinAlgError(f"mass matrix not positive definite (pivot {j} = {d})")
+        row[j] = d = math.sqrt(d)
+        s = rhs[j]
+        for m in range(j):
+            s -= row[m] * rhs[m]
+        rhs[j] = s / d
+    for j in range(n - 1, -1, -1):
+        row = H[j]
+        x = rhs[j] = rhs[j] / row[j]
+        for m in range(j):
+            rhs[m] -= row[m] * x
+    return rhs
 
 
 def forward_dynamics(model: ArmModel, q: np.ndarray, qdot: np.ndarray,
@@ -430,6 +435,8 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     Muscles are stepped first at the entry posture; the resulting tendon
     forces are held constant while (q, qdot) advances by one RK4 step; hard
     joint stops then clamp q and zero any outward velocity component.
+    A non-finite fiber length or joint state, or a mass matrix that is not
+    positive definite, raises IntegrationDivergedError naming the quantity.
     """
     n = model.n_joints
     q0 = [float(v) for v in state.q]
@@ -441,6 +448,8 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
                                                                - model.q_ref[route.joint])
         ms, f = step_muscle(state.muscle_states[i], float(excitations[i]),
                             l_mtu, dt, mp, diag)
+        if not math.isfinite(ms.l_fiber_norm):
+            raise IntegrationDivergedError(f"non-finite l_fiber_norm of muscle {i}", state)
         new_muscles.append(ms)
         forces[i] = f
         tau[route.joint] += route.sign * route.moment_arm * f
@@ -448,22 +457,23 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     fe = None if f_ext is None else (float(f_ext[0]), float(f_ext[1]))
     qd0 = [float(v) for v in state.qdot]
     half = 0.5 * dt
-    k1v = _accel(model, q0, qd0, tau, fe)
-    k2x = [qd0[j] + half * k1v[j] for j in range(n)]
-    k2v = _accel(model, [q0[j] + half * qd0[j] for j in range(n)], k2x, tau, fe)
-    k3x = [qd0[j] + half * k2v[j] for j in range(n)]
-    k3v = _accel(model, [q0[j] + half * k2x[j] for j in range(n)], k3x, tau, fe)
-    k4x = [qd0[j] + dt * k3v[j] for j in range(n)]
-    k4v = _accel(model, [q0[j] + dt * k3x[j] for j in range(n)], k4x, tau, fe)
+    try:
+        k1v = _accel(model, q0, qd0, tau, fe)
+        k2x = [qd0[j] + half * k1v[j] for j in range(n)]
+        k2v = _accel(model, [q0[j] + half * qd0[j] for j in range(n)], k2x, tau, fe)
+        k3x = [qd0[j] + half * k2v[j] for j in range(n)]
+        k3v = _accel(model, [q0[j] + half * k2x[j] for j in range(n)], k3x, tau, fe)
+        k4x = [qd0[j] + dt * k3v[j] for j in range(n)]
+        k4v = _accel(model, [q0[j] + dt * k3x[j] for j in range(n)], k4x, tau, fe)
+    except np.linalg.LinAlgError as exc:
+        raise IntegrationDivergedError(str(exc), state) from exc
     sixth = dt / 6.0
     q_new = np.empty(n)
     qd_new = np.empty(n)
     stops = 0
-    ok = True
-    for j in range(n):
+    for j, (lo, hi) in enumerate(model.joint_limits):
         qj = q0[j] + sixth * (qd0[j] + 2.0 * (k2x[j] + k3x[j]) + k4x[j])
         vj = qd0[j] + sixth * (k1v[j] + 2.0 * (k2v[j] + k3v[j]) + k4v[j])
-        lo, hi = model.joint_limits[j]
         if qj < lo:
             qj = lo
             if vj < 0.0:
@@ -475,11 +485,9 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
                 vj = 0.0
             stops += 1
         if not (math.isfinite(qj) and math.isfinite(vj)):
-            ok = False
+            name = "q" if not math.isfinite(qj) else "qdot"
+            raise IntegrationDivergedError(f"non-finite joint state {name}[{j}]", state)
         q_new[j] = qj
         qd_new[j] = vj
-
-    if not ok:
-        raise IntegrationDivergedError("non-finite joint state", state)
 
     return ArmState(q_new, qd_new, new_muscles), StepInfo(forces, np.array(tau), stops)

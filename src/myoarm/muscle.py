@@ -236,10 +236,16 @@ def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
     ``a_min`` and the fv argument clamped to the invertible range; both
     events are counted in ``diag`` when given.
     """
+    return _equilibrium(state.l_fiber_norm, a, l_mtu, params, diag)[0]
+
+
+def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float, params: MuscleParams,
+                 diag: MuscleDiagnostics | None) -> tuple[float, float]:
+    """(fiber velocity, normalized tendon force) of the equilibrium solve."""
     if l_mtu <= 0.0:
         raise ValueError(f"l_mtu must be positive, got {l_mtu}")
     cos_a = params.pennation_factor
-    l_tendon = l_mtu - state.l_fiber_norm * params.l0_fiber * cos_a
+    l_tendon = l_mtu - l_fiber_norm * params.l0_fiber * cos_a
     strain = l_tendon / params.l_slack_tendon - 1.0
     f_t = tendon_force(strain, params, diag)
 
@@ -248,8 +254,8 @@ def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
         a_eff = params.a_min
         if diag is not None:
             diag.activation_floor_events += 1
-    fl = active_force_length(state.l_fiber_norm, params.gamma)
-    fpe = passive_force_length(state.l_fiber_norm, params.k_pe, params.eps0_m)
+    fl = active_force_length(l_fiber_norm, params.gamma)
+    fpe = passive_force_length(l_fiber_norm, params.k_pe, params.eps0_m)
 
     arg = (f_t / cos_a - fpe) / (a_eff * fl)
     if arg < _FV_ARG_LO:
@@ -260,7 +266,7 @@ def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
         arg = _FV_ARG_HI
         if diag is not None:
             diag.fv_clamp_events += 1
-    return inverse_force_velocity(arg)
+    return inverse_force_velocity(arg), f_t
 
 
 def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
@@ -269,25 +275,20 @@ def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
     """Advance one muscle by dt and return (new state, tendon force in N).
 
     The returned force is the tendon force at the entry geometry, i.e. the
-    force acting over [t, t+dt). Activation uses the exact exponential step
-    of the first-order dynamics with the time constant frozen over the
-    tick; fiber length is advanced by explicit Euler on the equilibrium
-    velocity.
+    force acting over [t, t+dt); the fiber length does not change within the
+    tick, so it is also the force the equilibrium solve balances. Activation
+    uses the exact exponential step of the first-order dynamics with the time
+    constant frozen over the tick; fiber length is advanced by explicit Euler
+    on the equilibrium velocity.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    cos_a = params.pennation_factor
-    l_tendon = l_mtu - state.l_fiber_norm * params.l0_fiber * cos_a
-    strain = l_tendon / params.l_slack_tendon - 1.0
-    force = params.f0_max * tendon_force(strain, params, diag)
-
     tau = activation_time_constant(u, state.activation, params)
     a_new = u + (state.activation - u) * math.exp(-dt / tau)
 
-    probe = MuscleState(a_new, state.l_fiber_norm, state.v_fiber_norm)
-    v = fiber_velocity_from_equilibrium(probe, a_new, l_mtu, params, diag)
+    v, f_t = _equilibrium(state.l_fiber_norm, a_new, l_mtu, params, diag)
     l_new = state.l_fiber_norm + v * dt
-    return MuscleState(a_new, l_new, v), force
+    return MuscleState(a_new, l_new, v), params.f0_max * f_t
 
 
 def curve_samples(params: MuscleParams, n: int = 201) -> list[tuple[float, float, float, float, float]]:

@@ -2,8 +2,9 @@
 
 Oracles: hand-evaluated chain positions, central finite differences for the
 Jacobian and moment-arm matrix, the textbook closed-form two-link equations
-of motion, the elliptic-function solution of the large-angle pendulum, and
-long-horizon energy conservation.
+of motion, the elliptic-function solution of the large-angle pendulum,
+long-horizon energy conservation, and, on random chains, the kinetic energy
+and power balance computed from `total_energy` alone.
 """
 
 import math
@@ -11,7 +12,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from myoarm import muscle
 from myoarm.arm import (
     ArmModel,
     ArmState,
@@ -351,6 +355,66 @@ def test_gravity_torques_are_potential_gradient():
             assert g[j] == pytest.approx(fd, abs=1e-6)
 
 
+@st.composite
+def _random_chains(draw, n_min=1):
+    """Random well-posed chain of up to 7 joints with payload, gravity and
+    friction, plus q, qdot, tau and a tip force."""
+    n = draw(st.integers(n_min, 7))
+    links = []
+    for _ in range(n):
+        length = draw(st.floats(0.05, 0.5))
+        mass = draw(st.floats(0.05, 3.0))
+        links.append(LinkParams(length=length, mass=mass,
+                                com=draw(st.floats(0.0, 1.0)) * length,
+                                inertia=mass * length * length * draw(st.floats(0.01, 0.2))))
+    routes = _pair_routing(n)
+    arm = ArmModel(links=links, joint_limits=[(-30.0, 30.0)] * n, routing=routes,
+                   muscles=[MuscleParams() for _ in routes],
+                   gravity=(draw(st.floats(-10.0, 10.0)), draw(st.floats(-10.0, 10.0))),
+                   viscous_friction=draw(st.floats(0.0, 2.0)),
+                   tip_mass=draw(st.floats(0.0, 1.0)))
+    vec = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n).map(np.array)
+    f_ext = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)))
+    return arm, draw(vec), draw(vec), draw(vec), f_ext
+
+
+@given(_random_chains())
+@settings(max_examples=100, deadline=None)
+def test_kinetic_energy_matches_mass_matrix_random_chains(case):
+    arm, q, qd, _, _ = case
+    potential = total_energy(arm, q, np.zeros(arm.n_joints))
+    ke = total_energy(arm, q, qd) - potential
+    # the subtraction leaves float noise on the scale of the potential energy
+    assert ke == pytest.approx(0.5 * qd @ mass_matrix(arm, q) @ qd,
+                               rel=1e-10, abs=1e-13 * (1.0 + abs(potential)))
+
+
+@given(_random_chains())
+@settings(max_examples=100, deadline=None)
+def test_power_balance_random_chains(case):
+    # dE/dt along (qdot, qddot) equals the power of the non-conservative
+    # forces: muscle torques, joint friction and the tip force.
+    arm, q, qd, tau, f_ext = case
+    qdd = forward_dynamics(arm, q, qd, tau, f_ext=f_ext)
+    h = 1e-6 / max(1.0, float(np.max(np.abs(qd))), math.sqrt(float(np.max(np.abs(qdd)))))
+    de_dt = (total_energy(arm, q + h * qd, qd + h * qdd)
+             - total_energy(arm, q - h * qd, qd - h * qdd)) / (2.0 * h)
+    tip_torque = task_jacobian(arm, q).T @ f_ext
+    power = qd @ (tau - arm.viscous_friction * qd + tip_torque)
+    scale = abs(qd) @ (abs(tau) + arm.viscous_friction * abs(qd) + abs(tip_torque))
+    noise = 1e-15 * (1.0 + abs(total_energy(arm, q, qd))) / h
+    assert de_dt == pytest.approx(power, abs=1e-6 * scale + 100.0 * noise)
+
+
+@given(_random_chains(n_min=7))
+@settings(max_examples=50, deadline=None)
+def test_mass_matrix_spd_seven_joints(case):
+    arm, q, _, _, _ = case
+    H = mass_matrix(arm, q)
+    assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
+    assert np.min(np.linalg.eigvalsh(H)) > 0.0
+
+
 def test_equilibrium_zero_acceleration():
     arm = _chain(2, lengths=[0.38, 0.34])  # gravity off
     qdd = forward_dynamics(arm, np.array([0.3, 0.9]), np.zeros(2), np.zeros(2))
@@ -536,6 +600,26 @@ def test_divergence_raises_with_last_state():
         for _ in range(10):
             s, _ = integrate_step(arm, s, np.zeros(4), 1e-3)
     assert isinstance(exc_info.value.last_state, ArmState)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("inertia", [math.nan, -10.0])
+def test_singular_mass_matrix_raises_with_last_state(n, inertia):
+    arm = _chain(n)
+    state = rest_state(arm)
+    arm.links[-1].inertia = inertia  # bypasses LinkParams validation
+    with pytest.raises(IntegrationDivergedError, match="mass matrix") as exc_info:
+        integrate_step(arm, state, np.zeros(arm.n_muscles), 1e-3)
+    assert exc_info.value.last_state is state
+
+
+def test_non_finite_fiber_raises_naming_muscle(monkeypatch):
+    arm = planar2x4()
+    state = rest_state(arm)
+    monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
+    with pytest.raises(IntegrationDivergedError, match=r"l_fiber_norm of muscle 0\b") as exc_info:
+        integrate_step(arm, state, np.full(4, 0.3), 1e-3)
+    assert exc_info.value.last_state is state
 
 
 def test_tendon_forces_never_negative_under_random_drive():

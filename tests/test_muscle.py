@@ -270,9 +270,18 @@ class TestStepMuscle:
         _, force = step_muscle(state, 0.3, l_mtu, 0.001, P)
         assert force == pytest.approx(P.f0_max * tendon_force(strain, P), rel=1e-12)
 
+    def test_slack_tendon_counted_once_per_step(self):
+        # the entry tendon force feeds the equilibrium solve, so one step on a
+        # slack tendon evaluates it, and counts the slack event, exactly once
+        diag = MuscleDiagnostics()
+        step_muscle(MuscleState(0.2, 1.0), 0.3, 0.14, 1e-3, P, diag)
+        assert diag.slack_tendon_events == 1
+
     def test_dt_validation(self):
         with pytest.raises(ValueError):
             step_muscle(MuscleState(), 0.5, 0.15, 0.0, P)
+        with pytest.raises(ValueError):
+            step_muscle(MuscleState(), 0.5, 0.0, 1e-3, P)
 
 
 class TestParams:
