@@ -31,9 +31,11 @@ __all__ = [
     "StepInfo",
     "IntegrationDivergedError",
     "muscle_lengths",
+    "muscle_length_path",
     "moment_arm_matrix",
     "joint_torques",
     "forward_kinematics",
+    "tip_path",
     "joint_positions",
     "task_jacobian",
     "ik_velocity",
@@ -173,21 +175,27 @@ class StepInfo:
     stop_events: int = 0
 
 
-def muscle_lengths(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Muscle-tendon lengths at posture q (constant moment arms)."""
-    out = np.empty(model.n_muscles)
-    for i, route in enumerate(model.routing):
-        dq = q[route.joint] - model.q_ref[route.joint]
-        out[i] = route.l_ref - route.sign * route.moment_arm * dq
-    return out
-
-
 def moment_arm_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """L with L[i, j] = sign_i * r_i on the spanned joint; equals -d(l)/dq."""
     L = np.zeros((model.n_muscles, model.n_joints))
     for i, route in enumerate(model.routing):
         L[i, route.joint] = route.sign * route.moment_arm
     return L
+
+
+def muscle_length_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
+    """Muscle-tendon lengths l_ref - L (q - q_ref) for each row of q_series.
+
+    A single posture (1-D q_series) gives one row of lengths.
+    """
+    l_ref = np.array([route.l_ref for route in model.routing])
+    dq = np.asarray(q_series, dtype=float) - np.asarray(model.q_ref, dtype=float)
+    return l_ref - dq @ moment_arm_matrix(model, model.q_ref).T
+
+
+def muscle_lengths(model: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Muscle-tendon lengths at posture q (constant moment arms)."""
+    return muscle_length_path(model, q)
 
 
 def joint_torques(model: ArmModel, q: np.ndarray, tendon_forces: np.ndarray) -> np.ndarray:
@@ -200,34 +208,41 @@ def joint_torques(model: ArmModel, q: np.ndarray, tendon_forces: np.ndarray) -> 
     return moment_arm_matrix(model, q).T @ f
 
 
+def _chain(model: ArmModel, q) -> list[tuple[float, float]]:
+    """Joint origins from the base to the tip; scalar math for per-tick callers."""
+    cos, sin = math.cos, math.sin
+    phi = x = y = 0.0
+    pts = [(x, y)]
+    for link, qi in zip(model.links, q):
+        phi += float(qi)
+        x += link.length * cos(phi)
+        y += link.length * sin(phi)
+        pts.append((x, y))
+    return pts
+
+
 def joint_positions(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """(n+1) x 2 chain of joint origins ending at the tip."""
-    pts = np.zeros((model.n_joints + 1, 2))
-    phi = 0.0
-    x = y = 0.0
-    for i, link in enumerate(model.links):
-        phi += float(q[i])
-        x += link.length * math.cos(phi)
-        y += link.length * math.sin(phi)
-        pts[i + 1] = (x, y)
-    return pts
+    return np.array(_chain(model, q))
 
 
 def forward_kinematics(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """End-effector position in the base frame."""
-    return joint_positions(model, q)[-1]
+    return np.array(_chain(model, q)[-1])
+
+
+def tip_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
+    """Batched forward kinematics: tip position for each row of q_series."""
+    angles = np.cumsum(np.asarray(q_series, dtype=float), axis=1)
+    lengths = np.array([link.length for link in model.links])
+    return np.stack([np.cos(angles) @ lengths, np.sin(angles) @ lengths], axis=1)
 
 
 def task_jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """Analytic 2 x n Jacobian of the tip position."""
-    pts = joint_positions(model, q)
-    tip = pts[-1]
-    J = np.empty((2, model.n_joints))
-    for j in range(model.n_joints):
-        d = tip - pts[j]
-        J[0, j] = -d[1]
-        J[1, j] = d[0]
-    return J
+    pts = _chain(model, q)
+    tx, ty = pts.pop()
+    return np.array([[y - ty for _, y in pts], [tx - x for x, _ in pts]])
 
 
 def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
@@ -444,6 +459,7 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     forces = np.empty(model.n_muscles)
     tau = [0.0] * n
     for i, (mp, route) in enumerate(zip(model.muscles, model.routing)):
+        # muscle_length_path inlined: one numpy call per tick costs more than this loop
         l_mtu = route.l_ref - route.sign * route.moment_arm * (q0[route.joint]
                                                                - model.q_ref[route.joint])
         ms, f = step_muscle(state.muscle_states[i], float(excitations[i]),

@@ -37,7 +37,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
-    PRESETS,
     arm_from_config,
     ilc_config_from,
     load_config,
@@ -53,6 +52,7 @@ from .harness import (
     disturbance_sweep,
     generate_trajectory,
     joint_path,
+    loaded_plant,
     lowpass_attenuation_test,
     park_state,
     pid_baseline,
@@ -60,6 +60,7 @@ from .harness import (
     run_trial,
 )
 from .muscle import MuscleParams, curve_samples
+from .presets import PRESETS, preset_key
 
 __all__ = ["main", "dispatch"]
 
@@ -166,26 +167,15 @@ def _cmd_curves(cfg: ExperimentConfig, out: Path) -> dict:
             "eps0_t": params.eps0_t}
 
 
-def _active_disturbance(cfg: ExperimentConfig) -> DisturbanceSpec | None:
-    dist = cfg.disturbance
-    if dist.load_fraction > 0.0 or dist.noise_amplitude > 0.0:
-        return dist
-    return None
-
-
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     model = arm_from_config(cfg)
-    dist = _active_disturbance(cfg)
-    eff = model
-    if dist is not None and dist.tip_mass > 0.0:
-        eff = model.with_tip_mass(model.tip_mass + dist.tip_mass)
     points = generate_trajectory(cfg.trajectory, cfg.dt)
     desired_q = joint_path(model, points)
-    start, u_hold = park_state(eff, desired_q[0], cfg.dt,
-                               total_time=cfg.settle_time)
+    start, u_hold = park_state(loaded_plant(model, cfg.disturbance), desired_q[0],
+                               cfg.dt, total_time=cfg.settle_time)
     n_control = (points.shape[0] - 1) // cfg.control_decimation
     log = run_trial(model, ReplayController(np.tile(u_hold, (n_control, 1))),
-                    points, cfg.dt, disturbance=dist, seed=cfg.seed,
+                    points, cfg.dt, disturbance=cfg.disturbance, seed=cfg.seed,
                     start_state=start, decimation=cfg.control_decimation,
                     desired_joint_path=desired_q)
     cond = out / "hold"
@@ -355,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the experiment seed")
     common.add_argument("--out", metavar="DIR",
                         help="override the output directory")
-    common.add_argument("--preset", choices=sorted(PRESETS),
+    common.add_argument("--preset", type=preset_key, choices=sorted(PRESETS),
                         help="override the arm preset")
     parser = argparse.ArgumentParser(
         prog="myoarm",

@@ -35,12 +35,11 @@ from .arm import ArmModel
 from .control import DdilcParams
 from .harness import DisturbanceSpec, IlcConfig, PidGains, TrajectorySpec
 from .muscle import MuscleParams
-from .presets import planar2x4, spatial_ltdm
+from .presets import PRESETS, make_arm, preset_key
 
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "PRESETS",
     "parse_config",
     "load_config",
     "serialize_config",
@@ -50,11 +49,6 @@ __all__ = [
 ]
 
 ENV_PREFIX = "MYOARM_"
-
-PRESETS = {
-    "planar2x4": planar2x4,
-    "spatial-ltdm": spatial_ltdm,
-}
 
 
 class ConfigError(ValueError):
@@ -255,7 +249,7 @@ def parse_config(text: str, env=None) -> ExperimentConfig:
     exp = values["experiment"]
     defaults = ExperimentConfig()
 
-    preset = str(exp.get("preset", defaults.preset)).lower().replace("_", "-")
+    preset = preset_key(exp.get("preset", defaults.preset))
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {exp.get('preset')!r}; available: "
                           f"{', '.join(PRESETS)}")
@@ -401,7 +395,7 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 def arm_from_config(cfg: ExperimentConfig) -> ArmModel:
     """Instantiate the configured preset with its muscle overrides."""
-    return PRESETS[cfg.preset](muscle_overrides=cfg.muscle_overrides or None)
+    return make_arm(cfg.preset, muscle_overrides=cfg.muscle_overrides or None)
 
 
 def ilc_config_from(cfg: ExperimentConfig,

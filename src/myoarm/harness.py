@@ -29,12 +29,16 @@ from .arm import (
     ArmState,
     IntegrationDivergedError,
     forward_kinematics,
-    rest_state,
+    ik_velocity,
     integrate_step,
+    muscle_length_path,
+    rest_state,
     task_jacobian,
+    tip_path,
 )
 from .control import DdilcController, DdilcParams, pair_drive_to_excitations
 from .muscle import activation_time_constant, step_muscle
+from .presets import planar2x4
 
 __all__ = [
     "RATED_LOAD_KG",
@@ -56,7 +60,7 @@ __all__ = [
     "joint_path",
     "tip_path",
     "muscle_length_path",
-    "settle_state",
+    "loaded_plant",
     "park_state",
     "probe_sensitivity",
     "run_trial",
@@ -139,6 +143,13 @@ class DisturbanceSpec:
         return self.load_fraction * RATED_LOAD_KG
 
 
+def loaded_plant(model: ArmModel, disturbance: DisturbanceSpec | None) -> ArmModel:
+    """The model with the disturbance's tip load added to its payload (itself if unloaded)."""
+    if disturbance is None or disturbance.tip_mass == 0.0:
+        return model
+    return model.with_tip_mass(model.tip_mass + disturbance.tip_mass)
+
+
 # ---------------------------------------------------------------------------
 # trajectory generation and inverse kinematics
 # ---------------------------------------------------------------------------
@@ -169,8 +180,6 @@ def joint_path(model: ArmModel, points: np.ndarray, q0: np.ndarray | None = None
     converge, or a solution outside the joint limits, raises
     UnreachableTrajectoryError naming the offending sample.
     """
-    from .arm import ik_velocity
-
     points = np.asarray(points, dtype=float)
     q = np.array(model.q_ref if q0 is None else q0, dtype=float)
     out = np.empty((points.shape[0], model.n_joints))
@@ -191,40 +200,6 @@ def joint_path(model: ArmModel, points: np.ndarray, q0: np.ndarray | None = None
                     f"limits [{lo}, {hi}]")
         out[idx] = q
     return out
-
-
-def tip_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
-    """Batched forward kinematics: tip position for each row of q_series."""
-    q_series = np.asarray(q_series, dtype=float)
-    angles = np.cumsum(q_series, axis=1)
-    lengths = np.array([link.length for link in model.links])
-    x = np.cos(angles) @ lengths
-    y = np.sin(angles) @ lengths
-    return np.stack([x, y], axis=1)
-
-
-def muscle_length_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
-    """Batched muscle-tendon lengths for each row of q_series."""
-    q_series = np.asarray(q_series, dtype=float)
-    weights = np.zeros((model.n_muscles, model.n_joints))
-    l_ref = np.empty(model.n_muscles)
-    for i, route in enumerate(model.routing):
-        weights[i, route.joint] = route.sign * route.moment_arm
-        l_ref[i] = route.l_ref
-    q_ref = np.asarray(model.q_ref, dtype=float)
-    return l_ref - (q_series - q_ref) @ weights.T
-
-
-def _tip(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Scalar-math forward kinematics for the per-tick hot path."""
-    angle = 0.0
-    x = 0.0
-    y = 0.0
-    for j, link in enumerate(model.links):
-        angle += float(q[j])
-        x += link.length * math.cos(angle)
-        y += link.length * math.sin(angle)
-    return np.array([x, y])
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +322,7 @@ class TrialLog:
     muscle_lengths_desired: np.ndarray | None = None
     diverged: bool = False
     diverged_at: int | None = None
+    diverged_reason: str | None = None
 
 
 @dataclass
@@ -377,8 +353,9 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
               desired_joint_path: np.ndarray | None = None) -> TrialLog:
     """Execute one finite-horizon tracking trial and log every tick.
 
-    Integration divergence is recorded (``diverged``/``diverged_at`` with
-    truncated arrays), not raised. Deterministic given identical inputs.
+    Integration divergence is recorded (``diverged``, ``diverged_at`` and
+    ``diverged_reason`` with truncated arrays), not raised. Deterministic
+    given identical inputs.
     """
     points = np.asarray(points, dtype=float)
     n_ticks = points.shape[0] - 1
@@ -389,9 +366,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
                          f"{n_ticks} trajectory ticks")
     n_control = n_ticks // decimation
 
-    eff = model
-    if disturbance is not None and disturbance.tip_mass > 0.0:
-        eff = model.with_tip_mass(model.tip_mass + disturbance.tip_mass)
+    eff = loaded_plant(model, disturbance)
     state = (rest_state(eff, joint_path(eff, points[:1])[0]) if start_state is None
              else start_state.copy())
     noise = _noise_table(eff, disturbance, seed)
@@ -403,13 +378,13 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     excitations = np.empty((n_ticks, eff.n_muscles))
     forces = np.empty((n_ticks, eff.n_muscles))
     diverged = False
-    diverged_at = None
+    diverged_at = diverged_reason = None
     filled = 0
     ctrl_filled = 0
 
     controller.begin_iteration(points[0])
     for tc in range(n_control):
-        y = _tip(eff, state.q)
+        y = forward_kinematics(eff, state.q)
         y_d_next = points[(tc + 1) * decimation]
         if wants_state:
             drive = controller.step(tc, y, y_d_next, state=state)
@@ -429,9 +404,10 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
                 exc = np.clip(exc0 + disturbance.noise_amplitude * buf, 0.0, 1.0)
             try:
                 state, info = integrate_step(eff, state, exc, dt)
-            except IntegrationDivergedError:
+            except IntegrationDivergedError as exc:
                 diverged = True
                 diverged_at = tick
+                diverged_reason = str(exc)
                 break
             excitations[tick] = exc
             forces[tick] = info.tendon_forces
@@ -441,7 +417,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         if diverged:
             break
     if not diverged:
-        controller.finish_iteration(_tip(eff, state.q))
+        controller.finish_iteration(forward_kinematics(eff, state.q))
 
     q_arr = np.array(qs)
     n_kept = filled
@@ -459,6 +435,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         muscle_lengths=muscle_length_path(eff, q_arr),
         diverged=diverged,
         diverged_at=diverged_at,
+        diverged_reason=diverged_reason,
     )
     if desired_joint_path is not None:
         log.muscle_lengths_desired = muscle_length_path(
@@ -486,33 +463,8 @@ def compute_metrics(log: TrialLog) -> TrialMetrics:
 
 
 # ---------------------------------------------------------------------------
-# settling and sensitivity probing
+# parking and sensitivity probing
 # ---------------------------------------------------------------------------
-
-def settle_state(model: ArmModel, q0: np.ndarray, dt: float,
-                 settle_time: float = 1.5) -> ArmState:
-    """Hold rest drives from the slack rest state until transients decay.
-
-    The first two thirds run with heavy viscous friction to kill the swing
-    toward the rest-drive equilibrium quickly (the equilibrium itself does not
-    depend on damping); the final third polishes under the real dynamics.
-    """
-    from dataclasses import replace
-
-    q0 = np.asarray(q0, dtype=float)
-    state = rest_state(model, q0)
-    exc = pair_drive_to_excitations(model, np.full(model.n_joints, 0.5))
-    heavy = replace(model, links=list(model.links),
-                    joint_limits=list(model.joint_limits),
-                    routing=list(model.routing), muscles=list(model.muscles),
-                    viscous_friction=max(2.0, model.viscous_friction))
-    n = round(settle_time / dt)
-    n_heavy = (2 * n) // 3
-    for tick in range(n):
-        state, _ = integrate_step(heavy if tick < n_heavy else model,
-                                  state, exc, dt)
-    return state
-
 
 def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
                total_time: float = 12.0, gain: float = 0.6) -> tuple[ArmState, np.ndarray]:
@@ -582,11 +534,11 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     def held_tips(drive: np.ndarray) -> np.ndarray:
         exc = pair_drive_to_excitations(model, drive)
         state = state0.copy()
-        out = np.empty((n_hold, 2))
+        qs = np.empty((n_hold, model.n_joints))
         for tick in range(n_hold):
             state, _ = integrate_step(model, state, exc, dt)
-            out[tick] = _tip(model, state.q)
-        return out
+            qs[tick] = state.q
+        return tip_path(model, qs)
 
     base = held_tips(rest_vec)
     sens = np.empty((2, model.n_joints))
@@ -681,19 +633,17 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
     trial, e.g. for CSV dumps.
     """
     model = cfg.model
-    eff = model
-    if cfg.disturbance is not None and cfg.disturbance.tip_mass > 0.0:
-        eff = model.with_tip_mass(model.tip_mass + cfg.disturbance.tip_mass)
     points = generate_trajectory(cfg.trajectory, cfg.dt)
+    n_ticks = points.shape[0] - 1
+    if n_ticks % cfg.control_decimation != 0:
+        raise ValueError("control_decimation must divide the trajectory ticks")
+    horizon = n_ticks // cfg.control_decimation
+    eff = loaded_plant(model, cfg.disturbance)
     desired_q = joint_path(model, points)
     start, u_hold = park_state(eff, desired_q[0], cfg.dt,
                                total_time=cfg.settle_time)
     probe = probe_sensitivity(eff, start, cfg.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)
-    n_ticks = points.shape[0] - 1
-    if n_ticks % cfg.control_decimation != 0:
-        raise ValueError("control_decimation must divide the trajectory ticks")
-    horizon = n_ticks // cfg.control_decimation
     controller = DdilcController(
         probe.sensitivity, cfg.controller, horizon,
         rng=np.random.default_rng(cfg.seed),
@@ -781,10 +731,8 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
         dist = DisturbanceSpec(load_fraction=fraction,
                                noise_amplitude=noise_amplitude,
                                noise_frequency_hz=noise_frequency_hz)
-        eff = model
-        if dist.tip_mass > 0.0:
-            eff = model.with_tip_mass(model.tip_mass + dist.tip_mass)
-        start, _ = park_state(eff, start_q, dt, total_time=settle_time)
+        start, _ = park_state(loaded_plant(model, dist), start_q, dt,
+                              total_time=settle_time)
         means, mses, diverged = [], [], False
         for rep in range(repetitions):
             log = run_trial(model, ReplayController(drive_table), points, dt,
@@ -911,8 +859,6 @@ def lowpass_attenuation_test(model: ArmModel, carrier_u: float = 0.4,
 
 def benchmark_ilc_config(model: ArmModel | None = None, **overrides) -> IlcConfig:
     """The acceptance benchmark: planar arm, 8 s sine chord, 100 Hz control."""
-    from .presets import planar2x4
-
     traj = overrides.pop("trajectory", TrajectorySpec(duration=8.0))
     cfg = IlcConfig(model=model if model is not None else planar2x4(),
                     trajectory=traj, **overrides)

@@ -22,16 +22,12 @@ import math
 from .muscle import MuscleParams
 from .arm import ArmModel, LinkParams, MuscleRoute
 
-__all__ = ["planar2x4", "spatial_ltdm", "PRESETS", "make_arm"]
+__all__ = ["planar2x4", "spatial_ltdm", "PRESETS", "preset_key", "make_arm"]
 
 # Shared actuator scale for both presets: 300 N peak force, 0.10 m optimal
 # fiber, 0.05 m tendon slack length, so l_ref = 0.15 m puts the fiber exactly
 # at optimal length with the tendon just taut at the reference posture.
 _L_REF = 0.15
-
-
-def _default_muscle(**overrides) -> MuscleParams:
-    return MuscleParams(**overrides)
 
 
 def planar2x4(muscle_overrides: dict | None = None, tip_mass: float = 0.0) -> ArmModel:
@@ -50,7 +46,7 @@ def planar2x4(muscle_overrides: dict | None = None, tip_mass: float = 0.0) -> Ar
     # pairs stiffen the free arm to ~1 Hz, so the rest posture is an actual
     # equilibrium rather than a drifting pendulum.
     overrides = {"a_min": 0.08, **(muscle_overrides or {})}
-    muscles = [_default_muscle(**overrides) for _ in range(4)]
+    muscles = [MuscleParams(**overrides) for _ in range(4)]
     routing = [
         MuscleRoute(joint=0, moment_arm=0.05, sign=+1, l_ref=_L_REF),
         MuscleRoute(joint=0, moment_arm=0.05, sign=-1, l_ref=_L_REF),
@@ -101,7 +97,7 @@ def spatial_ltdm(muscle_overrides: dict | None = None, tip_mass: float = 0.0) ->
     for j in range(1, 7):
         routing.append(MuscleRoute(joint=j, moment_arm=0.02, sign=+1, l_ref=_L_REF))
         routing.append(MuscleRoute(joint=j, moment_arm=0.02, sign=-1, l_ref=_L_REF))
-    muscles = [_default_muscle(**overrides) for _ in routing]
+    muscles = [MuscleParams(**overrides) for _ in routing]
     return ArmModel(
         links=links,
         joint_limits=joint_limits,
@@ -120,11 +116,16 @@ PRESETS = {
 }
 
 
+def preset_key(name: str) -> str:
+    """The PRESETS key a name spells: case and '_' versus '-' are ignored."""
+    return name.lower().replace("_", "-")
+
+
 def make_arm(name: str, muscle_overrides: dict | None = None,
              tip_mass: float = 0.0) -> ArmModel:
     """Build a preset arm by name; unknown names raise with the valid choices."""
     try:
-        factory = PRESETS[name]
+        factory = PRESETS[preset_key(name)]
     except KeyError:
         raise ValueError(f"unknown arm preset {name!r}; choose from {sorted(PRESETS)}") from None
     return factory(muscle_overrides=muscle_overrides, tip_mass=tip_mass)

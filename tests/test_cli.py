@@ -204,6 +204,10 @@ def test_preset_flag_overrides_config(tmp_path):
     echoed = parse_config(
         (tmp_path / "runs" / "curves" / "config.ini").read_text(), env={})
     assert echoed.preset == "spatial-ltdm"
+    # the flag ignores case and '_' versus '-', like the config file
+    assert run(tmp_path, "curves", "--preset", "spatial_ltdm") == 0
+    ini = (tmp_path / "runs" / "curves" / "config.ini").read_text()
+    assert "preset = spatial-ltdm\n" in ini
 
 
 def test_env_overrides_file_and_flag_beats_env(tmp_path, monkeypatch):

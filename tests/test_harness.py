@@ -5,10 +5,12 @@ stand-in, and the muscle low-pass measurement.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from myoarm import harness, muscle
 from myoarm.arm import ArmModel, forward_kinematics, muscle_lengths, rest_state
 from myoarm.control import DdilcController
 from myoarm.harness import (
@@ -33,7 +35,6 @@ from myoarm.harness import (
     probe_sensitivity,
     run_ilc,
     run_trial,
-    settle_state,
     tip_path,
 )
 from myoarm.presets import planar2x4
@@ -219,6 +220,11 @@ def test_run_trial_tip_load_changes_motion(model):
                        disturbance=DisturbanceSpec(load_fraction=0.2))
     assert not loaded.diverged
     assert not np.allclose(plain.tip[-1], loaded.tip[-1], atol=1e-6)
+    # an all-zero disturbance is no disturbance, bit for bit
+    inert = run_trial(model, RestController(2), pts, DT, decimation=10,
+                      disturbance=DisturbanceSpec())
+    for f in fields(TrialLog):
+        np.testing.assert_array_equal(getattr(inert, f.name), getattr(plain, f.name))
 
 
 def test_run_trial_records_divergence(model):
@@ -233,6 +239,14 @@ def test_run_trial_records_divergence(model):
     assert log.drives.shape == (1, model.n_joints)
     with pytest.raises(ValueError):
         compute_metrics(log)
+
+
+def test_run_trial_keeps_divergence_reason(model, monkeypatch):
+    monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
+    log = run_trial(model, RestController(2), _one_second_points(), DT,
+                    start_state=rest_state(model), decimation=10)
+    assert log.diverged and log.diverged_at == 0
+    assert "l_fiber_norm of muscle 0" in log.diverged_reason
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +310,6 @@ def test_park_state_needs_time(model):
         park_state(model, np.asarray(model.q_ref), DT, total_time=2.0)
 
 
-def test_settle_state_reaches_rest_equilibrium(model):
-    state = settle_state(model, np.asarray(model.q_ref), DT, settle_time=0.5)
-    assert np.all(np.isfinite(state.q))
-    assert np.max(np.abs(state.qdot)) < 2.0
-
-
 def test_probe_validation(model):
     state = rest_state(model)
     with pytest.raises(ValueError):
@@ -313,14 +321,14 @@ def test_probe_validation(model):
 
 
 def test_probe_steps_down_from_saturated_rest(model):
-    state = settle_state(model, np.asarray(model.q_ref), DT, settle_time=0.5)
+    state, _ = park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
     probe = probe_sensitivity(model, state, DT, hold_time=0.5,
                               rest=np.array([1.0, 0.1]))
     assert np.all(np.isfinite(probe.sensitivity))
 
 
 def test_probe_deterministic_and_sane(model):
-    state = settle_state(model, np.asarray(model.q_ref), DT, settle_time=0.5)
+    state, _ = park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
     a = probe_sensitivity(model, state, DT, hold_time=2.0)
     b = probe_sensitivity(model, state, DT, hold_time=2.0)
     assert np.array_equal(a.sensitivity, b.sensitivity)
@@ -346,6 +354,17 @@ def test_ilc_config_validation(model):
         IlcConfig(model=model, trajectory=traj, control_decimation=0)
     with pytest.raises(ValueError):
         IlcConfig(model=model, trajectory=traj, divergence_patience=0)
+
+
+def test_run_ilc_rejects_decimation_before_parking(model, monkeypatch):
+    def no_park(*args, **kwargs):
+        raise AssertionError("park_state ran before the decimation check")
+
+    monkeypatch.setattr(harness, "park_state", no_park)
+    cfg = IlcConfig(model=model, trajectory=TrajectorySpec(duration=1.0),
+                    control_decimation=3)
+    with pytest.raises(ValueError, match="control_decimation"):
+        run_ilc(cfg)
 
 
 def test_run_ilc_learns(short_run):
