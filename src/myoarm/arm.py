@@ -71,7 +71,7 @@ class LinkParams:
             raise ValueError("LinkParams.com must lie on the link")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MuscleRoute:
     """Constant-moment-arm routing of one muscle over one joint."""
 
@@ -127,6 +127,10 @@ class ArmModel:
         for j in range(n):
             if signs_by_joint.get(j, set()) != {-1, 1}:
                 raise ValueError(f"joint {j} must be spanned by muscles of both signs")
+        # (joint, sign * moment_arm, l_ref, q_ref[joint]) per muscle, read by
+        # integrate_step; routes are frozen, so the table cannot go stale
+        self._routes = [(r.joint, r.sign * r.moment_arm, r.l_ref, self.q_ref[r.joint])
+                        for r in self.routing]
         # A well-posed model must have an invertible mass matrix everywhere.
         h = mass_matrix(self, np.array(self.q_ref))
         if np.linalg.cond(h) > 1e12:
@@ -454,24 +458,24 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     positive definite, raises IntegrationDivergedError naming the quantity.
     """
     n = model.n_joints
-    q0 = [float(v) for v in state.q]
+    q0 = state.q.tolist()
+    u = excitations.tolist()
+    muscle_states = state.muscle_states
     new_muscles = []
-    forces = np.empty(model.n_muscles)
+    forces = []
     tau = [0.0] * n
-    for i, (mp, route) in enumerate(zip(model.muscles, model.routing)):
+    for i, (mp, (j, arm_i, l_ref, q_ref_j)) in enumerate(zip(model.muscles, model._routes)):
         # muscle_length_path inlined: one numpy call per tick costs more than this loop
-        l_mtu = route.l_ref - route.sign * route.moment_arm * (q0[route.joint]
-                                                               - model.q_ref[route.joint])
-        ms, f = step_muscle(state.muscle_states[i], float(excitations[i]),
-                            l_mtu, dt, mp, diag)
+        ms, f = step_muscle(muscle_states[i], u[i], l_ref - arm_i * (q0[j] - q_ref_j),
+                            dt, mp, diag)
         if not math.isfinite(ms.l_fiber_norm):
             raise IntegrationDivergedError(f"non-finite l_fiber_norm of muscle {i}", state)
         new_muscles.append(ms)
-        forces[i] = f
-        tau[route.joint] += route.sign * route.moment_arm * f
+        forces.append(f)
+        tau[j] += arm_i * f
 
     fe = None if f_ext is None else (float(f_ext[0]), float(f_ext[1]))
-    qd0 = [float(v) for v in state.qdot]
+    qd0 = state.qdot.tolist()
     half = 0.5 * dt
     try:
         k1v = _accel(model, q0, qd0, tau, fe)
@@ -506,4 +510,5 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
         q_new[j] = qj
         qd_new[j] = vj
 
-    return ArmState(q_new, qd_new, new_muscles), StepInfo(forces, np.array(tau), stops)
+    info = StepInfo(np.array(forces), np.array(tau), stops)
+    return ArmState(q_new, qd_new, new_muscles), info

@@ -11,7 +11,7 @@ Usage: ``myoarm <command> [--config PATH] [--seed N] [--out DIR]
 * ``sweep``     — learn once, then replay the converged feedforward
   open-loop under increasing tip load;
 * ``compare``   — learn once, then run the task-space PID baseline from the
-  same start for side-by-side metrics;
+  same start, under the same disturbance, for side-by-side metrics;
 * ``lowpass``   — measure tendon-force attenuation of 1 Hz vs 50 Hz
   excitation ripple on one isometric muscle.
 
@@ -269,7 +269,11 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     pid_dir.mkdir(parents=True, exist_ok=True)
     _write_trial_csv(ddilc_dir / f"iter_{cfg.iterations - 1}.csv",
                      result.final_log)
+    # same plant and noise as the final DDILC trial (run_ilc seeds trial k
+    # with [seed, k])
     pid_log = pid_baseline(model, result.points, cfg.dt, cfg.pid,
+                           disturbance=cfg.disturbance,
+                           seed=[cfg.seed, cfg.iterations - 1],
                            start_state=result.start_state,
                            decimation=cfg.control_decimation,
                            desired_joint_path=result.desired_joint_path)

@@ -756,13 +756,18 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
 
 
 def pid_baseline(model: ArmModel, points: np.ndarray, dt: float,
-                 gains: PidGains, *, start_state: ArmState | None = None,
+                 gains: PidGains, *, disturbance: DisturbanceSpec | None = None,
+                 seed=0, start_state: ArmState | None = None,
                  decimation: int = 1,
                  desired_joint_path: np.ndarray | None = None) -> TrialLog:
-    """One tracking trial under the task-space PID stand-in."""
+    """One tracking trial under the task-space PID stand-in.
+
+    ``disturbance`` and ``seed`` are passed to ``run_trial``, so the PID trial
+    can run on the same loaded, noisy plant as a learning trial.
+    """
     controller = PidController(model, gains, dt * decimation)
-    return run_trial(model, controller, points, dt, start_state=start_state,
-                     decimation=decimation,
+    return run_trial(model, controller, points, dt, disturbance=disturbance,
+                     seed=seed, start_state=start_state, decimation=decimation,
                      desired_joint_path=desired_joint_path)
 
 

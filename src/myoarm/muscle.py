@@ -38,10 +38,6 @@ __all__ = [
 # Supremum of the force-velocity curve (approached as v -> 1-).
 FV_SUP = 1.6
 
-# Left end of the physiological shortening range; fv(-1) evaluated once for
-# the equilibrium-argument clamp.
-_FV_BRANCH_LO = 1.0 - math.sqrt(22.0)  # below this the curve turns over
-
 
 def _fv_exponent(v: float) -> float:
     w = 1.0 - v
@@ -64,40 +60,20 @@ FV_AT_MINUS_ONE = force_velocity(-1.0)  # ~0.0685
 
 
 def inverse_force_velocity(fv_target: float) -> float:
-    """Invert the force-velocity curve by safeguarded Newton iteration.
+    """Invert the force-velocity curve in closed form.
 
-    fv_target must lie strictly inside (0, 1.6). The root bracket covers the
-    full monotone branch, so targets below fv(-1) resolve to super-maximal
-    shortening velocities (< -1) rather than failing.
+    fv_target must lie strictly inside (0, 1.6). With g = ln((1.6 - y)/1.6)
+    the curve reads 1.1 z^2 - 0.1 z + g = 0 in z = 1/(1 - v)^2; its positive
+    root z >= 1/11 gives v = 1 - 1/sqrt(z) > 1 - sqrt(11), on the monotone
+    branch of the curve (it turns over at v = 1 - sqrt(22)). Targets below
+    fv(-1) therefore resolve to super-maximal shortening velocities (< -1)
+    rather than failing.
     """
     if not (0.0 < fv_target < FV_SUP):
         raise ValueError(f"fv_target must be in (0, 1.6), got {fv_target}")
-    lo, hi = _FV_BRANCH_LO + 1e-9, 1.0 - 1e-9
-    # force_velocity(lo) < 0 < fv_target and fv saturates to 1.6 well before
-    # hi, so a sign change is guaranteed.
-    v = 0.0 if FV_AT_MINUS_ONE <= fv_target else -1.0
-    for _ in range(200):
-        g = _fv_exponent(v)
-        ex = math.exp(g)
-        f = FV_SUP - FV_SUP * ex - fv_target
-        # The curve flattens toward its supremum, so the residual tolerance
-        # must sit near machine noise for the inverse to stay sharp in v.
-        if abs(f) <= 4e-15:
-            return v
-        if f > 0.0:
-            hi = v
-        else:
-            lo = v
-        w = 1.0 - v
-        deriv = -FV_SUP * ex * (-4.4 / w**5 + 0.2 / w**3)
-        if deriv > 0.0:
-            step = v - f / deriv
-            v = step if lo < step < hi else 0.5 * (lo + hi)
-        else:
-            v = 0.5 * (lo + hi)
-        if hi - lo < 1e-14:
-            return v
-    return v
+    g = math.log((FV_SUP - fv_target) / FV_SUP)
+    z = (0.1 + math.sqrt(0.01 - 4.4 * g)) / 2.2
+    return 1.0 - 1.0 / math.sqrt(z)
 
 
 def active_force_length(l_norm: float, gamma: float = 0.45) -> float:
@@ -108,16 +84,23 @@ def active_force_length(l_norm: float, gamma: float = 0.45) -> float:
 
 def passive_force_length(l_norm: float, k_pe: float = 4.0, eps0_m: float = 0.6) -> float:
     """Exponential passive fiber elasticity, normalized to 1 at strain eps0_m."""
-    return (math.exp(k_pe * (l_norm - 1.0) / eps0_m) - 1.0) / (math.exp(k_pe) - 1.0)
+    return _passive(l_norm, k_pe, eps0_m, math.exp(k_pe) - 1.0)
 
 
-@dataclass
+def _passive(l_norm: float, k_pe: float, eps0_m: float, exp_k_pe_m1: float) -> float:
+    return (math.exp(k_pe * (l_norm - 1.0) / eps0_m) - 1.0) / exp_k_pe_m1
+
+
+@dataclass(frozen=True)
 class MuscleParams:
     """Parameters of one muscle-tendon unit.
 
-    ``eps_toe`` and ``k_lin`` are derived properties, never stored: the
-    linear-branch gain is recomputed from slope continuity at the toe break
-    so the tendon curve is C1 to machine precision.
+    Frozen: the parameter-only constants of the tendon and passive curves
+    (``eps_toe``, ``k_lin``, the toe-branch gain and exp(k_pe) - 1) are
+    computed once at construction and read on every tick. They are stored
+    outside the dataclass fields, so ``fields(MuscleParams)`` lists only the
+    settable parameters. ``k_lin`` follows from slope continuity at the toe
+    break, so the tendon curve is C1 to machine precision.
     """
 
     f0_max: float = 300.0          # peak isometric force, N
@@ -147,17 +130,24 @@ class MuscleParams:
             raise ValueError(f"MuscleParams.a_min must be in (0, 1), got {self.a_min}")
         if not 0.0 < self.pennation_factor <= 1.0:
             raise ValueError("MuscleParams.pennation_factor must be in (0, 1]")
+        eps_toe = 0.609 * self.eps0_t
+        exp_k_toe_m1 = math.exp(self.k_toe) - 1.0
+        const = object.__setattr__
+        const(self, "_eps_toe", eps_toe)
+        const(self, "_k_lin", self.f_toe * self.k_toe * math.exp(self.k_toe)
+              / (exp_k_toe_m1 * eps_toe))
+        const(self, "_toe_gain", self.f_toe / exp_k_toe_m1)
+        const(self, "_exp_k_pe_m1", math.exp(self.k_pe) - 1.0)
 
     @property
     def eps_toe(self) -> float:
         """Tendon strain at the toe/linear transition."""
-        return 0.609 * self.eps0_t
+        return self._eps_toe
 
     @property
     def k_lin(self) -> float:
         """Linear-branch stiffness from slope continuity at eps_toe (~1.711/eps0_t)."""
-        return (self.f_toe * self.k_toe * math.exp(self.k_toe)
-                / ((math.exp(self.k_toe) - 1.0) * self.eps_toe))
+        return self._k_lin
 
 
 @dataclass
@@ -212,15 +202,15 @@ def tendon_force(strain: float, params: MuscleParams,
         if strain < 0.0 and diag is not None:
             diag.slack_tendon_events += 1
         return 0.0
-    eps_toe = params.eps_toe
+    eps_toe = params._eps_toe
     if strain <= eps_toe:
-        return (params.f_toe / (math.exp(params.k_toe) - 1.0)
-                * (math.exp(params.k_toe * strain / eps_toe) - 1.0))
-    return params.k_lin * (strain - eps_toe) + params.f_toe
+        return params._toe_gain * (math.exp(params.k_toe * strain / eps_toe) - 1.0)
+    return params._k_lin * (strain - eps_toe) + params.f_toe
 
 
-# Clamp window for the fv-curve argument in the equilibrium solve: stay a
-# hair inside the invertible range so the root search is always bracketed.
+# Clamp window for the fv-curve argument in the equilibrium solve: the top
+# keeps the argument a hair off the asymptote at 1.6, where the inverse's
+# logarithm diverges; the bottom caps shortening just short of v = -1.
 _FV_ARG_LO = FV_AT_MINUS_ONE + 1e-6
 _FV_ARG_HI = FV_SUP - 1e-6
 
@@ -233,8 +223,8 @@ def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
     The tendon force implied by the current geometry is attributed to the
     fiber, and the force-velocity curve is inverted:
     v = fv^-1((f_t/cos(alpha) - f_pe) / (a * f_l)). Activation is floored at
-    ``a_min`` and the fv argument clamped to the invertible range; both
-    events are counted in ``diag`` when given.
+    ``a_min`` and the fv argument clamped to 1e-6 inside [fv(-1), 1.6];
+    both events are counted in ``diag`` when given.
     """
     return _equilibrium(state.l_fiber_norm, a, l_mtu, params, diag)[0]
 
@@ -255,7 +245,7 @@ def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float, params: MusclePara
         if diag is not None:
             diag.activation_floor_events += 1
     fl = active_force_length(l_fiber_norm, params.gamma)
-    fpe = passive_force_length(l_fiber_norm, params.k_pe, params.eps0_m)
+    fpe = _passive(l_fiber_norm, params.k_pe, params.eps0_m, params._exp_k_pe_m1)
 
     arg = (f_t / cos_a - fpe) / (a_eff * fl)
     if arg < _FV_ARG_LO:

@@ -8,7 +8,7 @@ and power balance computed from `total_energy` alone.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -726,3 +726,9 @@ def test_link_params_validation():
         LinkParams(length=0.3, mass=1.0, com=0.4, inertia=0.01)
     with pytest.raises(ValueError):
         MuscleRoute(joint=0, moment_arm=0.02, sign=2, l_ref=0.15)
+
+
+def test_muscle_route_is_frozen():
+    route = MuscleRoute(joint=0, moment_arm=0.02, sign=1, l_ref=0.15)
+    with pytest.raises(FrozenInstanceError):
+        route.moment_arm = 0.05

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from myoarm import harness
 from myoarm.cli import main
 from myoarm.config import parse_config
 
@@ -164,6 +165,27 @@ def test_compare_reports_both_controllers(tmp_path):
     assert summary["conditions"] == ["ddilc", "pid"]
     assert summary["error_ratio"] == pytest.approx(
         summary["ddilc_final_mean_abs_mm"] / summary["pid"]["mean_abs_mm"])
+
+
+def test_compare_runs_pid_on_the_disturbed_plant(tmp_path, monkeypatch):
+    calls = []
+    real = harness.run_trial
+
+    def recording(model, controller, points, dt, **kwargs):
+        calls.append((type(controller).__name__, kwargs.get("disturbance"),
+                      kwargs.get("seed")))
+        return real(model, controller, points, dt, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", recording)
+    extra = ("[disturbance]\nload_fraction = 0.2\nnoise_amplitude = 0.01\n"
+             "noise_frequency_hz = 2.0\n")
+    assert run(tmp_path, "compare", "--config", tiny_config(tmp_path, extra)) == 0
+    (ddilc, dist_ddilc, seed_ddilc), (pid, dist_pid, seed_pid) = calls[-2:]
+    assert (ddilc, pid) == ("DdilcController", "PidController")
+    assert dist_ddilc.load_fraction == dist_pid.load_fraction == 0.2
+    assert dist_pid == dist_ddilc
+    # the PID trial replays the noise of the final DDILC trial
+    assert seed_pid == seed_ddilc == [3, 1]
 
 
 def test_lowpass_reports_attenuation_gap(tmp_path):

@@ -1,12 +1,16 @@
 """Muscle-tendon unit: frozen curve anchors, equilibrium solve, stepping."""
 
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from myoarm.config import _MUSCLE_KEYS
 from myoarm.muscle import (
+    _FV_ARG_HI,
+    _FV_ARG_LO,
     FV_AT_MINUS_ONE,
     MuscleDiagnostics,
     MuscleParams,
@@ -147,6 +151,31 @@ class TestForceVelocity:
         v = inverse_force_velocity(y)
         assert abs(force_velocity(v) - y) <= 1e-10
 
+    # the equilibrium solve's clamp window, and the super-maximal targets
+    # below fv(-1) that the closed form also inverts
+    _TARGETS = st.one_of(st.floats(_FV_ARG_LO, _FV_ARG_HI),
+                         st.floats(0.0, FV_AT_MINUS_ONE, exclude_min=True,
+                                   exclude_max=True))
+
+    @given(_TARGETS, _TARGETS)
+    @settings(max_examples=500, deadline=None)
+    def test_inverse_exact_and_monotone_over_clamp_window(self, y1, y2):
+        v1, v2 = inverse_force_velocity(y1), inverse_force_velocity(y2)
+        for y, v in ((y1, v1), (y2, v2)):
+            # 4e-15 was the stopping tolerance of the earlier Newton solve
+            assert abs(force_velocity(v) - y) <= 4e-15
+            # v -> 1 - sqrt(11) as y -> 0 (and equals it in floating point for
+            # y below ~1e-17): always on the monotone branch, which turns over
+            # at 1 - sqrt(22)
+            assert v >= 1.0 - math.sqrt(11.0)
+        if y1 <= y2:
+            assert v1 <= v2
+        else:
+            assert v1 >= v2
+
+    def test_inverse_of_tiny_target_is_above_branch_floor(self):
+        assert inverse_force_velocity(1e-6) > 1.0 - math.sqrt(11.0)
+
 
 class TestTendon:
     def test_zero_at_slack(self):
@@ -284,11 +313,83 @@ class TestStepMuscle:
             step_muscle(MuscleState(), 0.5, 0.0, 1e-3, P)
 
 
+def _tendon_formula(strain, p):
+    """The tendon curve as it read when its constants were recomputed per call."""
+    if strain <= 0.0:
+        return 0.0
+    eps_toe = 0.609 * p.eps0_t
+    if strain <= eps_toe:
+        return (p.f_toe / (math.exp(p.k_toe) - 1.0)
+                * (math.exp(p.k_toe * strain / eps_toe) - 1.0))
+    k_lin = (p.f_toe * p.k_toe * math.exp(p.k_toe)
+             / ((math.exp(p.k_toe) - 1.0) * eps_toe))
+    return k_lin * (strain - eps_toe) + p.f_toe
+
+
+def _passive_formula(l_norm, p):
+    return (math.exp(p.k_pe * (l_norm - 1.0) / p.eps0_m) - 1.0) / (math.exp(p.k_pe) - 1.0)
+
+
+# a reassociated constant differs in the last bit for about a quarter of
+# random parameter sets, so the bit-for-bit checks draw many
+_PARAMS = st.builds(MuscleParams, eps0_t=st.floats(0.01, 0.1), k_toe=st.floats(0.5, 6.0),
+                    f_toe=st.floats(0.05, 0.95), k_pe=st.floats(1.0, 8.0),
+                    eps0_m=st.floats(0.3, 0.9), pennation_factor=st.floats(0.7, 1.0))
+
+
 class TestParams:
     def test_derived_quantities_recomputed(self):
         p = MuscleParams(eps0_t=0.08)
         assert p.eps_toe == pytest.approx(0.609 * 0.08, rel=1e-12)
         assert p.k_lin == pytest.approx(1.712 / 0.08, rel=1e-3)
+
+    @given(_PARAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_frozen_constants_match_per_call_formulas_bit_for_bit(self, p):
+        eps_toe = 0.609 * p.eps0_t
+        assert p.eps_toe == eps_toe
+        assert p.k_lin == (p.f_toe * p.k_toe * math.exp(p.k_toe)
+                           / ((math.exp(p.k_toe) - 1.0) * eps_toe))
+        # slack, toe and linear tendon branches, both breaks included
+        strains = [-0.01, 0.0, eps_toe] + [i * 3.0 * p.eps0_t / 200 for i in range(1, 201)]
+        for strain in strains:
+            assert tendon_force(strain, p) == _tendon_formula(strain, p)
+        lengths = [0.4 + i * 1.4 / 200 for i in range(201)]
+        for l_norm in lengths:
+            assert passive_force_length(l_norm, p.k_pe, p.eps0_m) == _passive_formula(l_norm, p)
+
+    @given(_PARAMS)
+    @settings(max_examples=100, deadline=None)
+    def test_equilibrium_composes_the_per_call_formulas(self, p):
+        # the solve reads the frozen constants; it must equal the hand
+        # composition of the per-call formulas exactly
+        a = 0.4
+        for l_fiber in (0.8, 1.0, 1.15):
+            for strain in (0.005, 0.02, 0.05):
+                l_mtu = l_fiber * p.l0_fiber * p.pennation_factor + (1 + strain) * p.l_slack_tendon
+                l_tendon = l_mtu - l_fiber * p.l0_fiber * p.pennation_factor
+                f_t = _tendon_formula(l_tendon / p.l_slack_tendon - 1.0, p)
+                arg = ((f_t / p.pennation_factor - _passive_formula(l_fiber, p))
+                       / (a * active_force_length(l_fiber, p.gamma)))
+                arg = min(max(arg, _FV_ARG_LO), _FV_ARG_HI)
+                v = fiber_velocity_from_equilibrium(MuscleState(a, l_fiber), a, l_mtu, p)
+                assert v == inverse_force_velocity(arg)
+
+    def test_params_are_frozen(self):
+        p = MuscleParams()
+        with pytest.raises(FrozenInstanceError):
+            p.f0_max = 100.0
+        with pytest.raises(AttributeError):
+            p.eps_toe = 0.1
+        with pytest.raises(AttributeError):
+            p.k_lin = 10.0
+
+    def test_constants_are_not_fields(self):
+        names = ["f0_max", "l0_fiber", "l_slack_tendon", "pennation_factor", "t_act",
+                 "t_deact", "gamma", "k_pe", "eps0_m", "eps0_t", "k_toe", "f_toe",
+                 "a_min"]
+        assert [f.name for f in fields(MuscleParams)] == names
+        assert list(_MUSCLE_KEYS) == names
 
     def test_validation(self):
         with pytest.raises(ValueError):
