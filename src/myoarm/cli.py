@@ -29,7 +29,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,9 @@ from .config import (
 from .control import DdilcController
 from .harness import (
     DisturbanceSpec,
+    LowpassPoint,
     ReplayController,
+    SweepPoint,
     TrialLog,
     compute_metrics,
     disturbance_sweep,
@@ -141,17 +143,6 @@ def _write_estimator_csv(path: Path, controller: DdilcController,
                     fh.write(f"{name},{r},{c},{repr(float(value))}\n")
 
 
-def _metrics_dict(m) -> dict:
-    return {
-        "mean_abs_mm": m.mean_abs_mm,
-        "mse_mm2": m.mse_mm2,
-        "std_mm": m.std_mm,
-        "muscle_len_mean_abs_mm": m.muscle_len_mean_abs_mm,
-        "samples": m.samples,
-        "diverged": m.diverged,
-    }
-
-
 # ---------------------------------------------------------------------------
 # command runners (each returns the summary payload for run_summary.json)
 # ---------------------------------------------------------------------------
@@ -182,20 +173,7 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     cond.mkdir(parents=True, exist_ok=True)
     _write_trial_csv(cond / "iter_0.csv", log)
     return {"conditions": ["hold"], "hold_drives": [float(u) for u in u_hold],
-            "metrics": _metrics_dict(compute_metrics(log))}
-
-
-def _summary_payload(s) -> dict:
-    return {
-        "iterations": s.iterations,
-        "mean_abs_mm": list(s.mean_abs_mm),
-        "mse_mm2": list(s.mse_mm2),
-        "std_mm": list(s.std_mm),
-        "muscle_len_mean_abs_mm": list(s.muscle_len_mean_abs_mm),
-        "diverged": list(s.diverged),
-        "ff_shrink_iterations": list(s.ff_shrink_iterations),
-        "final_mean_abs_mm": s.mean_abs_mm[-1],
-    }
+            "metrics": asdict(compute_metrics(log))}
 
 
 def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
@@ -213,10 +191,10 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
                "control tick",
                [f"drive{j}" for j in range(model.n_joints)],
                result.feedforward_drives)
-    payload = _summary_payload(result.summary)
-    payload["conditions"] = ["train"]
-    payload["sensitivity_m_per_drive"] = result.sensitivity.tolist()
-    return payload
+    summary = result.summary
+    return {**asdict(summary), "final_mean_abs_mm": summary.mean_abs_mm[-1],
+            "conditions": ["train"],
+            "sensitivity_m_per_drive": result.sensitivity.tolist()}
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
@@ -233,30 +211,20 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
         model, result.feedforward_drives, result.points, cfg.dt,
         cfg.sweep_fractions, decimation=cfg.control_decimation,
         settle_time=cfg.settle_time, seed=cfg.seed,
-        repetitions=cfg.repetitions,
-        noise_amplitude=cfg.disturbance.noise_amplitude,
-        noise_frequency_hz=cfg.disturbance.noise_frequency_hz,
+        repetitions=cfg.repetitions, disturbance=cfg.disturbance,
         desired_joint_path=result.desired_joint_path,
         on_trial=lambda fi, rep, log: _write_trial_csv(
             dirs[fi] / f"iter_{rep}.csv", log))
-    table = [(p.load_fraction, p.mean_abs_mm, p.mse_mm2,
-              p.std_between_reps_mm, p.diverged) for p in sweep.points]
     _write_csv(out / "sweep.csv",
                "myoarm-sweep-v1: open-loop replay error vs tip load "
                "(fraction of the 2.5 kg rated load)",
-               ["load_fraction", "mean_abs_mm", "mse_mm2",
-                "std_between_reps_mm", "diverged"], table)
+               [f.name for f in fields(SweepPoint)],
+               [astuple(p) for p in sweep.points])
     return {
         "conditions": conditions,
         "training_final_mean_abs_mm": result.summary.mean_abs_mm[-1],
         "repetitions": cfg.repetitions,
-        "table": [
-            {"load_fraction": p.load_fraction,
-             "mean_abs_mm": p.mean_abs_mm,
-             "mse_mm2": p.mse_mm2,
-             "std_between_reps_mm": p.std_between_reps_mm,
-             "diverged": p.diverged}
-            for p in sweep.points],
+        "table": [asdict(p) for p in sweep.points],
     }
 
 
@@ -283,7 +251,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     return {
         "conditions": ["ddilc", "pid"],
         "ddilc_final_mean_abs_mm": ddilc_mm,
-        "pid": _metrics_dict(pid_m),
+        "pid": asdict(pid_m),
         "error_ratio": ddilc_mm / pid_m.mean_abs_mm,
         "improvement_percent": 100.0 * (1.0 - ddilc_mm / pid_m.mean_abs_mm),
     }
@@ -295,10 +263,8 @@ def _cmd_lowpass(cfg: ExperimentConfig, out: Path) -> dict:
     _write_csv(out / "lowpass.csv",
                "myoarm-lowpass-v1: lock-in tendon-force response to "
                "excitation ripple on one isometric muscle",
-               ["frequency_hz", "force_amplitude_n", "activation_amplitude",
-                "measured_db", "activation_oracle_db"],
-               [(p.frequency_hz, p.force_amplitude_n, p.activation_amplitude,
-                 p.measured_db, p.activation_oracle_db) for p in points])
+               [f.name for f in fields(LowpassPoint)],
+               [astuple(p) for p in points])
     return {
         "frequencies_hz": [p.frequency_hz for p in points],
         "measured_db": [p.measured_db for p in points],

@@ -1,17 +1,23 @@
 """Experiment configuration: INI parsing, env overrides, validation, echo.
 
-The configuration format is sectioned plain text (``configparser`` INI):
+The configuration format is sectioned plain text (``configparser`` INI). The
+sections and keys are derived from the dataclasses, not listed by hand:
 
-* ``[experiment]`` — preset, iterations, repetitions, seed, out, dt,
-  control_decimation, settle_time, probe_delta, probe_hold,
-  divergence_patience, sweep_fractions;
-* ``[trajectory]`` — kind, amplitude, spatial_period, cycles, duration,
-  offset_x/offset_y, direction_x/direction_y;
-* ``[controller]`` — any ``DdilcParams`` field;
+* ``[experiment]`` — the run fields of ``ExperimentConfig`` (preset,
+  iterations, repetitions, seed, out, dt, control_decimation, settle_time,
+  probe_delta, probe_hold, divergence_patience, sweep_fractions), with
+  ``out`` standing for ``out_dir``;
+* ``[trajectory]`` — the ``TrajectorySpec`` fields, ``kind`` first, each
+  pair split into ``_x``/``_y`` keys (offset_x/offset_y,
+  direction_x/direction_y);
+* ``[controller]``, ``[disturbance]``, ``[pid]`` — exactly the fields of
+  ``DdilcParams``, ``DisturbanceSpec`` and ``PidGains``;
 * ``[muscle]`` — any ``MuscleParams`` field (sparse overrides applied to the
-  preset's muscles);
-* ``[disturbance]`` — load_fraction, noise_amplitude, noise_frequency_hz;
-* ``[pid]`` — kp, ki, kd, torque_scale.
+  preset's muscles).
+
+Each key takes the type of its default value (a tuple default is a list of
+numbers). ``_flatten`` and ``_unflatten`` are the only places that spell out
+this layout; parsing, environment overrides and the echo all go through them.
 
 Every key is optional (an empty file yields the benchmark defaults), unknown
 sections or keys are hard errors carrying the offending line number, and
@@ -29,11 +35,17 @@ import configparser
 import math
 import os
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from .arm import ArmModel
 from .control import DdilcParams
-from .harness import DisturbanceSpec, IlcConfig, PidGains, TrajectorySpec
+from .harness import (
+    DisturbanceSpec,
+    IlcConfig,
+    PidGains,
+    TrajectorySpec,
+    _check_run_fields,
+)
 from .muscle import MuscleParams
 from .presets import PRESETS, make_arm, preset_key
 
@@ -61,7 +73,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    """One experiment, fully specified: plant, task, controller, outputs."""
+    """One experiment, fully specified: plant, task, controller, outputs.
+
+    Construction validates every field, so ``dataclasses.replace`` cannot
+    build an invalid config; the preset name is normalized to its
+    ``PRESETS`` key.
+    """
 
     preset: str = "planar2x4"
     iterations: int = 50
@@ -82,53 +99,70 @@ class ExperimentConfig:
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     pid: PidGains = field(default_factory=PidGains)
 
+    def __post_init__(self) -> None:
+        _check_run_fields(self)
+        key = preset_key(self.preset)
+        if key not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}; available: "
+                             f"{', '.join(PRESETS)}")
+        self.preset = key
+        if self.repetitions < 1:
+            raise ValueError("ExperimentConfig.repetitions must be >= 1")
+        if not all(0.0 <= f <= 0.5 for f in self.sweep_fractions):
+            raise ValueError(
+                "ExperimentConfig.sweep_fractions must lie in [0, 0.5]")
+        MuscleParams(**self.muscle_overrides)    # bounds check of the overrides
 
-_FLOAT_LIST = "float list"
 
-_EXPERIMENT_KEYS: dict[str, object] = {
-    "preset": str,
-    "iterations": int,
-    "repetitions": int,
-    "seed": int,
-    "out": str,
-    "dt": float,
-    "control_decimation": int,
-    "settle_time": float,
-    "probe_delta": float,
-    "probe_hold": float,
-    "divergence_patience": int,
-    "sweep_fractions": _FLOAT_LIST,
-}
-_TRAJECTORY_KEYS: dict[str, object] = {
-    "kind": str,
-    "amplitude": float,
-    "spatial_period": float,
-    "cycles": int,
-    "duration": float,
-    "offset_x": float,
-    "offset_y": float,
-    "direction_x": float,
-    "direction_y": float,
-}
-_CONTROLLER_KEYS: dict[str, object] = {
-    f.name: (int if f.name == "error_window" else float)
-    for f in fields(DdilcParams)}
-_MUSCLE_KEYS: dict[str, object] = {f.name: float for f in fields(MuscleParams)}
-_DISTURBANCE_KEYS: dict[str, object] = {
-    "load_fraction": float,
-    "noise_amplitude": float,
-    "noise_frequency_hz": float,
-}
-_PID_KEYS: dict[str, object] = {
-    "kp": float, "ki": float, "kd": float, "torque_scale": float}
+# trajectory fields written as two keys, <name>_x and <name>_y
+_PAIRS = ("offset", "direction")
 
-_SECTIONS: dict[str, dict[str, object]] = {
-    "experiment": _EXPERIMENT_KEYS,
-    "trajectory": _TRAJECTORY_KEYS,
-    "controller": _CONTROLLER_KEYS,
-    "muscle": _MUSCLE_KEYS,
-    "disturbance": _DISTURBANCE_KEYS,
-    "pid": _PID_KEYS,
+
+def _flatten(cfg: ExperimentConfig) -> dict[str, dict[str, object]]:
+    """The config as ``{section: {key: value}}``, in echo order."""
+    flat = asdict(cfg)
+    traj = flat["trajectory"]
+    trajectory = {"kind": traj.pop("kind")}
+    for key, value in traj.items():
+        if key in _PAIRS:
+            trajectory[f"{key}_x"], trajectory[f"{key}_y"] = map(float, value)
+        else:
+            trajectory[key] = value
+    return {
+        "experiment": {("out" if key == "out_dir" else key): value
+                       for key, value in flat.items()
+                       if not isinstance(value, dict)},
+        "trajectory": trajectory,
+        "controller": flat["controller"],
+        "muscle": dict(sorted(cfg.muscle_overrides.items())),
+        "disturbance": flat["disturbance"],
+        "pid": flat["pid"],
+    }
+
+
+def _unflatten(values: dict[str, dict[str, object]]) -> ExperimentConfig:
+    """Inverse of ``_flatten``; raises ValueError on an invalid value."""
+    run = dict(values["experiment"])
+    run["out_dir"] = run.pop("out")
+    traj = dict(values["trajectory"])
+    for name in _PAIRS:
+        traj[name] = (traj.pop(f"{name}_x"), traj.pop(f"{name}_y"))
+    return ExperimentConfig(
+        **run,
+        trajectory=TrajectorySpec(**traj),
+        controller=DdilcParams(**values["controller"]),
+        muscle_overrides=dict(values["muscle"]),
+        disturbance=DisturbanceSpec(**values["disturbance"]),
+        pid=PidGains(**values["pid"]),
+    )
+
+
+_DEFAULTS = _flatten(ExperimentConfig())
+# each key's type is its default's; [muscle] holds sparse MuscleParams fields
+_SECTIONS: dict[str, dict[str, type]] = {
+    **{section: {key: type(value) for key, value in keys.items()}
+       for section, keys in _DEFAULTS.items()},
+    "muscle": {f.name: float for f in fields(MuscleParams)},
 }
 
 
@@ -149,36 +183,33 @@ def _find_line(text: str, section: str, key: str | None = None) -> int | None:
     return None
 
 
-def _coerce(section: str, key: str, raw: str, typ,
-            line: int | None = None):
+def _coerce(where: str, raw: str, typ: type, line: int | None = None):
+    """``raw`` as a value of ``typ``; ``where`` names the key in errors."""
     raw = raw.strip()
     if typ is str:
         if not raw:
-            raise ConfigError(f"[{section}] {key} must not be empty", line)
+            raise ConfigError(f"{where} must not be empty", line)
         return raw
     if typ is int:
         try:
             return int(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{section}] {key}: expected an integer, got {raw!r}",
-                line) from None
+            raise ConfigError(f"{where}: expected an integer, got {raw!r}",
+                              line) from None
     if typ is float:
         try:
             value = float(raw)
         except ValueError:
-            raise ConfigError(
-                f"[{section}] {key}: expected a number, got {raw!r}",
-                line) from None
+            raise ConfigError(f"{where}: expected a number, got {raw!r}",
+                              line) from None
         if not math.isfinite(value):
-            raise ConfigError(f"[{section}] {key} must be finite", line)
+            raise ConfigError(f"{where} must be finite", line)
         return value
-    if typ is _FLOAT_LIST:
+    if typ is tuple:
         tokens = [tok for tok in raw.replace(",", " ").split() if tok]
         if not tokens:
-            raise ConfigError(
-                f"[{section}] {key}: expected a list of numbers", line)
-        return tuple(_coerce(section, key, tok, float, line) for tok in tokens)
+            raise ConfigError(f"{where}: expected a list of numbers", line)
+        return tuple(_coerce(where, tok, float, line) for tok in tokens)
     raise AssertionError(f"unhandled option type {typ!r}")
 
 
@@ -209,7 +240,7 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{name}]; expected one of "
                     f"{', '.join(keys)}", _find_line(text, name, key))
-            values[name][key] = _coerce(name, key, raw, keys[key],
+            values[name][key] = _coerce(f"[{name}] {key}", raw, keys[key],
                                         _find_line(text, name, key))
     return values
 
@@ -228,13 +259,7 @@ def _apply_env(values: dict[str, dict[str, object]], env) -> None:
             raise ConfigError(f"{var}: unknown section {section!r}")
         if key not in _SECTIONS[section]:
             raise ConfigError(f"{var}: unknown key {key!r} in [{section}]")
-        values[section][key] = _coerce(section, key, env[var],
-                                       _SECTIONS[section][key])
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConfigError(message)
+        values[section][key] = _coerce(var, env[var], _SECTIONS[section][key])
 
 
 def parse_config(text: str, env=None) -> ExperimentConfig:
@@ -245,87 +270,11 @@ def parse_config(text: str, env=None) -> ExperimentConfig:
     """
     values = _read_sections(text)
     _apply_env(values, os.environ if env is None else env)
-
-    exp = values["experiment"]
-    defaults = ExperimentConfig()
-
-    preset = preset_key(exp.get("preset", defaults.preset))
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {exp.get('preset')!r}; available: "
-                          f"{', '.join(PRESETS)}")
-
-    iterations = exp.get("iterations", defaults.iterations)
-    repetitions = exp.get("repetitions", defaults.repetitions)
-    seed = exp.get("seed", defaults.seed)
-    out_dir = exp.get("out", defaults.out_dir)
-    dt = exp.get("dt", defaults.dt)
-    control_decimation = exp.get("control_decimation",
-                                 defaults.control_decimation)
-    settle_time = exp.get("settle_time", defaults.settle_time)
-    probe_delta = exp.get("probe_delta", defaults.probe_delta)
-    probe_hold = exp.get("probe_hold", defaults.probe_hold)
-    divergence_patience = exp.get("divergence_patience",
-                                  defaults.divergence_patience)
-    sweep_fractions = tuple(exp.get("sweep_fractions",
-                                    defaults.sweep_fractions))
-
-    _require(iterations >= 1, "[experiment] iterations must be >= 1")
-    _require(repetitions >= 1, "[experiment] repetitions must be >= 1")
-    _require(dt > 0.0, "[experiment] dt must be > 0")
-    _require(control_decimation >= 1,
-             "[experiment] control_decimation must be >= 1")
-    _require(settle_time >= 3.0, "[experiment] settle_time must be >= 3")
-    _require(0.0 < probe_delta <= 0.5,
-             "[experiment] probe_delta must lie in (0, 0.5]")
-    _require(probe_hold > 0.0, "[experiment] probe_hold must be > 0")
-    _require(divergence_patience >= 1,
-             "[experiment] divergence_patience must be >= 1")
-    _require(all(0.0 <= f <= 0.5 for f in sweep_fractions),
-             "[experiment] sweep_fractions must lie in [0, 0.5]")
-
-    traj = values["trajectory"]
-    traj_defaults = defaults.trajectory
     try:
-        trajectory = TrajectorySpec(
-            amplitude=traj.get("amplitude", traj_defaults.amplitude),
-            spatial_period=traj.get("spatial_period",
-                                    traj_defaults.spatial_period),
-            cycles=traj.get("cycles", traj_defaults.cycles),
-            duration=traj.get("duration", traj_defaults.duration),
-            offset=(traj.get("offset_x", traj_defaults.offset[0]),
-                    traj.get("offset_y", traj_defaults.offset[1])),
-            direction=(traj.get("direction_x", traj_defaults.direction[0]),
-                       traj.get("direction_y", traj_defaults.direction[1])),
-            kind=traj.get("kind", traj_defaults.kind),
-        )
-        controller = DdilcParams(**values["controller"])
-        disturbance = DisturbanceSpec(**values["disturbance"])
-        pid = PidGains(**values["pid"])
-        MuscleParams(**values["muscle"])     # bounds check of the overrides
+        return _unflatten({section: {**defaults, **values[section]}
+                           for section, defaults in _DEFAULTS.items()})
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
-
-    return ExperimentConfig(
-        preset=preset,
-        iterations=iterations,
-        repetitions=repetitions,
-        seed=seed,
-        out_dir=out_dir,
-        dt=dt,
-        control_decimation=control_decimation,
-        settle_time=settle_time,
-        probe_delta=probe_delta,
-        probe_hold=probe_hold,
-        divergence_patience=divergence_patience,
-        sweep_fractions=sweep_fractions,
-        trajectory=trajectory,
-        controller=controller,
-        muscle_overrides=dict(values["muscle"]),
-        disturbance=disturbance,
-        pid=pid,
-    )
 
 
 def load_config(path, env=None) -> ExperimentConfig:
@@ -335,61 +284,18 @@ def load_config(path, env=None) -> ExperimentConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    if isinstance(value, tuple):
+        return ", ".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Canonical full INI dump; parses back to an equal ExperimentConfig."""
-    traj = cfg.trajectory
-    ctrl = cfg.controller
-    dist = cfg.disturbance
-    lines = [
-        "[experiment]",
-        f"preset = {cfg.preset}",
-        f"iterations = {cfg.iterations}",
-        f"repetitions = {cfg.repetitions}",
-        f"seed = {cfg.seed}",
-        f"out = {cfg.out_dir}",
-        f"dt = {_fmt(cfg.dt)}",
-        f"control_decimation = {cfg.control_decimation}",
-        f"settle_time = {_fmt(cfg.settle_time)}",
-        f"probe_delta = {_fmt(cfg.probe_delta)}",
-        f"probe_hold = {_fmt(cfg.probe_hold)}",
-        f"divergence_patience = {cfg.divergence_patience}",
-        "sweep_fractions = " + ", ".join(repr(f) for f in cfg.sweep_fractions),
-        "",
-        "[trajectory]",
-        f"kind = {traj.kind}",
-        f"amplitude = {_fmt(traj.amplitude)}",
-        f"spatial_period = {_fmt(traj.spatial_period)}",
-        f"cycles = {traj.cycles}",
-        f"duration = {_fmt(traj.duration)}",
-        f"offset_x = {_fmt(float(traj.offset[0]))}",
-        f"offset_y = {_fmt(float(traj.offset[1]))}",
-        f"direction_x = {_fmt(float(traj.direction[0]))}",
-        f"direction_y = {_fmt(float(traj.direction[1]))}",
-        "",
-        "[controller]",
-        *(f"{name} = {_fmt(getattr(ctrl, name))}" for name in _CONTROLLER_KEYS),
-        "",
-        "[muscle]",
-        *(f"{name} = {_fmt(value)}"
-          for name, value in sorted(cfg.muscle_overrides.items())),
-        "",
-        "[disturbance]",
-        f"load_fraction = {_fmt(dist.load_fraction)}",
-        f"noise_amplitude = {_fmt(dist.noise_amplitude)}",
-        f"noise_frequency_hz = {_fmt(dist.noise_frequency_hz)}",
-        "",
-        "[pid]",
-        f"kp = {_fmt(cfg.pid.kp)}",
-        f"ki = {_fmt(cfg.pid.ki)}",
-        f"kd = {_fmt(cfg.pid.kd)}",
-        f"torque_scale = {_fmt(cfg.pid.torque_scale)}",
-        "",
-    ]
+    lines = []
+    for section, values in _flatten(cfg).items():
+        lines += [f"[{section}]",
+                  *(f"{key} = {_fmt(value)}" for key, value in values.items()),
+                  ""]
     return "\n".join(lines)
 
 
@@ -402,22 +308,13 @@ def ilc_config_from(cfg: ExperimentConfig,
                     model: ArmModel | None = None) -> IlcConfig:
     """Assemble the learning-run configuration from an experiment config.
 
-    An all-zero disturbance section means "none" (the trial runs the plain
-    deterministic plant).
+    Every ``IlcConfig`` field but the model is the experiment field of the
+    same name. An all-zero disturbance section means "none" (the trial runs
+    the plain deterministic plant).
     """
     dist = cfg.disturbance
     active = dist.load_fraction > 0.0 or dist.noise_amplitude > 0.0
-    return IlcConfig(
-        model=arm_from_config(cfg) if model is None else model,
-        trajectory=cfg.trajectory,
-        controller=cfg.controller,
-        iterations=cfg.iterations,
-        dt=cfg.dt,
-        control_decimation=cfg.control_decimation,
-        seed=cfg.seed,
-        disturbance=dist if active else None,
-        settle_time=cfg.settle_time,
-        probe_delta=cfg.probe_delta,
-        probe_hold=cfg.probe_hold,
-        divergence_patience=cfg.divergence_patience,
-    )
+    shared = {f.name: getattr(cfg, f.name) for f in fields(IlcConfig)
+              if f.name not in ("model", "disturbance")}
+    return IlcConfig(model=arm_from_config(cfg) if model is None else model,
+                     disturbance=dist if active else None, **shared)

@@ -20,7 +20,7 @@ through explicit integer seeds, so identical inputs give bit-identical logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -80,7 +80,8 @@ class UnreachableTrajectoryError(ValueError):
     """A desired sample cannot be realized by the arm."""
 
     def __init__(self, index: int, point, reason: str):
-        super().__init__(f"trajectory sample {index} at {tuple(point)}: {reason}")
+        where = tuple(float(v) for v in point)
+        super().__init__(f"trajectory sample {index} at {where}: {reason}")
         self.index = index
 
 
@@ -521,6 +522,8 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     response time is the residence integral of the step response,
     int (1 - y(t)/y_inf) dt, which equals the time constant for a
     first-order response and the sum of pole time constants in general.
+    A hold that diverges raises ``IntegrationDivergedError`` naming the hold
+    (``rest`` or ``channel j``) and the tick, with the last good state.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("probe delta must lie in (0, 0.5]")
@@ -531,23 +534,28 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     n_hold = round(hold_time / dt)
     n_avg = max(1, n_hold // 5)
 
-    def held_tips(drive: np.ndarray) -> np.ndarray:
+    def held_tips(hold: str, drive: np.ndarray) -> np.ndarray:
         exc = pair_drive_to_excitations(model, drive)
         state = state0.copy()
         qs = np.empty((n_hold, model.n_joints))
-        for tick in range(n_hold):
-            state, _ = integrate_step(model, state, exc, dt)
-            qs[tick] = state.q
+        try:
+            for tick in range(n_hold):
+                state, _ = integrate_step(model, state, exc, dt)
+                qs[tick] = state.q
+        except IntegrationDivergedError as err:
+            raise IntegrationDivergedError(
+                f"probe hold {hold} diverged at tick {tick}: {err}",
+                err.last_state) from err
         return tip_path(model, qs)
 
-    base = held_tips(rest_vec)
+    base = held_tips("rest", rest_vec)
     sens = np.empty((2, model.n_joints))
     times = np.empty(model.n_joints)
     for j in range(model.n_joints):
         drive = rest_vec.copy()
         step = delta if rest_vec[j] + delta <= 1.0 else -delta
         drive[j] += step
-        resp = held_tips(drive) - base
+        resp = held_tips(f"channel {j}", drive) - base
         final = resp[-n_avg:].mean(axis=0)
         sens[:, j] = final / step
         scale = float(final @ final)
@@ -575,12 +583,6 @@ class RunSummary:
     diverged: list[bool]
     ff_shrink_iterations: list[int]
 
-    @property
-    def final(self) -> TrialMetrics:
-        return TrialMetrics(self.mean_abs_mm[-1], self.mse_mm2[-1],
-                            self.std_mm[-1], self.muscle_len_mean_abs_mm[-1],
-                            0, self.diverged[-1])
-
 
 @dataclass
 class IlcConfig:
@@ -600,14 +602,21 @@ class IlcConfig:
     divergence_patience: int = 3
 
     def __post_init__(self) -> None:
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.dt <= 0.0:
-            raise ValueError("dt must be positive")
-        if self.control_decimation < 1:
-            raise ValueError("control_decimation must be >= 1")
-        if self.divergence_patience < 1:
-            raise ValueError("divergence_patience must be >= 1")
+        _check_run_fields(self)
+
+
+def _check_run_fields(cfg) -> None:
+    """Bounds on the run fields IlcConfig shares with the experiment config."""
+    for name, ok, bound in (
+            ("iterations", cfg.iterations >= 1, ">= 1"),
+            ("dt", cfg.dt > 0.0, "> 0"),
+            ("control_decimation", cfg.control_decimation >= 1, ">= 1"),
+            ("divergence_patience", cfg.divergence_patience >= 1, ">= 1"),
+            ("settle_time", cfg.settle_time >= 3.0, ">= 3"),
+            ("probe_delta", 0.0 < cfg.probe_delta <= 0.5, "in (0, 0.5]"),
+            ("probe_hold", cfg.probe_hold > 0.0, "> 0")):
+        if not ok:
+            raise ValueError(f"{type(cfg).__name__}.{name} must be {bound}")
 
 
 @dataclass
@@ -712,25 +721,25 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
                       decimation: int = 1, q0: np.ndarray | None = None,
                       settle_time: float = 12.0, seed: int = 0,
                       repetitions: int = 1,
-                      noise_amplitude: float = 0.0,
-                      noise_frequency_hz: float = 0.0,
+                      disturbance: DisturbanceSpec | None = None,
                       desired_joint_path: np.ndarray | None = None,
                       on_trial=None) -> SweepResult:
     """Replay a converged drive table open-loop under increasing tip load.
 
     Each fraction re-parks the loaded arm on the trajectory start, then
     replays the table; divergence is recorded per condition, never raised.
-    With repetitions > 1 the per-repetition seeds vary only the stochastic
-    activation noise. The optional ``on_trial(fraction_index, rep, log)``
-    callback observes every replay, e.g. for CSV dumps.
+    ``disturbance`` supplies the activation noise; each swept fraction
+    replaces its load fraction. With repetitions > 1 the per-repetition seeds
+    vary only the stochastic activation noise. The optional
+    ``on_trial(fraction_index, rep, log)`` callback observes every replay,
+    e.g. for CSV dumps.
     """
     points = np.asarray(points, dtype=float)
     start_q = joint_path(model, points[:1])[0] if q0 is None else q0
+    spec = DisturbanceSpec() if disturbance is None else disturbance
     out = []
     for fi, fraction in enumerate(fractions):
-        dist = DisturbanceSpec(load_fraction=fraction,
-                               noise_amplitude=noise_amplitude,
-                               noise_frequency_hz=noise_frequency_hz)
+        dist = replace(spec, load_fraction=fraction)
         start, _ = park_state(loaded_plant(model, dist), start_q, dt,
                               total_time=settle_time)
         means, mses, diverged = [], [], False

@@ -170,11 +170,6 @@ class MuscleDiagnostics:
     activation_floor_events: int = 0
     slack_tendon_events: int = 0
 
-    def merge(self, other: "MuscleDiagnostics") -> None:
-        self.fv_clamp_events += other.fv_clamp_events
-        self.activation_floor_events += other.activation_floor_events
-        self.slack_tendon_events += other.slack_tendon_events
-
 
 def activation_time_constant(u: float, a: float, params: MuscleParams) -> float:
     """Effective first-order time constant; faster when excitation leads activation."""

@@ -211,6 +211,30 @@ def test_bad_config_exits_2_with_error_json(tmp_path, capsys):
     assert "bogus" in err["error"]["message"]
 
 
+def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
+    path = tmp_path / "far.ini"        # TINY ends inside [trajectory]
+    path.write_text(TINY.format(extra="") + "offset_x = 2.0\n",
+                    encoding="utf-8")
+    assert run(tmp_path, "simulate", "--config", str(path)) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "UnreachableTrajectoryError"
+    assert "trajectory sample 0 at (2.0, -0.2): " in err["message"]
+
+
+@pytest.mark.parametrize("var,value", [("MYOARM_SEED", "1"),
+                                       ("MYOARM_EXPERIMENT__DT", "fast")])
+def test_bad_env_override_exits_2_before_any_output(tmp_path, capsys,
+                                                    monkeypatch, var, value):
+    monkeypatch.setenv(var, value)
+    assert run(tmp_path, "curves") == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err["type"] == "ConfigError"
+    assert var in err["message"]
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert run(tmp_path, "curves", "--config", str(tmp_path / "nope.ini")) == 1
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"

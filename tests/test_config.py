@@ -2,7 +2,11 @@
 field-naming validation errors, env-var overrides, and round-trip identity.
 """
 
+from dataclasses import fields
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from myoarm.config import (
     ConfigError,
@@ -13,6 +17,10 @@ from myoarm.config import (
     parse_config,
     serialize_config,
 )
+from myoarm.control import DdilcParams
+from myoarm.harness import DisturbanceSpec, PidGains, TrajectorySpec
+from myoarm.muscle import MuscleParams
+from myoarm.presets import PRESETS
 
 
 def parse(text: str, env=None) -> ExperimentConfig:
@@ -231,6 +239,140 @@ def test_round_trip_preserves_every_field():
     [pid]
     kd = 15.0
     """)
+    text = serialize_config(cfg)
+    again = parse(text)
+    assert again == cfg
+    assert serialize_config(again) == text
+
+
+# The echo of the default config, byte for byte: every artifact directory
+# holds it, so a change to the key layout or the number format shows here.
+DEFAULT_ECHO = """\
+[experiment]
+preset = planar2x4
+iterations = 50
+repetitions = 1
+seed = 0
+out = runs
+dt = 0.001
+control_decimation = 10
+settle_time = 12.0
+probe_delta = 0.2
+probe_hold = 8.0
+divergence_patience = 3
+sweep_fractions = 0.0, 0.05, 0.1, 0.15, 0.2
+
+[trajectory]
+kind = sine
+amplitude = 0.15
+spatial_period = 0.2
+cycles = 2
+duration = 8.0
+offset_x = 0.45
+offset_y = -0.2
+direction_x = 0.0
+direction_y = 1.0
+
+[controller]
+gain_step = 0.5
+energy_weight = 1.0
+estimator_step = 1.0
+estimator_weight = 1.0
+feedforward_scale = 0.3
+error_window = 1
+offdiag_cap = 0.1
+diag_floor = 10.0
+diag_span = 2.0
+u_min = 0.0
+u_max = 1.0
+rest_command = 0.5
+
+[muscle]
+
+[disturbance]
+load_fraction = 0.0
+noise_amplitude = 0.0
+noise_frequency_hz = 0.0
+
+[pid]
+kp = 800.0
+ki = 10.0
+kd = 20.0
+torque_scale = 6.0
+"""
+
+
+def test_default_echo_is_pinned():
+    assert serialize_config(parse("")) == DEFAULT_ECHO
+
+
+def _floats(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+_POSITIVE = _floats(1e-6, 1e6)
+_FRACTION = _floats(0.0, 0.5)
+_MUSCLE_DEFAULTS = {f.name: f.default for f in fields(MuscleParams)}
+
+
+@st.composite
+def _controllers(draw):
+    u_min = draw(_floats(0.0, 0.4))
+    u_max = draw(_floats(0.6, 1.0))
+    return DdilcParams(
+        gain_step=draw(_POSITIVE), energy_weight=draw(_POSITIVE),
+        estimator_step=draw(_floats(0.0, 1.0, exclude_min=True)),
+        estimator_weight=draw(_POSITIVE), feedforward_scale=draw(_POSITIVE),
+        error_window=draw(st.integers(1, 8)), offdiag_cap=draw(_POSITIVE),
+        diag_floor=draw(_POSITIVE), diag_span=draw(_floats(1.0, 10.0)),
+        u_min=u_min, u_max=u_max, rest_command=draw(_floats(u_min, u_max)))
+
+
+# every field scaled by a factor near 1 stays inside MuscleParams' bounds
+_muscle_overrides = st.dictionaries(
+    st.sampled_from(sorted(_MUSCLE_DEFAULTS)), _floats(0.5, 0.99),
+    max_size=len(_MUSCLE_DEFAULTS),
+).map(lambda scales: {name: _MUSCLE_DEFAULTS[name] * scale
+                      for name, scale in scales.items()})
+
+_pairs = st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0))
+
+_configs = st.builds(
+    ExperimentConfig,
+    preset=st.sampled_from(sorted(PRESETS)),
+    iterations=st.integers(1, 500),
+    repetitions=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+    out_dir=st.text("abcxyz019_-./", min_size=1, max_size=12),
+    dt=_floats(1e-6, 1.0),
+    control_decimation=st.integers(1, 100),
+    settle_time=_floats(3.0, 1e3),
+    probe_delta=_floats(0.0, 0.5, exclude_min=True),
+    probe_hold=_POSITIVE,
+    divergence_patience=st.integers(1, 10),
+    sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6).map(tuple),
+    trajectory=st.builds(
+        TrajectorySpec, amplitude=_POSITIVE, spatial_period=_POSITIVE,
+        cycles=st.integers(1, 10), duration=_POSITIVE,
+        offset=_pairs, direction=_pairs.filter(lambda d: d != (0.0, 0.0))),
+    controller=_controllers(),
+    muscle_overrides=_muscle_overrides,
+    disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,
+                          noise_amplitude=_floats(0.0, 1.0),
+                          noise_frequency_hz=_floats(0.0, 100.0)),
+    pid=st.builds(PidGains, kp=_floats(0.0, 1e4), ki=_floats(0.0, 1e4),
+                  kd=_floats(0.0, 1e4), torque_scale=_POSITIVE),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_configs)
+@example(ExperimentConfig(
+    preset="spatial-ltdm", sweep_fractions=(0.0, 0.125, 0.5),
+    controller=DdilcParams(error_window=3),
+    muscle_overrides={"eps0_t": 0.02, "a_min": 0.05},
+    disturbance=DisturbanceSpec(0.2, 0.01, 2.0), pid=PidGains(kd=15.0)))
+def test_round_trip_random_configs(cfg):
     text = serialize_config(cfg)
     again = parse(text)
     assert again == cfg

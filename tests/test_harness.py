@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from myoarm import harness, muscle
-from myoarm.arm import ArmModel, forward_kinematics, muscle_lengths, rest_state
+from myoarm.arm import (
+    ArmModel,
+    IntegrationDivergedError,
+    forward_kinematics,
+    muscle_lengths,
+    rest_state,
+)
 from myoarm.control import DdilcController
 from myoarm.harness import (
     DisturbanceSpec,
@@ -19,7 +25,6 @@ from myoarm.harness import (
     PidGains,
     ReplayController,
     RestController,
-    RunSummary,
     TrajectorySpec,
     TrialLog,
     UnreachableTrajectoryError,
@@ -283,13 +288,6 @@ def test_compute_metrics_muscle_lengths():
     assert m.muscle_len_mean_abs_mm == pytest.approx(2.0, abs=1e-12)
 
 
-def test_run_summary_final():
-    s = RunSummary(2, [5.0, 1.0], [25.0, 1.0], [1.0, 0.1], [None, None],
-                   [False, False], [])
-    assert s.final.mean_abs_mm == 1.0
-    assert not s.final.diverged
-
-
 # ---------------------------------------------------------------------------
 # parking, settling, and probing
 # ---------------------------------------------------------------------------
@@ -338,6 +336,33 @@ def test_probe_deterministic_and_sane(model):
     assert np.all(np.hypot(*a.sensitivity) > 1e-3)
     assert np.all(a.response_time_s >= 0.0)
     assert a.lag_s == pytest.approx(float(np.median(a.response_time_s)))
+
+
+def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
+    state = rest_state(model)
+    with monkeypatch.context() as patch:
+        patch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
+        with pytest.raises(IntegrationDivergedError, match=(
+                r"^probe hold rest diverged at tick 0: "
+                r"non-finite l_fiber_norm of muscle 0$")) as err:
+            probe_sensitivity(model, state, DT, hold_time=0.2)
+    assert np.array_equal(err.value.last_state.q, state.q)
+
+    # 0.2 s holds: call 201 is channel 0's first tick, so call 203 is tick 2
+    real, calls = harness.integrate_step, []
+
+    def diverge_on_203rd_call(*args):
+        calls.append(args)
+        if len(calls) == 203:
+            raise IntegrationDivergedError("injected", args[1])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "integrate_step", diverge_on_203rd_call)
+    with pytest.raises(IntegrationDivergedError,
+                       match=r"^probe hold channel 0 diverged at tick 2: "
+                             r"injected$") as err:
+        probe_sensitivity(model, state, DT, hold_time=0.2)
+    assert err.value.last_state is calls[-1][1]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +463,9 @@ def test_disturbance_sweep_repetition_scatter(model, short_run):
     cfg, result = short_run
     sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
                               cfg.dt, [0.0], decimation=10, settle_time=3.0,
-                              repetitions=2, noise_amplitude=0.02,
-                              noise_frequency_hz=8.0)
+                              repetitions=2,
+                              disturbance=DisturbanceSpec(
+                                  noise_amplitude=0.02, noise_frequency_hz=8.0))
     assert sweep.points[0].std_between_reps_mm > 0.0
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from myoarm.config import _MUSCLE_KEYS
+from myoarm.config import _SECTIONS
 from myoarm.muscle import (
     _FV_ARG_HI,
     _FV_ARG_LO,
@@ -389,7 +389,7 @@ class TestParams:
                  "t_deact", "gamma", "k_pe", "eps0_m", "eps0_t", "k_toe", "f_toe",
                  "a_min"]
         assert [f.name for f in fields(MuscleParams)] == names
-        assert list(_MUSCLE_KEYS) == names
+        assert list(_SECTIONS["muscle"]) == names
 
     def test_validation(self):
         with pytest.raises(ValueError):
