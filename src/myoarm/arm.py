@@ -242,11 +242,16 @@ def tip_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angles) @ lengths, np.sin(angles) @ lengths], axis=1)
 
 
-def task_jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Analytic 2 x n Jacobian of the tip position."""
+def _jacobian_rows(model: ArmModel, q) -> tuple[list[float], list[float]]:
+    """Rows d(tip_x)/dq and d(tip_y)/dq of the tip Jacobian, as Python floats."""
     pts = _chain(model, q)
     tx, ty = pts.pop()
-    return np.array([[y - ty for _, y in pts], [tx - x for x, _ in pts]])
+    return [y - ty for _, y in pts], [tx - x for x, _ in pts]
+
+
+def task_jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Analytic 2 x n Jacobian of the tip position."""
+    return np.array(_jacobian_rows(model, q))
 
 
 def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
@@ -255,22 +260,34 @@ def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
                 damping: float = 1e-6) -> tuple[np.ndarray, bool]:
     """Resolve task velocity to joint velocity with null-space bias.
 
-    qdot = J+ pdot + (I - J+ J) k_q, with J+ = J^T (J J^T)^-1. Near
-    singularity (smallest singular value below the threshold) the inverse is
-    damped and the returned flag is True.
+    qdot = J+ (pdot - J k_q) + k_q, which is J+ pdot + (I - J+ J) k_q, with
+    J+ = J^T (J J^T)^-1. The task is the planar tip, so J J^T = [[a, b], [b, c]]
+    is always 2 x 2 and is solved in closed form: its smallest eigenvalue
+    (a + c)/2 - hypot((a - c)/2, b) is sigma_min^2. Below the threshold the
+    flag is True and damping is added to the diagonal before the inverse
+    [[c, -b], [-b, a]] / (a c - b^2) is applied.
     """
-    J = task_jacobian(model, q)
-    JJt = J @ J.T
-    eigs = np.linalg.eigvalsh(JJt)
-    singular = bool(math.sqrt(max(eigs[0], 0.0)) < sigma_min_threshold)
+    jx, jy = _jacobian_rows(model, q)
+    a = sum(v * v for v in jx)
+    b = sum(u * v for u, v in zip(jx, jy))
+    c = sum(v * v for v in jy)
+    lam_min = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
+    singular = math.sqrt(max(lam_min, 0.0)) < sigma_min_threshold
     if singular:
-        JJt = JJt + damping * np.eye(2)
-    J_pinv = J.T @ np.linalg.inv(JJt)
-    qdot = J_pinv @ np.asarray(p_dot, dtype=float)
+        a += damping
+        c += damping
+    det = a * c - b * b
+    rx, ry = float(p_dot[0]), float(p_dot[1])
     if k_q is not None:
-        k_q = np.asarray(k_q, dtype=float)
-        qdot = qdot + k_q - J_pinv @ (J @ k_q)
-    return qdot, singular
+        k = [float(v) for v in k_q]
+        rx -= sum(u * v for u, v in zip(jx, k))
+        ry -= sum(u * v for u, v in zip(jy, k))
+    wx = (c * rx - b * ry) / det
+    wy = (a * ry - b * rx) / det
+    qdot = [u * wx + v * wy for u, v in zip(jx, jy)]
+    if k_q is not None:
+        qdot = [v + kv for v, kv in zip(qdot, k)]
+    return np.array(qdot), singular
 
 
 def _composite(model: ArmModel, q, qd):

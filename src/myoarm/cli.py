@@ -15,10 +15,11 @@ Usage: ``myoarm <command> [--config PATH] [--seed N] [--out DIR]
 * ``lowpass``   — measure tendon-force attenuation of 1 Hz vs 50 Hz
   excitation ripple on one isometric muscle.
 
-Every run writes, under ``<out>/<command>/``: the exact configuration used
-(``config.ini``), a ``run_summary.json`` (sorted keys, no timestamps, so
-identical config+seed reproduce it byte for byte), and per-condition
-directories of per-trial CSV logs named ``iter_<k>.csv``. CSV files are
+Every run writes, under ``<out>/<command>/``, per-condition directories of
+per-trial CSV logs named ``iter_<k>.csv``; once the command completes it
+adds the exact configuration used (``config.ini``) and a
+``run_summary.json`` (sorted keys, no timestamps, so identical config+seed
+reproduce it byte for byte), and a failed command writes neither. CSV files are
 UTF-8 with LF line endings, ``.`` decimal separators, and a versioned
 ``#``-comment schema line above the column header. Failures exit nonzero
 after printing a one-line machine-readable error JSON to stderr.
@@ -81,6 +82,11 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _cell(value) -> str:
+    # exact type first: the trial table's cells (np.float64 subclasses float)
+    if type(value) is float:
+        return repr(value)
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return str(int(value))
     if isinstance(value, (int, np.integer)):
@@ -93,7 +99,7 @@ def _write_csv(path: Path, schema_note: str, columns, rows) -> None:
         fh.write(f"# {schema_note}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+            fh.write(",".join(map(_cell, row)) + "\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -104,8 +110,8 @@ def _write_json(path: Path, payload: dict) -> None:
 
 def _write_trial_csv(path: Path, log: TrialLog) -> None:
     """Per-tick log: state at the start of each tick, inputs held over it."""
+    n_ticks, n_muscles = log.excitations.shape
     n_joints = log.q.shape[1]
-    n_muscles = log.excitations.shape[1]
     columns = (["t"]
                + [f"q{j}" for j in range(n_joints)]
                + [f"qdot{j}" for j in range(n_joints)]
@@ -113,34 +119,31 @@ def _write_trial_csv(path: Path, log: TrialLog) -> None:
                + [f"drive{j}" for j in range(n_joints)]
                + [f"exc{i}" for i in range(n_muscles)]
                + [f"tendon_force{i}" for i in range(n_muscles)])
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# myoarm-trial-v1: one row per physics tick; q/qdot/tip "
-                 "at tick start, drive/exc/force applied over the tick\n")
-        fh.write(",".join(columns) + "\n")
-        for tick in range(log.excitations.shape[0]):
-            row = ([log.time[tick]]
-                   + list(log.q[tick]) + list(log.qdot[tick])
-                   + list(log.tip[tick]) + list(log.tip_desired[tick])
-                   + list(log.drives[tick // log.decimation])
-                   + list(log.excitations[tick])
-                   + list(log.tendon_forces[tick]))
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    # state columns end with the state after the last tick, and a diverged
+    # trial's drives cover the control tick it broke off: cut all to the ticks
+    drives = np.repeat(log.drives, log.decimation, axis=0)
+    table = np.column_stack([a[:n_ticks] for a in (
+        log.time, log.q, log.qdot, log.tip, log.tip_desired, drives,
+        log.excitations, log.tendon_forces)])
+    # row by row: one list for the whole table costs more memory than speed
+    _write_csv(path, "myoarm-trial-v1: one row per physics tick; q/qdot/tip "
+               "at tick start, drive/exc/force applied over the tick",
+               columns, (row.tolist() for row in table))
 
 
 def _write_estimator_csv(path: Path, controller: DdilcController,
                          iteration: int) -> None:
     """Long-format dump of the estimator state after one iteration."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# myoarm-estimator-v1: state after iteration "
-                 f"{iteration}; phi_hat = output-increment model, xi_hat = "
-                 "feedback gain, u_ff = feedforward used this iteration\n")
-        fh.write("quantity,row,col,value\n")
-        for name, matrix in (("phi_hat", controller.est.phi_hat),
-                             ("xi_hat", controller.mem.xi_hat),
-                             ("u_ff", controller.mem.u_ff)):
-            for r, row in enumerate(np.atleast_2d(matrix)):
-                for c, value in enumerate(row):
-                    fh.write(f"{name},{r},{c},{repr(float(value))}\n")
+    rows = [(name, r, c, value)
+            for name, matrix in (("phi_hat", controller.est.phi_hat),
+                                 ("xi_hat", controller.mem.xi_hat),
+                                 ("u_ff", controller.mem.u_ff))
+            for r, row in enumerate(np.atleast_2d(matrix).tolist())
+            for c, value in enumerate(row)]
+    _write_csv(path, f"myoarm-estimator-v1: state after iteration "
+               f"{iteration}; phi_hat = output-increment model, xi_hat = "
+               "feedback gain, u_ff = feedforward used this iteration",
+               ["quantity", "row", "col", "value"], rows)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +293,9 @@ _RUNNERS = {
 def dispatch(command: str, cfg: ExperimentConfig) -> int:
     """Run one command, writing artifacts under ``<out_dir>/<command>/``.
 
-    The output directory always receives the exact configuration used
-    (``config.ini``) and a deterministic ``run_summary.json``.
+    When the command completes, the output directory receives the exact
+    configuration used (``config.ini``) and a deterministic
+    ``run_summary.json``; a command that fails writes neither.
     """
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
@@ -299,10 +303,10 @@ def dispatch(command: str, cfg: ExperimentConfig) -> int:
     out = Path(cfg.out_dir) / command
     out.mkdir(parents=True, exist_ok=True)
     echo = serialize_config(cfg)
-    with open(out / "config.ini", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(echo)
     payload = {"command": command, "seed": cfg.seed, "config_ini": echo}
     payload.update(_RUNNERS[command](cfg, out))
+    with open(out / "config.ini", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(echo)
     _write_json(out / "run_summary.json", payload)
     return 0
 

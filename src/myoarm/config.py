@@ -21,7 +21,8 @@ this layout; parsing, environment overrides and the echo all go through them.
 
 Every key is optional (an empty file yields the benchmark defaults), unknown
 sections or keys are hard errors carrying the offending line number, and
-values are validated on load so a bad config never reaches a simulation.
+values are validated on load so a bad config never reaches a simulation; an
+invalid value is reported with its line or environment variable.
 After the file, environment variables override individual keys using the
 documented prefix scheme ``MYOARM_<SECTION>__<KEY>`` (for example
 ``MYOARM_EXPERIMENT__SEED=3`` or ``MYOARM_CONTROLLER__FEEDFORWARD_SCALE=0.2``).
@@ -213,7 +214,11 @@ def _coerce(where: str, raw: str, typ: type, line: int | None = None):
     raise AssertionError(f"unhandled option type {typ!r}")
 
 
-def _read_sections(text: str) -> dict[str, dict[str, object]]:
+# (section, key) -> (name of the key in its source, file line or None)
+_Sources = dict[tuple[str, str], tuple[str, int | None]]
+
+
+def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], _Sources]:
     parser = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=("#", ";"))
     try:
@@ -228,6 +233,7 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
         raise ConfigError(str(exc)) from exc
 
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
+    sources: _Sources = {}
     for section in parser.sections():
         name = section.strip().lower()
         if name not in _SECTIONS:
@@ -240,12 +246,15 @@ def _read_sections(text: str) -> dict[str, dict[str, object]]:
                 raise ConfigError(
                     f"unknown key {key!r} in [{name}]; expected one of "
                     f"{', '.join(keys)}", _find_line(text, name, key))
-            values[name][key] = _coerce(f"[{name}] {key}", raw, keys[key],
-                                        _find_line(text, name, key))
-    return values
+            where = f"[{name}] {key}"
+            line = _find_line(text, name, key)
+            values[name][key] = _coerce(where, raw, keys[key], line)
+            sources[name, key] = (where, line)
+    return values, sources
 
 
-def _apply_env(values: dict[str, dict[str, object]], env) -> None:
+def _apply_env(values: dict[str, dict[str, object]], sources: _Sources,
+               env) -> None:
     for var in sorted(env):
         if not var.startswith(ENV_PREFIX):
             continue
@@ -260,6 +269,7 @@ def _apply_env(values: dict[str, dict[str, object]], env) -> None:
         if key not in _SECTIONS[section]:
             raise ConfigError(f"{var}: unknown key {key!r} in [{section}]")
         values[section][key] = _coerce(var, env[var], _SECTIONS[section][key])
+        sources[section, key] = (var, None)
 
 
 def parse_config(text: str, env=None) -> ExperimentConfig:
@@ -268,12 +278,22 @@ def parse_config(text: str, env=None) -> ExperimentConfig:
     ``env`` defaults to ``os.environ``; pass a mapping to isolate tests.
     Precedence: built-in defaults < file < environment overrides.
     """
-    values = _read_sections(text)
-    _apply_env(values, os.environ if env is None else env)
+    values, sources = _read_sections(text)
+    _apply_env(values, sources, os.environ if env is None else env)
     try:
         return _unflatten({section: {**defaults, **values[section]}
                            for section, defaults in _DEFAULTS.items()})
     except ValueError as exc:
+        # Name the source: add the overrides to the defaults one at a time
+        # and report the first whose addition fails.
+        trial = {section: dict(defaults)
+                 for section, defaults in _DEFAULTS.items()}
+        for (section, key), (where, line) in sources.items():
+            trial[section][key] = values[section][key]
+            try:
+                _unflatten(trial)
+            except ValueError as first:
+                raise ConfigError(f"{where}: {first}", line) from first
         raise ConfigError(str(exc)) from exc
 
 

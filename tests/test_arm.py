@@ -12,7 +12,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from myoarm import muscle
@@ -275,6 +275,54 @@ def test_ik_singular_flags_and_stays_finite():
     qdot, singular = ik_velocity(arm, np.array([0.05, 0.0]), q)
     assert singular
     assert np.all(np.isfinite(qdot))
+
+
+def _ik_reference(J, p_dot, k_q, threshold=1e-4, damping=1e-6):
+    """ik_velocity through numpy: eigvalsh for the flag, inv for the solve."""
+    JJt = J @ J.T
+    singular = math.sqrt(max(np.linalg.eigvalsh(JJt)[0], 0.0)) < threshold
+    A = JJt + damping * np.eye(2) if singular else JJt
+    J_pinv = J.T @ np.linalg.inv(A)
+    qdot = J_pinv @ p_dot
+    if k_q is not None:
+        qdot = qdot + k_q - J_pinv @ (J @ k_q)
+    return qdot, singular, A, J_pinv
+
+
+@st.composite
+def _ik_cases(draw):
+    """A random 1-7 joint chain, posture, tip velocity and optional k_q.
+
+    One-joint chains (rank-1 J J^T) and fully stretched chains (straight at
+    any heading) take the damped branch.
+    """
+    n = draw(st.integers(1, 7))
+    lengths = draw(st.lists(st.floats(0.05, 0.5), min_size=n, max_size=n))
+    q = draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        q = q[:1] + [0.0] * (n - 1)
+    p_dot = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
+    k_q = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                    max_size=n).map(np.array))
+    return _chain(n, lengths=lengths), np.array(q), p_dot, k_q
+
+
+@given(_ik_cases())
+@settings(max_examples=300, deadline=None)
+def test_ik_closed_form_matches_numpy_reference(case):
+    arm, q, p_dot, k_q = case
+    J = task_jacobian(arm, q)
+    want, want_singular, A, J_pinv = _ik_reference(J, p_dot, k_q)
+    lam = np.linalg.eigvalsh(J @ J.T)
+    # the flag may differ only where sigma_min sits within rounding of 1e-4
+    assume(abs(lam[0] - 1e-8) > 1e-12 * lam[1])
+    have, singular = ik_velocity(arm, p_dot, q, k_q=k_q)
+    assert singular == want_singular
+    # solving with A loses eps * cond(A) relative to the scale of the result
+    k = np.zeros(arm.n_joints) if k_q is None else k_q
+    scale = np.linalg.norm(J_pinv, 2) * np.linalg.norm(p_dot - J @ k) + np.linalg.norm(k)
+    tol = 64.0 * np.finfo(float).eps * np.linalg.cond(A) * scale
+    assert np.linalg.norm(have - want) <= tol
 
 
 # ---------------------------------------------------------------------------

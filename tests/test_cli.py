@@ -4,11 +4,13 @@ and byte-identical reruns. All commands run in-process through main().
 
 import json
 
+import numpy as np
 import pytest
 
 from myoarm import harness
-from myoarm.cli import main
+from myoarm.cli import _write_trial_csv, main
 from myoarm.config import parse_config
+from myoarm.harness import TrialLog
 
 TINY = """\
 [experiment]
@@ -137,6 +139,74 @@ def test_ilc_reruns_are_byte_identical(tmp_path):
     assert "run_summary.json" in first
 
 
+def _reference_trial_csv(log):
+    """The row-by-row trial CSV formatter that the table writer replaced."""
+    n_joints = log.q.shape[1]
+    n_muscles = log.excitations.shape[1]
+    columns = (["t"]
+               + [f"q{j}" for j in range(n_joints)]
+               + [f"qdot{j}" for j in range(n_joints)]
+               + ["tip_x", "tip_y", "tip_x_desired", "tip_y_desired"]
+               + [f"drive{j}" for j in range(n_joints)]
+               + [f"exc{i}" for i in range(n_muscles)]
+               + [f"tendon_force{i}" for i in range(n_muscles)])
+    text = ("# myoarm-trial-v1: one row per physics tick; q/qdot/tip "
+            "at tick start, drive/exc/force applied over the tick\n"
+            + ",".join(columns) + "\n")
+    for tick in range(log.excitations.shape[0]):
+        row = ([log.time[tick]]
+               + list(log.q[tick]) + list(log.qdot[tick])
+               + list(log.tip[tick]) + list(log.tip_desired[tick])
+               + list(log.drives[tick // log.decimation])
+               + list(log.excitations[tick])
+               + list(log.tendon_forces[tick]))
+        text += ",".join(repr(float(v)) for v in row) + "\n"
+    return text.encode("utf-8")
+
+
+def _hand_log(decimation, n_ticks, n_joints=2, n_muscles=4, kept=None):
+    """A TrialLog shaped as run_trial leaves it, holding awkward floats.
+
+    ``kept`` < ``n_ticks`` mimics a trial that diverged at tick ``kept``:
+    ``kept + 1`` states, ``kept`` ticks of inputs and the drives of every
+    control tick begun, the broken one included.
+    """
+    rng = np.random.default_rng(decimation * 1000 + n_ticks)
+    kept = n_ticks if kept is None else kept
+    n_control = (n_ticks // decimation if kept == n_ticks
+                 else kept // decimation + 1)
+
+    def cells(*shape):
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        flat = a.reshape(-1)
+        flat[:5] = [-0.0, 1.0, 5e-324, 1e300, 0.1 + 0.2]
+        return a
+
+    return TrialLog(
+        dt=1e-3, decimation=decimation,
+        time=np.arange(kept + 1) * 1e-3,
+        tip=cells(kept + 1, 2), tip_desired=cells(kept + 1, 2),
+        q=cells(kept + 1, n_joints), qdot=cells(kept + 1, n_joints),
+        drives=rng.random((n_control, n_joints)),
+        excitations=rng.random((kept, n_muscles)),
+        tendon_forces=cells(kept, n_muscles),
+        muscle_lengths=cells(kept + 1, n_muscles),
+        diverged=kept < n_ticks, diverged_at=kept if kept < n_ticks else None)
+
+
+@pytest.mark.parametrize("decimation,n_ticks,kept", [
+    (1, 37, None),
+    (10, 120, None),
+    (10, 120, 53),        # diverged in the middle of control tick 5
+])
+def test_trial_csv_bytes_match_the_row_formatter(tmp_path, decimation,
+                                                 n_ticks, kept):
+    log = _hand_log(decimation, n_ticks, kept=kept)
+    path = tmp_path / "iter_0.csv"
+    _write_trial_csv(path, log)
+    assert path.read_bytes() == _reference_trial_csv(log)
+
+
 # ---------------------------------------------------------------------------
 # sweep / compare / lowpass
 # ---------------------------------------------------------------------------
@@ -211,6 +281,15 @@ def test_bad_config_exits_2_with_error_json(tmp_path, capsys):
     assert "bogus" in err["error"]["message"]
 
 
+def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[experiment]\niterations = 0\n", encoding="utf-8")
+    assert run(tmp_path, "curves", "--config", str(cfg)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("line 2: [experiment] iterations: ")
+
+
 def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
     path = tmp_path / "far.ini"        # TINY ends inside [trajectory]
     path.write_text(TINY.format(extra="") + "offset_x = 2.0\n",
@@ -219,6 +298,10 @@ def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)["error"]
     assert err["type"] == "UnreachableTrajectoryError"
     assert "trajectory sample 0 at (2.0, -0.2): " in err["message"]
+    # the config echo and the summary are written only by a completed run
+    out = tmp_path / "runs" / "simulate"
+    assert not (out / "config.ini").exists()
+    assert not (out / "run_summary.json").exists()
 
 
 @pytest.mark.parametrize("var,value", [("MYOARM_SEED", "1"),

@@ -203,8 +203,31 @@ def test_env_unknown_key_is_an_error():
 
 
 def test_env_values_are_validated():
-    with pytest.raises(ConfigError, match="iterations"):
-        parse("", env={"MYOARM_EXPERIMENT__ITERATIONS": "0"})
+    env = {"MYOARM_EXPERIMENT__ITERATIONS": "0"}
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\nseed = 4\n", env=env)
+    assert str(err.value) == ("MYOARM_EXPERIMENT__ITERATIONS: "
+                              "ExperimentConfig.iterations must be >= 1")
+    assert err.value.line is None
+    # the source that wins is named: the variable over the file ...
+    with pytest.raises(ConfigError, match="^MYOARM_EXPERIMENT__ITERATIONS: "):
+        parse("[experiment]\niterations = 3\n", env=env)
+    # ... and a valid override hides an invalid file value
+    cfg = parse("[experiment]\niterations = 0\n",
+                env={"MYOARM_EXPERIMENT__ITERATIONS": "3"})
+    assert cfg.iterations == 3
+
+
+def test_out_of_range_file_value_names_its_line():
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\niterations = 0\n")
+    assert str(err.value) == ("line 2: [experiment] iterations: "
+                              "ExperimentConfig.iterations must be >= 1")
+    assert err.value.line == 2
+    # the first failing key is named, after valid keys of other sections
+    with pytest.raises(ConfigError, match=r"^line 5: \[pid\] kp: ") as err:
+        parse("[experiment]\nseed = 4\n\n[pid]\nkp = -1\n")
+    assert err.value.line == 5
 
 
 # ---------------------------------------------------------------------------
