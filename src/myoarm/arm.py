@@ -8,10 +8,14 @@ moment-arm matrix L (with L[i, j] = sign_i * r_i) satisfies dl = -L dq, and
 tendon tensions map to joint torques through tau = L^T f (a taut muscle that
 shortens when its joint angle grows pulls that angle up).
 
-Rigid-body dynamics use a fused composite-inertia pass and a Cholesky solve,
-exact for arbitrary chain length, with an optional point mass rigidly attached
-to the end effector (payload). Integration is classic RK4 on (q, qdot) with
-muscle forces frozen over the tick and hard joint stops applied afterwards.
+Forward dynamics use the articulated-body algorithm (Featherstone, Rigid Body
+Dynamics Algorithms, ch. 7): O(n) in the chain length, it never forms the mass
+matrix, and its pivots are those of the mass matrix's LDL^T factorization, so
+a matrix that is not positive definite is still detected exactly. The mass
+matrix and bias torques come from a separate composite-inertia sweep. An
+optional point mass is rigidly attached to the end effector (payload).
+Integration is classic RK4 on (q, qdot) with muscle forces frozen over the
+tick and hard joint stops applied afterwards.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ class IntegrationDivergedError(RuntimeError):
         self.last_state = last_state
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinkParams:
     length: float   # joint-to-joint distance, m
     mass: float     # kg
@@ -127,10 +131,12 @@ class ArmModel:
         for j in range(n):
             if signs_by_joint.get(j, set()) != {-1, 1}:
                 raise ValueError(f"joint {j} must be spanned by muscles of both signs")
-        # (joint, sign * moment_arm, l_ref, q_ref[joint]) per muscle, read by
-        # integrate_step; routes are frozen, so the table cannot go stale
+        # (joint, sign * moment_arm, l_ref, q_ref[joint]) per muscle and
+        # (length, mass, com, inertia) per link, read by the dynamics; routes
+        # and links are frozen, so the tables cannot go stale
         self._routes = [(r.joint, r.sign * r.moment_arm, r.l_ref, self.q_ref[r.joint])
                         for r in self.routing]
+        self._links = tuple((k.length, k.mass, k.com, k.inertia) for k in self.links)
         # A well-posed model must have an invertible mass matrix everywhere.
         h = mass_matrix(self, np.array(self.q_ref))
         if np.linalg.cond(h) > 1e12:
@@ -242,32 +248,29 @@ def tip_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
     return np.stack([np.cos(angles) @ lengths, np.sin(angles) @ lengths], axis=1)
 
 
-def _jacobian_rows(model: ArmModel, q) -> tuple[list[float], list[float]]:
-    """Rows d(tip_x)/dq and d(tip_y)/dq of the tip Jacobian, as Python floats."""
+def _tip_jacobian(model: ArmModel, q) -> tuple[float, float, list[float], list[float]]:
+    """Tip (x, y) and the Jacobian rows d(tip_x)/dq, d(tip_y)/dq from one chain
+    walk, as Python floats."""
     pts = _chain(model, q)
     tx, ty = pts.pop()
-    return [y - ty for _, y in pts], [tx - x for x, _ in pts]
+    return tx, ty, [y - ty for _, y in pts], [tx - x for x, _ in pts]
 
 
 def task_jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """Analytic 2 x n Jacobian of the tip position."""
-    return np.array(_jacobian_rows(model, q))
+    return np.array(_tip_jacobian(model, q)[2:])
 
 
-def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
-                k_q: np.ndarray | None = None,
+def _pinv_solve(jx: list[float], jy: list[float], rx: float, ry: float,
                 sigma_min_threshold: float = 1e-4,
-                damping: float = 1e-6) -> tuple[np.ndarray, bool]:
-    """Resolve task velocity to joint velocity with null-space bias.
+                damping: float = 1e-6) -> tuple[list[float], bool]:
+    """J+ r = J^T (J J^T)^-1 r for the 2 x n tip Jacobian with rows jx, jy.
 
-    qdot = J+ (pdot - J k_q) + k_q, which is J+ pdot + (I - J+ J) k_q, with
-    J+ = J^T (J J^T)^-1. The task is the planar tip, so J J^T = [[a, b], [b, c]]
-    is always 2 x 2 and is solved in closed form: its smallest eigenvalue
+    J J^T = [[a, b], [b, c]] is solved in closed form: its smallest eigenvalue
     (a + c)/2 - hypot((a - c)/2, b) is sigma_min^2. Below the threshold the
     flag is True and damping is added to the diagonal before the inverse
     [[c, -b], [-b, a]] / (a c - b^2) is applied.
     """
-    jx, jy = _jacobian_rows(model, q)
     a = sum(v * v for v in jx)
     b = sum(u * v for u, v in zip(jx, jy))
     c = sum(v * v for v in jy)
@@ -277,21 +280,36 @@ def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
         a += damping
         c += damping
     det = a * c - b * b
+    wx = (c * rx - b * ry) / det
+    wy = (a * ry - b * rx) / det
+    return [u * wx + v * wy for u, v in zip(jx, jy)], singular
+
+
+def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
+                k_q: np.ndarray | None = None,
+                sigma_min_threshold: float = 1e-4,
+                damping: float = 1e-6) -> tuple[np.ndarray, bool]:
+    """Resolve task velocity to joint velocity with null-space bias.
+
+    qdot = J+ (pdot - J k_q) + k_q, which is J+ pdot + (I - J+ J) k_q, with
+    J+ = J^T (J J^T)^-1. The task is the planar tip, so J J^T is always 2 x 2
+    and is solved in closed form; the flag is True when its sigma_min is below
+    the threshold, and damping is then added to its diagonal.
+    """
+    _, _, jx, jy = _tip_jacobian(model, q)
     rx, ry = float(p_dot[0]), float(p_dot[1])
     if k_q is not None:
         k = [float(v) for v in k_q]
         rx -= sum(u * v for u, v in zip(jx, k))
         ry -= sum(u * v for u, v in zip(jy, k))
-    wx = (c * rx - b * ry) / det
-    wy = (a * ry - b * rx) / det
-    qdot = [u * wx + v * wy for u, v in zip(jx, jy)]
+    qdot, singular = _pinv_solve(jx, jy, rx, ry, sigma_min_threshold, damping)
     if k_q is not None:
         qdot = [v + kv for v, kv in zip(qdot, k)]
     return np.array(qdot), singular
 
 
 def _composite(model: ArmModel, q, qd):
-    """Mass matrix rows, bias torques C qdot + G and joint origins in one sweep.
+    """Mass matrix rows and bias torques C qdot + G in one sweep.
 
     Forward: joint origins p_j (ending at the tip), link COMs and the
     velocity-product accelerations. Backward: suffix sums over the bodies
@@ -305,13 +323,12 @@ def _composite(model: ArmModel, q, qd):
     origins = [(0.0, 0.0)]
     bodies = []                  # (m, I, COM x, y, m (a - g) x, y) per link
     phi = w = x = y = ax = ay = 0.0
-    for link, qi, qdi in zip(model.links, q, qd):
+    for (ell, m, r, inertia), qi, qdi in zip(model._links, q, qd):
         phi += qi
         w += qdi
         c, s = cos(phi), sin(phi)
         w2 = w * w
-        r, ell, m = link.com, link.length, link.mass
-        bodies.append((m, link.inertia, x + r * c, y + r * s,
+        bodies.append((m, inertia, x + r * c, y + r * s,
                        m * (ax - w2 * r * c - gx), m * (ay - w2 * r * s - gy)))
         x += ell * c
         y += ell * s
@@ -340,7 +357,7 @@ def _composite(model: ArmModel, q, qd):
         # H_ij = (P - p_j . S) + p_i . (M p_j - S)
         hj, ux, uy = P - pjx * sx - pjy * sy, M * pjx - sx, M * pjy - sy
         rows[j] = [hj + pix * ux + piy * uy for pix, piy in origins[:j + 1]]
-    return rows, bias, origins
+    return rows, bias
 
 
 def mass_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
@@ -358,66 +375,103 @@ def bias_forces(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     return np.array(_composite(model, [float(v) for v in q], [float(v) for v in qdot])[1])
 
 
-def gravity_torques(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    return bias_forces(model, q, np.zeros(model.n_joints))
-
-
 def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
            f_ext: tuple[float, float] | None) -> list[float]:
-    """Joint accelerations; list-based hot path shared by the integrator.
+    """Joint accelerations by the articulated-body algorithm; the integrator's hot path.
 
-    Raises np.linalg.LinAlgError when a pivot or determinant of H is <= 0 or not finite.
+    Planar spatial vectors in the base frame: a motion (w, vx, vy) gives the
+    velocity of the body point at the base origin, a force (n, fx, fy) its
+    moment about the origin. Joint j at p_j has axis S_j = (1, p_jy, -p_jx).
+    Outward: joint points, velocities, velocity products c_j = v_j x S_j qd_j
+    and each body's inertia [[i, -m cy, m cx], [-m cy, m, 0], [m cx, 0, m]]
+    and bias force v x* I v (payload and tip force on the last body). Inward:
+    articulated inertias (6 unique entries), U_j = I^A_j S_j and the pivot
+    D_j = S_j^T U_j. Outward: accelerations from the base acceleration
+    (0, -gx, -gy). Python scalars throughout: this sits inside RK4.
+
+    The D_j are the pivots of H's reverse LDL^T factorization, so
+    np.linalg.LinAlgError is raised exactly when H is not positive definite
+    (a pivot <= 0 or not finite).
     """
-    H, bias, origins = _composite(model, q, qd)
-    n = len(H)
+    cos, sin = math.cos, math.sin
     b = model.viscous_friction
-    rhs = [tau[j] - bias[j] - b * qd[j] for j in range(n)]
+    bodies = []
+    phi = w = x = y = vx = vy = 0.0
+    for (ell, m, r, inertia), qi, qdi in zip(model._links, q, qd):
+        phi += qi
+        vx += qdi * y
+        vy -= qdi * x
+        w += qdi
+        c, s = cos(phi), sin(phi)
+        cx, cy = x + r * c, y + r * s
+        mw = m * w
+        # inertia entries i, -m cy, m cx, m; with the COM velocity
+        # u = (vx - w cy, vy + w cx) the bias force is m w (v . c, -u_y, u_x)
+        bodies.append((x, y, qdi * (w * x + vy), qdi * (w * y - vx),
+                       inertia + m * (cx * cx + cy * cy), -m * cy, m * cx, m,
+                       mw * (vx * cx + vy * cy), -mw * (vy + w * cx), mw * (vx - w * cy)))
+        x += ell * c
+        y += ell * s
+    # the inward pass starts from the payload at the tip (x, y), a point mass
+    # moving with the last body, and the tip force
+    mt = model.tip_mass
+    mw = mt * w
+    a00, a01, a02, a11, a12, a22 = mt * (x * x + y * y), -mt * y, mt * x, mt, 0.0, mt
+    p0, p1, p2 = mw * (vx * x + vy * y), -mw * (vy + w * x), mw * (vx - w * y)
     if f_ext is not None:
         fx, fy = f_ext
-        px, py = origins[n]
-        rhs = [r + (px - ox) * fy - (py - oy) * fx for r, (ox, oy) in zip(rhs, origins)]
-    if n == 1:
-        h = H[0][0]
-        if not 0.0 < h < math.inf:
-            raise np.linalg.LinAlgError(f"mass matrix not positive definite (H = {h})")
-        return [rhs[0] / h]
-    if n == 2:
-        a, (bb, c) = H[0][0], H[1]
-        det = a * c - bb * bb
-        if not 0.0 < det < math.inf:
-            raise np.linalg.LinAlgError(f"mass matrix not positive definite (det = {det})")
-        return [(c * rhs[0] - bb * rhs[1]) / det,
-                (a * rhs[1] - bb * rhs[0]) / det]
-    # Cholesky H = L L^T in place. Row j of L is final once its pivot is, so
-    # L y = rhs advances in the same loop; L^T x = y runs column by column.
-    for j, row in enumerate(H):
-        for k in range(j):
-            lk = H[k]
-            s = row[k]
-            for m in range(k):
-                s -= row[m] * lk[m]
-            row[k] = s / lk[k]
-        d = row[j]
-        for m in range(j):
-            d -= row[m] * row[m]
+        p0 -= x * fy - y * fx
+        p1 -= fx
+        p2 -= fy
+    for j in range(len(bodies) - 1, -1, -1):
+        px, py, c1, c2, i00, i01, i02, m, b0, b1, b2 = bodies[j]
+        a00 += i00
+        a01 += i01
+        a02 += i02
+        a11 += m
+        a22 += m
+        p0 += b0
+        p1 += b1
+        p2 += b2
+        u0 = a00 + a01 * py - a02 * px
+        u1 = a01 + a11 * py - a12 * px
+        u2 = a02 + a12 * py - a22 * px
+        d = u0 + u1 * py - u2 * px
         if not 0.0 < d < math.inf:
             raise np.linalg.LinAlgError(f"mass matrix not positive definite (pivot {j} = {d})")
-        row[j] = d = math.sqrt(d)
-        s = rhs[j]
-        for m in range(j):
-            s -= row[m] * rhs[m]
-        rhs[j] = s / d
-    for j in range(n - 1, -1, -1):
-        row = H[j]
-        x = rhs[j] = rhs[j] / row[j]
-        for m in range(j):
-            rhs[m] -= row[m] * x
-    return rhs
+        u = tau[j] - b * qd[j] - p0 - p1 * py + p2 * px
+        bodies[j] = (px, py, c1, c2, u0, u1, u2, d, u)
+        # pass I^A - U U^T / D and p^A + I^a c + U u / D on to the parent
+        e0, e1, e2 = u0 / d, u1 / d, u2 / d
+        a00 -= e0 * u0
+        a01 -= e0 * u1
+        a02 -= e0 * u2
+        a11 -= e1 * u1
+        a12 -= e1 * u2
+        a22 -= e2 * u2
+        p0 += a01 * c1 + a02 * c2 + e0 * u
+        p1 += a11 * c1 + a12 * c2 + e1 * u
+        p2 += a12 * c1 + a22 * c2 + e2 * u
+    gx, gy = model.gravity
+    acc = []
+    a0, a1, a2 = 0.0, -gx, -gy
+    for px, py, c1, c2, u0, u1, u2, d, u in bodies:
+        a1 += c1
+        a2 += c2
+        qdd = (u - u0 * a0 - u1 * a1 - u2 * a2) / d
+        acc.append(qdd)
+        a0 += qdd
+        a1 += qdd * py
+        a2 -= qdd * px
+    return acc
 
 
 def forward_dynamics(model: ArmModel, q: np.ndarray, qdot: np.ndarray,
                      tau: np.ndarray, f_ext: np.ndarray | None = None) -> np.ndarray:
-    """qddot = H^-1 (tau + J^T f_ext - C qdot - G - b qdot)."""
+    """qddot = H^-1 (tau + J^T f_ext - C qdot - G - b qdot), by the articulated-body pass.
+
+    Raises np.linalg.LinAlgError when H is not positive definite.
+    """
     fe = None if f_ext is None else (float(f_ext[0]), float(f_ext[1]))
     return np.array(_accel(model, [float(v) for v in q], [float(v) for v in qdot],
                            [float(v) for v in tau], fe))

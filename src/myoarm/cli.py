@@ -254,6 +254,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     return {
         "conditions": ["ddilc", "pid"],
         "ddilc_final_mean_abs_mm": ddilc_mm,
+        "ddilc": asdict(result.summary),
         "pid": asdict(pid_m),
         "error_ratio": ddilc_mm / pid_m.mean_abs_mm,
         "improvement_percent": 100.0 * (1.0 - ddilc_mm / pid_m.mean_abs_mm),

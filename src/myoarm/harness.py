@@ -28,8 +28,9 @@ from .arm import (
     ArmModel,
     ArmState,
     IntegrationDivergedError,
+    _pinv_solve,
+    _tip_jacobian,
     forward_kinematics,
-    ik_velocity,
     integrate_step,
     muscle_length_path,
     rest_state,
@@ -182,15 +183,17 @@ def joint_path(model: ArmModel, points: np.ndarray, q0: np.ndarray | None = None
     UnreachableTrajectoryError naming the offending sample.
     """
     points = np.asarray(points, dtype=float)
-    q = np.array(model.q_ref if q0 is None else q0, dtype=float)
+    q = [float(v) for v in (model.q_ref if q0 is None else q0)]
     out = np.empty((points.shape[0], model.n_joints))
     for idx, target in enumerate(points):
+        px, py = target.tolist()
         for _ in range(max_iter):
-            err = target - forward_kinematics(model, q)
-            if float(np.hypot(err[0], err[1])) < tol:
+            tx, ty, jx, jy = _tip_jacobian(model, q)
+            ex, ey = px - tx, py - ty
+            if float(np.hypot(ex, ey)) < tol:
                 break
-            dq, _ = ik_velocity(model, err, q)
-            q = q + dq
+            dq, _ = _pinv_solve(jx, jy, ex, ey)
+            q = [qi + d for qi, d in zip(q, dq)]
         else:
             raise UnreachableTrajectoryError(idx, target, "inverse kinematics "
                                              f"did not converge within {max_iter} steps")
@@ -581,6 +584,8 @@ class RunSummary:
     std_mm: list[float]
     muscle_len_mean_abs_mm: list[float | None]
     diverged: list[bool]
+    diverged_at: list[int | None]       # tick at which each trial diverged
+    diverged_reason: list[str | None]   # and the IntegrationDivergedError message
     ff_shrink_iterations: list[int]
 
 
@@ -659,7 +664,7 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
         response_lag_ticks=probe.lag_s / (cfg.dt * cfg.control_decimation),
         rest_drive=u_hold)
 
-    summary = RunSummary(cfg.iterations, [], [], [], [], [], [])
+    summary = RunSummary(cfg.iterations, [], [], [], [], [], [], [], [])
     growth_streak = 0
     final_log = None
     for k in range(cfg.iterations):
@@ -673,6 +678,8 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
         summary.std_mm.append(metrics.std_mm)
         summary.muscle_len_mean_abs_mm.append(metrics.muscle_len_mean_abs_mm)
         summary.diverged.append(metrics.diverged)
+        summary.diverged_at.append(log.diverged_at)
+        summary.diverged_reason.append(log.diverged_reason)
         if on_iteration is not None:
             on_iteration(k, log, metrics, controller)
 

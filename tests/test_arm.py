@@ -4,7 +4,8 @@ Oracles: hand-evaluated chain positions, central finite differences for the
 Jacobian and moment-arm matrix, the textbook closed-form two-link equations
 of motion, the elliptic-function solution of the large-angle pendulum,
 long-horizon energy conservation, and, on random chains, the kinetic energy
-and power balance computed from `total_energy` alone.
+and power balance computed from `total_energy` alone and a dense solve with
+the composite-inertia mass matrix.
 """
 
 import math
@@ -25,7 +26,6 @@ from myoarm.arm import (
     bias_forces,
     forward_dynamics,
     forward_kinematics,
-    gravity_torques,
     ik_velocity,
     integrate_step,
     joint_positions,
@@ -395,7 +395,7 @@ def test_gravity_torques_are_potential_gradient():
     zeros = np.zeros(3)
     for _ in range(20):
         q = rng.uniform(-2.0, 2.0, size=3)
-        g = gravity_torques(arm, q)
+        g = bias_forces(arm, q, zeros)
         for j in range(3):
             dq = np.zeros(3)
             dq[j] = eps
@@ -452,6 +452,25 @@ def test_power_balance_random_chains(case):
     scale = abs(qd) @ (abs(tau) + arm.viscous_friction * abs(qd) + abs(tip_torque))
     noise = 1e-15 * (1.0 + abs(total_energy(arm, q, qd))) / h
     assert de_dt == pytest.approx(power, abs=1e-6 * scale + 100.0 * noise)
+
+
+@given(_random_chains())
+@settings(max_examples=200, deadline=None)
+def test_forward_dynamics_matches_composite_solve_random_chains(case):
+    # The articulated-body pass against a dense solve with the composite-
+    # inertia H and bias, which share no code with it. The power balance
+    # above misses any error orthogonal to qdot; this does not.
+    arm, q, qd, tau, f_ext = case
+    H = mass_matrix(arm, q)
+    terms = [tau, -bias_forces(arm, q, qd), -arm.viscous_friction * qd,
+             task_jacobian(arm, q).T @ f_ext]
+    want = np.linalg.solve(H, sum(terms))
+    have = forward_dynamics(arm, q, qd, tau, f_ext=f_ext)
+    # solving loses eps * cond(H) relative to the result; summing the terms
+    # loses eps relative to their magnitudes, which H^-1 carries into qddot
+    scale = np.max(np.abs(want)) + np.max(np.abs(np.linalg.inv(H)) @ sum(map(np.abs, terms)))
+    tol = 16.0 * np.finfo(float).eps * np.linalg.cond(H) * scale
+    assert np.max(np.abs(have - want)) <= tol
 
 
 @given(_random_chains(n_min=7))
@@ -655,7 +674,10 @@ def test_divergence_raises_with_last_state():
 def test_singular_mass_matrix_raises_with_last_state(n, inertia):
     arm = _chain(n)
     state = rest_state(arm)
-    arm.links[-1].inertia = inertia  # bypasses LinkParams validation
+    # links are frozen and a NaN link fails the constructor's conditioning
+    # check, so the bad inertia goes into the table the dynamics read
+    length, mass, com, _ = arm._links[-1]
+    arm._links = arm._links[:-1] + ((length, mass, com, inertia),)
     with pytest.raises(IntegrationDivergedError, match="mass matrix") as exc_info:
         integrate_step(arm, state, np.zeros(arm.n_muscles), 1e-3)
     assert exc_info.value.last_state is state

@@ -258,6 +258,17 @@ def test_compare_runs_pid_on_the_disturbed_plant(tmp_path, monkeypatch):
     assert seed_pid == seed_ddilc == [3, 1]
 
 
+@pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
+def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key):
+    diverge_in_trial(1, 37)
+    assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
+    summary = read_summary(tmp_path, command)
+    summary = summary if key is None else summary[key]
+    assert summary["diverged"] == [False, True]
+    assert summary["diverged_at"] == [None, 37]
+    assert summary["diverged_reason"] == [None, "injected"]
+
+
 def test_lowpass_reports_attenuation_gap(tmp_path):
     assert run(tmp_path, "lowpass") == 0
     summary = read_summary(tmp_path, "lowpass")

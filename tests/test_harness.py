@@ -430,6 +430,18 @@ def test_run_ilc_callback_sees_every_iteration(model):
     assert all(np.isfinite(v) for _, v in seen)
 
 
+def test_run_ilc_summary_records_divergence(model, diverge_in_trial):
+    diverge_in_trial(1, 37)
+    cfg = IlcConfig(model=model,
+                    trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                    iterations=3, dt=DT, control_decimation=10, seed=0,
+                    settle_time=3.0, probe_hold=1.0)
+    s = run_ilc(cfg).summary
+    assert s.diverged == [False, True, False]
+    assert s.diverged_at == [None, 37, None]
+    assert s.diverged_reason == [None, "injected", None]
+
+
 def test_benchmark_config_defaults(model):
     cfg = benchmark_ilc_config()
     assert cfg.trajectory.duration == 8.0
