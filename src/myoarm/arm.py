@@ -16,12 +16,19 @@ matrix and bias torques come from a separate composite-inertia sweep. An
 optional point mass is rigidly attached to the end effector (payload).
 Integration is classic RK4 on (q, qdot) with muscle forces frozen over the
 tick and hard joint stops applied afterwards.
+
+`ArmModel` is one frozen plant description that every physics path shares. It
+stores its sequences as tuples and builds each per-model table once: per-link
+and per-route scalars for the per-tick code, the read-only moment-arm matrix
+and l_ref, q_ref and link-length vectors for the batched code, and the
+pair-drive map. Variants (a heavier payload, another q_ref) come from
+`dataclasses.replace`, which validates the model and builds its tables anew.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +42,12 @@ __all__ = [
     "StepInfo",
     "IntegrationDivergedError",
     "muscle_lengths",
-    "muscle_length_path",
     "moment_arm_matrix",
     "joint_torques",
     "forward_kinematics",
     "tip_path",
     "joint_positions",
     "task_jacobian",
-    "ik_velocity",
     "mass_matrix",
     "bias_forces",
     "forward_dynamics",
@@ -93,18 +98,38 @@ class MuscleRoute:
             raise ValueError("MuscleRoute.l_ref must be > 0")
 
 
-@dataclass
+def _read_only(values) -> np.ndarray:
+    a = np.array(values, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class ArmModel:
-    links: list[LinkParams]
-    joint_limits: list[tuple[float, float]]
-    routing: list[MuscleRoute]
-    muscles: list[MuscleParams]
+    """The plant: skeleton, routing, muscles and payload, frozen.
+
+    The sequence fields are stored as tuples, and ``__post_init__`` builds
+    every per-model table the physics reads, once. Variants come from
+    ``dataclasses.replace``, which validates and builds them anew, so the
+    tables cannot go stale.
+    """
+
+    links: tuple[LinkParams, ...]
+    joint_limits: tuple[tuple[float, float], ...]
+    routing: tuple[MuscleRoute, ...]
+    muscles: tuple[MuscleParams, ...]
     gravity: tuple[float, float] = (0.0, 0.0)
     viscous_friction: float = 0.0          # N m s/rad, same for every joint
     q_ref: tuple[float, ...] = ()          # reference posture for the routing lengths
     tip_mass: float = 0.0                  # payload point mass at the end effector, kg
 
     def __post_init__(self) -> None:
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        for name in ("links", "routing", "muscles", "q_ref"):
+            put(name, tuple(getattr(self, name)))
+        put("joint_limits", tuple(map(tuple, self.joint_limits)))
         n = len(self.links)
         if n == 0:
             raise ValueError("ArmModel needs at least one link")
@@ -116,7 +141,7 @@ class ArmModel:
         if len(self.routing) != len(self.muscles):
             raise ValueError("routing and muscles must pair up one-to-one")
         if not self.q_ref:
-            self.q_ref = tuple(0.0 for _ in range(n))
+            put("q_ref", (0.0,) * n)
         if len(self.q_ref) != n:
             raise ValueError("q_ref must have one entry per joint")
         if self.tip_mass < 0.0:
@@ -131,14 +156,26 @@ class ArmModel:
         for j in range(n):
             if signs_by_joint.get(j, set()) != {-1, 1}:
                 raise ValueError(f"joint {j} must be spanned by muscles of both signs")
-        # (joint, sign * moment_arm, l_ref, q_ref[joint]) per muscle and
-        # (length, mass, com, inertia) per link, read by the dynamics; routes
-        # and links are frozen, so the tables cannot go stale
-        self._routes = [(r.joint, r.sign * r.moment_arm, r.l_ref, self.q_ref[r.joint])
-                        for r in self.routing]
-        self._links = tuple((k.length, k.mass, k.com, k.inertia) for k in self.links)
+        # per muscle (joint, sign * moment_arm, l_ref, q_ref[joint]) and per
+        # link (length, mass, com, inertia): the Python-scalar tables the
+        # per-tick paths read
+        put("_routes", tuple((r.joint, r.sign * r.moment_arm, r.l_ref, self.q_ref[r.joint])
+                             for r in self.routing))
+        put("_links", tuple((k.length, k.mass, k.com, k.inertia) for k in self.links))
+        # per muscle (joint, sign, a_min, 1 - a_min) for the pair-drive map
+        put("_pair_drive", tuple((r.joint, r.sign, mp.a_min, 1.0 - mp.a_min)
+                             for r, mp in zip(self.routing, self.muscles)))
+        # the batched paths' arrays: moment arms, l_ref, q_ref, link lengths
+        L = np.zeros((len(self.routing), n))
+        for i, (j, arm_i, _, _) in enumerate(self._routes):
+            L[i, j] = arm_i
+        L.flags.writeable = False
+        put("_moment_arms", L)
+        put("_l_ref", _read_only([r.l_ref for r in self.routing]))
+        put("_q_ref", _read_only(self.q_ref))
+        put("_lengths", _read_only([k.length for k in self.links]))
         # A well-posed model must have an invertible mass matrix everywhere.
-        h = mass_matrix(self, np.array(self.q_ref))
+        h = mass_matrix(self, self._q_ref)
         if np.linalg.cond(h) > 1e12:
             raise ValueError("mass matrix ill-conditioned at q_ref; check link masses/inertias")
 
@@ -149,19 +186,6 @@ class ArmModel:
     @property
     def n_muscles(self) -> int:
         return len(self.muscles)
-
-    def agonists(self, joint: int) -> list[int]:
-        """Indices of muscles pulling this joint positive."""
-        return [i for i, r in enumerate(self.routing) if r.joint == joint and r.sign > 0]
-
-    def antagonists(self, joint: int) -> list[int]:
-        """Indices of muscles pulling this joint negative."""
-        return [i for i, r in enumerate(self.routing) if r.joint == joint and r.sign < 0]
-
-    def with_tip_mass(self, tip_mass: float) -> "ArmModel":
-        return replace(self, links=list(self.links), joint_limits=list(self.joint_limits),
-                       routing=list(self.routing), muscles=list(self.muscles),
-                       tip_mass=tip_mass)
 
 
 @dataclass
@@ -186,26 +210,21 @@ class StepInfo:
 
 
 def moment_arm_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """L with L[i, j] = sign_i * r_i on the spanned joint; equals -d(l)/dq."""
-    L = np.zeros((model.n_muscles, model.n_joints))
-    for i, route in enumerate(model.routing):
-        L[i, route.joint] = route.sign * route.moment_arm
-    return L
+    """L with L[i, j] = sign_i * r_i on the spanned joint; equals -d(l)/dq.
 
-
-def muscle_length_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
-    """Muscle-tendon lengths l_ref - L (q - q_ref) for each row of q_series.
-
-    A single posture (1-D q_series) gives one row of lengths.
+    The moment arms are constant, so this is the model's read-only table.
     """
-    l_ref = np.array([route.l_ref for route in model.routing])
-    dq = np.asarray(q_series, dtype=float) - np.asarray(model.q_ref, dtype=float)
-    return l_ref - dq @ moment_arm_matrix(model, model.q_ref).T
+    return model._moment_arms
 
 
 def muscle_lengths(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Muscle-tendon lengths at posture q (constant moment arms)."""
-    return muscle_length_path(model, q)
+    """Muscle-tendon lengths l_ref - L (q - q_ref) at posture q.
+
+    A posture series (one posture per row) gives one row of lengths per
+    posture.
+    """
+    dq = np.asarray(q, dtype=float) - model._q_ref
+    return model._l_ref - dq @ model._moment_arms.T
 
 
 def joint_torques(model: ArmModel, q: np.ndarray, tendon_forces: np.ndarray) -> np.ndarray:
@@ -223,10 +242,10 @@ def _chain(model: ArmModel, q) -> list[tuple[float, float]]:
     cos, sin = math.cos, math.sin
     phi = x = y = 0.0
     pts = [(x, y)]
-    for link, qi in zip(model.links, q):
+    for (ell, _, _, _), qi in zip(model._links, q):
         phi += float(qi)
-        x += link.length * cos(phi)
-        y += link.length * sin(phi)
+        x += ell * cos(phi)
+        y += ell * sin(phi)
         pts.append((x, y))
     return pts
 
@@ -244,7 +263,7 @@ def forward_kinematics(model: ArmModel, q: np.ndarray) -> np.ndarray:
 def tip_path(model: ArmModel, q_series: np.ndarray) -> np.ndarray:
     """Batched forward kinematics: tip position for each row of q_series."""
     angles = np.cumsum(np.asarray(q_series, dtype=float), axis=1)
-    lengths = np.array([link.length for link in model.links])
+    lengths = model._lengths
     return np.stack([np.cos(angles) @ lengths, np.sin(angles) @ lengths], axis=1)
 
 
@@ -283,29 +302,6 @@ def _pinv_solve(jx: list[float], jy: list[float], rx: float, ry: float,
     wx = (c * rx - b * ry) / det
     wy = (a * ry - b * rx) / det
     return [u * wx + v * wy for u, v in zip(jx, jy)], singular
-
-
-def ik_velocity(model: ArmModel, p_dot: np.ndarray, q: np.ndarray,
-                k_q: np.ndarray | None = None,
-                sigma_min_threshold: float = 1e-4,
-                damping: float = 1e-6) -> tuple[np.ndarray, bool]:
-    """Resolve task velocity to joint velocity with null-space bias.
-
-    qdot = J+ (pdot - J k_q) + k_q, which is J+ pdot + (I - J+ J) k_q, with
-    J+ = J^T (J J^T)^-1. The task is the planar tip, so J J^T is always 2 x 2
-    and is solved in closed form; the flag is True when its sigma_min is below
-    the threshold, and damping is then added to its diagonal.
-    """
-    _, _, jx, jy = _tip_jacobian(model, q)
-    rx, ry = float(p_dot[0]), float(p_dot[1])
-    if k_q is not None:
-        k = [float(v) for v in k_q]
-        rx -= sum(u * v for u, v in zip(jx, k))
-        ry -= sum(u * v for u, v in zip(jy, k))
-    qdot, singular = _pinv_solve(jx, jy, rx, ry, sigma_min_threshold, damping)
-    if k_q is not None:
-        qdot = [v + kv for v, kv in zip(qdot, k)]
-    return np.array(qdot), singular
 
 
 def _composite(model: ArmModel, q, qd):
@@ -536,7 +532,7 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     forces = []
     tau = [0.0] * n
     for i, (mp, (j, arm_i, l_ref, q_ref_j)) in enumerate(zip(model.muscles, model._routes)):
-        # muscle_length_path inlined: one numpy call per tick costs more than this loop
+        # muscle_lengths inlined: one numpy call per tick costs more than this loop
         ms, f = step_muscle(muscle_states[i], u[i], l_ref - arm_i * (q0[j] - q_ref_j),
                             dt, mp, diag)
         if not math.isfinite(ms.l_fiber_norm):

@@ -238,16 +238,12 @@ def pair_drive_to_excitations(model, drive: np.ndarray) -> np.ndarray:
 
     drive 0.5 is rest; above rest the joint's positive-torque muscles are
     excited proportionally, below rest the negative-torque muscles; the
-    opposing group stays at its activation floor.
+    opposing group stays at its activation floor. Reads the model's
+    (joint, sign, a_min, 1 - a_min) table.
     """
-    drive = np.asarray(drive, dtype=float)
-    exc = np.empty(model.n_muscles)
-    for i, route in enumerate(model.routing):
-        s = 2.0 * drive[route.joint] - 1.0
-        mag = max(route.sign * s, 0.0)
-        a_min = model.muscles[i].a_min
-        exc[i] = a_min + mag * (1.0 - a_min)
-    return exc
+    s = [2.0 * v - 1.0 for v in np.asarray(drive, dtype=float).tolist()]
+    return np.array([a_min + max(sign * s[j], 0.0) * span
+                     for j, sign, a_min, span in model._pair_drive])
 
 
 class DdilcController:

@@ -32,7 +32,7 @@ from .arm import (
     _tip_jacobian,
     forward_kinematics,
     integrate_step,
-    muscle_length_path,
+    muscle_lengths,
     rest_state,
     task_jacobian,
     tip_path,
@@ -59,8 +59,6 @@ __all__ = [
     "PidController",
     "generate_trajectory",
     "joint_path",
-    "tip_path",
-    "muscle_length_path",
     "loaded_plant",
     "park_state",
     "probe_sensitivity",
@@ -149,7 +147,7 @@ def loaded_plant(model: ArmModel, disturbance: DisturbanceSpec | None) -> ArmMod
     """The model with the disturbance's tip load added to its payload (itself if unloaded)."""
     if disturbance is None or disturbance.tip_mass == 0.0:
         return model
-    return model.with_tip_mass(model.tip_mass + disturbance.tip_mass)
+    return replace(model, tip_mass=model.tip_mass + disturbance.tip_mass)
 
 
 # ---------------------------------------------------------------------------
@@ -436,21 +434,25 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         drives=drives[:ctrl_filled].copy() if diverged else drives,
         excitations=excitations[:n_kept].copy() if diverged else excitations,
         tendon_forces=forces[:n_kept].copy() if diverged else forces,
-        muscle_lengths=muscle_length_path(eff, q_arr),
+        muscle_lengths=muscle_lengths(eff, q_arr),
         diverged=diverged,
         diverged_at=diverged_at,
         diverged_reason=diverged_reason,
     )
     if desired_joint_path is not None:
-        log.muscle_lengths_desired = muscle_length_path(
+        log.muscle_lengths_desired = muscle_lengths(
             eff, desired_joint_path[:n_kept + 1])
     return log
 
 
 def compute_metrics(log: TrialLog) -> TrialMetrics:
-    """Tip tracking metrics in mm/mm² plus the mean muscle-length error."""
-    if log.tip.shape[0] < 2:
-        raise ValueError("log holds no completed ticks")
+    """Tip tracking metrics in mm/mm² plus the mean muscle-length error.
+
+    A trial that diverged at its first tick keeps only its start sample,
+    which the metrics then cover.
+    """
+    if log.tip.shape[0] < 1:
+        raise ValueError("log holds no samples")
     err_mm = np.hypot(*(log.tip - log.tip_desired).T) * 1e3
     muscle = None
     if log.muscle_lengths_desired is not None:
@@ -470,6 +472,27 @@ def compute_metrics(log: TrialLog) -> TrialMetrics:
 # parking and sensitivity probing
 # ---------------------------------------------------------------------------
 
+def _hold(model: ArmModel, state: ArmState, drive: np.ndarray, dt: float,
+          n_ticks: int, label: str, first_tick: int = 0) -> tuple[ArmState, np.ndarray]:
+    """Integrate ``n_ticks`` at one constant pair drive; returns the final
+    state and the (n_ticks, n_joints) postures after each tick.
+
+    A divergence raises ``IntegrationDivergedError`` naming ``label`` and the
+    tick (counted from ``first_tick``), with the last good state.
+    """
+    exc = pair_drive_to_excitations(model, drive)
+    qs = np.empty((n_ticks, model.n_joints))
+    try:
+        for tick in range(n_ticks):
+            state, _ = integrate_step(model, state, exc, dt)
+            qs[tick] = state.q
+    except IntegrationDivergedError as err:
+        raise IntegrationDivergedError(
+            f"{label} diverged at tick {first_tick + tick}: {err}",
+            err.last_state) from err
+    return state, qs
+
+
 def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
                total_time: float = 12.0, gain: float = 0.6) -> tuple[ArmState, np.ndarray]:
     """Find constant drives that hold the arm at ``q_target`` and settle there.
@@ -480,7 +503,9 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     integral servo (one drive correction per second of hold) converges
     because each joint's torque is monotone in its drive; the last two
     seconds hold the drives fixed so the returned state is an equilibrium of
-    the final drive vector. Returns ``(state, hold_drives)``.
+    the final drive vector. Returns ``(state, hold_drives)``. A park that
+    diverges raises ``IntegrationDivergedError`` naming ``park`` and the
+    tick, with the last good state.
     """
     if total_time < 3.0:
         raise ValueError("park_state needs at least 3 seconds")
@@ -490,13 +515,9 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     n_round = round(1.0 / dt)
     rounds = int(total_time) - 2
     for r in range(rounds):
-        exc = pair_drive_to_excitations(model, u)
-        for _ in range(n_round):
-            state, _ = integrate_step(model, state, exc, dt)
+        state, _ = _hold(model, state, u, dt, n_round, "park", r * n_round)
         u = np.clip(u + gain * (q_target - state.q), 0.0, 1.0)
-    exc = pair_drive_to_excitations(model, u)
-    for _ in range(2 * n_round):
-        state, _ = integrate_step(model, state, exc, dt)
+    state, _ = _hold(model, state, u, dt, 2 * n_round, "park", rounds * n_round)
     return state, u
 
 
@@ -538,17 +559,7 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     n_avg = max(1, n_hold // 5)
 
     def held_tips(hold: str, drive: np.ndarray) -> np.ndarray:
-        exc = pair_drive_to_excitations(model, drive)
-        state = state0.copy()
-        qs = np.empty((n_hold, model.n_joints))
-        try:
-            for tick in range(n_hold):
-                state, _ = integrate_step(model, state, exc, dt)
-                qs[tick] = state.q
-        except IntegrationDivergedError as err:
-            raise IntegrationDivergedError(
-                f"probe hold {hold} diverged at tick {tick}: {err}",
-                err.last_state) from err
+        qs = _hold(model, state0, drive, dt, n_hold, f"probe hold {hold}")[1]
         return tip_path(model, qs)
 
     base = held_tips("rest", rest_vec)

@@ -9,7 +9,7 @@ the composite-inertia mass matrix.
 """
 
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -23,10 +23,10 @@ from myoarm.arm import (
     IntegrationDivergedError,
     LinkParams,
     MuscleRoute,
+    _pinv_solve,
     bias_forces,
     forward_dynamics,
     forward_kinematics,
-    ik_velocity,
     integrate_step,
     joint_positions,
     joint_torques,
@@ -37,7 +37,7 @@ from myoarm.arm import (
     task_jacobian,
     total_energy,
 )
-from myoarm.muscle import MuscleParams, MuscleState
+from myoarm.muscle import MuscleParams, MuscleState, step_muscle
 from myoarm.presets import make_arm, planar2x4, spatial_ltdm
 
 
@@ -233,23 +233,26 @@ def test_wrong_force_count_rejected():
 # inverse kinematics
 # ---------------------------------------------------------------------------
 
+def _ik(arm, p_dot, q):
+    """J+ p_dot through the closed-form 2 x 2 solve, as an array."""
+    jx, jy = task_jacobian(arm, q).tolist()
+    qdot, singular = _pinv_solve(jx, jy, float(p_dot[0]), float(p_dot[1]))
+    return np.array(qdot), singular
+
+
 def test_ik_square_full_rank_is_exact_inverse():
     arm = _chain(2, lengths=[0.38, 0.34])
     q = np.array([0.4, 1.1])
     p_dot = np.array([0.05, -0.02])
-    qdot, singular = ik_velocity(arm, p_dot, q)
+    qdot, singular = _ik(arm, p_dot, q)
     assert not singular
     J = task_jacobian(arm, q)
     assert np.max(np.abs(J @ qdot - p_dot)) < 1e-10
-    # null-space preference has no effect for a square nonsingular Jacobian
-    qdot_kq, _ = ik_velocity(arm, p_dot, q, k_q=np.array([1.0, -2.0]))
-    assert qdot_kq == pytest.approx(qdot, abs=1e-10)
 
 
 def test_ik_zero_velocity_square():
     arm = _chain(2, lengths=[0.38, 0.34])
-    qdot, _ = ik_velocity(arm, np.zeros(2), np.array([0.4, 1.1]),
-                          k_q=np.array([0.7, -0.3]))
+    qdot, _ = _ik(arm, np.zeros(2), np.array([0.4, 1.1]))
     assert np.max(np.abs(qdot)) < 1e-12
 
 
@@ -257,41 +260,35 @@ def test_ik_redundant_residual_and_null_space():
     arm = _chain(3, lengths=[0.3, 0.25, 0.2])
     q = np.array([0.3, 0.7, -0.5])
     p_dot = np.array([0.08, 0.03])
-    qdot0, singular = ik_velocity(arm, p_dot, q)
+    qdot, singular = _ik(arm, p_dot, q)
     assert not singular
     J = task_jacobian(arm, q)
-    assert np.linalg.norm(J @ qdot0 - p_dot) < 1e-10
-    k_q = np.array([0.5, -0.2, 0.9])
-    qdot1, _ = ik_velocity(arm, p_dot, q, k_q=k_q)
-    # the preference changes qdot only inside null(J)
-    assert np.linalg.norm(J @ qdot1 - p_dot) < 1e-10
-    assert np.linalg.norm(J @ (qdot1 - qdot0)) < 1e-10
-    assert np.linalg.norm(qdot1 - qdot0) > 1e-3
+    assert np.linalg.norm(J @ qdot - p_dot) < 1e-10
+    # the minimum-norm solution has no component inside null(J)
+    null = np.linalg.svd(J)[2][-1]
+    assert abs(null @ qdot) < 1e-10
 
 
 def test_ik_singular_flags_and_stays_finite():
     arm = _chain(3, lengths=[0.3, 0.25, 0.2])
     q = np.zeros(3)  # fully stretched: x-row of J vanishes
-    qdot, singular = ik_velocity(arm, np.array([0.05, 0.0]), q)
+    qdot, singular = _ik(arm, np.array([0.05, 0.0]), q)
     assert singular
     assert np.all(np.isfinite(qdot))
 
 
-def _ik_reference(J, p_dot, k_q, threshold=1e-4, damping=1e-6):
-    """ik_velocity through numpy: eigvalsh for the flag, inv for the solve."""
+def _ik_reference(J, p_dot, threshold=1e-4, damping=1e-6):
+    """J+ p_dot through numpy: eigvalsh for the flag, inv for the solve."""
     JJt = J @ J.T
     singular = math.sqrt(max(np.linalg.eigvalsh(JJt)[0], 0.0)) < threshold
     A = JJt + damping * np.eye(2) if singular else JJt
     J_pinv = J.T @ np.linalg.inv(A)
-    qdot = J_pinv @ p_dot
-    if k_q is not None:
-        qdot = qdot + k_q - J_pinv @ (J @ k_q)
-    return qdot, singular, A, J_pinv
+    return J_pinv @ p_dot, singular, A, J_pinv
 
 
 @st.composite
 def _ik_cases(draw):
-    """A random 1-7 joint chain, posture, tip velocity and optional k_q.
+    """A random 1-7 joint chain, posture and tip velocity.
 
     One-joint chains (rank-1 J J^T) and fully stretched chains (straight at
     any heading) take the damped branch.
@@ -302,25 +299,22 @@ def _ik_cases(draw):
     if draw(st.booleans()):
         q = q[:1] + [0.0] * (n - 1)
     p_dot = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2)))
-    k_q = draw(st.none() | st.lists(st.floats(-1.0, 1.0), min_size=n,
-                                    max_size=n).map(np.array))
-    return _chain(n, lengths=lengths), np.array(q), p_dot, k_q
+    return _chain(n, lengths=lengths), np.array(q), p_dot
 
 
 @given(_ik_cases())
 @settings(max_examples=300, deadline=None)
 def test_ik_closed_form_matches_numpy_reference(case):
-    arm, q, p_dot, k_q = case
+    arm, q, p_dot = case
     J = task_jacobian(arm, q)
-    want, want_singular, A, J_pinv = _ik_reference(J, p_dot, k_q)
+    want, want_singular, A, J_pinv = _ik_reference(J, p_dot)
     lam = np.linalg.eigvalsh(J @ J.T)
     # the flag may differ only where sigma_min sits within rounding of 1e-4
     assume(abs(lam[0] - 1e-8) > 1e-12 * lam[1])
-    have, singular = ik_velocity(arm, p_dot, q, k_q=k_q)
+    have, singular = _ik(arm, p_dot, q)
     assert singular == want_singular
     # solving with A loses eps * cond(A) relative to the scale of the result
-    k = np.zeros(arm.n_joints) if k_q is None else k_q
-    scale = np.linalg.norm(J_pinv, 2) * np.linalg.norm(p_dot - J @ k) + np.linalg.norm(k)
+    scale = np.linalg.norm(J_pinv, 2) * np.linalg.norm(p_dot)
     tol = 64.0 * np.finfo(float).eps * np.linalg.cond(A) * scale
     assert np.linalg.norm(have - want) <= tol
 
@@ -658,6 +652,23 @@ def test_hard_stop_clamps_and_zeros_velocity():
     assert state.qdot[0] == 0.0
 
 
+@given(_random_chains(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_tendon_forces_match_step_muscle_at_muscle_lengths(case, data):
+    # the per-tick route table against the batched lengths, bit for bit, also
+    # after replace() rebuilds the tables for another q_ref and payload
+    arm, q, qd, _, _ = case
+    angles = st.lists(st.floats(-3.0, 3.0), min_size=arm.n_joints, max_size=arm.n_joints)
+    arm = replace(arm, q_ref=tuple(data.draw(angles)), tip_mass=data.draw(st.floats(0.0, 1.0)))
+    exc = data.draw(st.lists(st.floats(0.0, 1.0), min_size=arm.n_muscles,
+                             max_size=arm.n_muscles))
+    state = ArmState(q, qd, rest_state(arm).muscle_states)
+    _, info = integrate_step(arm, state, np.array(exc), 1e-3)
+    want = [step_muscle(ms, u, length, 1e-3, mp)[1] for ms, u, length, mp in
+            zip(state.muscle_states, exc, muscle_lengths(arm, q).tolist(), arm.muscles)]
+    assert info.tendon_forces.tobytes() == np.array(want).tobytes()
+
+
 def test_divergence_raises_with_last_state():
     arm = planar2x4()
     state = rest_state(arm)
@@ -674,10 +685,10 @@ def test_divergence_raises_with_last_state():
 def test_singular_mass_matrix_raises_with_last_state(n, inertia):
     arm = _chain(n)
     state = rest_state(arm)
-    # links are frozen and a NaN link fails the constructor's conditioning
+    # the model is frozen and a NaN link fails the constructor's conditioning
     # check, so the bad inertia goes into the table the dynamics read
     length, mass, com, _ = arm._links[-1]
-    arm._links = arm._links[:-1] + ((length, mass, com, inertia),)
+    object.__setattr__(arm, "_links", arm._links[:-1] + ((length, mass, com, inertia),))
     with pytest.raises(IntegrationDivergedError, match="mass matrix") as exc_info:
         integrate_step(arm, state, np.zeros(arm.n_muscles), 1e-3)
     assert exc_info.value.last_state is state
@@ -718,17 +729,15 @@ def test_planar2x4_layout():
     arm = planar2x4()
     assert arm.n_joints == 2
     assert arm.n_muscles == 4
-    assert arm.agonists(0) == [0]
-    assert arm.antagonists(0) == [1]
-    assert arm.agonists(1) == [2]
-    assert arm.antagonists(1) == [3]
+    # muscle i pulls joint r.joint in the direction r.sign
+    assert [(r.joint, r.sign) for r in arm.routing] == [(0, 1), (0, -1), (1, 1), (1, -1)]
 
 
 def test_spatial_ltdm_layout_and_ranges():
     arm = spatial_ltdm()
     assert arm.n_joints == 7
     assert arm.n_muscles == 15
-    assert len(arm.agonists(0)) == 2 and len(arm.antagonists(0)) == 1
+    assert sorted(r.sign for r in arm.routing if r.joint == 0) == [-1, 1, 1]
     assert arm.joint_limits[0] == (0.0, 0.4)
     assert arm.joint_limits[3] == (0.0, 1.57)
     assert arm.joint_limits[6] == (-1.0, 1.0)
@@ -796,6 +805,13 @@ def test_link_params_validation():
         LinkParams(length=0.3, mass=1.0, com=0.4, inertia=0.01)
     with pytest.raises(ValueError):
         MuscleRoute(joint=0, moment_arm=0.02, sign=2, l_ref=0.15)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(ArmModel)])
+def test_arm_model_is_frozen(name):
+    arm = planar2x4()
+    with pytest.raises(FrozenInstanceError):
+        setattr(arm, name, getattr(arm, name))
 
 
 def test_muscle_route_is_frozen():

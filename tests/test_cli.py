@@ -258,14 +258,15 @@ def test_compare_runs_pid_on_the_disturbed_plant(tmp_path, monkeypatch):
     assert seed_pid == seed_ddilc == [3, 1]
 
 
+@pytest.mark.parametrize("tick", [0, 37])
 @pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
-def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key):
-    diverge_in_trial(1, 37)
+def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key, tick):
+    diverge_in_trial(1, tick)
     assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
     summary = read_summary(tmp_path, command)
     summary = summary if key is None else summary[key]
     assert summary["diverged"] == [False, True]
-    assert summary["diverged_at"] == [None, 37]
+    assert summary["diverged_at"] == [None, tick]
     assert summary["diverged_reason"] == [None, "injected"]
 
 

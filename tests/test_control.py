@@ -19,7 +19,7 @@ from myoarm.control import (
     predict_error,
     update_feedback_gain,
 )
-from myoarm.presets import planar2x4
+from myoarm.presets import planar2x4, spatial_ltdm
 
 
 def scalar_params(**kw):
@@ -259,6 +259,28 @@ def test_pair_drive_stays_in_unit_interval():
         exc = pair_drive_to_excitations(arm, rng.uniform(0, 1, size=2))
         assert np.all(exc >= 0.01 - 1e-15)
         assert np.all(exc <= 1.0 + 1e-15)
+
+
+def _pair_drive_reference(model, drive):
+    """pair_drive_to_excitations route by route, from the model's fields."""
+    exc = np.empty(model.n_muscles)
+    for i, route in enumerate(model.routing):
+        s = 2.0 * drive[route.joint] - 1.0
+        mag = max(route.sign * s, 0.0)
+        a_min = model.muscles[i].a_min
+        exc[i] = a_min + mag * (1.0 - a_min)
+    return exc
+
+
+@pytest.mark.parametrize("arm", [planar2x4(), spatial_ltdm(muscle_overrides={"a_min": 0.03})],
+                         ids=["planar2x4", "spatial-ltdm"])
+def test_pair_drive_matches_per_route_formula_bitwise(arm):
+    rng = np.random.default_rng(5)
+    drives = [np.full(arm.n_joints, v) for v in (0.0, 0.5, 1.0)]
+    drives += [rng.uniform(0.0, 1.0, size=arm.n_joints) for _ in range(200)]
+    for drive in drives:
+        have = pair_drive_to_excitations(arm, drive)
+        assert have.tobytes() == _pair_drive_reference(arm, drive).tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from myoarm.arm import (
     forward_kinematics,
     muscle_lengths,
     rest_state,
+    tip_path,
 )
 from myoarm.control import DdilcController
 from myoarm.harness import (
@@ -34,13 +35,11 @@ from myoarm.harness import (
     generate_trajectory,
     joint_path,
     lowpass_attenuation_test,
-    muscle_length_path,
     park_state,
     pid_baseline,
     probe_sensitivity,
     run_ilc,
     run_trial,
-    tip_path,
 )
 from myoarm.presets import planar2x4
 
@@ -152,7 +151,7 @@ def test_tip_path_matches_forward_kinematics(model):
 def test_muscle_length_path_matches_per_sample(model):
     rng = np.random.default_rng(4)
     qs = np.asarray(model.q_ref) + 0.3 * rng.standard_normal((10, model.n_joints))
-    batched = muscle_length_path(model, qs)
+    batched = muscle_lengths(model, qs)
     for row, q in zip(batched, qs):
         assert row == pytest.approx(muscle_lengths(model, q), abs=1e-12)
 
@@ -242,8 +241,11 @@ def test_run_trial_records_divergence(model):
     assert log.tip.shape == (1, 2)
     assert log.excitations.shape == (0, model.n_muscles)
     assert log.drives.shape == (1, model.n_joints)
-    with pytest.raises(ValueError):
-        compute_metrics(log)
+    # the metrics cover the start sample, the only one kept
+    metrics = compute_metrics(log)
+    assert metrics.diverged and metrics.samples == 1 and metrics.std_mm == 0.0
+    want = math.hypot(*(log.tip[0] - pts[0])) * 1e3
+    assert metrics.mean_abs_mm == pytest.approx(want, rel=1e-15)
 
 
 def test_run_trial_keeps_divergence_reason(model, monkeypatch):
@@ -301,6 +303,23 @@ def test_park_state_holds_trajectory_start(model):
     residual_mm = math.hypot(*(forward_kinematics(model, state.q) - pts[0])) * 1e3
     assert residual_mm < 10.0
     assert np.max(np.abs(state.qdot)) < 0.05
+
+
+def test_park_divergence_names_the_tick(model, monkeypatch):
+    # a 3 s park is two 1 s servo rounds and a 2 s hold; call 1501 is tick 1500
+    real, calls = harness.integrate_step, []
+
+    def diverge_on_1501st_call(*args):
+        calls.append(args)
+        if len(calls) == 1501:
+            raise IntegrationDivergedError("injected", args[1])
+        return real(*args)
+
+    monkeypatch.setattr(harness, "integrate_step", diverge_on_1501st_call)
+    with pytest.raises(IntegrationDivergedError,
+                       match=r"^park diverged at tick 1500: injected$") as err:
+        park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
+    assert err.value.last_state is calls[-1][1]
 
 
 def test_park_state_needs_time(model):
@@ -430,15 +449,16 @@ def test_run_ilc_callback_sees_every_iteration(model):
     assert all(np.isfinite(v) for _, v in seen)
 
 
-def test_run_ilc_summary_records_divergence(model, diverge_in_trial):
-    diverge_in_trial(1, 37)
+@pytest.mark.parametrize("tick", [0, 37])
+def test_run_ilc_summary_records_divergence(model, diverge_in_trial, tick):
+    diverge_in_trial(1, tick)
     cfg = IlcConfig(model=model,
                     trajectory=TrajectorySpec(duration=1.0, cycles=1),
                     iterations=3, dt=DT, control_decimation=10, seed=0,
                     settle_time=3.0, probe_hold=1.0)
     s = run_ilc(cfg).summary
     assert s.diverged == [False, True, False]
-    assert s.diverged_at == [None, 37, None]
+    assert s.diverged_at == [None, tick, None]
     assert s.diverged_reason == [None, "injected", None]
 
 
