@@ -24,6 +24,18 @@ keeps cross terms small — exactly the regime the estimator's reset mechanism
 assumes. The feedforward gain acts in physical units as
 feedforward_scale * pinv(S).
 
+The PJM estimate starts every trial at gamma * identity, so its
+off-diagonal elements start at 0. The sign rule restores an element whose
+sign differs from its trial-start value, and sign(0) = 0, so every nonzero
+off-diagonal update is reset to 0: the estimate stays diagonal and
+``offdiag_cap`` never binds in the controller.
+
+The per-tick law runs on the controller state held as Python lists of
+floats (row-major matrices), through the list kernels below; the numpy
+functions of the public API wrap the same kernels. For vectors of a few
+elements this is several times cheaper than numpy calls, and the result does
+not depend on the BLAS build.
+
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
 antagonists, both floored at the muscle's minimum activation
@@ -34,11 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
 __all__ = [
     "DdilcParams",
+    "DdilcCounts",
     "PjmEstimate",
     "IlcMemory",
     "estimate_pjm",
@@ -118,6 +132,16 @@ class DdilcParams:
 
 
 @dataclass
+class DdilcCounts:
+    """How often one iteration's learning law hit its bounds."""
+
+    pjm_diag_resets: int = 0     # PJM diagonal elements reset by the box/sign rule
+    pjm_offdiag_resets: int = 0  # PJM off-diagonal elements reset likewise
+    xi_clips: int = 0            # feedback-gain entries clipped at +/-xi_cap
+    ff_clips: int = 0            # feedforward entries clipped by the anti-windup bound
+
+
+@dataclass
 class PjmEstimate:
     """Current PJM estimate plus the trial-start reference it resets to."""
 
@@ -135,37 +159,99 @@ class IlcMemory:
     delta_e_window: np.ndarray  # (error_window, m) newest-first increments
 
 
-def _reset_pass(phi: np.ndarray, phi_init: np.ndarray, params: DdilcParams) -> np.ndarray:
-    """Restore every element violating its box or sign to the trial-start value."""
-    m = phi.shape[0]
+# ---------------------------------------------------------------------------
+# list kernels: one implementation of each per-tick equation
+# ---------------------------------------------------------------------------
+
+def _project_pjm(phi: list, phi_init: list, dy, du, params: DdilcParams) -> tuple[int, int]:
+    """Projection update of the rows ``phi`` in place, then the reset pass.
+
+    Returns the number of (diagonal, off-diagonal) elements reset. Signs
+    compare as ``np.sign`` does, sign(0) = 0 included; a NaN fails its box
+    test and is reset.
+    """
+    step = params.estimator_step
+    denom = params.estimator_weight + sum(map(mul, du, du))
     lo, hi = params.diag_floor, params.diag_span * params.diag_floor
-    out = phi.copy()
-    for i in range(m):
-        for j in range(m):
-            v = out[i, j]
-            v0 = phi_init[i, j]
-            if i == j:
-                bad = not (lo <= abs(v) <= hi)
-            else:
-                bad = abs(v) > params.offdiag_cap
-            if bad or (np.sign(v) != np.sign(v0)):
-                out[i, j] = v0
+    cap = params.offdiag_cap
+    n_diag = n_off = 0
+    for i, (row, row0) in enumerate(zip(phi, phi_init)):
+        g = dy[i] - sum(map(mul, row, du))
+        for j, d in enumerate(du):
+            v = row[j] + step * (g * d) / denom
+            v0 = row0[j]
+            if (not (lo <= abs(v) <= hi if i == j else abs(v) <= cap)
+                    or (v > 0.0) != (v0 > 0.0) or (v < 0.0) != (v0 < 0.0)):
+                v = v0
+                if i == j:
+                    n_diag += 1
+                else:
+                    n_off += 1
+            row[j] = v
+    return n_diag, n_off
+
+
+def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
+                  cap: float) -> int:
+    """Gradient step on the rows ``xi`` in place, then saturation at +/-cap.
+
+    The decay term xi (c s_t s_t^T) is applied as (xi s_t)(c s_t^T), which
+    costs one pass per row. Returns the number of entries clipped.
+    """
+    eta = params.gain_step
+    decay = [eta * params.energy_weight * s for s in s_t]
+    clipped = 0
+    for row, col in zip(xi, zip(*phi)):
+        r = sum(map(mul, row, s_t))
+        a = eta * sum(map(mul, col, e_t))       # eta (phi^T e_t)_i
+        for k, (dk, sk) in enumerate(zip(decay, s_next)):
+            v = row[k] - r * dk + a * sk
+            if v > cap:
+                v = cap
+                clipped += 1
+            elif v < -cap:
+                v = -cap
+                clipped += 1
+            row[k] = v
+    return clipped
+
+
+def _predict(y_d_next, y_t, phi: list, du) -> list[float]:
+    return [a - b - sum(map(mul, row, du)) for a, b, row in zip(y_d_next, y_t, phi)]
+
+
+def _feedback(xi: list, stack) -> list[float]:
+    return [sum(map(mul, row, stack)) for row in xi]
+
+
+def _compose(base, u_b, u_f, lo: float, hi: float) -> list[float]:
+    out = []
+    for b, ub, uf in zip(base, u_b, u_f):
+        v = b + ub + uf
+        out.append(lo if v < lo else hi if v > hi else v)   # NaN stays, as in np.clip
     return out
 
+
+def _floats(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the numpy API over the kernels
+# ---------------------------------------------------------------------------
 
 def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
                  params: DdilcParams) -> PjmEstimate:
     """Normalized projection update of the PJM followed by the reset pass.
 
     phi += step * (dy - phi du_b) du_b^T / (weight + ||du_b||^2); elements
-    leaving their box or flipping sign are restored to the trial-start value.
+    leaving their box or flipping sign (sign(0) = 0 counts as a sign) are
+    restored to the trial-start value. From the controller's diagonal start
+    every nonzero off-diagonal update is therefore restored to 0.
     """
-    dy = np.asarray(dy, dtype=float)
-    du_b = np.asarray(du_b, dtype=float)
-    denom = params.estimator_weight + float(du_b @ du_b)
-    innovation = dy - est.phi_hat @ du_b
-    phi = est.phi_hat + params.estimator_step * np.outer(innovation, du_b) / denom
-    return PjmEstimate(_reset_pass(phi, est.phi_init, params), est.phi_init)
+    phi = _floats(est.phi_hat)
+    _project_pjm(phi, _floats(est.phi_init), _floats(dy), _floats(du_b), params)
+    return PjmEstimate(np.array(phi), est.phi_init)
 
 
 def update_feedback_gain(mem: IlcMemory, est: PjmEstimate, e_t: np.ndarray,
@@ -176,26 +262,24 @@ def update_feedback_gain(mem: IlcMemory, est: PjmEstimate, e_t: np.ndarray,
     xi <- xi - xi * eta * lambda * (dE_t dE_t^T) + eta * phi^T e_t dE_{t+1}^T,
     with the output sensitivity replaced by the PJM estimate.
     """
-    eta = params.gain_step
-    decay = eta * params.energy_weight * np.outer(delta_e_t, delta_e_t)
-    drive = eta * np.outer(est.phi_hat.T @ np.asarray(e_t, dtype=float), delta_e_t1)
-    xi = mem.xi_hat - mem.xi_hat @ decay + drive
-    m = mem.xi_hat.shape[0]
-    cap = params.xi_cap(m, mem.xi_hat.shape[1] // m)
-    np.clip(xi, -cap, cap, out=xi)
-    return replace(mem, xi_hat=xi)
+    xi = _floats(mem.xi_hat)
+    m = len(xi)
+    _descend_gain(xi, _floats(est.phi_hat), _floats(e_t), _floats(delta_e_t),
+                  _floats(delta_e_t1), params,
+                  params.xi_cap(m, mem.xi_hat.shape[1] // m))
+    return replace(mem, xi_hat=np.array(xi))
 
 
 def predict_error(y_d_next: np.ndarray, y_t: np.ndarray, phi_hat: np.ndarray,
                   du_b: np.ndarray) -> np.ndarray:
     """One-step-ahead error prediction from the linearized data model."""
-    return np.asarray(y_d_next, dtype=float) - np.asarray(y_t, dtype=float) \
-        - phi_hat @ np.asarray(du_b, dtype=float)
+    return np.array(_predict(_floats(y_d_next), _floats(y_t), _floats(phi_hat),
+                             _floats(du_b)))
 
 
 def feedback_control(mem: IlcMemory, delta_e_stack: np.ndarray) -> np.ndarray:
     """Feedback component: gains applied to the stacked error increments."""
-    return mem.xi_hat @ np.asarray(delta_e_stack, dtype=float)
+    return np.array(_feedback(_floats(mem.xi_hat), _floats(delta_e_stack)))
 
 
 def feedforward_update(mem: IlcMemory, e_prev_series: np.ndarray,
@@ -228,12 +312,12 @@ def compose_control(u_b: np.ndarray, u_f: np.ndarray, params: DdilcParams,
     the measured drives that hold the start posture, so the first iteration
     continues the pre-trial equilibrium instead of stepping away from it.
     """
-    base = params.rest_command if rest is None else np.asarray(rest, dtype=float)
-    raw = base + np.asarray(u_b, dtype=float) + np.asarray(u_f, dtype=float)
-    return np.clip(raw, params.u_min, params.u_max)
+    u_b, u_f = _floats(u_b), _floats(u_f)
+    base = [params.rest_command] * len(u_b) if rest is None else _floats(rest)
+    return np.array(_compose(base, u_b, u_f, params.u_min, params.u_max))
 
 
-def pair_drive_to_excitations(model, drive: np.ndarray) -> np.ndarray:
+def pair_drive_to_excitations(model, drive) -> np.ndarray:
     """Map per-joint drives in [0,1] to per-muscle excitations.
 
     drive 0.5 is rest; above rest the joint's positive-torque muscles are
@@ -241,7 +325,7 @@ def pair_drive_to_excitations(model, drive: np.ndarray) -> np.ndarray:
     opposing group stays at its activation floor. Reads the model's
     (joint, sign, a_min, 1 - a_min) table.
     """
-    s = [2.0 * v - 1.0 for v in np.asarray(drive, dtype=float).tolist()]
+    s = [2.0 * v - 1.0 for v in drive]
     return np.array([a_min + max(sign * s[j], 0.0) * span
                      for j, sign, a_min, span in model._pair_drive])
 
@@ -254,6 +338,12 @@ class DdilcController:
     run. The controller then works in transformed coordinates gamma*pinv(S)*y
     so its internal estimation problem is well-scaled regardless of plant
     units.
+
+    The per-tick state lives in Python lists; ``est`` and ``mem`` read it out
+    as arrays at any time, mid-trial included. ``mem.u_ff`` is the
+    feedforward table itself: changes to it take effect at the next
+    ``begin_iteration``. ``counts`` holds the current iteration's
+    ``DdilcCounts``.
     """
 
     def __init__(self, sensitivity: np.ndarray, params: DdilcParams,
@@ -284,87 +374,117 @@ class DdilcController:
         # lag (in control ticks) so the learning inverts gain and phase
         self.beta_deriv = response_lag_ticks * self.beta
         n_e = params.error_window
-        phi_init = self.gamma * np.eye(self.m)
-        self.est = PjmEstimate(phi_init.copy(), phi_init)
-        xi_cap = params.xi_cap(self.m, n_e)
-        self.mem = IlcMemory(
-            u_ff=np.zeros((horizon, self.m)),
-            e_prev=np.zeros((horizon + 1, self.y_dim)),
-            xi_hat=rng.uniform(-0.5 * xi_cap, 0.5 * xi_cap,
-                               size=(self.m, self.m * n_e)),
-            delta_e_window=np.zeros((n_e, self.m)),
-        )
+        self._phi_init = self.gamma * np.eye(self.m)
+        self._phi0 = self._phi_init.tolist()
+        self._xi_cap = params.xi_cap(self.m, n_e)
+        self._xi = rng.uniform(-0.5 * self._xi_cap, 0.5 * self._xi_cap,
+                               size=(self.m, self.m * n_e)).tolist()
+        self._u_ff = np.zeros((horizon, self.m))
+        # rows are replaced, never mutated, so they may start shared
+        self._errors = [[0.0] * self.y_dim] * (horizon + 1)
+        self._transform_rows = self.transform.tolist()
+        self._rest = self.rest_drive.tolist()
+        self._start_trial()
         self.iteration = 0
         self.ff_shrink_count = 0
+        self.counts = DdilcCounts()
         self._errors_recorded = False
+
+    @property
+    def est(self) -> PjmEstimate:
+        """The live PJM estimate, as arrays."""
+        return PjmEstimate(np.array(self._phi), self._phi_init)
+
+    @property
+    def mem(self) -> IlcMemory:
+        """The live gains, error series and window, as arrays."""
+        return IlcMemory(u_ff=self._u_ff, e_prev=np.array(self._errors),
+                         xi_hat=np.array(self._xi),
+                         delta_e_window=np.array(self._window))
 
     # -- iteration lifecycle -------------------------------------------------
 
+    def _start_trial(self) -> None:
+        zeros = [0.0] * self.m
+        self._phi = [row[:] for row in self._phi0]
+        self._window = [zeros] * self.params.error_window
+        self._y_prev = None
+        self._e_prev = zeros
+        self._drive_prev = None
+        self._du_prev = zeros
+        self._stack_prev = zeros * self.params.error_window
+
     def begin_iteration(self, y_d0: np.ndarray) -> None:
         """Start a repetition: learn feedforward from the last run, reset PJM."""
+        self.counts = DdilcCounts()
         if self._errors_recorded:
-            self.mem = feedforward_update(self.mem, self.mem.e_prev, self.beta,
-                                          self.beta_deriv)
+            mem = self.mem
+            u_ff = feedforward_update(mem, mem.e_prev, self.beta,
+                                      self.beta_deriv).u_ff
             # Anti-windup: errors inside the plant's response lag of the trial
             # start cannot be driven to zero by any table entry, so without a
             # bound they would integrate forever past the saturation limits.
-            np.clip(self.mem.u_ff,
-                    self.params.u_min - self.rest_drive,
-                    self.params.u_max - self.rest_drive,
-                    out=self.mem.u_ff)
+            lo = self.params.u_min - self.rest_drive
+            hi = self.params.u_max - self.rest_drive
+            self.counts.ff_clips = int(np.count_nonzero((u_ff < lo) | (u_ff > hi)))
+            self._u_ff = np.clip(u_ff, lo, hi, out=u_ff)
         self.iteration += 1
-        self.est = PjmEstimate(self.est.phi_init.copy(), self.est.phi_init)
-        self.mem.delta_e_window[:] = 0.0
-        self._y_d_t = np.asarray(y_d0, dtype=float)
-        self._y_prev = None
-        self._e_prev = np.zeros(self.m)
-        self._drive_prev = None
-        self._du_prev = np.zeros(self.m)
-        self._stack_prev = np.zeros(self.m * self.params.error_window)
+        self._start_trial()
+        self._ff_rows = self._u_ff.tolist()
+        self._y_d_t = _floats(y_d0)
         self._errors_recorded = False
 
-    def step(self, t: int, y: np.ndarray, y_d_next: np.ndarray) -> np.ndarray:
-        """Emit the per-joint drive for tick t given the measured output y(t)."""
-        y = np.asarray(y, dtype=float)
-        y_t = self.transform @ y
-        e_phys = self._y_d_t - y
-        self.mem.e_prev[t] = e_phys
-        e_t = self.transform @ e_phys
-        window = self.mem.delta_e_window
+    def step(self, t: int, y, y_d_next) -> np.ndarray:
+        """Emit the per-joint drive for tick t given the measured output y(t).
+
+        ``y`` and ``y_d_next`` are sequences of y_dim floats.
+        """
+        params = self.params
+        rows = self._transform_rows
+        phi = self._phi
+        du_prev = self._du_prev
+        y_t = [sum(map(mul, row, y)) for row in rows]
+        e_phys = [a - b for a, b in zip(self._y_d_t, y)]
+        self._errors[t] = e_phys
+        e_t = [sum(map(mul, row, e_phys)) for row in rows]
         # The data model pairs output increments with the drive increments the
         # plant actually received (post-saturation), keeping every internal
         # signal bounded even when the raw feedback saturates.
         if self._y_prev is not None:
-            self.est = estimate_pjm(self.est, y_t - self._y_prev,
-                                    self._du_prev, self.params)
-            window[1:] = window[:-1]
-            window[0] = e_t - self._e_prev
-        e_next_hat = predict_error(self.transform @ np.asarray(y_d_next, dtype=float),
-                                   y_t, self.est.phi_hat, self._du_prev)
-        stack_next = np.concatenate([[e_next_hat - e_t], window[:-1]], axis=0).ravel() \
-            if self.params.error_window > 1 else (e_next_hat - e_t)
-        self.mem = update_feedback_gain(self.mem, self.est, e_t,
-                                        self._stack_prev, stack_next, self.params)
-        u_b = feedback_control(self.mem, stack_next)
-        drive = compose_control(u_b, self.mem.u_ff[t], self.params,
-                                rest=self.rest_drive)
+            n_diag, n_off = _project_pjm(
+                phi, self._phi0,
+                [a - b for a, b in zip(y_t, self._y_prev)], du_prev, params)
+            self.counts.pjm_diag_resets += n_diag
+            self.counts.pjm_offdiag_resets += n_off
+            self._window = [[a - b for a, b in zip(e_t, self._e_prev)]] \
+                + self._window[:-1]
+        e_next_hat = _predict([sum(map(mul, row, y_d_next)) for row in rows],
+                              y_t, phi, du_prev)
+        stack = [a - b for a, b in zip(e_next_hat, e_t)]
+        for older in self._window[:-1]:
+            stack += older
+        self.counts.xi_clips += _descend_gain(self._xi, phi, e_t,
+                                              self._stack_prev, stack,
+                                              params, self._xi_cap)
+        drive = _compose(self._rest, _feedback(self._xi, stack),
+                         self._ff_rows[t], params.u_min, params.u_max)
         if self._drive_prev is not None:
-            self._du_prev = drive - self._drive_prev
+            self._du_prev = [a - b for a, b in zip(drive, self._drive_prev)]
         self._drive_prev = drive
         self._y_prev = y_t
         self._e_prev = e_t
-        self._stack_prev = stack_next
-        self._y_d_t = np.asarray(y_d_next, dtype=float)
-        return drive
+        self._stack_prev = stack
+        self._y_d_t = y_d_next
+        return np.array(drive)
 
-    def finish_iteration(self, y_final: np.ndarray) -> None:
+    def finish_iteration(self, y_final) -> None:
         """Record the final-sample error so the next repetition can learn."""
-        self.mem.e_prev[self.horizon] = self._y_d_t - np.asarray(y_final, dtype=float)
+        self._errors[self.horizon] = [a - b for a, b in zip(self._y_d_t, y_final)]
         self._errors_recorded = True
 
     def shrink_feedforward(self) -> None:
         """Divergence response: halve the learning gains and restart the table."""
         self.beta = 0.5 * self.beta
         self.beta_deriv = 0.5 * self.beta_deriv
-        self.mem.u_ff[:] = 0.0
+        self._u_ff[:] = 0.0
         self.ff_shrink_count += 1

@@ -7,9 +7,11 @@ protocol:
 
 * ``begin_iteration(y_d0)`` — called once before the first tick;
 * ``step(tc, y, y_d_next) -> drive`` — called at every control tick with the
-  measured tip position and the next desired point, returning per-joint pair
-  drives in [0, 1] (controllers with ``wants_state = True`` additionally
-  receive the full ``ArmState`` as a keyword argument);
+  measured tip position and the next desired point (each a sequence of
+  Python floats), returning per-joint pair drives, clipped to [0, 1] (a
+  non-finite drive raises ``ValueError`` naming the tick and channel);
+  controllers with ``wants_state = True`` additionally receive the full
+  ``ArmState`` as a keyword argument;
 * ``finish_iteration(y_final)`` — called once after the last tick.
 
 Physics always advances at ``dt``; drives are held (zero-order) over
@@ -20,7 +22,7 @@ through explicit integer seeds, so identical inputs give bit-identical logs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -28,9 +30,9 @@ from .arm import (
     ArmModel,
     ArmState,
     IntegrationDivergedError,
+    _chain,
     _pinv_solve,
     _tip_jacobian,
-    forward_kinematics,
     integrate_step,
     muscle_lengths,
     rest_state,
@@ -349,6 +351,21 @@ def _noise_table(model: ArmModel, disturbance: DisturbanceSpec | None,
     return phases, omega, np.empty(model.n_muscles)
 
 
+def _checked_drive(tc: int, drive) -> list[float]:
+    """The controller's drive for control tick ``tc``, clipped to [0, 1].
+
+    A non-finite entry raises ``ValueError`` naming the tick and channel.
+    """
+    out = []
+    for j, v in enumerate(np.asarray(drive, dtype=float).tolist()):
+        if not 0.0 <= v <= 1.0:
+            if not math.isfinite(v):
+                raise ValueError(f"control tick {tc}: drive {j} is {v}")
+            v = 0.0 if v < 0.0 else 1.0
+        out.append(v)
+    return out
+
+
 def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
               disturbance: DisturbanceSpec | None = None, seed=0,
               start_state: ArmState | None = None, decimation: int = 1,
@@ -356,7 +373,8 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     """Execute one finite-horizon tracking trial and log every tick.
 
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
-    ``diverged_reason`` with truncated arrays), not raised. Deterministic
+    ``diverged_reason`` with truncated arrays), not raised; a non-finite
+    drive raises ``ValueError`` before its tick's physics. Deterministic
     given identical inputs.
     """
     points = np.asarray(points, dtype=float)
@@ -376,25 +394,24 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
 
     qs = [state.q]
     qds = [state.qdot]
-    drives = np.empty((n_control, eff.n_joints))
+    drives = []
     excitations = np.empty((n_ticks, eff.n_muscles))
     forces = np.empty((n_ticks, eff.n_muscles))
     diverged = False
     diverged_at = diverged_reason = None
     filled = 0
-    ctrl_filled = 0
+    targets = points[::decimation].tolist()      # one per control tick
 
-    controller.begin_iteration(points[0])
+    controller.begin_iteration(targets[0])
     for tc in range(n_control):
-        y = forward_kinematics(eff, state.q)
-        y_d_next = points[(tc + 1) * decimation]
+        y = _chain(eff, state.q)[-1]
+        y_d_next = targets[tc + 1]
         if wants_state:
-            drive = controller.step(tc, y, y_d_next, state=state)
+            raw = controller.step(tc, y, y_d_next, state=state)
         else:
-            drive = controller.step(tc, y, y_d_next)
-        drive = np.clip(np.asarray(drive, dtype=float), 0.0, 1.0)
-        drives[tc] = drive
-        ctrl_filled = tc + 1
+            raw = controller.step(tc, y, y_d_next)
+        drive = _checked_drive(tc, raw)
+        drives.append(drive)
         exc0 = pair_drive_to_excitations(eff, drive)
         for i in range(decimation):
             tick = tc * decimation + i
@@ -419,7 +436,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         if diverged:
             break
     if not diverged:
-        controller.finish_iteration(forward_kinematics(eff, state.q))
+        controller.finish_iteration(_chain(eff, state.q)[-1])
 
     q_arr = np.array(qs)
     n_kept = filled
@@ -431,7 +448,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         tip_desired=points[:n_kept + 1].copy(),
         q=q_arr,
         qdot=np.array(qds),
-        drives=drives[:ctrl_filled].copy() if diverged else drives,
+        drives=np.array(drives),
         excitations=excitations[:n_kept].copy() if diverged else excitations,
         tendon_forces=forces[:n_kept].copy() if diverged else forces,
         muscle_lengths=muscle_lengths(eff, q_arr),
@@ -587,17 +604,26 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
 
 @dataclass
 class RunSummary:
-    """Per-iteration error curve of one learning run."""
+    """Per-iteration error curve and controller counts of one learning run.
+
+    The four count lists are the fields of each iteration's ``DdilcCounts``.
+    """
 
     iterations: int
-    mean_abs_mm: list[float]
-    mse_mm2: list[float]
-    std_mm: list[float]
-    muscle_len_mean_abs_mm: list[float | None]
-    diverged: list[bool]
-    diverged_at: list[int | None]       # tick at which each trial diverged
-    diverged_reason: list[str | None]   # and the IntegrationDivergedError message
-    ff_shrink_iterations: list[int]
+    mean_abs_mm: list[float] = field(default_factory=list)
+    mse_mm2: list[float] = field(default_factory=list)
+    std_mm: list[float] = field(default_factory=list)
+    muscle_len_mean_abs_mm: list[float | None] = field(default_factory=list)
+    diverged: list[bool] = field(default_factory=list)
+    # the tick at which each trial diverged, and the IntegrationDivergedError
+    # message
+    diverged_at: list[int | None] = field(default_factory=list)
+    diverged_reason: list[str | None] = field(default_factory=list)
+    ff_shrink_iterations: list[int] = field(default_factory=list)
+    pjm_diag_resets: list[int] = field(default_factory=list)
+    pjm_offdiag_resets: list[int] = field(default_factory=list)
+    xi_clips: list[int] = field(default_factory=list)
+    ff_clips: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -675,7 +701,7 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
         response_lag_ticks=probe.lag_s / (cfg.dt * cfg.control_decimation),
         rest_drive=u_hold)
 
-    summary = RunSummary(cfg.iterations, [], [], [], [], [], [], [], [])
+    summary = RunSummary(cfg.iterations)
     growth_streak = 0
     final_log = None
     for k in range(cfg.iterations):
@@ -691,6 +717,8 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
         summary.diverged.append(metrics.diverged)
         summary.diverged_at.append(log.diverged_at)
         summary.diverged_reason.append(log.diverged_reason)
+        for name, count in asdict(controller.counts).items():
+            getattr(summary, name).append(count)
         if on_iteration is not None:
             on_iteration(k, log, metrics, controller)
 

@@ -11,8 +11,9 @@ no iteration-to-iteration learning law can track at desk-scale durations.
 `spatial-ltdm` is a stretch configuration approximating a seven-joint
 anthropomorphic arm flattened into the plane: upper-arm/forearm/hand segment
 lengths 0.38/0.34/0.262 m, fifteen muscles (three on the first shoulder
-joint, antagonist pairs elsewhere), and asymmetric joint ranges. It exists to
-exercise the redundant-chain code paths and is simulated but not benchmarked.
+joint, antagonist pairs elsewhere), and asymmetric joint ranges. It exercises
+the redundant-chain code paths, and the `probe-spatial` benchmark workload
+times its park and probe; no learning run uses it yet.
 """
 
 from __future__ import annotations

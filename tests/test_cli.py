@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from myoarm import harness
+from myoarm import cli, harness
 from myoarm.cli import _write_trial_csv, main
 from myoarm.config import parse_config
 from myoarm.harness import TrialLog
@@ -270,6 +270,19 @@ def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key
     assert summary["diverged_reason"] == [None, "injected"]
 
 
+@pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
+def test_controller_counts_reach_run_summary(tmp_path, command, key):
+    assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
+    summary = read_summary(tmp_path, command)
+    summary = summary if key is None else summary[key]
+    for name in ("pjm_diag_resets", "pjm_offdiag_resets", "xi_clips", "ff_clips"):
+        assert len(summary[name]) == 2
+        assert all(type(n) is int and n >= 0 for n in summary[name])
+    # the PJM starts diagonal, and the sign rule resets every off-diagonal
+    # update to 0 (see the control module docstring)
+    assert min(summary["pjm_offdiag_resets"]) > 0
+
+
 def test_lowpass_reports_attenuation_gap(tmp_path):
     assert run(tmp_path, "lowpass") == 0
     summary = read_summary(tmp_path, "lowpass")
@@ -311,6 +324,25 @@ def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
     assert err["type"] == "UnreachableTrajectoryError"
     assert "trajectory sample 0 at (2.0, -0.2): " in err["message"]
     # the config echo and the summary are written only by a completed run
+    out = tmp_path / "runs" / "simulate"
+    assert not (out / "config.ini").exists()
+    assert not (out / "run_summary.json").exists()
+
+
+def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkeypatch):
+    real_park = cli.park_state
+
+    def nan_park(*args, **kwargs):
+        state, u_hold = real_park(*args, **kwargs)
+        u_hold[1] = np.nan
+        return state, u_hold
+
+    monkeypatch.setattr(cli, "park_state", nan_park)
+    assert run(tmp_path, "simulate", "--config", tiny_config(tmp_path)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    err = json.loads(lines[0])["error"]
+    assert err == {"type": "ValueError", "message": "control tick 0: drive 1 is nan"}
     out = tmp_path / "runs" / "simulate"
     assert not (out / "config.ini").exists()
     assert not (out / "run_summary.json").exists()

@@ -3,11 +3,16 @@ convergence on a known linear plant, box/sign reset invariants, and a small
 closed-loop learning exercise on a synthetic lag plant.
 """
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from myoarm.control import (
     DdilcController,
+    DdilcCounts,
     DdilcParams,
     IlcMemory,
     PjmEstimate,
@@ -19,6 +24,7 @@ from myoarm.control import (
     predict_error,
     update_feedback_gain,
 )
+from myoarm.harness import IlcConfig, TrajectorySpec, run_ilc
 from myoarm.presets import planar2x4, spatial_ltdm
 
 
@@ -339,3 +345,290 @@ def test_shrink_feedforward_halves_gain_and_clears_table():
     assert np.array_equal(ctl.beta, 0.5 * beta0)
     assert np.all(ctl.mem.u_ff == 0.0)
     assert ctl.ff_shrink_count == 1
+
+
+# ---------------------------------------------------------------------------
+# the per-tick law against a numpy reference
+# ---------------------------------------------------------------------------
+
+class _NumpyDdilc:
+    """The controller's law as it was written with numpy calls, kept as the
+    reference for the list kernels, with the reset and clip counts added.
+
+    It copies the constants and the current gains and table of ``ctl``.
+    """
+
+    def __init__(self, ctl):
+        self.params = ctl.params
+        self.horizon = ctl.horizon
+        self.transform = ctl.transform
+        self.rest = ctl.rest_drive
+        self.beta, self.beta_deriv = ctl.beta, ctl.beta_deriv
+        self.phi_init = ctl.est.phi_init
+        self.xi = ctl.mem.xi_hat.copy()
+        self.u_ff = ctl.mem.u_ff.copy()
+        self.e_prev = np.zeros((ctl.horizon + 1, ctl.y_dim))
+        self.recorded = False
+        self.start_trial(np.zeros(ctl.y_dim))
+
+    def start_trial(self, y_d0):
+        m, n_e = self.transform.shape[0], self.params.error_window
+        self.phi = self.phi_init.copy()
+        self.window = np.zeros((n_e, m))
+        self.y_d_t = np.asarray(y_d0, dtype=float)
+        self.y_prev = None
+        self.e_last = np.zeros(m)
+        self.drive_prev = None
+        self.du_prev = np.zeros(m)
+        self.stack_prev = np.zeros(m * n_e)
+        self.counts = DdilcCounts()
+        # pre-reset PJM and pre-clip gains of the last step, for edge checks
+        self.phi_raw = self.xi_raw = None
+
+    def begin_iteration(self, y_d0):
+        ff_clips = 0
+        if self.recorded:
+            p = self.params
+            u_ff = self.u_ff + self.e_prev[1:] @ self.beta.T
+            u_ff = u_ff + (self.e_prev[1:] - self.e_prev[:-1]) @ self.beta_deriv.T
+            lo, hi = p.u_min - self.rest, p.u_max - self.rest
+            ff_clips = int(np.sum((u_ff < lo) | (u_ff > hi)))
+            self.u_ff = np.clip(u_ff, lo, hi)
+        self.start_trial(y_d0)
+        self.counts.ff_clips = ff_clips
+        self.recorded = False
+
+    def step(self, t, y, y_d_next):
+        p = self.params
+        y = np.asarray(y, dtype=float)
+        y_t = self.transform @ y
+        e_phys = self.y_d_t - y
+        self.e_prev[t] = e_phys
+        e_t = self.transform @ e_phys
+        if self.y_prev is not None:
+            dy, du = y_t - self.y_prev, self.du_prev
+            denom = p.estimator_weight + float(du @ du)
+            innovation = dy - self.phi @ du
+            self.phi_raw = self.phi + p.estimator_step * np.outer(innovation, du) / denom
+            self.phi = self.phi_raw.copy()
+            lo, hi = p.diag_floor, p.diag_span * p.diag_floor
+            for (i, j), v in np.ndenumerate(self.phi_raw):
+                v0 = self.phi_init[i, j]
+                bad = not (lo <= abs(v) <= hi) if i == j else abs(v) > p.offdiag_cap
+                if bad or np.sign(v) != np.sign(v0):
+                    self.phi[i, j] = v0
+                    if i == j:
+                        self.counts.pjm_diag_resets += 1
+                    else:
+                        self.counts.pjm_offdiag_resets += 1
+            self.window[1:] = self.window[:-1]
+            self.window[0] = e_t - self.e_last
+        e_next_hat = (self.transform @ np.asarray(y_d_next, dtype=float) - y_t
+                      - self.phi @ self.du_prev)
+        stack = np.concatenate([[e_next_hat - e_t], self.window[:-1]], axis=0).ravel()
+        eta = p.gain_step
+        decay = eta * p.energy_weight * np.outer(self.stack_prev, self.stack_prev)
+        gain_drive = eta * np.outer(self.phi.T @ e_t, stack)
+        self.xi_raw = self.xi - self.xi @ decay + gain_drive
+        m = self.xi.shape[0]
+        cap = p.xi_cap(m, self.xi.shape[1] // m)
+        self.counts.xi_clips += int(np.sum(np.abs(self.xi_raw) > cap))
+        self.xi = np.clip(self.xi_raw, -cap, cap)
+        drive = np.clip(self.rest + self.xi @ stack + self.u_ff[t], p.u_min, p.u_max)
+        if self.drive_prev is not None:
+            self.du_prev = drive - self.drive_prev
+        self.drive_prev = drive
+        self.y_prev, self.e_last, self.stack_prev = y_t, e_t, stack
+        self.y_d_t = np.asarray(y_d_next, dtype=float)
+        return drive
+
+    def finish_iteration(self, y_final):
+        self.e_prev[self.horizon] = self.y_d_t - np.asarray(y_final, dtype=float)
+        self.recorded = True
+
+
+EPS = np.finfo(float).eps
+
+
+def _step_error_scales(ref, y, y_d_next, t):
+    """Elementwise bounds on the magnitudes one reference step sums, for its
+    PJM, gains and drive: rounding moves each by a few eps times its bound."""
+    p, a = ref.params, np.abs
+    m, n_e = ref.xi.shape[0], p.error_window
+    ty = a(ref.transform) @ (a(y) + a(ref.y_d_t) + a(np.asarray(y_d_next)))
+    du = a(ref.du_prev)
+    phi = a(ref.phi)
+    if ref.y_prev is not None:
+        dy = ty + a(ref.y_prev)
+        phi = phi + p.estimator_step * np.outer(dy + phi @ du, du) / (
+            p.estimator_weight + float(du @ du))
+    older = max(float(np.max(ty + a(ref.e_last))), float(np.max(a(ref.window))))
+    stack = np.concatenate([ty + phi @ du + ty, np.full(m * (n_e - 1), older)])
+    s_prev = a(ref.stack_prev)
+    decay = p.gain_step * p.energy_weight * np.outer(s_prev, s_prev)
+    xi = a(ref.xi) + a(ref.xi) @ decay + p.gain_step * np.outer(phi.T @ ty, stack)
+    drive = a(ref.rest) + xi @ stack + a(ref.u_ff[t])
+    return phi, xi, drive
+
+
+# the controller's list state, by the reference's attribute holding it
+_STATE = {"phi": "_phi", "xi": "_xi", "window": "_window", "y_prev": "_y_prev",
+          "e_last": "_e_prev", "drive_prev": "_drive_prev", "du_prev": "_du_prev",
+          "stack_prev": "_stack_prev", "y_d_t": "_y_d_t"}
+
+
+def _load_state(ctl, ref, rng, first):
+    """Give the controller and the reference one random mid-trial state: the
+    PJM inside and outside its boxes, the gains near and inside +/-xi_cap.
+    ``first`` is the trial's first tick, which updates no PJM."""
+    p, m, y_dim = ctl.params, ctl.m, ctl.y_dim
+    n_e = p.error_window
+    lo, hi, cap = p.diag_floor, p.diag_span * p.diag_floor, p.xi_cap(m, n_e)
+    diag = rng.uniform(lo, hi, m) if rng.random() < 0.5 else rng.uniform(-2 * hi, 2 * hi, m)
+    off = rng.choice([0.0, 0.5, 2.0]) * p.offdiag_cap * rng.uniform(-1, 1, (m, m))
+    off *= (rng.random((m, m)) < 0.5) & ~np.eye(m, dtype=bool)
+    shape = (m, m * n_e)
+    near = cap * rng.choice([-1.0, 1.0], shape) * rng.uniform(0.98, 1.02, shape)
+    size = 10.0 ** rng.uniform(-4, 0)          # of the increments
+    ref.phi = np.diag(diag) + off
+    ref.xi = np.where(rng.random(shape) < 0.5, near, rng.uniform(-cap, cap, shape))
+    ref.window = size * rng.normal(size=(n_e, m))
+    ref.y_d_t = rng.uniform(-0.5, 0.5, y_dim)
+    y_prev = ref.y_d_t + size * rng.normal(size=y_dim)
+    ref.y_prev = None if first else ctl.transform @ y_prev
+    ref.e_last = size * rng.normal(size=m)
+    ref.drive_prev = None if first else rng.uniform(0, 1, m)
+    ref.du_prev = size * rng.normal(size=m) * (rng.random(m) < 0.8)
+    ref.stack_prev = size * rng.normal(size=m * n_e)
+    ref.u_ff = rng.uniform(-0.3, 0.3, (ctl.horizon, m))
+    for name, private in _STATE.items():
+        value = getattr(ref, name)
+        setattr(ctl, private, None if value is None else value.tolist())
+    ctl._u_ff = ref.u_ff.copy()
+    ctl._ff_rows = ref.u_ff.tolist()
+
+
+@given(m=st.integers(1, 7), y_dim=st.integers(1, 3), window=st.integers(1, 3),
+       first=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
+    rng = np.random.default_rng(seed)
+    p = DdilcParams(error_window=window)
+    ctl = DdilcController(rng.normal(scale=0.05, size=(y_dim, m)), p,
+                          horizon=3, rng=rng, rest_drive=rng.uniform(0, 1, m))
+    ctl.begin_iteration(np.zeros(y_dim))
+    ref = _NumpyDdilc(ctl)
+    _load_state(ctl, ref, rng, first)
+    y = ref.y_d_t + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
+    y_d_next = ref.y_d_t + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
+    t = int(rng.integers(0, 3))
+    tol = 128.0 * EPS
+    s_phi, s_xi, s_drive = (tol * s for s in _step_error_scales(ref, y, y_d_next, t))
+    want = ref.step(t, y, y_d_next)
+    # a reset or clip decision may differ only within rounding of its edge;
+    # an off-diagonal's edges are its cap and, for the sign test, zero
+    if ref.phi_raw is not None:
+        v = np.abs(ref.phi_raw)
+        lo, hi = p.diag_floor, p.diag_span * p.diag_floor
+        edge = np.where(np.eye(m, dtype=bool), np.minimum(abs(v - lo), abs(v - hi)),
+                        np.minimum(abs(v - p.offdiag_cap), np.where(v > 0, v, np.inf)))
+        assume(np.all(edge > s_phi))
+    assume(np.all(abs(np.abs(ref.xi_raw) - p.xi_cap(m, window)) > s_xi))
+    have = ctl.step(t, y.tolist(), y_d_next.tolist())
+    assert asdict(ctl.counts) == asdict(ref.counts)
+    assert np.all(np.abs(ctl.est.phi_hat - ref.phi) <= s_phi)
+    assert np.all(np.abs(ctl.mem.xi_hat - ref.xi) <= s_xi)
+    assert np.all(np.abs(have - want) <= s_drive)
+
+
+def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100,
+                      alpha=0.5):
+    """Closed-loop runs of ``_run_lag_plant_iterations``'s plant, recording
+    every input the controller received. The plant's gain is ``gain`` times
+    the sensitivity the controller is given, and the target ramp ``reach``
+    times as long."""
+    s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
+    ctl = DdilcController(s_gain, params, horizon=horizon,
+                          rng=np.random.default_rng(seed))
+    ref = _NumpyDdilc(ctl)
+    y_d = np.linspace(0.0, reach, horizon + 1)[:, None] * np.array([0.01, -0.008])
+    trials = []
+    for _ in range(iterations):
+        ctl.begin_iteration(y_d[0])
+        y = np.zeros(2)
+        ticks = []
+        for t in range(horizon):
+            drive = ctl.step(t, y.tolist(), y_d[t + 1].tolist())
+            ticks.append((y.tolist(), y_d[t + 1].tolist(), drive))
+            y = y + alpha * (gain * s_gain @ (drive - 0.5) - y)
+        ctl.finish_iteration(y.tolist())
+        trials.append((ticks, y.tolist(), asdict(ctl.counts), ctl.est.phi_hat,
+                       ctl.mem.xi_hat))
+    return ref, y_d, trials
+
+
+ALL_COUNTS = set(asdict(DdilcCounts()))
+
+
+@pytest.mark.parametrize("weight, gain, reach, exercised", [
+    (1.0, 1.0, 1.0, {"pjm_offdiag_resets", "xi_clips"}),
+    # a fast estimator on a weak plant leaves the PJM box, and a far target
+    # winds the feedforward up against its anti-windup bound
+    (1e-3, 0.3, 8.0, ALL_COUNTS),
+], ids=["matched", "weak-plant-far-target"])
+def test_lag_plant_counts_match_numpy_reference(weight, gain, reach, exercised):
+    # the reference replays the inputs the controller received; its drives
+    # follow the controller's at float-noise level, and its counts exactly
+    params = DdilcParams(estimator_weight=weight)
+    ref, y_d, trials = _lag_plant_inputs(1, 12, params, gain, reach)
+    totals = dict.fromkeys(asdict(DdilcCounts()), 0)
+    for ticks, y_final, counts, phi, xi in trials:
+        ref.begin_iteration(y_d[0])
+        for t, (y, y_d_next, drive) in enumerate(ticks):
+            np.testing.assert_allclose(ref.step(t, y, y_d_next), drive, rtol=0, atol=1e-12)
+        ref.finish_iteration(y_final)
+        assert counts == asdict(ref.counts)
+        np.testing.assert_allclose(phi, ref.phi, rtol=1e-12)
+        np.testing.assert_allclose(xi, ref.xi, rtol=0, atol=1e-14)
+        for name, n in counts.items():
+            totals[name] += n
+    assert {name for name, n in totals.items() if n} == exercised
+
+
+def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
+    # on_iteration of a trial that diverges at physics tick 37 (after the
+    # controller's step for control tick 37) sees the PJM and gains the
+    # reference reaches by replaying that trial's steps; no finish_iteration
+    # runs for it
+    diverge_in_trial(1, 37)
+    steps = []
+    real_step = DdilcController.step
+
+    def recording_step(self, t, y, y_d_next):
+        steps.append((t, list(y), list(y_d_next)))
+        return real_step(self, t, y, y_d_next)
+
+    monkeypatch.setattr(DdilcController, "step", recording_step)
+    seen = {}
+
+    def on_iteration(k, log, metrics, controller):
+        if k == 0:
+            seen["ref"] = _NumpyDdilc(controller)
+            steps.clear()
+        else:
+            seen.update(phi=controller.est.phi_hat, xi=controller.mem.xi_hat,
+                        u_ff=controller.mem.u_ff.copy(), points=log.tip_desired)
+
+    cfg = IlcConfig(model=planar2x4(), trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                    iterations=2, dt=1e-3, control_decimation=1, seed=0,
+                    settle_time=3.0, probe_hold=1.0)
+    assert run_ilc(cfg, on_iteration=on_iteration).summary.diverged == [False, True]
+    ref = seen["ref"]
+    ref.u_ff = seen["u_ff"]
+    ref.start_trial(seen["points"][0])
+    assert [t for t, _, _ in steps] == list(range(38))
+    for t, y, y_d_next in steps:
+        ref.step(t, y, y_d_next)
+    assert not np.array_equal(ref.phi, ref.phi_init)
+    np.testing.assert_allclose(seen["phi"], ref.phi, rtol=1e-12)
+    np.testing.assert_allclose(seen["xi"], ref.xi, rtol=0, atol=1e-14)

@@ -256,6 +256,34 @@ def test_run_trial_keeps_divergence_reason(model, monkeypatch):
     assert "l_fiber_norm of muscle 0" in log.diverged_reason
 
 
+def test_run_trial_names_a_nan_drive_before_its_physics(model, monkeypatch):
+    # a NaN drive used to reach the muscle as "excitation u must be in
+    # [0, 1], got nan", without its tick or channel
+    ticks = []
+    real_step = harness.integrate_step
+
+    def counting_step(*args):
+        ticks.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "integrate_step", counting_step)
+    table = np.full((100, model.n_joints), 0.5)
+    table[7, 1] = np.nan
+    with pytest.raises(ValueError, match=r"^control tick 7: drive 1 is nan$"):
+        run_trial(model, ReplayController(table), _one_second_points(), DT,
+                  start_state=rest_state(model), decimation=10)
+    assert len(ticks) == 7 * 10
+
+
+def test_run_trial_clips_finite_drives(model):
+    table = np.full((100, model.n_joints), 0.5)
+    table[3] = (-0.2, 1.7)
+    log = run_trial(model, ReplayController(table), _one_second_points(), DT,
+                    start_state=rest_state(model), decimation=10)
+    assert log.drives[3].tolist() == [0.0, 1.0]
+    assert log.drives[4].tolist() == [0.5, 0.5]
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
