@@ -13,9 +13,12 @@ Dynamics Algorithms, ch. 7): O(n) in the chain length, it never forms the mass
 matrix, and its pivots are those of the mass matrix's LDL^T factorization, so
 a matrix that is not positive definite is still detected exactly. The mass
 matrix and bias torques come from a separate composite-inertia sweep. An
-optional point mass is rigidly attached to the end effector (payload).
-Integration is classic RK4 on (q, qdot) with muscle forces frozen over the
-tick and hard joint stops applied afterwards.
+optional point mass is rigidly attached to the end effector (payload); the
+tendons are the only forces applied to the chain besides gravity and joint
+friction. Integration is classic RK4 on (q, qdot) with muscle forces frozen
+over the tick and hard joint stops applied afterwards. A fiber that shortens
+to the floor ``rest_state`` enforces (0.1 optimal lengths) or goes non-finite
+ends the integration with ``IntegrationDivergedError``.
 
 `ArmModel` is one frozen plant description that every physics path shares. It
 stores its sequences as tuples and builds each per-model table once: per-link
@@ -43,10 +46,8 @@ __all__ = [
     "IntegrationDivergedError",
     "muscle_lengths",
     "moment_arm_matrix",
-    "joint_torques",
     "forward_kinematics",
     "tip_path",
-    "joint_positions",
     "task_jacobian",
     "mass_matrix",
     "bias_forces",
@@ -55,6 +56,10 @@ __all__ = [
     "integrate_step",
     "rest_state",
 ]
+
+# Fiber length, normalized by l0_fiber, at or below which a muscle has no room
+# left: rest_state refuses such a posture, integrate_step stops there.
+_MIN_FIBER_NORM = 0.1
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -205,14 +210,14 @@ class StepInfo:
     """Per-tick byproducts of integrate_step."""
 
     tendon_forces: np.ndarray
-    joint_torques: np.ndarray
     stop_events: int = 0
 
 
 def moment_arm_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
     """L with L[i, j] = sign_i * r_i on the spanned joint; equals -d(l)/dq.
 
-    The moment arms are constant, so this is the model's read-only table.
+    Tendon tensions f map to joint torques tau = L^T f. The moment arms are
+    constant, so this is the model's read-only table.
     """
     return model._moment_arms
 
@@ -227,16 +232,6 @@ def muscle_lengths(model: ArmModel, q: np.ndarray) -> np.ndarray:
     return model._l_ref - dq @ model._moment_arms.T
 
 
-def joint_torques(model: ArmModel, q: np.ndarray, tendon_forces: np.ndarray) -> np.ndarray:
-    """Joint torques from tendon tensions: tau = L^T f, tensions only."""
-    f = np.asarray(tendon_forces, dtype=float)
-    if f.shape != (model.n_muscles,):
-        raise ValueError(f"expected {model.n_muscles} tendon forces, got shape {f.shape}")
-    if np.any(f < 0.0):
-        raise ValueError("tendon forces must be non-negative (tendons only pull)")
-    return moment_arm_matrix(model, q).T @ f
-
-
 def _chain(model: ArmModel, q) -> list[tuple[float, float]]:
     """Joint origins from the base to the tip; scalar math for per-tick callers."""
     cos, sin = math.cos, math.sin
@@ -248,11 +243,6 @@ def _chain(model: ArmModel, q) -> list[tuple[float, float]]:
         y += ell * sin(phi)
         pts.append((x, y))
     return pts
-
-
-def joint_positions(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """(n+1) x 2 chain of joint origins ending at the tip."""
-    return np.array(_chain(model, q))
 
 
 def forward_kinematics(model: ArmModel, q: np.ndarray) -> np.ndarray:
@@ -371,8 +361,7 @@ def bias_forces(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
     return np.array(_composite(model, [float(v) for v in q], [float(v) for v in qdot])[1])
 
 
-def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
-           f_ext: tuple[float, float] | None) -> list[float]:
+def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float]) -> list[float]:
     """Joint accelerations by the articulated-body algorithm; the integrator's hot path.
 
     Planar spatial vectors in the base frame: a motion (w, vx, vy) gives the
@@ -380,7 +369,7 @@ def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
     moment about the origin. Joint j at p_j has axis S_j = (1, p_jy, -p_jx).
     Outward: joint points, velocities, velocity products c_j = v_j x S_j qd_j
     and each body's inertia [[i, -m cy, m cx], [-m cy, m, 0], [m cx, 0, m]]
-    and bias force v x* I v (payload and tip force on the last body). Inward:
+    and bias force v x* I v (payload on the last body). Inward:
     articulated inertias (6 unique entries), U_j = I^A_j S_j and the pivot
     D_j = S_j^T U_j. Outward: accelerations from the base acceleration
     (0, -gx, -gy). Python scalars throughout: this sits inside RK4.
@@ -409,16 +398,11 @@ def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
         x += ell * c
         y += ell * s
     # the inward pass starts from the payload at the tip (x, y), a point mass
-    # moving with the last body, and the tip force
+    # moving with the last body
     mt = model.tip_mass
     mw = mt * w
     a00, a01, a02, a11, a12, a22 = mt * (x * x + y * y), -mt * y, mt * x, mt, 0.0, mt
     p0, p1, p2 = mw * (vx * x + vy * y), -mw * (vy + w * x), mw * (vx - w * y)
-    if f_ext is not None:
-        fx, fy = f_ext
-        p0 -= x * fy - y * fx
-        p1 -= fx
-        p2 -= fy
     for j in range(len(bodies) - 1, -1, -1):
         px, py, c1, c2, i00, i01, i02, m, b0, b1, b2 = bodies[j]
         a00 += i00
@@ -463,14 +447,13 @@ def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float],
 
 
 def forward_dynamics(model: ArmModel, q: np.ndarray, qdot: np.ndarray,
-                     tau: np.ndarray, f_ext: np.ndarray | None = None) -> np.ndarray:
-    """qddot = H^-1 (tau + J^T f_ext - C qdot - G - b qdot), by the articulated-body pass.
+                     tau: np.ndarray) -> np.ndarray:
+    """qddot = H^-1 (tau - C qdot - G - b qdot), by the articulated-body pass.
 
     Raises np.linalg.LinAlgError when H is not positive definite.
     """
-    fe = None if f_ext is None else (float(f_ext[0]), float(f_ext[1]))
     return np.array(_accel(model, [float(v) for v in q], [float(v) for v in qdot],
-                           [float(v) for v in tau], fe))
+                           [float(v) for v in tau]))
 
 
 def total_energy(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> float:
@@ -507,22 +490,23 @@ def rest_state(model: ArmModel, q: np.ndarray | None = None) -> ArmState:
     states = []
     for i, mp in enumerate(model.muscles):
         l_fiber = (lengths[i] - mp.l_slack_tendon) / (mp.l0_fiber * mp.pennation_factor)
-        if l_fiber <= 0.1:
+        if l_fiber <= _MIN_FIBER_NORM:
             raise ValueError(f"muscle {i} has no room for its fiber at this posture")
         states.append(MuscleState(activation=mp.a_min, l_fiber_norm=float(l_fiber)))
     return ArmState(q=q, qdot=np.zeros(model.n_joints), muscle_states=states)
 
 
 def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
-                   dt: float, f_ext: np.ndarray | None = None,
-                   diag: MuscleDiagnostics | None = None) -> tuple[ArmState, StepInfo]:
+                   dt: float, diag: MuscleDiagnostics | None = None
+                   ) -> tuple[ArmState, StepInfo]:
     """Advance the coupled muscle/skeleton system by one tick.
 
     Muscles are stepped first at the entry posture; the resulting tendon
     forces are held constant while (q, qdot) advances by one RK4 step; hard
     joint stops then clamp q and zero any outward velocity component.
-    A non-finite fiber length or joint state, or a mass matrix that is not
-    positive definite, raises IntegrationDivergedError naming the quantity.
+    A fiber length that is not finite or not above the 0.1 floor rest_state
+    enforces, a non-finite joint state, or a mass matrix that is not positive
+    definite raises IntegrationDivergedError naming the quantity.
     """
     n = model.n_joints
     q0 = state.q.tolist()
@@ -535,23 +519,25 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
         # muscle_lengths inlined: one numpy call per tick costs more than this loop
         ms, f = step_muscle(muscle_states[i], u[i], l_ref - arm_i * (q0[j] - q_ref_j),
                             dt, mp, diag)
-        if not math.isfinite(ms.l_fiber_norm):
-            raise IntegrationDivergedError(f"non-finite l_fiber_norm of muscle {i}", state)
+        if not _MIN_FIBER_NORM < ms.l_fiber_norm < math.inf:
+            v = ms.l_fiber_norm
+            reason = (f"l_fiber_norm of muscle {i} is {v!r}, at or below {_MIN_FIBER_NORM}"
+                      if math.isfinite(v) else f"non-finite l_fiber_norm of muscle {i}")
+            raise IntegrationDivergedError(reason, state)
         new_muscles.append(ms)
         forces.append(f)
         tau[j] += arm_i * f
 
-    fe = None if f_ext is None else (float(f_ext[0]), float(f_ext[1]))
     qd0 = state.qdot.tolist()
     half = 0.5 * dt
     try:
-        k1v = _accel(model, q0, qd0, tau, fe)
+        k1v = _accel(model, q0, qd0, tau)
         k2x = [qd0[j] + half * k1v[j] for j in range(n)]
-        k2v = _accel(model, [q0[j] + half * qd0[j] for j in range(n)], k2x, tau, fe)
+        k2v = _accel(model, [q0[j] + half * qd0[j] for j in range(n)], k2x, tau)
         k3x = [qd0[j] + half * k2v[j] for j in range(n)]
-        k3v = _accel(model, [q0[j] + half * k2x[j] for j in range(n)], k3x, tau, fe)
+        k3v = _accel(model, [q0[j] + half * k2x[j] for j in range(n)], k3x, tau)
         k4x = [qd0[j] + dt * k3v[j] for j in range(n)]
-        k4v = _accel(model, [q0[j] + dt * k3x[j] for j in range(n)], k4x, tau, fe)
+        k4v = _accel(model, [q0[j] + dt * k3x[j] for j in range(n)], k4x, tau)
     except np.linalg.LinAlgError as exc:
         raise IntegrationDivergedError(str(exc), state) from exc
     sixth = dt / 6.0
@@ -577,5 +563,5 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
         q_new[j] = qj
         qd_new[j] = vj
 
-    info = StepInfo(np.array(forces), np.array(tau), stops)
+    info = StepInfo(np.array(forces), stops)
     return ArmState(q_new, qd_new, new_muscles), info

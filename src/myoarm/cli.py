@@ -136,8 +136,8 @@ def _write_estimator_csv(path: Path, controller: DdilcController,
     """Long-format dump of the estimator state after one iteration."""
     rows = [(name, r, c, value)
             for name, matrix in (("phi_hat", controller.est.phi_hat),
-                                 ("xi_hat", controller.mem.xi_hat),
-                                 ("u_ff", controller.mem.u_ff))
+                                 ("xi_hat", controller.xi_hat),
+                                 ("u_ff", controller.u_ff))
             for r, row in enumerate(np.atleast_2d(matrix).tolist())
             for c, value in enumerate(row)]
     _write_csv(path, f"myoarm-estimator-v1: state after iteration "

@@ -7,13 +7,13 @@ mechanisms cooperate:
 * a compact-form dynamic linearization: output increments are modeled as
   dy(t+1) = Phi(t) du_b(t), with the partitioned Jacobian matrix (PJM)
   Phi estimated online by a normalized projection step with a box/sign
-  reset (``estimate_pjm``);
+  reset (``_project_pjm``);
 * a time-axis feedback gain matrix updated by gradient descent on a
-  tracking-plus-input-energy cost (``update_feedback_gain``), producing the
-  feedback component u_b = Xi . stacked error increments;
+  tracking-plus-input-energy cost (``_descend_gain``), producing the
+  feedback component u_b = Xi . stacked error increments (``_feedback``);
 * an iteration-axis feedforward table u_f(t), updated between repetitions of
   the same finite-horizon task from the previous run's error
-  (``feedforward_update``).
+  (``DdilcController.begin_iteration``).
 
 Internally the controller rescales outputs by ``gamma * pinv(S)`` where S is
 a measured command-to-output sensitivity matrix (one step-perturbation probe
@@ -31,10 +31,10 @@ off-diagonal update is reset to 0: the estimate stays diagonal and
 ``offdiag_cap`` never binds in the controller.
 
 The per-tick law runs on the controller state held as Python lists of
-floats (row-major matrices), through the list kernels below; the numpy
-functions of the public API wrap the same kernels. For vectors of a few
-elements this is several times cheaper than numpy calls, and the result does
-not depend on the BLAS build.
+floats (row-major matrices), through the list kernels below, the one
+implementation of each equation; ``estimate_pjm`` wraps the PJM kernel for
+numpy callers. For vectors of a few elements this is several times cheaper
+than numpy calls, and the result does not depend on the BLAS build.
 
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
@@ -45,7 +45,7 @@ antagonists, both floored at the muscle's minimum activation
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -54,13 +54,7 @@ __all__ = [
     "DdilcParams",
     "DdilcCounts",
     "PjmEstimate",
-    "IlcMemory",
     "estimate_pjm",
-    "update_feedback_gain",
-    "predict_error",
-    "feedback_control",
-    "feedforward_update",
-    "compose_control",
     "pair_drive_to_excitations",
     "DdilcController",
 ]
@@ -149,16 +143,6 @@ class PjmEstimate:
     phi_init: np.ndarray
 
 
-@dataclass
-class IlcMemory:
-    """State the controller carries across ticks and iterations."""
-
-    u_ff: np.ndarray            # (horizon, m) feedforward table
-    e_prev: np.ndarray          # (horizon + 1, y_dim) last iteration's error
-    xi_hat: np.ndarray          # (m, m * error_window) feedback gains
-    delta_e_window: np.ndarray  # (error_window, m) newest-first increments
-
-
 # ---------------------------------------------------------------------------
 # list kernels: one implementation of each per-tick equation
 # ---------------------------------------------------------------------------
@@ -195,7 +179,8 @@ def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
                   cap: float) -> int:
     """Gradient step on the rows ``xi`` in place, then saturation at +/-cap.
 
-    The decay term xi (c s_t s_t^T) is applied as (xi s_t)(c s_t^T), which
+    xi <- xi - xi * eta * lambda * (dE_t dE_t^T) + eta * phi^T e_t dE_{t+1}^T,
+    with the output sensitivity replaced by the PJM estimate. The decay term xi (c s_t s_t^T) is applied as (xi s_t)(c s_t^T), which
     costs one pass per row. Returns the number of entries clipped.
     """
     eta = params.gain_step
@@ -217,14 +202,17 @@ def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
 
 
 def _predict(y_d_next, y_t, phi: list, du) -> list[float]:
+    """One-step-ahead error prediction from the linearized data model."""
     return [a - b - sum(map(mul, row, du)) for a, b, row in zip(y_d_next, y_t, phi)]
 
 
 def _feedback(xi: list, stack) -> list[float]:
+    """Feedback component: gains applied to the stacked error increments."""
     return [sum(map(mul, row, stack)) for row in xi]
 
 
 def _compose(base, u_b, u_f, lo: float, hi: float) -> list[float]:
+    """Rest drive plus feedback plus feedforward, saturated elementwise."""
     out = []
     for b, ub, uf in zip(base, u_b, u_f):
         v = b + ub + uf
@@ -236,10 +224,6 @@ def _floats(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-# ---------------------------------------------------------------------------
-# the numpy API over the kernels
-# ---------------------------------------------------------------------------
-
 def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
                  params: DdilcParams) -> PjmEstimate:
     """Normalized projection update of the PJM followed by the reset pass.
@@ -247,74 +231,12 @@ def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
     phi += step * (dy - phi du_b) du_b^T / (weight + ||du_b||^2); elements
     leaving their box or flipping sign (sign(0) = 0 counts as a sign) are
     restored to the trial-start value. From the controller's diagonal start
-    every nonzero off-diagonal update is therefore restored to 0.
+    every nonzero off-diagonal update is therefore restored to 0. A numpy
+    wrapper of the controller's kernel, for estimating a PJM outside a trial.
     """
     phi = _floats(est.phi_hat)
     _project_pjm(phi, _floats(est.phi_init), _floats(dy), _floats(du_b), params)
     return PjmEstimate(np.array(phi), est.phi_init)
-
-
-def update_feedback_gain(mem: IlcMemory, est: PjmEstimate, e_t: np.ndarray,
-                         delta_e_t: np.ndarray, delta_e_t1: np.ndarray,
-                         params: DdilcParams) -> IlcMemory:
-    """Gradient step on the feedback gains, then elementwise saturation.
-
-    xi <- xi - xi * eta * lambda * (dE_t dE_t^T) + eta * phi^T e_t dE_{t+1}^T,
-    with the output sensitivity replaced by the PJM estimate.
-    """
-    xi = _floats(mem.xi_hat)
-    m = len(xi)
-    _descend_gain(xi, _floats(est.phi_hat), _floats(e_t), _floats(delta_e_t),
-                  _floats(delta_e_t1), params,
-                  params.xi_cap(m, mem.xi_hat.shape[1] // m))
-    return replace(mem, xi_hat=np.array(xi))
-
-
-def predict_error(y_d_next: np.ndarray, y_t: np.ndarray, phi_hat: np.ndarray,
-                  du_b: np.ndarray) -> np.ndarray:
-    """One-step-ahead error prediction from the linearized data model."""
-    return np.array(_predict(_floats(y_d_next), _floats(y_t), _floats(phi_hat),
-                             _floats(du_b)))
-
-
-def feedback_control(mem: IlcMemory, delta_e_stack: np.ndarray) -> np.ndarray:
-    """Feedback component: gains applied to the stacked error increments."""
-    return np.array(_feedback(_floats(mem.xi_hat), _floats(delta_e_stack)))
-
-
-def feedforward_update(mem: IlcMemory, e_prev_series: np.ndarray,
-                       beta: np.ndarray,
-                       beta_deriv: np.ndarray | None = None) -> IlcMemory:
-    """Iteration-axis learning: u_f(t) += beta e(t+1) from the last run.
-
-    ``beta_deriv``, when given, additionally feeds the error increment:
-    u_f(t) += beta_deriv (e(t+1) - e(t)). Scaled to the plant's identified
-    response lag it cancels the phase the plant dynamics add over the
-    trajectory band, which plain proportional learning cannot tolerate beyond
-    90 degrees.
-    """
-    e_prev_series = np.asarray(e_prev_series, dtype=float)
-    horizon = mem.u_ff.shape[0]
-    if e_prev_series.shape[0] != horizon + 1:
-        raise ValueError("error series must cover horizon + 1 samples")
-    u_ff = mem.u_ff + e_prev_series[1:] @ np.asarray(beta, dtype=float).T
-    if beta_deriv is not None:
-        de = e_prev_series[1:] - e_prev_series[:-1]
-        u_ff = u_ff + de @ np.asarray(beta_deriv, dtype=float).T
-    return replace(mem, u_ff=u_ff)
-
-
-def compose_control(u_b: np.ndarray, u_f: np.ndarray, params: DdilcParams,
-                    rest: np.ndarray | None = None) -> np.ndarray:
-    """Rest command plus feedback plus feedforward, saturated elementwise.
-
-    ``rest`` overrides the scalar rest command with a per-channel bias, e.g.
-    the measured drives that hold the start posture, so the first iteration
-    continues the pre-trial equilibrium instead of stepping away from it.
-    """
-    u_b, u_f = _floats(u_b), _floats(u_f)
-    base = [params.rest_command] * len(u_b) if rest is None else _floats(rest)
-    return np.array(_compose(base, u_b, u_f, params.u_min, params.u_max))
 
 
 def pair_drive_to_excitations(model, drive) -> np.ndarray:
@@ -339,11 +261,13 @@ class DdilcController:
     so its internal estimation problem is well-scaled regardless of plant
     units.
 
-    The per-tick state lives in Python lists; ``est`` and ``mem`` read it out
-    as arrays at any time, mid-trial included. ``mem.u_ff`` is the
-    feedforward table itself: changes to it take effect at the next
-    ``begin_iteration``. ``counts`` holds the current iteration's
-    ``DdilcCounts``.
+    The per-tick state lives in Python lists; ``est`` and ``xi_hat`` read it
+    out as arrays at any time, mid-trial included. ``u_ff`` is the (horizon,
+    m) feedforward table itself: changes to it take effect at the next
+    ``begin_iteration``. ``rest_drive`` is the per-channel bias the drive is
+    composed on, e.g. the measured drives that hold the start posture, so the
+    first iteration continues the pre-trial equilibrium. ``counts`` holds the
+    current iteration's ``DdilcCounts``.
     """
 
     def __init__(self, sensitivity: np.ndarray, params: DdilcParams,
@@ -363,8 +287,8 @@ class DdilcController:
             self.rest_drive = np.asarray(rest_drive, dtype=float).copy()
             if self.rest_drive.shape != (self.m,):
                 raise ValueError("rest_drive must have one entry per channel")
-            if np.any(self.rest_drive < params.u_min) or \
-                    np.any(self.rest_drive > params.u_max):
+            if not all(params.u_min <= v <= params.u_max
+                       for v in self.rest_drive.tolist()):
                 raise ValueError("rest_drive must lie within [u_min, u_max]")
         self.gamma = params.diag_floor * math.sqrt(params.diag_span)
         s_pinv = np.linalg.pinv(sensitivity, rcond=1e-8)
@@ -379,7 +303,7 @@ class DdilcController:
         self._xi_cap = params.xi_cap(self.m, n_e)
         self._xi = rng.uniform(-0.5 * self._xi_cap, 0.5 * self._xi_cap,
                                size=(self.m, self.m * n_e)).tolist()
-        self._u_ff = np.zeros((horizon, self.m))
+        self.u_ff = np.zeros((horizon, self.m))
         # rows are replaced, never mutated, so they may start shared
         self._errors = [[0.0] * self.y_dim] * (horizon + 1)
         self._transform_rows = self.transform.tolist()
@@ -396,11 +320,9 @@ class DdilcController:
         return PjmEstimate(np.array(self._phi), self._phi_init)
 
     @property
-    def mem(self) -> IlcMemory:
-        """The live gains, error series and window, as arrays."""
-        return IlcMemory(u_ff=self._u_ff, e_prev=np.array(self._errors),
-                         xi_hat=np.array(self._xi),
-                         delta_e_window=np.array(self._window))
+    def xi_hat(self) -> np.ndarray:
+        """The live feedback gains, (m, m * error_window)."""
+        return np.array(self._xi)
 
     # -- iteration lifecycle -------------------------------------------------
 
@@ -415,22 +337,29 @@ class DdilcController:
         self._stack_prev = zeros * self.params.error_window
 
     def begin_iteration(self, y_d0: np.ndarray) -> None:
-        """Start a repetition: learn feedforward from the last run, reset PJM."""
+        """Start a repetition: learn feedforward from the last run, reset PJM.
+
+        Iteration-axis learning from the last run's error series e:
+        u_f(t) += beta e(t+1) + beta_deriv (e(t+1) - e(t)). The increment
+        term, scaled to the plant's identified response lag, cancels the
+        phase the plant dynamics add over the trajectory band, which plain
+        proportional learning cannot tolerate beyond 90 degrees.
+        """
         self.counts = DdilcCounts()
         if self._errors_recorded:
-            mem = self.mem
-            u_ff = feedforward_update(mem, mem.e_prev, self.beta,
-                                      self.beta_deriv).u_ff
+            errors = np.array(self._errors)
+            u_ff = self.u_ff + errors[1:] @ self.beta.T
+            u_ff = u_ff + (errors[1:] - errors[:-1]) @ self.beta_deriv.T
             # Anti-windup: errors inside the plant's response lag of the trial
             # start cannot be driven to zero by any table entry, so without a
             # bound they would integrate forever past the saturation limits.
             lo = self.params.u_min - self.rest_drive
             hi = self.params.u_max - self.rest_drive
             self.counts.ff_clips = int(np.count_nonzero((u_ff < lo) | (u_ff > hi)))
-            self._u_ff = np.clip(u_ff, lo, hi, out=u_ff)
+            self.u_ff = np.clip(u_ff, lo, hi, out=u_ff)
         self.iteration += 1
         self._start_trial()
-        self._ff_rows = self._u_ff.tolist()
+        self._ff_rows = self.u_ff.tolist()
         self._y_d_t = _floats(y_d0)
         self._errors_recorded = False
 
@@ -486,5 +415,5 @@ class DdilcController:
         """Divergence response: halve the learning gains and restart the table."""
         self.beta = 0.5 * self.beta
         self.beta_deriv = 0.5 * self.beta_deriv
-        self._u_ff[:] = 0.0
+        self.u_ff[:] = 0.0
         self.ff_shrink_count += 1

@@ -9,7 +9,8 @@ protocol:
 * ``step(tc, y, y_d_next) -> drive`` — called at every control tick with the
   measured tip position and the next desired point (each a sequence of
   Python floats), returning per-joint pair drives, clipped to [0, 1] (a
-  non-finite drive raises ``ValueError`` naming the tick and channel);
+  drive that is not one finite value per joint raises ``ValueError`` naming
+  the tick);
   controllers with ``wants_state = True`` additionally receive the full
   ``ArmState`` as a keyword argument;
 * ``finish_iteration(y_final)`` — called once after the last tick.
@@ -56,7 +57,6 @@ __all__ = [
     "SweepPoint",
     "SweepResult",
     "PidGains",
-    "RestController",
     "ReplayController",
     "PidController",
     "generate_trajectory",
@@ -210,23 +210,6 @@ def joint_path(model: ArmModel, points: np.ndarray, q0: np.ndarray | None = None
 # plug-in controllers
 # ---------------------------------------------------------------------------
 
-class RestController:
-    """Emits the rest drive at every tick (open-loop null trial)."""
-
-    def __init__(self, n_channels: int, rest: float = 0.5):
-        self.n_channels = n_channels
-        self.rest = rest
-
-    def begin_iteration(self, y_d0) -> None:
-        pass
-
-    def step(self, tc: int, y, y_d_next) -> np.ndarray:
-        return np.full(self.n_channels, self.rest)
-
-    def finish_iteration(self, y_final) -> None:
-        pass
-
-
 class ReplayController:
     """Plays back a stored control-tick drive table open-loop."""
 
@@ -351,13 +334,18 @@ def _noise_table(model: ArmModel, disturbance: DisturbanceSpec | None,
     return phases, omega, np.empty(model.n_muscles)
 
 
-def _checked_drive(tc: int, drive) -> list[float]:
+def _checked_drive(tc: int, drive, n_joints: int) -> list[float]:
     """The controller's drive for control tick ``tc``, clipped to [0, 1].
 
-    A non-finite entry raises ``ValueError`` naming the tick and channel.
+    A drive that is not one value per joint raises ``ValueError`` naming the
+    tick; a non-finite entry, naming the tick and channel.
     """
+    drive = np.asarray(drive, dtype=float)
+    if drive.shape != (n_joints,):
+        raise ValueError(f"control tick {tc}: drive of shape {drive.shape} "
+                         f"is not one value per joint ({n_joints})")
     out = []
-    for j, v in enumerate(np.asarray(drive, dtype=float).tolist()):
+    for j, v in enumerate(drive.tolist()):
         if not 0.0 <= v <= 1.0:
             if not math.isfinite(v):
                 raise ValueError(f"control tick {tc}: drive {j} is {v}")
@@ -373,9 +361,9 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     """Execute one finite-horizon tracking trial and log every tick.
 
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
-    ``diverged_reason`` with truncated arrays), not raised; a non-finite
-    drive raises ``ValueError`` before its tick's physics. Deterministic
-    given identical inputs.
+    ``diverged_reason`` with truncated arrays), not raised; a drive that is
+    not one finite value per joint raises ``ValueError`` before its tick's
+    physics. Deterministic given identical inputs.
     """
     points = np.asarray(points, dtype=float)
     n_ticks = points.shape[0] - 1
@@ -410,7 +398,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
             raw = controller.step(tc, y, y_d_next, state=state)
         else:
             raw = controller.step(tc, y, y_d_next)
-        drive = _checked_drive(tc, raw)
+        drive = _checked_drive(tc, raw, eff.n_joints)
         drives.append(drive)
         exc0 = pair_drive_to_excitations(eff, drive)
         for i in range(decimation):
@@ -570,7 +558,7 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
         raise ValueError("probe delta must lie in (0, 0.5]")
     rest_vec = np.broadcast_to(np.asarray(rest, dtype=float),
                                (model.n_joints,)).copy()
-    if np.any(rest_vec < 0.0) or np.any(rest_vec > 1.0):
+    if not all(0.0 <= v <= 1.0 for v in rest_vec.tolist()):
         raise ValueError("probe rest drives must lie in [0, 1]")
     n_hold = round(hold_time / dt)
     n_avg = max(1, n_hold // 5)
@@ -733,7 +721,7 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
             growth_streak = 0
         final_log = log
 
-    ff = np.clip(u_hold + controller.mem.u_ff,
+    ff = np.clip(u_hold + controller.u_ff,
                  cfg.controller.u_min, cfg.controller.u_max)
     return IlcResult(summary=summary, feedforward_drives=ff,
                      sensitivity=probe.sensitivity, start_state=start,
@@ -778,9 +766,16 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
     replaces its load fraction. With repetitions > 1 the per-repetition seeds
     vary only the stochastic activation noise. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every replay,
-    e.g. for CSV dumps.
+    e.g. for CSV dumps. A table that is not one row of drives per control
+    tick raises ``ValueError`` before any park.
     """
     points = np.asarray(points, dtype=float)
+    drive_table = np.asarray(drive_table, dtype=float)
+    n_control = (points.shape[0] - 1) // decimation
+    if drive_table.shape != (n_control, model.n_joints):
+        raise ValueError(f"drive table of shape {drive_table.shape} is not one "
+                         f"row of {model.n_joints} drives per control tick "
+                         f"({n_control})")
     start_q = joint_path(model, points[:1])[0] if q0 is None else q0
     spec = DisturbanceSpec() if disturbance is None else disturbance
     out = []

@@ -23,13 +23,11 @@ __all__ = [
     "MuscleState",
     "MuscleDiagnostics",
     "activation_time_constant",
-    "activation_rate",
     "active_force_length",
     "passive_force_length",
     "force_velocity",
     "inverse_force_velocity",
     "tendon_force",
-    "fiber_velocity_from_equilibrium",
     "step_muscle",
     "FV_SUP",
     "FV_AT_MINUS_ONE",
@@ -182,11 +180,6 @@ def activation_time_constant(u: float, a: float, params: MuscleParams) -> float:
     return params.t_deact / (0.5 + 1.5 * a)
 
 
-def activation_rate(u: float, a: float, params: MuscleParams) -> float:
-    """da/dt of the first-order activation dynamics."""
-    return (u - a) / activation_time_constant(u, a, params)
-
-
 def tendon_force(strain: float, params: MuscleParams,
                  diag: MuscleDiagnostics | None = None) -> float:
     """Normalized tendon force: exponential toe then linear, C1 at the break.
@@ -210,10 +203,9 @@ _FV_ARG_LO = FV_AT_MINUS_ONE + 1e-6
 _FV_ARG_HI = FV_SUP - 1e-6
 
 
-def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
-                                    params: MuscleParams,
-                                    diag: MuscleDiagnostics | None = None) -> float:
-    """Fiber velocity that balances tendon force against fiber force.
+def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float, params: MuscleParams,
+                 diag: MuscleDiagnostics | None) -> tuple[float, float]:
+    """(fiber velocity, normalized tendon force) that balance tendon and fiber.
 
     The tendon force implied by the current geometry is attributed to the
     fiber, and the force-velocity curve is inverted:
@@ -221,12 +213,6 @@ def fiber_velocity_from_equilibrium(state: MuscleState, a: float, l_mtu: float,
     ``a_min`` and the fv argument clamped to 1e-6 inside [fv(-1), 1.6];
     both events are counted in ``diag`` when given.
     """
-    return _equilibrium(state.l_fiber_norm, a, l_mtu, params, diag)[0]
-
-
-def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float, params: MuscleParams,
-                 diag: MuscleDiagnostics | None) -> tuple[float, float]:
-    """(fiber velocity, normalized tendon force) of the equilibrium solve."""
     if l_mtu <= 0.0:
         raise ValueError(f"l_mtu must be positive, got {l_mtu}")
     cos_a = params.pennation_factor

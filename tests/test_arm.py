@@ -16,6 +16,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from myoarm import arm as arm_module
 from myoarm import muscle
 from myoarm.arm import (
     ArmModel,
@@ -23,13 +24,12 @@ from myoarm.arm import (
     IntegrationDivergedError,
     LinkParams,
     MuscleRoute,
+    _chain as _joint_chain,
     _pinv_solve,
     bias_forces,
     forward_dynamics,
     forward_kinematics,
     integrate_step,
-    joint_positions,
-    joint_torques,
     mass_matrix,
     moment_arm_matrix,
     muscle_lengths,
@@ -94,10 +94,13 @@ def test_fk_bent_elbow():
 
 def test_joint_positions_chain():
     arm = _chain(2, lengths=[0.38, 0.34])
-    pts = joint_positions(arm, np.array([math.pi / 2, math.pi / 2]))
-    assert pts[0] == pytest.approx([0.0, 0.0])
-    assert pts[1] == pytest.approx([0.0, 0.38], abs=1e-12)
-    assert pts[2] == pytest.approx([-0.34, 0.38], abs=1e-12)
+    q = np.array([math.pi / 2, math.pi / 2])
+    pts = _joint_chain(arm, q)
+    assert pts[0] == pytest.approx((0.0, 0.0))
+    assert pts[1] == pytest.approx((0.0, 0.38), abs=1e-12)
+    assert pts[2] == pytest.approx((-0.34, 0.38), abs=1e-12)
+    assert forward_kinematics(arm, q).tolist() == list(pts[2])
+    assert forward_kinematics(arm, q[:1]).tolist() == list(pts[1])
 
 
 def test_jacobian_straight_arm():
@@ -181,7 +184,7 @@ def test_moment_arms_constant_in_posture():
 
 def test_antagonist_pair_equal_forces_cancel():
     arm = planar2x4()
-    tau = joint_torques(arm, np.array(arm.q_ref), np.array([80.0, 80.0, 0.0, 0.0]))
+    tau = moment_arm_matrix(arm, np.array(arm.q_ref)).T @ np.array([80.0, 80.0, 0.0, 0.0])
     assert abs(tau[0]) < 1e-12
     assert abs(tau[1]) < 1e-12
 
@@ -191,10 +194,10 @@ def test_single_muscle_torque_sign():
     # joint positive; its tension times moment arm gives the magnitude.
     arm = planar2x4()
     r = arm.routing[0].moment_arm
-    tau = joint_torques(arm, np.array(arm.q_ref), np.array([100.0, 0.0, 0.0, 0.0]))
+    tau = moment_arm_matrix(arm, np.array(arm.q_ref)).T @ np.array([100.0, 0.0, 0.0, 0.0])
     assert tau[0] == pytest.approx(+100.0 * r, abs=1e-12)
     # The opposing muscle (lengthens as the angle grows) pulls negative.
-    tau = joint_torques(arm, np.array(arm.q_ref), np.array([0.0, 100.0, 0.0, 0.0]))
+    tau = moment_arm_matrix(arm, np.array(arm.q_ref)).T @ np.array([0.0, 100.0, 0.0, 0.0])
     assert tau[0] == pytest.approx(-100.0 * r, abs=1e-12)
 
 
@@ -206,27 +209,15 @@ def test_torque_work_matches_length_rate():
     for _ in range(20):
         f = rng.uniform(0.0, 200.0, size=4)
         qd = rng.uniform(-2.0, 2.0, size=2)
-        tau = joint_torques(arm, q, f)
+        tau = moment_arm_matrix(arm, q).T @ f
         ldot = -moment_arm_matrix(arm, q) @ qd
         assert tau @ qd == pytest.approx(-(f @ ldot), rel=1e-12)
 
 
 def test_zero_forces_zero_torque():
     arm = planar2x4()
-    tau = joint_torques(arm, np.array(arm.q_ref), np.zeros(4))
+    tau = moment_arm_matrix(arm, np.array(arm.q_ref)).T @ np.zeros(4)
     assert np.all(tau == 0.0)
-
-
-def test_negative_force_rejected():
-    arm = planar2x4()
-    with pytest.raises(ValueError):
-        joint_torques(arm, np.array(arm.q_ref), np.array([10.0, -1.0, 0.0, 0.0]))
-
-
-def test_wrong_force_count_rejected():
-    arm = planar2x4()
-    with pytest.raises(ValueError):
-        joint_torques(arm, np.array(arm.q_ref), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +391,7 @@ def test_gravity_torques_are_potential_gradient():
 @st.composite
 def _random_chains(draw, n_min=1):
     """Random well-posed chain of up to 7 joints with payload, gravity and
-    friction, plus q, qdot, tau and a tip force."""
+    friction, plus q, qdot and tau."""
     n = draw(st.integers(n_min, 7))
     links = []
     for _ in range(n):
@@ -416,14 +407,13 @@ def _random_chains(draw, n_min=1):
                    viscous_friction=draw(st.floats(0.0, 2.0)),
                    tip_mass=draw(st.floats(0.0, 1.0)))
     vec = st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n).map(np.array)
-    f_ext = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2)))
-    return arm, draw(vec), draw(vec), draw(vec), f_ext
+    return arm, draw(vec), draw(vec), draw(vec)
 
 
 @given(_random_chains())
 @settings(max_examples=100, deadline=None)
 def test_kinetic_energy_matches_mass_matrix_random_chains(case):
-    arm, q, qd, _, _ = case
+    arm, q, qd, _ = case
     potential = total_energy(arm, q, np.zeros(arm.n_joints))
     ke = total_energy(arm, q, qd) - potential
     # the subtraction leaves float noise on the scale of the potential energy
@@ -435,15 +425,14 @@ def test_kinetic_energy_matches_mass_matrix_random_chains(case):
 @settings(max_examples=100, deadline=None)
 def test_power_balance_random_chains(case):
     # dE/dt along (qdot, qddot) equals the power of the non-conservative
-    # forces: muscle torques, joint friction and the tip force.
-    arm, q, qd, tau, f_ext = case
-    qdd = forward_dynamics(arm, q, qd, tau, f_ext=f_ext)
+    # forces: muscle torques and joint friction.
+    arm, q, qd, tau = case
+    qdd = forward_dynamics(arm, q, qd, tau)
     h = 1e-6 / max(1.0, float(np.max(np.abs(qd))), math.sqrt(float(np.max(np.abs(qdd)))))
     de_dt = (total_energy(arm, q + h * qd, qd + h * qdd)
              - total_energy(arm, q - h * qd, qd - h * qdd)) / (2.0 * h)
-    tip_torque = task_jacobian(arm, q).T @ f_ext
-    power = qd @ (tau - arm.viscous_friction * qd + tip_torque)
-    scale = abs(qd) @ (abs(tau) + arm.viscous_friction * abs(qd) + abs(tip_torque))
+    power = qd @ (tau - arm.viscous_friction * qd)
+    scale = abs(qd) @ (abs(tau) + arm.viscous_friction * abs(qd))
     noise = 1e-15 * (1.0 + abs(total_energy(arm, q, qd))) / h
     assert de_dt == pytest.approx(power, abs=1e-6 * scale + 100.0 * noise)
 
@@ -454,12 +443,11 @@ def test_forward_dynamics_matches_composite_solve_random_chains(case):
     # The articulated-body pass against a dense solve with the composite-
     # inertia H and bias, which share no code with it. The power balance
     # above misses any error orthogonal to qdot; this does not.
-    arm, q, qd, tau, f_ext = case
+    arm, q, qd, tau = case
     H = mass_matrix(arm, q)
-    terms = [tau, -bias_forces(arm, q, qd), -arm.viscous_friction * qd,
-             task_jacobian(arm, q).T @ f_ext]
+    terms = [tau, -bias_forces(arm, q, qd), -arm.viscous_friction * qd]
     want = np.linalg.solve(H, sum(terms))
-    have = forward_dynamics(arm, q, qd, tau, f_ext=f_ext)
+    have = forward_dynamics(arm, q, qd, tau)
     # solving loses eps * cond(H) relative to the result; summing the terms
     # loses eps relative to their magnitudes, which H^-1 carries into qddot
     scale = np.max(np.abs(want)) + np.max(np.abs(np.linalg.inv(H)) @ sum(map(np.abs, terms)))
@@ -470,7 +458,7 @@ def test_forward_dynamics_matches_composite_solve_random_chains(case):
 @given(_random_chains(n_min=7))
 @settings(max_examples=50, deadline=None)
 def test_mass_matrix_spd_seven_joints(case):
-    arm, q, _, _, _ = case
+    arm, q, _, _ = case
     H = mass_matrix(arm, q)
     assert np.max(np.abs(H - H.T)) <= 1e-14 * np.max(np.abs(H))
     assert np.min(np.linalg.eigvalsh(H)) > 0.0
@@ -486,16 +474,6 @@ def test_viscous_friction_decelerates():
     arm = _chain(1, lengths=[0.3], friction=0.2)
     qdd = forward_dynamics(arm, np.array([0.0]), np.array([2.0]), np.zeros(1))
     assert qdd[0] < 0.0
-
-
-def test_external_tip_force_enters_through_jacobian():
-    arm = _chain(2, lengths=[0.38, 0.34])
-    q = np.array([0.4, 0.8])
-    f = np.array([1.5, -2.0])
-    qdd_direct = forward_dynamics(arm, q, np.zeros(2), np.zeros(2), f_ext=f)
-    tau_equiv = task_jacobian(arm, q).T @ f
-    qdd_tau = forward_dynamics(arm, q, np.zeros(2), tau_equiv)
-    assert qdd_direct == pytest.approx(qdd_tau, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -604,7 +582,8 @@ def test_symmetric_coactivation_steady_joint_rising_tension():
         state, info = integrate_step(arm, state, u, 1e-3)
         if i == 10:
             f_early = info.tendon_forces.copy()
-        assert np.max(np.abs(info.joint_torques)) < 1e-9
+        tau = moment_arm_matrix(arm, state.q).T @ info.tendon_forces
+        assert np.max(np.abs(tau)) < 1e-9
     assert state.q == pytest.approx(np.array(arm.q_ref), abs=1e-9)
     assert np.all(info.tendon_forces > f_early)
     assert np.all(info.tendon_forces > 1.0)
@@ -657,7 +636,7 @@ def test_hard_stop_clamps_and_zeros_velocity():
 def test_tendon_forces_match_step_muscle_at_muscle_lengths(case, data):
     # the per-tick route table against the batched lengths, bit for bit, also
     # after replace() rebuilds the tables for another q_ref and payload
-    arm, q, qd, _, _ = case
+    arm, q, qd, _ = case
     angles = st.lists(st.floats(-3.0, 3.0), min_size=arm.n_joints, max_size=arm.n_joints)
     arm = replace(arm, q_ref=tuple(data.draw(angles)), tip_mass=data.draw(st.floats(0.0, 1.0)))
     exc = data.draw(st.lists(st.floats(0.0, 1.0), min_size=arm.n_muscles,
@@ -701,6 +680,28 @@ def test_non_finite_fiber_raises_naming_muscle(monkeypatch):
     with pytest.raises(IntegrationDivergedError, match=r"l_fiber_norm of muscle 0\b") as exc_info:
         integrate_step(arm, state, np.full(4, 0.3), 1e-3)
     assert exc_info.value.last_state is state
+
+
+@pytest.mark.parametrize("l_fiber", [0.1, 0.05, -2.0])
+def test_fiber_at_rest_state_floor_raises_naming_muscle(monkeypatch, l_fiber):
+    # rest_state refuses a fiber at or below 0.1 optimal lengths; a finite one
+    # reached by integration used to pass
+    arm = planar2x4()
+    state = rest_state(arm)
+    monkeypatch.setattr(arm_module, "step_muscle",
+                        lambda *args: (MuscleState(0.3, l_fiber), 10.0))
+    with pytest.raises(IntegrationDivergedError,
+                       match=rf"^l_fiber_norm of muscle 0 is {l_fiber}, at or below 0.1$"):
+        integrate_step(arm, state, np.full(4, 0.3), 1e-3)
+
+
+def test_fiber_just_above_floor_integrates(monkeypatch):
+    arm = planar2x4()
+    l_fiber = math.nextafter(0.1, 1.0)
+    monkeypatch.setattr(arm_module, "step_muscle",
+                        lambda *args: (MuscleState(0.3, l_fiber), 10.0))
+    state, _ = integrate_step(arm, rest_state(arm), np.full(4, 0.3), 1e-3)
+    assert [m.l_fiber_norm for m in state.muscle_states] == [l_fiber] * 4
 
 
 def test_tendon_forces_never_negative_under_random_drive():

@@ -14,15 +14,14 @@ from myoarm.control import (
     DdilcController,
     DdilcCounts,
     DdilcParams,
-    IlcMemory,
     PjmEstimate,
-    compose_control,
+    _compose,
+    _descend_gain,
+    _feedback,
+    _predict,
+    _project_pjm,
     estimate_pjm,
-    feedback_control,
-    feedforward_update,
     pair_drive_to_excitations,
-    predict_error,
-    update_feedback_gain,
 )
 from myoarm.harness import IlcConfig, TrajectorySpec, run_ilc
 from myoarm.presets import planar2x4, spatial_ltdm
@@ -38,9 +37,12 @@ def scalar_estimate(phi=1.0, init=1.0):
     return PjmEstimate(np.array([[float(phi)]]), np.array([[float(init)]]))
 
 
-def scalar_memory(xi=0.0, horizon=4):
-    return IlcMemory(u_ff=np.zeros((horizon, 1)), e_prev=np.zeros((horizon + 1, 1)),
-                     xi_hat=np.array([[float(xi)]]), delta_e_window=np.zeros((1, 1)))
+def descend_scalar_gain(xi, phi, e_t, s_t, s_next, params):
+    """The gain kernel on 1 x 1 lists; returns (new gain, entries clipped)."""
+    rows = [[float(xi)]]
+    clipped = _descend_gain(rows, [[float(phi)]], [e_t], [s_t], [s_next], params,
+                            params.xi_cap(1, 1))
+    return rows[0][0], clipped
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +74,18 @@ def test_estimate_pjm_reset_restores_out_of_box_diagonal():
     est = estimate_pjm(scalar_estimate(phi=1.05, init=1.5), np.array([-10.0]),
                        np.array([1.0]), scalar_params())
     assert est.phi_hat[0, 0] == 1.5
+
+
+def test_project_pjm_counts_resets_by_kind():
+    # innovations -11 and 0.3 over a denominator of 3: (0, 0) leaves its box
+    # and (0, 1) its cap; (1, 0) moves off its zero start, which the sign
+    # rule restores; (1, 1) moves to 1.4 and stays
+    params = DdilcParams(diag_floor=1.0, diag_span=2.0, offdiag_cap=0.1)
+    phi0 = [[1.05, 0.05], [0.0, 1.5]]
+    phi = [row[:] for row in phi0]
+    assert _project_pjm(phi, phi0, [-10.0, -1.2], [1.0, -1.0], params) == (1, 2)
+    assert phi[0] == phi0[0] and phi[1][0] == 0.0
+    assert phi[1][1] == pytest.approx(1.4, abs=1e-15)
 
 
 def test_estimate_pjm_reset_preserves_signs_and_boxes():
@@ -121,35 +135,27 @@ def test_update_feedback_gain_scalar_hand_value():
     # saturation cap (0.4 here) does not clip the hand value
     params = scalar_params(gain_step=0.5, energy_weight=1.0,
                            diag_floor=1.0, diag_span=1.0)
-    mem = update_feedback_gain(scalar_memory(xi=0.1), scalar_estimate(phi=2.0),
-                               np.array([0.3]), np.array([1.0]), np.array([1.0]),
-                               params)
-    assert mem.xi_hat[0, 0] == pytest.approx(0.35, abs=1e-15)
+    xi, clipped = descend_scalar_gain(0.1, 2.0, 0.3, 1.0, 1.0, params)
+    assert xi == pytest.approx(0.35, abs=1e-15)
+    assert clipped == 0
 
 
 def test_update_feedback_gain_zero_step_unchanged():
     params = scalar_params()
     params.gain_step = 0.0  # limit case; constructor enforces > 0 for configs
-    mem = update_feedback_gain(scalar_memory(xi=0.2), scalar_estimate(phi=2.0),
-                               np.array([0.5]), np.array([1.0]), np.array([1.0]),
-                               params)
-    assert mem.xi_hat[0, 0] == 0.2
+    assert descend_scalar_gain(0.2, 2.0, 0.5, 1.0, 1.0, params)[0] == 0.2
 
 
 def test_update_feedback_gain_no_excitation_unchanged():
-    mem = update_feedback_gain(scalar_memory(xi=0.2), scalar_estimate(phi=2.0),
-                               np.array([0.0]), np.array([0.0]), np.array([0.0]),
-                               scalar_params())
-    assert mem.xi_hat[0, 0] == 0.2
+    assert descend_scalar_gain(0.2, 2.0, 0.0, 0.0, 0.0, scalar_params())[0] == 0.2
 
 
 def test_update_feedback_gain_saturates():
     # scalar cap = 0.4/(diag_span*diag_floor*m*sqrt(window)) = 0.2 here
-    params = scalar_params(gain_step=5.0)
-    mem = update_feedback_gain(scalar_memory(xi=0.0), scalar_estimate(phi=2.0),
-                               np.array([10.0]), np.array([0.0]), np.array([1.0]),
-                               params)
-    assert mem.xi_hat[0, 0] == pytest.approx(0.2)
+    xi, clipped = descend_scalar_gain(0.0, 2.0, 10.0, 0.0, 1.0,
+                                      scalar_params(gain_step=5.0))
+    assert xi == pytest.approx(0.2)
+    assert clipped == 1
 
 
 # ---------------------------------------------------------------------------
@@ -157,49 +163,69 @@ def test_update_feedback_gain_saturates():
 # ---------------------------------------------------------------------------
 
 def test_predict_error_scalar_hand_value():
-    e = predict_error(np.array([1.0]), np.array([0.8]), np.array([[2.0]]),
-                      np.array([0.05]))
+    e = _predict([1.0], [0.8], [[2.0]], [0.05])
     assert e[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_predict_error_zero_feedback_increment():
-    e = predict_error(np.array([1.0]), np.array([0.8]), np.array([[2.0]]),
-                      np.array([0.0]))
+    e = _predict([1.0], [0.8], [[2.0]], [0.0])
     assert e[0] == pytest.approx(0.2)
-    e = predict_error(np.array([0.8]), np.array([0.8]), np.array([[2.0]]),
-                      np.array([0.0]))
+    e = _predict([0.8], [0.8], [[2.0]], [0.0])
     assert e[0] == 0.0
 
 
 def test_feedback_control_scalar():
-    mem = scalar_memory(xi=0.35)
-    assert feedback_control(mem, np.array([0.1]))[0] == pytest.approx(0.035)
-    assert feedback_control(scalar_memory(xi=0.0), np.array([0.7]))[0] == 0.0
-    assert feedback_control(mem, np.array([0.0]))[0] == 0.0
+    assert _feedback([[0.35]], [0.1])[0] == pytest.approx(0.035)
+    assert _feedback([[0.0]], [0.7])[0] == 0.0
+    assert _feedback([[0.35]], [0.0])[0] == 0.0
+
+
+def _feedforward_after(ctl, y, y_d):
+    """Run one iteration holding the output at ``y`` under the constant target
+    ``y_d``, then begin the next; returns the table it starts with."""
+    ctl.begin_iteration([y_d])
+    for t in range(ctl.horizon):
+        ctl.step(t, [y], [y_d])
+    ctl.finish_iteration([y])
+    ctl.begin_iteration([y_d])
+    return ctl.u_ff.copy()
 
 
 def test_feedforward_update_scalar():
-    mem = scalar_memory(horizon=4)
-    e_prev = np.full((5, 1), 0.2)
-    mem2 = feedforward_update(mem, e_prev, np.array([[0.5]]))
-    assert mem2.u_ff == pytest.approx(np.full((4, 1), 0.1))
+    # beta = feedforward_scale * pinv(S) = 0.5 and no lag term: every entry
+    # learns 0.5 * 0.2 from an error of 0.2 at each of the 5 samples
+    ctl = DdilcController(np.array([[1.0]]), scalar_params(feedforward_scale=0.5),
+                          horizon=4, rng=np.random.default_rng(0))
+    u_ff = _feedforward_after(ctl, 0.0, 0.2)
+    assert u_ff == pytest.approx(np.full((4, 1), 0.1))
     # converged fixed point: zero previous error leaves the table untouched
-    mem3 = feedforward_update(mem2, np.zeros((5, 1)), np.array([[0.5]]))
-    assert np.array_equal(mem3.u_ff, mem2.u_ff)
+    assert np.array_equal(_feedforward_after(ctl, 0.2, 0.2), u_ff)
 
 
 def test_feedforward_initialized_to_zero():
     rng = np.random.default_rng(0)
     ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8, rng=rng)
-    assert np.all(ctl.mem.u_ff == 0.0)
+    assert np.all(ctl.u_ff == 0.0)
 
 
 def test_compose_control_clamps():
     params = DdilcParams()  # rest_command 0.5
-    assert compose_control(np.array([0.5]), np.array([0.3]), params)[0] == 1.0
-    assert compose_control(np.array([-0.5]), np.array([-0.2]), params)[0] == 0.0
-    out = compose_control(np.array([-0.06]), np.array([0.03]), params)[0]
-    assert out == pytest.approx(0.47, abs=1e-12)
+
+    def compose(u_b, u_f):
+        return _compose([params.rest_command], [u_b], [u_f], params.u_min,
+                        params.u_max)[0]
+
+    assert compose(0.5, 0.3) == 1.0
+    assert compose(-0.5, -0.2) == 0.0
+    assert compose(-0.06, 0.03) == pytest.approx(0.47, abs=1e-12)
+
+
+@pytest.mark.parametrize("rest", [[np.nan, 0.5], [1.2, 0.5], [0.5, -0.1]])
+def test_rest_drive_outside_unit_interval_rejected(rest):
+    # a NaN used to pass and surface as "control tick 0: drive 0 is nan"
+    with pytest.raises(ValueError, match="rest_drive must lie within"):
+        DdilcController(np.eye(2), DdilcParams(), horizon=4,
+                        rng=np.random.default_rng(0), rest_drive=rest)
 
 
 # ---------------------------------------------------------------------------
@@ -339,11 +365,11 @@ def test_closed_loop_determinism():
 def test_shrink_feedforward_halves_gain_and_clears_table():
     ctl = DdilcController(np.eye(2), DdilcParams(), horizon=5,
                           rng=np.random.default_rng(0))
-    ctl.mem.u_ff[:] = 0.3
+    ctl.u_ff[:] = 0.3
     beta0 = ctl.beta.copy()
     ctl.shrink_feedforward()
     assert np.array_equal(ctl.beta, 0.5 * beta0)
-    assert np.all(ctl.mem.u_ff == 0.0)
+    assert np.all(ctl.u_ff == 0.0)
     assert ctl.ff_shrink_count == 1
 
 
@@ -365,8 +391,8 @@ class _NumpyDdilc:
         self.rest = ctl.rest_drive
         self.beta, self.beta_deriv = ctl.beta, ctl.beta_deriv
         self.phi_init = ctl.est.phi_init
-        self.xi = ctl.mem.xi_hat.copy()
-        self.u_ff = ctl.mem.u_ff.copy()
+        self.xi = ctl.xi_hat
+        self.u_ff = ctl.u_ff.copy()
         self.e_prev = np.zeros((ctl.horizon + 1, ctl.y_dim))
         self.recorded = False
         self.start_trial(np.zeros(ctl.y_dim))
@@ -504,7 +530,7 @@ def _load_state(ctl, ref, rng, first):
     for name, private in _STATE.items():
         value = getattr(ref, name)
         setattr(ctl, private, None if value is None else value.tolist())
-    ctl._u_ff = ref.u_ff.copy()
+    ctl.u_ff = ref.u_ff.copy()
     ctl._ff_rows = ref.u_ff.tolist()
 
 
@@ -537,7 +563,7 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
     have = ctl.step(t, y.tolist(), y_d_next.tolist())
     assert asdict(ctl.counts) == asdict(ref.counts)
     assert np.all(np.abs(ctl.est.phi_hat - ref.phi) <= s_phi)
-    assert np.all(np.abs(ctl.mem.xi_hat - ref.xi) <= s_xi)
+    assert np.all(np.abs(ctl.xi_hat - ref.xi) <= s_xi)
     assert np.all(np.abs(have - want) <= s_drive)
 
 
@@ -563,7 +589,7 @@ def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100
             y = y + alpha * (gain * s_gain @ (drive - 0.5) - y)
         ctl.finish_iteration(y.tolist())
         trials.append((ticks, y.tolist(), asdict(ctl.counts), ctl.est.phi_hat,
-                       ctl.mem.xi_hat))
+                       ctl.xi_hat))
     return ref, y_d, trials
 
 
@@ -616,8 +642,8 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
             seen["ref"] = _NumpyDdilc(controller)
             steps.clear()
         else:
-            seen.update(phi=controller.est.phi_hat, xi=controller.mem.xi_hat,
-                        u_ff=controller.mem.u_ff.copy(), points=log.tip_desired)
+            seen.update(phi=controller.est.phi_hat, xi=controller.xi_hat,
+                        u_ff=controller.u_ff.copy(), points=log.tip_desired)
 
     cfg = IlcConfig(model=planar2x4(), trajectory=TrajectorySpec(duration=1.0, cycles=1),
                     iterations=2, dt=1e-3, control_decimation=1, seed=0,

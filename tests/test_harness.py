@@ -5,6 +5,7 @@ stand-in, and the muscle low-pass measurement.
 """
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -25,7 +26,6 @@ from myoarm.harness import (
     IlcConfig,
     PidGains,
     ReplayController,
-    RestController,
     TrajectorySpec,
     TrialLog,
     UnreachableTrajectoryError,
@@ -164,19 +164,24 @@ def _one_second_points():
     return generate_trajectory(TrajectorySpec(duration=1.0, cycles=1), DT)
 
 
+def _rest(n_control):
+    """Replays the rest drive 0.5 on both joints for ``n_control`` ticks."""
+    return ReplayController(np.full((n_control, 2), 0.5))
+
+
 def test_run_trial_decimation_must_divide(model):
     pts = _one_second_points()[:11]          # 10 ticks
     start = rest_state(model)
     with pytest.raises(ValueError):
-        run_trial(model, RestController(2), pts, DT, start_state=start,
+        run_trial(model, _rest(100), pts, DT, start_state=start,
                   decimation=3)
     with pytest.raises(ValueError):
-        run_trial(model, RestController(2), pts[:1], DT, start_state=start)
+        run_trial(model, _rest(100), pts[:1], DT, start_state=start)
 
 
 def test_run_trial_shapes_and_rest_drive(model):
     pts = _one_second_points()
-    log = run_trial(model, RestController(model.n_joints), pts, DT,
+    log = run_trial(model, _rest(100), pts, DT,
                     start_state=rest_state(model), decimation=10)
     assert log.tip.shape == (1001, 2)
     assert log.q.shape == (1001, model.n_joints)
@@ -194,8 +199,8 @@ def test_run_trial_deterministic_under_noise(model):
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
     start = rest_state(model)
     kw = dict(disturbance=dist, seed=[1, 2], start_state=start, decimation=10)
-    a = run_trial(model, RestController(2), pts, DT, **kw)
-    b = run_trial(model, RestController(2), pts, DT, **kw)
+    a = run_trial(model, _rest(100), pts, DT, **kw)
+    b = run_trial(model, _rest(100), pts, DT, **kw)
     assert np.array_equal(a.tip, b.tip)
     assert np.array_equal(a.excitations, b.excitations)
     assert np.array_equal(a.tendon_forces, b.tendon_forces)
@@ -205,11 +210,11 @@ def test_run_trial_seed_and_noise_change_excitations(model):
     pts = _one_second_points()
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
     start = rest_state(model)
-    a = run_trial(model, RestController(2), pts, DT, disturbance=dist,
+    a = run_trial(model, _rest(100), pts, DT, disturbance=dist,
                   seed=[1, 2], start_state=start, decimation=10)
-    c = run_trial(model, RestController(2), pts, DT, disturbance=dist,
+    c = run_trial(model, _rest(100), pts, DT, disturbance=dist,
                   seed=[9, 9], start_state=start, decimation=10)
-    clean = run_trial(model, RestController(2), pts, DT, seed=[1, 2],
+    clean = run_trial(model, _rest(100), pts, DT, seed=[1, 2],
                       start_state=start, decimation=10)
     assert not np.array_equal(a.excitations, c.excitations)
     assert not np.array_equal(a.excitations, clean.excitations)
@@ -219,13 +224,13 @@ def test_run_trial_seed_and_noise_change_excitations(model):
 
 def test_run_trial_tip_load_changes_motion(model):
     pts = _one_second_points()
-    plain = run_trial(model, RestController(2), pts, DT, decimation=10)
-    loaded = run_trial(model, RestController(2), pts, DT, decimation=10,
+    plain = run_trial(model, _rest(100), pts, DT, decimation=10)
+    loaded = run_trial(model, _rest(100), pts, DT, decimation=10,
                        disturbance=DisturbanceSpec(load_fraction=0.2))
     assert not loaded.diverged
     assert not np.allclose(plain.tip[-1], loaded.tip[-1], atol=1e-6)
     # an all-zero disturbance is no disturbance, bit for bit
-    inert = run_trial(model, RestController(2), pts, DT, decimation=10,
+    inert = run_trial(model, _rest(100), pts, DT, decimation=10,
                       disturbance=DisturbanceSpec())
     for f in fields(TrialLog):
         np.testing.assert_array_equal(getattr(inert, f.name), getattr(plain, f.name))
@@ -235,7 +240,7 @@ def test_run_trial_records_divergence(model):
     pts = _one_second_points()
     poisoned = rest_state(model)
     poisoned.qdot = np.full(model.n_joints, np.nan)
-    log = run_trial(model, RestController(2), pts, DT, start_state=poisoned,
+    log = run_trial(model, _rest(100), pts, DT, start_state=poisoned,
                     decimation=10)
     assert log.diverged and log.diverged_at == 0
     assert log.tip.shape == (1, 2)
@@ -250,7 +255,7 @@ def test_run_trial_records_divergence(model):
 
 def test_run_trial_keeps_divergence_reason(model, monkeypatch):
     monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
-    log = run_trial(model, RestController(2), _one_second_points(), DT,
+    log = run_trial(model, _rest(100), _one_second_points(), DT,
                     start_state=rest_state(model), decimation=10)
     assert log.diverged and log.diverged_at == 0
     assert "l_fiber_norm of muscle 0" in log.diverged_reason
@@ -273,6 +278,26 @@ def test_run_trial_names_a_nan_drive_before_its_physics(model, monkeypatch):
         run_trial(model, ReplayController(table), _one_second_points(), DT,
                   start_state=rest_state(model), decimation=10)
     assert len(ticks) == 7 * 10
+
+
+@pytest.mark.parametrize("shape", [(3,), (1,), (1, 2)])
+def test_run_trial_rejects_a_drive_not_one_per_joint(model, monkeypatch, shape):
+    # a 3-column table on the 2-joint arm used to run, and the trial CSV got
+    # rows one cell longer than its header
+    ticks = []
+    real_step = harness.integrate_step
+
+    def counting_step(*args):
+        ticks.append(None)
+        return real_step(*args)
+
+    monkeypatch.setattr(harness, "integrate_step", counting_step)
+    message = f"control tick 0: drive of shape {shape} is not one value per joint (2)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_trial(model, ReplayController(np.full((100, *shape), 0.5)),
+                  _one_second_points(), DT, start_state=rest_state(model),
+                  decimation=10)
+    assert ticks == []
 
 
 def test_run_trial_clips_finite_drives(model):
@@ -363,6 +388,9 @@ def test_probe_validation(model):
         probe_sensitivity(model, state, DT, delta=0.6, hold_time=0.2)
     with pytest.raises(ValueError):
         probe_sensitivity(model, state, DT, hold_time=0.2, rest=1.5)
+    # a NaN rest drive used to pass and fail inside the muscle
+    with pytest.raises(ValueError, match=r"^probe rest drives must lie in \[0, 1\]$"):
+        probe_sensitivity(model, state, DT, hold_time=0.2, rest=[np.nan, 0.5])
 
 
 def test_probe_steps_down_from_saturated_rest(model):
@@ -519,6 +547,19 @@ def test_disturbance_sweep_points(model, short_run):
     assert errs[0] < result.summary.mean_abs_mm[0]
 
 
+@pytest.mark.parametrize("shape", [(99, 2), (101, 2), (100, 3)])
+def test_disturbance_sweep_rejects_a_table_before_parking(model, monkeypatch, shape):
+    # a short table used to fail with a bare IndexError after the park
+    parks = []
+    monkeypatch.setattr(harness, "park_state", lambda *a, **k: parks.append(None))
+    message = (f"drive table of shape {shape} is not one row of 2 drives per "
+               "control tick (100)")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        disturbance_sweep(model, np.full(shape, 0.5), _one_second_points(), DT,
+                          [0.0], decimation=10)
+    assert parks == []
+
+
 def test_disturbance_sweep_repetition_scatter(model, short_run):
     cfg, result = short_run
     sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
@@ -558,7 +599,7 @@ def test_pid_tracks_better_than_rest(model):
     pts = generate_trajectory(TrajectorySpec(duration=2.0, cycles=1), DT)
     start, _ = park_state(model, joint_path(model, pts[:1])[0], DT,
                           total_time=6.0)
-    passive = compute_metrics(run_trial(model, RestController(2), pts, DT,
+    passive = compute_metrics(run_trial(model, _rest(200), pts, DT,
                                         start_state=start, decimation=10))
     active = compute_metrics(pid_baseline(model, pts, DT, PidGains(),
                                           start_state=start, decimation=10))

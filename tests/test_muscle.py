@@ -15,10 +15,9 @@ from myoarm.muscle import (
     MuscleDiagnostics,
     MuscleParams,
     MuscleState,
-    activation_rate,
+    _equilibrium,
     activation_time_constant,
     active_force_length,
-    fiber_velocity_from_equilibrium,
     force_velocity,
     inverse_force_velocity,
     passive_force_length,
@@ -41,9 +40,13 @@ class TestActivationDynamics:
         assert activation_time_constant(0.5, 0.5, P) == pytest.approx(0.0125, abs=1e-12)
 
     def test_rates(self):
-        assert activation_rate(0.3, 0.3, P) == 0.0
-        assert activation_rate(1.0, 0.0, P) == pytest.approx(200.0, rel=1e-12)
-        assert activation_rate(0.0, 1.0, P) == pytest.approx(-50.0, rel=1e-12)
+        # da/dt = (u - a) / tau(u, a) of the first-order activation dynamics
+        def rate(u, a):
+            return (u - a) / activation_time_constant(u, a, P)
+
+        assert rate(0.3, 0.3) == 0.0
+        assert rate(1.0, 0.0) == pytest.approx(200.0, rel=1e-12)
+        assert rate(0.0, 1.0) == pytest.approx(-50.0, rel=1e-12)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -224,15 +227,15 @@ class TestEquilibrium:
         assert f_m > P.f_toe
         strain = (f_m - P.f_toe) / P.k_lin + P.eps_toe
         l_mtu = l_fiber * P.l0_fiber + (1 + strain) * P.l_slack_tendon
-        v = fiber_velocity_from_equilibrium(MuscleState(a, l_fiber), a, l_mtu, P)
+        v = _equilibrium(l_fiber, a, l_mtu, P, None)[0]
         assert force_velocity(v) == pytest.approx(force_velocity(0.0), rel=1e-9)
 
     def test_slack_tendon_max_shortening(self):
         # slack tendon, no passive load: fv argument clamps at its floor
         diag = MuscleDiagnostics()
-        state = MuscleState(activation=0.5, l_fiber_norm=1.0)
-        l_mtu = state.l_fiber_norm * P.l0_fiber + 0.5 * P.l_slack_tendon
-        v = fiber_velocity_from_equilibrium(state, 0.5, l_mtu, P, diag)
+        l_fiber = 1.0
+        l_mtu = l_fiber * P.l0_fiber + 0.5 * P.l_slack_tendon
+        v = _equilibrium(l_fiber, 0.5, l_mtu, P, diag)[0]
         assert v == pytest.approx(-1.0, abs=1e-3)
         assert diag.fv_clamp_events == 1
 
@@ -241,7 +244,7 @@ class TestEquilibrium:
         a, l_fiber = 0.5, 1.0
         strain = (0.6 - P.f_toe) / P.k_lin + P.eps_toe
         l_mtu = l_fiber * P.l0_fiber + (1 + strain) * P.l_slack_tendon
-        v = fiber_velocity_from_equilibrium(MuscleState(a, l_fiber), a, l_mtu, P)
+        v = _equilibrium(l_fiber, a, l_mtu, P, None)[0]
         fpe = passive_force_length(l_fiber)
         expected = inverse_force_velocity((0.6 - fpe) / (a * 1.0))
         assert v == pytest.approx(expected, rel=1e-9)
@@ -249,9 +252,8 @@ class TestEquilibrium:
 
     def test_activation_floor_counted(self):
         diag = MuscleDiagnostics()
-        state = MuscleState(activation=0.0, l_fiber_norm=1.0)
         l_mtu = P.l0_fiber + P.l_slack_tendon * 1.02
-        fiber_velocity_from_equilibrium(state, 0.0, l_mtu, P, diag)
+        _equilibrium(1.0, 0.0, l_mtu, P, diag)
         assert diag.activation_floor_events == 1
 
 
@@ -372,7 +374,7 @@ class TestParams:
                 arg = ((f_t / p.pennation_factor - _passive_formula(l_fiber, p))
                        / (a * active_force_length(l_fiber, p.gamma)))
                 arg = min(max(arg, _FV_ARG_LO), _FV_ARG_HI)
-                v = fiber_velocity_from_equilibrium(MuscleState(a, l_fiber), a, l_mtu, p)
+                v = _equilibrium(l_fiber, a, l_mtu, p, None)[0]
                 assert v == inverse_force_velocity(arg)
 
     def test_params_are_frozen(self):
