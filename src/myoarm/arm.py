@@ -270,24 +270,29 @@ def task_jacobian(model: ArmModel, q: np.ndarray) -> np.ndarray:
     return np.array(_tip_jacobian(model, q)[2:])
 
 
-def _pinv_solve(jx: list[float], jy: list[float], rx: float, ry: float,
-                sigma_min_threshold: float = 1e-4,
-                damping: float = 1e-6) -> tuple[list[float], bool]:
+# Smallest singular value of the tip Jacobian below which _pinv_solve flags
+# the posture singular, and the damping it then adds to J J^T's diagonal.
+_SIGMA_MIN = 1e-4
+_IK_DAMPING = 1e-6
+
+
+def _pinv_solve(jx: list[float], jy: list[float], rx: float,
+                ry: float) -> tuple[list[float], bool]:
     """J+ r = J^T (J J^T)^-1 r for the 2 x n tip Jacobian with rows jx, jy.
 
     J J^T = [[a, b], [b, c]] is solved in closed form: its smallest eigenvalue
-    (a + c)/2 - hypot((a - c)/2, b) is sigma_min^2. Below the threshold the
-    flag is True and damping is added to the diagonal before the inverse
-    [[c, -b], [-b, a]] / (a c - b^2) is applied.
+    (a + c)/2 - hypot((a - c)/2, b) is sigma_min^2. Below ``_SIGMA_MIN`` the
+    flag is True and ``_IK_DAMPING`` is added to the diagonal before the
+    inverse [[c, -b], [-b, a]] / (a c - b^2) is applied.
     """
     a = sum(v * v for v in jx)
     b = sum(u * v for u, v in zip(jx, jy))
     c = sum(v * v for v in jy)
     lam_min = 0.5 * (a + c) - math.hypot(0.5 * (a - c), b)
-    singular = math.sqrt(max(lam_min, 0.0)) < sigma_min_threshold
+    singular = math.sqrt(max(lam_min, 0.0)) < _SIGMA_MIN
     if singular:
-        a += damping
-        c += damping
+        a += _IK_DAMPING
+        c += _IK_DAMPING
     det = a * c - b * b
     wx = (c * rx - b * ry) / det
     wy = (a * ry - b * rx) / det

@@ -7,9 +7,8 @@ sections and keys are derived from the dataclasses, not listed by hand:
   iterations, repetitions, seed, out, dt, control_decimation, settle_time,
   probe_delta, probe_hold, divergence_patience, sweep_fractions), with
   ``out`` standing for ``out_dir``;
-* ``[trajectory]`` — the ``TrajectorySpec`` fields, ``kind`` first, each
-  pair split into ``_x``/``_y`` keys (offset_x/offset_y,
-  direction_x/direction_y);
+* ``[trajectory]`` — the ``TrajectorySpec`` fields, each pair split into
+  ``_x``/``_y`` keys (offset_x/offset_y, direction_x/direction_y);
 * ``[controller]``, ``[disturbance]``, ``[pid]`` — exactly the fields of
   ``DdilcParams``, ``DisturbanceSpec`` and ``PidGains``;
 * ``[muscle]`` — any ``MuscleParams`` field (sparse overrides applied to the
@@ -93,11 +92,10 @@ class ExperimentConfig:
     probe_hold: float = 8.0
     divergence_patience: int = 3
     sweep_fractions: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
-    trajectory: TrajectorySpec = field(
-        default_factory=lambda: TrajectorySpec(duration=8.0))
+    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
     controller: DdilcParams = field(default_factory=DdilcParams)
     muscle_overrides: dict[str, float] = field(default_factory=dict)
-    disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
+    disturbance: DisturbanceSpec = DisturbanceSpec()
     pid: PidGains = field(default_factory=PidGains)
 
     def __post_init__(self) -> None:
@@ -122,9 +120,8 @@ _PAIRS = ("offset", "direction")
 def _flatten(cfg: ExperimentConfig) -> dict[str, dict[str, object]]:
     """The config as ``{section: {key: value}}``, in echo order."""
     flat = asdict(cfg)
-    traj = flat["trajectory"]
-    trajectory = {"kind": traj.pop("kind")}
-    for key, value in traj.items():
+    trajectory = {}
+    for key, value in flat["trajectory"].items():
         if key in _PAIRS:
             trajectory[f"{key}_x"], trajectory[f"{key}_y"] = map(float, value)
         else:
@@ -329,12 +326,9 @@ def ilc_config_from(cfg: ExperimentConfig,
     """Assemble the learning-run configuration from an experiment config.
 
     Every ``IlcConfig`` field but the model is the experiment field of the
-    same name. An all-zero disturbance section means "none" (the trial runs
-    the plain deterministic plant).
+    same name.
     """
-    dist = cfg.disturbance
-    active = dist.load_fraction > 0.0 or dist.noise_amplitude > 0.0
     shared = {f.name: getattr(cfg, f.name) for f in fields(IlcConfig)
-              if f.name not in ("model", "disturbance")}
+              if f.name != "model"}
     return IlcConfig(model=arm_from_config(cfg) if model is None else model,
-                     disturbance=dist if active else None, **shared)
+                     **shared)

@@ -39,7 +39,9 @@ than numpy calls, and the result does not depend on the BLAS build.
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
 antagonists, both floored at the muscle's minimum activation
-(``pair_drive_to_excitations``).
+(``pair_drive_to_excitations``). The controller composes each command on a
+per-channel rest bias, the drives that hold the parked start posture
+(``rest_drive``), and saturates it to [u_min, u_max] within [0, 1].
 """
 
 from __future__ import annotations
@@ -71,6 +73,10 @@ class DdilcParams:
     number of stacked error increments the feedback acts on; offdiag_cap,
     diag_floor, diag_span define the PJM element boxes (off-diagonals within
     +/-offdiag_cap, diagonals within [diag_floor, diag_span*diag_floor]).
+    u_min and u_max bound every drive the controller emits, inside the
+    plant's domain: 0 <= u_min < u_max <= 1, so the harness's clip to [0, 1]
+    leaves the controller's drives unchanged and the PJM learns from the
+    increments the plant received.
     """
 
     gain_step: float = 0.5          # eta
@@ -84,7 +90,6 @@ class DdilcParams:
     diag_span: float = 2.0          # a, diagonal box is [c2, a*c2]
     u_min: float = 0.0
     u_max: float = 1.0
-    rest_command: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0.0 < self.estimator_step <= 1.0:
@@ -97,10 +102,9 @@ class DdilcParams:
             raise ValueError("diag_span must be >= 1")
         if self.error_window < 1:
             raise ValueError("error_window must be >= 1")
-        if not self.u_min < self.u_max:
-            raise ValueError("u_min must be < u_max")
-        if not self.u_min <= self.rest_command <= self.u_max:
-            raise ValueError("rest_command must lie within [u_min, u_max]")
+        if not 0.0 <= self.u_min < self.u_max <= 1.0:
+            raise ValueError("DdilcParams.u_min and u_max must satisfy "
+                             "0 <= u_min < u_max <= 1")
 
     def check_dimension(self, m: int) -> None:
         """Well-posedness of the element boxes for an m-channel controller."""
@@ -265,15 +269,15 @@ class DdilcController:
     out as arrays at any time, mid-trial included. ``u_ff`` is the (horizon,
     m) feedforward table itself: changes to it take effect at the next
     ``begin_iteration``. ``rest_drive`` is the per-channel bias the drive is
-    composed on, e.g. the measured drives that hold the start posture, so the
-    first iteration continues the pre-trial equilibrium. ``counts`` holds the
-    current iteration's ``DdilcCounts``.
+    composed on, within [u_min, u_max]; the harness passes the measured
+    drives that hold the start posture, so the first iteration continues the
+    pre-trial equilibrium. ``counts`` holds the current iteration's
+    ``DdilcCounts``.
     """
 
     def __init__(self, sensitivity: np.ndarray, params: DdilcParams,
                  horizon: int, rng: np.random.Generator,
-                 response_lag_ticks: float = 0.0,
-                 rest_drive: np.ndarray | None = None):
+                 response_lag_ticks: float = 0.0, *, rest_drive: np.ndarray):
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
         params.check_dimension(self.m)
@@ -281,15 +285,12 @@ class DdilcController:
             raise ValueError("response_lag_ticks must be >= 0")
         self.params = params
         self.horizon = horizon
-        if rest_drive is None:
-            self.rest_drive = np.full(self.m, params.rest_command)
-        else:
-            self.rest_drive = np.asarray(rest_drive, dtype=float).copy()
-            if self.rest_drive.shape != (self.m,):
-                raise ValueError("rest_drive must have one entry per channel")
-            if not all(params.u_min <= v <= params.u_max
-                       for v in self.rest_drive.tolist()):
-                raise ValueError("rest_drive must lie within [u_min, u_max]")
+        self.rest_drive = np.asarray(rest_drive, dtype=float).copy()
+        if self.rest_drive.shape != (self.m,):
+            raise ValueError("rest_drive must have one entry per channel")
+        if not all(params.u_min <= v <= params.u_max
+                   for v in self.rest_drive.tolist()):
+            raise ValueError("rest_drive must lie within [u_min, u_max]")
         self.gamma = params.diag_floor * math.sqrt(params.diag_span)
         s_pinv = np.linalg.pinv(sensitivity, rcond=1e-8)
         self.transform = self.gamma * s_pinv            # (m, y_dim)

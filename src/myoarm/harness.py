@@ -16,8 +16,12 @@ protocol:
 * ``finish_iteration(y_final)`` — called once after the last tick.
 
 Physics always advances at ``dt``; drives are held (zero-order) over
-``decimation`` physics ticks per control tick. All randomness is routed
-through explicit integer seeds, so identical inputs give bit-identical logs.
+``decimation`` physics ticks per control tick. A trial starts from the state
+it is given, in every experiment a park on the trajectory start. A
+``DisturbanceSpec`` is always given too: its all-zero default is no
+disturbance, and ``loaded_plant`` is the one place its tip load enters the
+plant. All randomness is routed through explicit integer seeds, so identical
+inputs give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -102,10 +106,9 @@ class TrajectorySpec:
     amplitude: float = 0.150        # m, transverse excursion
     spatial_period: float = 0.200   # m, wavelength along the chord
     cycles: int = 2
-    duration: float = 60.0          # s
+    duration: float = 8.0           # s
     offset: tuple[float, float] = (0.45, -0.2)
     direction: tuple[float, float] = (0.0, 1.0)
-    kind: str = "sine"
 
     def __post_init__(self) -> None:
         for name in ("amplitude", "spatial_period", "duration"):
@@ -115,17 +118,17 @@ class TrajectorySpec:
             raise ValueError("TrajectorySpec.cycles must be >= 1")
         if math.hypot(*self.direction) == 0.0:
             raise ValueError("TrajectorySpec.direction must be nonzero")
-        if self.kind != "sine":
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisturbanceSpec:
     """End-effector load plus narrowband zero-mean activation noise.
 
     ``load_fraction`` is relative to the rated load (2.5 kg); the load enters
     the dynamics as a point mass rigidly attached at the tip. Activation
     noise is a seeded-random-phase sinusoid added to every muscle excitation.
+    The default, all zeros, is no disturbance; frozen, so one default
+    instance is shared.
     """
 
     load_fraction: float = 0.0
@@ -145,9 +148,9 @@ class DisturbanceSpec:
         return self.load_fraction * RATED_LOAD_KG
 
 
-def loaded_plant(model: ArmModel, disturbance: DisturbanceSpec | None) -> ArmModel:
+def loaded_plant(model: ArmModel, disturbance: DisturbanceSpec) -> ArmModel:
     """The model with the disturbance's tip load added to its payload (itself if unloaded)."""
-    if disturbance is None or disturbance.tip_mass == 0.0:
+    if disturbance.tip_mass == 0.0:
         return model
     return replace(model, tip_mass=model.tip_mass + disturbance.tip_mass)
 
@@ -174,29 +177,32 @@ def generate_trajectory(spec: TrajectorySpec, dt: float) -> np.ndarray:
             + np.outer(s, d_hat) + np.outer(transverse, n_hat))
 
 
-def joint_path(model: ArmModel, points: np.ndarray, q0: np.ndarray | None = None,
-               tol: float = 1e-9, max_iter: int = 100) -> np.ndarray:
+_IK_TOL = 1e-9          # m, tip residual at which a sample has converged
+_IK_MAX_ITER = 100      # Newton steps per sample
+
+
+def joint_path(model: ArmModel, points: np.ndarray) -> np.ndarray:
     """Damped-Newton inverse kinematics along a continuous tip path.
 
-    Each sample is warm-started from the previous solution; failure to
-    converge, or a solution outside the joint limits, raises
-    UnreachableTrajectoryError naming the offending sample.
+    The first sample starts from ``model.q_ref``, each later one from the
+    previous solution; failure to converge, or a solution outside the joint
+    limits, raises UnreachableTrajectoryError naming the offending sample.
     """
     points = np.asarray(points, dtype=float)
-    q = [float(v) for v in (model.q_ref if q0 is None else q0)]
+    q = [float(v) for v in model.q_ref]
     out = np.empty((points.shape[0], model.n_joints))
     for idx, target in enumerate(points):
         px, py = target.tolist()
-        for _ in range(max_iter):
+        for _ in range(_IK_MAX_ITER):
             tx, ty, jx, jy = _tip_jacobian(model, q)
             ex, ey = px - tx, py - ty
-            if float(np.hypot(ex, ey)) < tol:
+            if float(np.hypot(ex, ey)) < _IK_TOL:
                 break
             dq, _ = _pinv_solve(jx, jy, ex, ey)
             q = [qi + d for qi, d in zip(q, dq)]
         else:
             raise UnreachableTrajectoryError(idx, target, "inverse kinematics "
-                                             f"did not converge within {max_iter} steps")
+                                             f"did not converge within {_IK_MAX_ITER} steps")
         for j, (lo, hi) in enumerate(model.joint_limits):
             if not lo - 1e-9 <= q[j] <= hi + 1e-9:
                 raise UnreachableTrajectoryError(
@@ -232,7 +238,7 @@ class PidGains:
 
     The tracking error (m) maps to a virtual tip force via kp/ki/kd, to joint
     torques via the task Jacobian transpose, and to per-joint pair drives as
-    rest + torque/torque_scale, reusing the learning controller's
+    0.5 (rest) + torque/torque_scale, reusing the learning controller's
     antagonist-pair mapping downstream.
 
     The defaults are the best gains found by a three-stage grid search on the
@@ -260,12 +266,10 @@ class PidController:
 
     wants_state = True
 
-    def __init__(self, model: ArmModel, gains: PidGains, dt_control: float,
-                 rest: float = 0.5):
+    def __init__(self, model: ArmModel, gains: PidGains, dt_control: float):
         self.model = model
         self.gains = gains
         self.dt = dt_control
-        self.rest = rest
 
     def begin_iteration(self, y_d0) -> None:
         self._y_d_t = np.asarray(y_d0, dtype=float)
@@ -278,7 +282,7 @@ class PidController:
         deriv = np.zeros(2) if self._e_prev is None else (e - self._e_prev) / self.dt
         force = self.gains.kp * e + self.gains.ki * self._integral + self.gains.kd * deriv
         tau = task_jacobian(self.model, state.q).T @ force
-        drive = self.rest + tau / self.gains.torque_scale
+        drive = 0.5 + tau / self.gains.torque_scale
         self._e_prev = e
         self._y_d_t = np.asarray(y_d_next, dtype=float)
         return np.clip(drive, 0.0, 1.0)
@@ -324,9 +328,9 @@ class TrialMetrics:
     diverged: bool
 
 
-def _noise_table(model: ArmModel, disturbance: DisturbanceSpec | None,
+def _noise_table(model: ArmModel, disturbance: DisturbanceSpec,
                  seed) -> tuple[np.ndarray, float, np.ndarray] | None:
-    if disturbance is None or disturbance.noise_amplitude == 0.0:
+    if disturbance.noise_amplitude == 0.0:
         return None
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, model.n_muscles)
@@ -354,11 +358,24 @@ def _checked_drive(tc: int, drive, n_joints: int) -> list[float]:
     return out
 
 
+def _control_ticks(points: np.ndarray, decimation: int) -> int:
+    """Control ticks of a sampled trajectory; ``ValueError`` unless it holds
+    at least one physics tick and ``decimation`` divides them."""
+    n_ticks = points.shape[0] - 1
+    if n_ticks < 1:
+        raise ValueError("trajectory must contain at least two samples")
+    if decimation < 1 or n_ticks % decimation != 0:
+        raise ValueError(f"decimation {decimation} must divide the "
+                         f"{n_ticks} trajectory ticks")
+    return n_ticks // decimation
+
+
 def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
-              disturbance: DisturbanceSpec | None = None, seed=0,
-              start_state: ArmState | None = None, decimation: int = 1,
+              disturbance: DisturbanceSpec = DisturbanceSpec(), seed=0,
+              start_state: ArmState, decimation: int = 1,
               desired_joint_path: np.ndarray | None = None) -> TrialLog:
-    """Execute one finite-horizon tracking trial and log every tick.
+    """Execute one finite-horizon tracking trial from ``start_state`` and log
+    every tick.
 
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
     ``diverged_reason`` with truncated arrays), not raised; a drive that is
@@ -366,17 +383,11 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     physics. Deterministic given identical inputs.
     """
     points = np.asarray(points, dtype=float)
-    n_ticks = points.shape[0] - 1
-    if n_ticks < 1:
-        raise ValueError("trajectory must contain at least two samples")
-    if decimation < 1 or n_ticks % decimation != 0:
-        raise ValueError(f"decimation {decimation} must divide the "
-                         f"{n_ticks} trajectory ticks")
-    n_control = n_ticks // decimation
+    n_control = _control_ticks(points, decimation)
+    n_ticks = n_control * decimation
 
     eff = loaded_plant(model, disturbance)
-    state = (rest_state(eff, joint_path(eff, points[:1])[0]) if start_state is None
-             else start_state.copy())
+    state = start_state.copy()
     noise = _noise_table(eff, disturbance, seed)
     wants_state = getattr(controller, "wants_state", False)
 
@@ -498,8 +509,11 @@ def _hold(model: ArmModel, state: ArmState, drive: np.ndarray, dt: float,
     return state, qs
 
 
+_PARK_GAIN = 0.6        # drive correction per rad of joint error, per round
+
+
 def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
-               total_time: float = 12.0, gain: float = 0.6) -> tuple[ArmState, np.ndarray]:
+               total_time: float = 12.0) -> tuple[ArmState, np.ndarray]:
     """Find constant drives that hold the arm at ``q_target`` and settle there.
 
     Repetitions of a finite-horizon task must all start from the same state
@@ -521,7 +535,7 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     rounds = int(total_time) - 2
     for r in range(rounds):
         state, _ = _hold(model, state, u, dt, n_round, "park", r * n_round)
-        u = np.clip(u + gain * (q_target - state.q), 0.0, 1.0)
+        u = np.clip(u + _PARK_GAIN * (q_target - state.q), 0.0, 1.0)
     state, _ = _hold(model, state, u, dt, 2 * n_round, "park", rounds * n_round)
     return state, u
 
@@ -625,7 +639,7 @@ class IlcConfig:
     dt: float = 1e-3
     control_decimation: int = 10
     seed: int = 0
-    disturbance: DisturbanceSpec | None = None
+    disturbance: DisturbanceSpec = DisturbanceSpec()
     settle_time: float = 12.0
     probe_delta: float = 0.2
     probe_hold: float = 8.0
@@ -752,10 +766,9 @@ class SweepResult:
 
 def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
                       points: np.ndarray, dt: float, fractions, *,
-                      decimation: int = 1, q0: np.ndarray | None = None,
-                      settle_time: float = 12.0, seed: int = 0,
-                      repetitions: int = 1,
-                      disturbance: DisturbanceSpec | None = None,
+                      decimation: int = 1, settle_time: float = 12.0,
+                      seed: int = 0, repetitions: int = 1,
+                      disturbance: DisturbanceSpec = DisturbanceSpec(),
                       desired_joint_path: np.ndarray | None = None,
                       on_trial=None) -> SweepResult:
     """Replay a converged drive table open-loop under increasing tip load.
@@ -766,21 +779,21 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
     replaces its load fraction. With repetitions > 1 the per-repetition seeds
     vary only the stochastic activation noise. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every replay,
-    e.g. for CSV dumps. A table that is not one row of drives per control
-    tick raises ``ValueError`` before any park.
+    e.g. for CSV dumps. A ``decimation`` that does not divide the trajectory
+    ticks, or a table that is not one row of drives per control tick, raises
+    ``ValueError`` before any park.
     """
     points = np.asarray(points, dtype=float)
     drive_table = np.asarray(drive_table, dtype=float)
-    n_control = (points.shape[0] - 1) // decimation
+    n_control = _control_ticks(points, decimation)
     if drive_table.shape != (n_control, model.n_joints):
         raise ValueError(f"drive table of shape {drive_table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
                          f"({n_control})")
-    start_q = joint_path(model, points[:1])[0] if q0 is None else q0
-    spec = DisturbanceSpec() if disturbance is None else disturbance
+    start_q = joint_path(model, points[:1])[0]
     out = []
     for fi, fraction in enumerate(fractions):
-        dist = replace(spec, load_fraction=fraction)
+        dist = replace(disturbance, load_fraction=fraction)
         start, _ = park_state(loaded_plant(model, dist), start_q, dt,
                               total_time=settle_time)
         means, mses, diverged = [], [], False
@@ -806,11 +819,10 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
 
 
 def pid_baseline(model: ArmModel, points: np.ndarray, dt: float,
-                 gains: PidGains, *, disturbance: DisturbanceSpec | None = None,
-                 seed=0, start_state: ArmState | None = None,
-                 decimation: int = 1,
+                 gains: PidGains, *, disturbance: DisturbanceSpec = DisturbanceSpec(),
+                 seed=0, start_state: ArmState, decimation: int = 1,
                  desired_joint_path: np.ndarray | None = None) -> TrialLog:
-    """One tracking trial under the task-space PID stand-in.
+    """One tracking trial under the task-space PID stand-in, from ``start_state``.
 
     ``disturbance`` and ``seed`` are passed to ``run_trial``, so the PID trial
     can run on the same loaded, noisy plant as a learning trial.
@@ -847,26 +859,24 @@ def _lockin_amplitude(series: np.ndarray, freq: float, dt: float) -> float:
     return 2.0 * abs(np.mean(window * z))
 
 
-def lowpass_attenuation_test(model: ArmModel, carrier_u: float = 0.4,
-                             noise_amplitude: float = 0.02,
-                             frequencies=(1.0, 50.0), *, duration: float = 4.0,
-                             dt: float = 1e-4, settle: float = 1.0,
-                             muscle_index: int = 0) -> list[LowpassPoint]:
+def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
     """Tendon-force response to sinusoidal excitation ripple, isometrically.
 
-    The indexed muscle is held at its reference length while driven by
-    carrier + amplitude*sin(2*pi*f*t); the lock-in force amplitude at f is
+    Muscle 0 is held at its reference length while driven by
+    0.4 + 0.02*sin(2*pi*f*t) at f = 1 Hz and 50 Hz, stepped at 0.1 ms for 4 s
+    of which the first second settles; the lock-in force amplitude at f is
     compared against a first-order prediction: the same drive through the
     activation dynamics alone, scaled by the statically measured force gain.
-    Zero noise amplitude yields NaN sentinels.
     """
-    params = model.muscles[muscle_index]
-    l_mtu = model.routing[muscle_index].l_ref
-    n_settle = round(settle / dt)
-    n_total = round(duration / dt)
+    carrier_u, noise_amplitude = 0.4, 0.02
+    dt = 1e-4
+    params = model.muscles[0]
+    l_mtu = model.routing[0].l_ref
+    n_settle = round(1.0 / dt)
+    n_total = round(4.0 / dt)
 
     def slack_state() -> "object":
-        return rest_state(model, np.asarray(model.q_ref, float)).muscle_states[muscle_index]
+        return rest_state(model, np.asarray(model.q_ref, float)).muscle_states[0]
 
     def steady_force(u: float) -> float:
         state = slack_state()
@@ -875,15 +885,11 @@ def lowpass_attenuation_test(model: ArmModel, carrier_u: float = 0.4,
             state, f = step_muscle(state, u, l_mtu, dt, params)
         return f
 
-    if noise_amplitude == 0.0:
-        return [LowpassPoint(f, math.nan, math.nan, math.nan, math.nan)
-                for f in frequencies]
-
     static_gain = (steady_force(carrier_u + noise_amplitude)
                    - steady_force(carrier_u)) / noise_amplitude
 
     out = []
-    for freq in frequencies:
+    for freq in (1.0, 50.0):
         state = slack_state()
         act = params.a_min
         forces = np.empty(n_total - n_settle)
@@ -914,7 +920,5 @@ def lowpass_attenuation_test(model: ArmModel, carrier_u: float = 0.4,
 
 def benchmark_ilc_config(model: ArmModel | None = None, **overrides) -> IlcConfig:
     """The acceptance benchmark: planar arm, 8 s sine chord, 100 Hz control."""
-    traj = overrides.pop("trajectory", TrajectorySpec(duration=8.0))
-    cfg = IlcConfig(model=model if model is not None else planar2x4(),
-                    trajectory=traj, **overrides)
-    return cfg
+    overrides.setdefault("trajectory", TrajectorySpec())
+    return IlcConfig(model=model if model is not None else planar2x4(), **overrides)

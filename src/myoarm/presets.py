@@ -14,6 +14,10 @@ lengths 0.38/0.34/0.262 m, fifteen muscles (three on the first shoulder
 joint, antagonist pairs elsewhere), and asymmetric joint ranges. It exercises
 the redundant-chain code paths, and the `probe-spatial` benchmark workload
 times its park and probe; no learning run uses it yet.
+
+Both presets carry no payload. A loaded plant comes only from
+`harness.loaded_plant`, which adds a disturbance's tip load with
+`dataclasses.replace`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = ["planar2x4", "spatial_ltdm", "PRESETS", "preset_key", "make_arm"]
 _L_REF = 0.15
 
 
-def planar2x4(muscle_overrides: dict | None = None, tip_mass: float = 0.0) -> ArmModel:
+def planar2x4(muscle_overrides: dict | None = None) -> ArmModel:
     """Two-joint planar arm, four muscles: [shoulder+, shoulder-, elbow+, elbow-].
 
     The reference posture places the tip at (0.45, 0) with the elbow flexed
@@ -65,11 +69,10 @@ def planar2x4(muscle_overrides: dict | None = None, tip_mass: float = 0.0) -> Ar
         gravity=(0.0, 0.0),
         viscous_friction=1.2,
         q_ref=(q1, q2),
-        tip_mass=tip_mass,
     )
 
 
-def spatial_ltdm(muscle_overrides: dict | None = None, tip_mass: float = 0.0) -> ArmModel:
+def spatial_ltdm(muscle_overrides: dict | None = None) -> ArmModel:
     """Seven-joint planar reduction of an anthropomorphic arm, fifteen muscles.
 
     Joints 0-2 sit near-coincident at the shoulder (short connector links),
@@ -107,7 +110,6 @@ def spatial_ltdm(muscle_overrides: dict | None = None, tip_mass: float = 0.0) ->
         gravity=(0.0, 0.0),
         viscous_friction=0.3,
         q_ref=q_ref,
-        tip_mass=tip_mass,
     )
 
 
@@ -122,11 +124,10 @@ def preset_key(name: str) -> str:
     return name.lower().replace("_", "-")
 
 
-def make_arm(name: str, muscle_overrides: dict | None = None,
-             tip_mass: float = 0.0) -> ArmModel:
+def make_arm(name: str, muscle_overrides: dict | None = None) -> ArmModel:
     """Build a preset arm by name; unknown names raise with the valid choices."""
     try:
         factory = PRESETS[preset_key(name)]
     except KeyError:
         raise ValueError(f"unknown arm preset {name!r}; choose from {sorted(PRESETS)}") from None
-    return factory(muscle_overrides=muscle_overrides, tip_mass=tip_mass)
+    return factory(muscle_overrides=muscle_overrides)

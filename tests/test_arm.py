@@ -13,7 +13,7 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from myoarm import arm as arm_module
@@ -37,6 +37,7 @@ from myoarm.arm import (
     task_jacobian,
     total_energy,
 )
+from myoarm.harness import DisturbanceSpec, loaded_plant
 from myoarm.muscle import MuscleParams, MuscleState, step_muscle
 from myoarm.presets import make_arm, planar2x4, spatial_ltdm
 
@@ -437,7 +438,19 @@ def test_power_balance_random_chains(case):
     assert de_dt == pytest.approx(power, abs=1e-6 * scale + 100.0 * noise)
 
 
+# One link whose COM sits on the joint, a unit payload at the tip and a weak
+# gravity: the centripetal moments about the joint cancel down to a bias of
+# 8.2e-4 N m, and the composite solve lands 98 ulps from the exact result.
+_CANCELLING_BIAS = (
+    ArmModel(links=[LinkParams(length=0.5, mass=1.0, com=0.0, inertia=0.03125)],
+             joint_limits=[(-30.0, 30.0)], routing=_pair_routing(1),
+             muscles=[MuscleParams(), MuscleParams()], gravity=(2.0 ** -9, 0.0),
+             tip_mass=1.0),
+    np.array([1.0]), np.array([1.0]), np.array([0.0]))
+
+
 @given(_random_chains())
+@example(_CANCELLING_BIAS)
 @settings(max_examples=200, deadline=None)
 def test_forward_dynamics_matches_composite_solve_random_chains(case):
     # The articulated-body pass against a dense solve with the composite-
@@ -445,12 +458,24 @@ def test_forward_dynamics_matches_composite_solve_random_chains(case):
     # above misses any error orthogonal to qdot; this does not.
     arm, q, qd, tau = case
     H = mass_matrix(arm, q)
-    terms = [tau, -bias_forces(arm, q, qd), -arm.viscous_friction * qd]
-    want = np.linalg.solve(H, sum(terms))
+    want = np.linalg.solve(H, tau - bias_forces(arm, q, qd) - arm.viscous_friction * qd)
     have = forward_dynamics(arm, q, qd, tau)
-    # solving loses eps * cond(H) relative to the result; summing the terms
-    # loses eps relative to their magnitudes, which H^-1 carries into qddot
-    scale = np.max(np.abs(want)) + np.max(np.abs(np.linalg.inv(H)) @ sum(map(np.abs, terms)))
+    # Solving loses eps * cond(H) relative to the result; summing the terms
+    # loses eps relative to their magnitudes, which H^-1 carries into qddot.
+    # The bias's magnitude is not |bias|: bias_forces sums, for joint j, the
+    # moments (c_k - p_j) x m_k (a_k - g) over the bodies k >= j and the
+    # payload, and these cancel (a centripetal pull points along c_k). Every
+    # |c_k| and |p_j| is at most R, the summed link lengths, and the
+    # velocity-product acceleration |a_k| <= sum_i w_i^2 l_i <= W2 R, W2 the
+    # largest squared absolute link rate. Each summand is then at most
+    # 2 R m_k (W2 R + |g|), so the sum carries eps times 2 R M (W2 R + |g|),
+    # M the total mass, however small the sum comes out.
+    reach = sum(link.length for link in arm.links)
+    mass = sum(link.mass for link in arm.links) + arm.tip_mass
+    w2 = float(np.max(np.cumsum(qd) ** 2))
+    bias_mag = 2.0 * reach * mass * (w2 * reach + math.hypot(*arm.gravity))
+    magnitudes = np.abs(tau) + bias_mag + arm.viscous_friction * np.abs(qd)
+    scale = np.max(np.abs(want)) + np.max(np.abs(np.linalg.inv(H)) @ magnitudes)
     tol = 16.0 * np.finfo(float).eps * np.linalg.cond(H) * scale
     assert np.max(np.abs(have - want)) <= tol
 
@@ -771,9 +796,12 @@ def test_make_arm_lookup():
 
 
 def test_make_arm_muscle_overrides_and_payload():
-    arm = make_arm("planar2x4", muscle_overrides={"f0_max": 120.0}, tip_mass=0.5)
+    # presets carry no payload; a load comes from loaded_plant alone
+    arm = make_arm("planar2x4", muscle_overrides={"f0_max": 120.0})
     assert all(m.f0_max == 120.0 for m in arm.muscles)
-    assert arm.tip_mass == 0.5
+    assert arm.tip_mass == 0.0
+    loaded = loaded_plant(arm, DisturbanceSpec(load_fraction=0.2))
+    assert loaded.tip_mass == 0.5 and loaded.muscles == arm.muscles
 
 
 def test_model_requires_antagonist_pairs():

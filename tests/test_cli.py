@@ -315,6 +315,22 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     assert err["message"].startswith("line 2: [experiment] iterations: ")
 
 
+@pytest.mark.parametrize("text, start", [
+    # a drive bound outside the plant's [0, 1] domain
+    ("[controller]\nu_max = 1.2\n", "line 2: [controller] u_max: "),
+    # keys with one value in use, now constants
+    ("[controller]\nrest_command = 0.5\n", "line 2: unknown key 'rest_command'"),
+    ("[trajectory]\nkind = sine\n", "line 2: unknown key 'kind'"),
+])
+def test_config_key_exits_2_naming_the_line(tmp_path, capsys, text, start):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text, encoding="utf-8")
+    assert run(tmp_path, "curves", "--config", str(cfg)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith(start)
+
+
 def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
     path = tmp_path / "far.ini"        # TINY ends inside [trajectory]
     path.write_text(TINY.format(extra="") + "offset_x = 2.0\n",

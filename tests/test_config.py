@@ -286,7 +286,6 @@ divergence_patience = 3
 sweep_fractions = 0.0, 0.05, 0.1, 0.15, 0.2
 
 [trajectory]
-kind = sine
 amplitude = 0.15
 spatial_period = 0.2
 cycles = 2
@@ -308,7 +307,6 @@ diag_floor = 10.0
 diag_span = 2.0
 u_min = 0.0
 u_max = 1.0
-rest_command = 0.5
 
 [muscle]
 
@@ -348,7 +346,7 @@ def _controllers(draw):
         estimator_weight=draw(_POSITIVE), feedforward_scale=draw(_POSITIVE),
         error_window=draw(st.integers(1, 8)), offdiag_cap=draw(_POSITIVE),
         diag_floor=draw(_POSITIVE), diag_span=draw(_floats(1.0, 10.0)),
-        u_min=u_min, u_max=u_max, rest_command=draw(_floats(u_min, u_max)))
+        u_min=u_min, u_max=u_max)
 
 
 # every field scaled by a factor near 1 stays inside MuscleParams' bounds
@@ -425,7 +423,7 @@ def test_ilc_config_from_copies_fields():
     assert icfg.seed == 5
     assert icfg.control_decimation == 8
     assert icfg.trajectory.duration == 1.6
-    assert icfg.disturbance is None           # inert section means none
+    assert icfg.disturbance is cfg.disturbance
 
 
 def test_ilc_config_from_keeps_active_disturbance():

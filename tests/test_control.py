@@ -195,7 +195,7 @@ def test_feedforward_update_scalar():
     # beta = feedforward_scale * pinv(S) = 0.5 and no lag term: every entry
     # learns 0.5 * 0.2 from an error of 0.2 at each of the 5 samples
     ctl = DdilcController(np.array([[1.0]]), scalar_params(feedforward_scale=0.5),
-                          horizon=4, rng=np.random.default_rng(0))
+                          horizon=4, rng=np.random.default_rng(0), rest_drive=[0.5])
     u_ff = _feedforward_after(ctl, 0.0, 0.2)
     assert u_ff == pytest.approx(np.full((4, 1), 0.1))
     # converged fixed point: zero previous error leaves the table untouched
@@ -204,16 +204,16 @@ def test_feedforward_update_scalar():
 
 def test_feedforward_initialized_to_zero():
     rng = np.random.default_rng(0)
-    ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8, rng=rng)
+    ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8, rng=rng,
+                          rest_drive=[0.5, 0.5])
     assert np.all(ctl.u_ff == 0.0)
 
 
 def test_compose_control_clamps():
-    params = DdilcParams()  # rest_command 0.5
+    params = DdilcParams()
 
     def compose(u_b, u_f):
-        return _compose([params.rest_command], [u_b], [u_f], params.u_min,
-                        params.u_max)[0]
+        return _compose([0.5], [u_b], [u_f], params.u_min, params.u_max)[0]
 
     assert compose(0.5, 0.3) == 1.0
     assert compose(-0.5, -0.2) == 0.0
@@ -243,8 +243,14 @@ def test_params_validation():
         DdilcParams(diag_span=0.5)
     with pytest.raises(ValueError):
         DdilcParams(error_window=0)
-    with pytest.raises(ValueError):
-        DdilcParams(rest_command=1.5)
+
+
+@pytest.mark.parametrize("u_min, u_max", [(-0.1, 1.0), (0.0, 1.2), (0.6, 0.4)])
+def test_drive_bounds_must_lie_in_the_plant_domain(u_min, u_max):
+    # bounds outside [0, 1] used to pass: the harness then clipped the drive
+    # again, and the PJM learned from increments the plant never received
+    with pytest.raises(ValueError, match=r"0 <= u_min < u_max <= 1"):
+        DdilcParams(u_min=u_min, u_max=u_max)
 
 
 def test_params_dimension_check():
@@ -329,7 +335,7 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     params = DdilcParams()
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed))
+                          rng=np.random.default_rng(seed), rest_drive=[0.5, 0.5])
     ramp = np.linspace(0.0, 1.0, horizon + 1)[:, None]
     y_d = ramp * np.array([0.01, -0.008])
     errs = []
@@ -342,7 +348,7 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
             u = ctl.step(t, y, y_d[t + 1])
             drives.append(u.copy())
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
-            y = y + alpha * (s_gain @ (u - params.rest_command) - y)
+            y = y + alpha * (s_gain @ (u - 0.5) - y)
             total += np.linalg.norm(y_d[t + 1] - y)
         ctl.finish_iteration(y)
         errs.append(total / horizon)
@@ -364,7 +370,7 @@ def test_closed_loop_determinism():
 
 def test_shrink_feedforward_halves_gain_and_clears_table():
     ctl = DdilcController(np.eye(2), DdilcParams(), horizon=5,
-                          rng=np.random.default_rng(0))
+                          rng=np.random.default_rng(0), rest_drive=[0.5, 0.5])
     ctl.u_ff[:] = 0.3
     beta0 = ctl.beta.copy()
     ctl.shrink_feedforward()
@@ -575,7 +581,7 @@ def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100
     times as long."""
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed))
+                          rng=np.random.default_rng(seed), rest_drive=[0.5, 0.5])
     ref = _NumpyDdilc(ctl)
     y_d = np.linspace(0.0, reach, horizon + 1)[:, None] * np.array([0.01, -0.008])
     trials = []

@@ -6,7 +6,7 @@ stand-in, and the muscle low-pass measurement.
 
 import math
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -98,8 +98,6 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectorySpec(direction=(0.0, 0.0))
     with pytest.raises(ValueError):
-        TrajectorySpec(kind="square")
-    with pytest.raises(ValueError):
         generate_trajectory(TrajectorySpec(), 0.0)
     with pytest.raises(ValueError):
         generate_trajectory(TrajectorySpec(duration=1e-4), DT)
@@ -107,6 +105,8 @@ def test_trajectory_validation():
 
 def test_disturbance_validation_and_mass():
     assert DisturbanceSpec(load_fraction=0.2).tip_mass == pytest.approx(0.5)
+    with pytest.raises(FrozenInstanceError):    # one default instance is shared
+        DisturbanceSpec().load_fraction = 0.1
     with pytest.raises(ValueError):
         DisturbanceSpec(load_fraction=0.6)
     with pytest.raises(ValueError):
@@ -224,14 +224,18 @@ def test_run_trial_seed_and_noise_change_excitations(model):
 
 def test_run_trial_tip_load_changes_motion(model):
     pts = _one_second_points()
-    plain = run_trial(model, _rest(100), pts, DT, decimation=10)
+    start = rest_state(model, joint_path(model, pts[:1])[0])
+    plain = run_trial(model, _rest(100), pts, DT, decimation=10,
+                      start_state=start)
     loaded = run_trial(model, _rest(100), pts, DT, decimation=10,
+                       start_state=start,
                        disturbance=DisturbanceSpec(load_fraction=0.2))
     assert not loaded.diverged
     assert not np.allclose(plain.tip[-1], loaded.tip[-1], atol=1e-6)
-    # an all-zero disturbance is no disturbance, bit for bit
+    # no load and no noise amplitude is no disturbance, bit for bit
     inert = run_trial(model, _rest(100), pts, DT, decimation=10,
-                      disturbance=DisturbanceSpec())
+                      start_state=start,
+                      disturbance=DisturbanceSpec(noise_frequency_hz=8.0))
     for f in fields(TrialLog):
         np.testing.assert_array_equal(getattr(inert, f.name), getattr(plain, f.name))
 
@@ -560,6 +564,20 @@ def test_disturbance_sweep_rejects_a_table_before_parking(model, monkeypatch, sh
     assert parks == []
 
 
+def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatch):
+    # a 1 s chord has 1000 ticks, which 3 does not divide; the (333, 2) table
+    # matched the shape check, so the sweep used to park before run_trial
+    # raised
+    def no_park(*args, **kwargs):
+        raise AssertionError("park_state ran before the decimation check")
+
+    monkeypatch.setattr(harness, "park_state", no_park)
+    with pytest.raises(ValueError, match="^decimation 3 must divide the 1000 "
+                                         "trajectory ticks$"):
+        disturbance_sweep(model, np.full((333, 2), 0.5), _one_second_points(), DT,
+                          [0.0], decimation=3)
+
+
 def test_disturbance_sweep_repetition_scatter(model, short_run):
     cfg, result = short_run
     sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
@@ -591,7 +609,7 @@ def test_pid_defaults_are_tuned_benchmark_gains():
 def test_pid_zero_gains_hold_rest_drive(model):
     pts = _one_second_points()
     log = pid_baseline(model, pts, DT, PidGains(kp=0.0, ki=0.0, kd=0.0),
-                       decimation=10)
+                       start_state=rest_state(model), decimation=10)
     assert np.all(log.drives == 0.5)
 
 
@@ -609,12 +627,6 @@ def test_pid_tracks_better_than_rest(model):
 # ---------------------------------------------------------------------------
 # activation-to-force low-pass measurement
 # ---------------------------------------------------------------------------
-
-def test_lowpass_zero_noise_sentinel(model):
-    pts = lowpass_attenuation_test(model, noise_amplitude=0.0)
-    assert [p.frequency_hz for p in pts] == [1.0, 50.0]
-    assert all(math.isnan(p.measured_db) for p in pts)
-
 
 def test_lowpass_attenuates_high_frequency():
     rig = planar2x4(muscle_overrides={"eps0_t": 0.02,
