@@ -17,8 +17,9 @@ optional point mass is rigidly attached to the end effector (payload); the
 tendons are the only forces applied to the chain besides gravity and joint
 friction. Integration is classic RK4 on (q, qdot) with muscle forces frozen
 over the tick and hard joint stops applied afterwards. A fiber that shortens
-to the floor ``rest_state`` enforces (0.1 optimal lengths) or goes non-finite
-ends the integration with ``IntegrationDivergedError``.
+to the floor ``rest_state`` enforces (0.1 optimal lengths) or goes non-finite,
+and a joint that reaches 1e4 rad/s, end the integration with
+``IntegrationDivergedError``.
 
 `ArmModel` is one frozen plant description that every physics path shares. It
 stores its sequences as tuples and builds each per-model table once: per-link
@@ -60,10 +61,13 @@ __all__ = [
 # Fiber length, normalized by l0_fiber, at or below which a muscle has no room
 # left: rest_state refuses such a posture, integrate_step stops there.
 _MIN_FIBER_NORM = 0.1
+# Joint speed (rad/s) at or beyond which integrate_step reports divergence:
+# far above any speed a stable run reaches, far below a float overflow.
+_QDOT_MAX = 1e4
 
 
 class IntegrationDivergedError(RuntimeError):
-    """Raised when the integrator produces non-finite state; carries the last good state."""
+    """Raised when the integrator leaves the physical state space; carries the last good state."""
 
     def __init__(self, message: str, last_state: "ArmState"):
         super().__init__(message)
@@ -510,8 +514,10 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     forces are held constant while (q, qdot) advances by one RK4 step; hard
     joint stops then clamp q and zero any outward velocity component.
     A fiber length that is not finite or not above the 0.1 floor rest_state
-    enforces, a non-finite joint state, or a mass matrix that is not positive
-    definite raises IntegrationDivergedError naming the quantity.
+    enforces, a non-finite joint angle, a joint speed of 1e4 rad/s or more
+    (a blow-up, caught long before it overflows), or a mass matrix that is
+    not positive definite raises IntegrationDivergedError naming the
+    quantity.
     """
     n = model.n_joints
     q0 = state.q.tolist()
@@ -562,9 +568,11 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
             if vj > 0.0:
                 vj = 0.0
             stops += 1
-        if not (math.isfinite(qj) and math.isfinite(vj)):
-            name = "q" if not math.isfinite(qj) else "qdot"
-            raise IntegrationDivergedError(f"non-finite joint state {name}[{j}]", state)
+        # NaN and inf fail the bound on vj too
+        if not (math.isfinite(qj) and -_QDOT_MAX < vj < _QDOT_MAX):
+            reason = (f"qdot[{j}] = {vj:.3g} rad/s, at or beyond the {_QDOT_MAX:g} rad/s bound"
+                      if math.isfinite(qj) else f"non-finite joint state q[{j}]")
+            raise IntegrationDivergedError(reason, state)
         q_new[j] = qj
         qd_new[j] = vj
 

@@ -51,6 +51,7 @@ from .harness import (
     ReplayController,
     SweepPoint,
     TrialLog,
+    _control_ticks,
     compute_metrics,
     disturbance_sweep,
     generate_trajectory,
@@ -164,10 +165,10 @@ def _cmd_curves(cfg: ExperimentConfig, out: Path) -> dict:
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     model = arm_from_config(cfg)
     points = generate_trajectory(cfg.trajectory, cfg.dt)
+    n_control = _control_ticks(points, cfg.control_decimation)
     desired_q = joint_path(model, points)
     start, u_hold = park_state(loaded_plant(model, cfg.disturbance), desired_q[0],
                                cfg.dt, total_time=cfg.settle_time)
-    n_control = (points.shape[0] - 1) // cfg.control_decimation
     log = run_trial(model, ReplayController(np.tile(u_hold, (n_control, 1))),
                     points, cfg.dt, disturbance=cfg.disturbance, seed=cfg.seed,
                     start_state=start, decimation=cfg.control_decimation,
@@ -292,7 +293,7 @@ _RUNNERS = {
 # ---------------------------------------------------------------------------
 
 def dispatch(command: str, cfg: ExperimentConfig) -> int:
-    """Run one command, writing artifacts under ``<out_dir>/<command>/``.
+    """Run one command, writing artifacts under ``<out>/<command>/``.
 
     When the command completes, the output directory receives the exact
     configuration used (``config.ini``) and a deterministic
@@ -301,7 +302,7 @@ def dispatch(command: str, cfg: ExperimentConfig) -> int:
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{', '.join(_RUNNERS)}")
-    out = Path(cfg.out_dir) / command
+    out = Path(cfg.out) / command
     out.mkdir(parents=True, exist_ok=True)
     echo = serialize_config(cfg)
     payload = {"command": command, "seed": cfg.seed, "config_ini": echo}
@@ -344,13 +345,10 @@ def main(argv=None) -> int:
     try:
         cfg = (load_config(args.config) if args.config is not None
                else parse_config(""))
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
-        if args.preset is not None:
-            cfg = replace(cfg, preset=args.preset)
-        return dispatch(args.command, cfg)
+        # each override flag is named after its ExperimentConfig field
+        flags = {name: getattr(args, name) for name in ("seed", "out", "preset")}
+        return dispatch(args.command, replace(
+            cfg, **{name: v for name, v in flags.items() if v is not None}))
     except ConfigError as exc:
         _print_error(exc)
         return 2

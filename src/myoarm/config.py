@@ -5,18 +5,17 @@ sections and keys are derived from the dataclasses, not listed by hand:
 
 * ``[experiment]`` — the run fields of ``ExperimentConfig`` (preset,
   iterations, repetitions, seed, out, dt, control_decimation, settle_time,
-  probe_delta, probe_hold, divergence_patience, sweep_fractions), with
-  ``out`` standing for ``out_dir``;
-* ``[trajectory]`` — the ``TrajectorySpec`` fields, each pair split into
-  ``_x``/``_y`` keys (offset_x/offset_y, direction_x/direction_y);
-* ``[controller]``, ``[disturbance]``, ``[pid]`` — exactly the fields of
-  ``DdilcParams``, ``DisturbanceSpec`` and ``PidGains``;
+  probe_delta, probe_hold, divergence_patience, sweep_fractions);
+* ``[trajectory]``, ``[controller]``, ``[disturbance]``, ``[pid]`` — exactly
+  the fields of ``TrajectorySpec``, ``DdilcParams``, ``DisturbanceSpec`` and
+  ``PidGains``;
 * ``[muscle]`` — any ``MuscleParams`` field (sparse overrides applied to the
   preset's muscles).
 
-Each key takes the type of its default value (a tuple default is a list of
-numbers). ``_flatten`` and ``_unflatten`` are the only places that spell out
-this layout; parsing, environment overrides and the echo all go through them.
+Each key is the name of its dataclass field and takes the type of its
+default value (a tuple default is a list of numbers). ``_flatten`` and
+``_unflatten`` group the fields into these sections; parsing, environment
+overrides and the echo all go through them.
 
 Every key is optional (an empty file yields the benchmark defaults), unknown
 sections or keys are hard errors carrying the offending line number, and
@@ -84,7 +83,7 @@ class ExperimentConfig:
     iterations: int = 50
     repetitions: int = 1
     seed: int = 0
-    out_dir: str = "runs"
+    out: str = "runs"
     dt: float = 1e-3
     control_decimation: int = 10
     settle_time: float = 12.0
@@ -113,24 +112,13 @@ class ExperimentConfig:
         MuscleParams(**self.muscle_overrides)    # bounds check of the overrides
 
 
-# trajectory fields written as two keys, <name>_x and <name>_y
-_PAIRS = ("offset", "direction")
-
-
 def _flatten(cfg: ExperimentConfig) -> dict[str, dict[str, object]]:
     """The config as ``{section: {key: value}}``, in echo order."""
     flat = asdict(cfg)
-    trajectory = {}
-    for key, value in flat["trajectory"].items():
-        if key in _PAIRS:
-            trajectory[f"{key}_x"], trajectory[f"{key}_y"] = map(float, value)
-        else:
-            trajectory[key] = value
     return {
-        "experiment": {("out" if key == "out_dir" else key): value
-                       for key, value in flat.items()
+        "experiment": {key: value for key, value in flat.items()
                        if not isinstance(value, dict)},
-        "trajectory": trajectory,
+        "trajectory": flat["trajectory"],
         "controller": flat["controller"],
         "muscle": dict(sorted(cfg.muscle_overrides.items())),
         "disturbance": flat["disturbance"],
@@ -140,14 +128,9 @@ def _flatten(cfg: ExperimentConfig) -> dict[str, dict[str, object]]:
 
 def _unflatten(values: dict[str, dict[str, object]]) -> ExperimentConfig:
     """Inverse of ``_flatten``; raises ValueError on an invalid value."""
-    run = dict(values["experiment"])
-    run["out_dir"] = run.pop("out")
-    traj = dict(values["trajectory"])
-    for name in _PAIRS:
-        traj[name] = (traj.pop(f"{name}_x"), traj.pop(f"{name}_y"))
     return ExperimentConfig(
-        **run,
-        trajectory=TrajectorySpec(**traj),
+        **values["experiment"],
+        trajectory=TrajectorySpec(**values["trajectory"]),
         controller=DdilcParams(**values["controller"]),
         muscle_overrides=dict(values["muscle"]),
         disturbance=DisturbanceSpec(**values["disturbance"]),
@@ -321,14 +304,13 @@ def arm_from_config(cfg: ExperimentConfig) -> ArmModel:
     return make_arm(cfg.preset, muscle_overrides=cfg.muscle_overrides or None)
 
 
-def ilc_config_from(cfg: ExperimentConfig,
-                    model: ArmModel | None = None) -> IlcConfig:
-    """Assemble the learning-run configuration from an experiment config.
+def ilc_config_from(cfg: ExperimentConfig, model: ArmModel) -> IlcConfig:
+    """Assemble the learning-run configuration from an experiment config
+    and the arm built from it.
 
     Every ``IlcConfig`` field but the model is the experiment field of the
     same name.
     """
     shared = {f.name: getattr(cfg, f.name) for f in fields(IlcConfig)
               if f.name != "model"}
-    return IlcConfig(model=arm_from_config(cfg) if model is None else model,
-                     **shared)
+    return IlcConfig(model=model, **shared)

@@ -310,7 +310,6 @@ class DdilcController:
         self._transform_rows = self.transform.tolist()
         self._rest = self.rest_drive.tolist()
         self._start_trial()
-        self.iteration = 0
         self.ff_shrink_count = 0
         self.counts = DdilcCounts()
         self._errors_recorded = False
@@ -358,7 +357,6 @@ class DdilcController:
             hi = self.params.u_max - self.rest_drive
             self.counts.ff_clips = int(np.count_nonzero((u_ff < lo) | (u_ff > hi)))
             self.u_ff = np.clip(u_ff, lo, hi, out=u_ff)
-        self.iteration += 1
         self._start_trial()
         self._ff_rows = self.u_ff.tolist()
         self._y_d_t = _floats(y_d0)

@@ -99,16 +99,20 @@ class TrajectorySpec:
     """A spatial sine laid along a straight workspace chord.
 
     The tip travels the chord at constant speed while oscillating
-    transversely: p(s) = offset + d_hat*s + n_hat*amplitude*sin(2*pi*s/period),
-    with the chord coordinate s sweeping cycles*spatial_period over duration.
+    transversely: p(s) = o + d_hat*s + n_hat*amplitude*sin(2*pi*s/period),
+    with o = (offset_x, offset_y), d_hat the unit vector along
+    (direction_x, direction_y), n_hat d_hat turned by +90 degrees, and the
+    chord coordinate s sweeping cycles*spatial_period over duration.
     """
 
     amplitude: float = 0.150        # m, transverse excursion
     spatial_period: float = 0.200   # m, wavelength along the chord
     cycles: int = 2
     duration: float = 8.0           # s
-    offset: tuple[float, float] = (0.45, -0.2)
-    direction: tuple[float, float] = (0.0, 1.0)
+    offset_x: float = 0.45          # m, chord start
+    offset_y: float = -0.2
+    direction_x: float = 0.0        # chord direction, any nonzero length
+    direction_y: float = 1.0
 
     def __post_init__(self) -> None:
         for name in ("amplitude", "spatial_period", "duration"):
@@ -116,7 +120,7 @@ class TrajectorySpec:
                 raise ValueError(f"TrajectorySpec.{name} must be > 0")
         if self.cycles < 1:
             raise ValueError("TrajectorySpec.cycles must be >= 1")
-        if math.hypot(*self.direction) == 0.0:
+        if math.hypot(self.direction_x, self.direction_y) == 0.0:
             raise ValueError("TrajectorySpec.direction must be nonzero")
 
 
@@ -168,12 +172,12 @@ def generate_trajectory(spec: TrajectorySpec, dt: float) -> np.ndarray:
         raise ValueError("duration shorter than one tick")
     frac = np.arange(steps + 1) / steps
     s = spec.cycles * spec.spatial_period * frac
-    dx, dy = spec.direction
+    dx, dy = spec.direction_x, spec.direction_y
     norm = math.hypot(dx, dy)
     d_hat = np.array([dx / norm, dy / norm])
     n_hat = np.array([-d_hat[1], d_hat[0]])
     transverse = spec.amplitude * np.sin(2.0 * np.pi * s / spec.spatial_period)
-    return (np.asarray(spec.offset, dtype=float)
+    return (np.array([spec.offset_x, spec.offset_y])
             + np.outer(s, d_hat) + np.outer(transverse, n_hat))
 
 
@@ -276,7 +280,7 @@ class PidController:
         self._integral = np.zeros(2)
         self._e_prev = None
 
-    def step(self, tc: int, y, y_d_next, state: ArmState | None = None) -> np.ndarray:
+    def step(self, tc: int, y, y_d_next, *, state: ArmState) -> np.ndarray:
         e = self._y_d_t - np.asarray(y, dtype=float)
         self._integral += e * self.dt
         deriv = np.zeros(2) if self._e_prev is None else (e - self._e_prev) / self.dt
@@ -285,7 +289,7 @@ class PidController:
         drive = 0.5 + tau / self.gains.torque_scale
         self._e_prev = e
         self._y_d_t = np.asarray(y_d_next, dtype=float)
-        return np.clip(drive, 0.0, 1.0)
+        return drive      # run_trial clips it to [0, 1]
 
     def finish_iteration(self, y_final) -> None:
         pass
@@ -438,18 +442,17 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         controller.finish_iteration(_chain(eff, state.q)[-1])
 
     q_arr = np.array(qs)
-    n_kept = filled
     log = TrialLog(
         dt=dt,
         decimation=decimation,
-        time=np.arange(n_kept + 1) * dt,
+        time=np.arange(filled + 1) * dt,
         tip=tip_path(eff, q_arr),
-        tip_desired=points[:n_kept + 1].copy(),
+        tip_desired=points[:filled + 1].copy(),
         q=q_arr,
         qdot=np.array(qds),
         drives=np.array(drives),
-        excitations=excitations[:n_kept].copy() if diverged else excitations,
-        tendon_forces=forces[:n_kept].copy() if diverged else forces,
+        excitations=excitations[:filled].copy() if diverged else excitations,
+        tendon_forces=forces[:filled].copy() if diverged else forces,
         muscle_lengths=muscle_lengths(eff, q_arr),
         diverged=diverged,
         diverged_at=diverged_at,
@@ -457,7 +460,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     )
     if desired_joint_path is not None:
         log.muscle_lengths_desired = muscle_lengths(
-            eff, desired_joint_path[:n_kept + 1])
+            eff, desired_joint_path[:filled + 1])
     return log
 
 
@@ -554,12 +557,12 @@ class ProbeResult:
 
 def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
                       delta: float = 0.2, hold_time: float = 8.0,
-                      rest=0.5) -> ProbeResult:
+                      rest) -> ProbeResult:
     """Step each drive channel and identify gain and lag of the tip response.
 
     From the given state, each joint channel is stepped by ``delta`` away
-    from ``rest`` (scalar or per-channel vector, stepping downward when the
-    upward step would leave [0, 1]) and held; an identical rest hold is
+    from ``rest``, one drive per joint (stepping downward when the upward
+    step would leave [0, 1]), and held; an identical rest hold is
     subtracted so slow drift cancels. The gain column is the mean
     displacement over the final fifth divided by the signed step; the
     response time is the residence integral of the step response,
@@ -570,8 +573,9 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError("probe delta must lie in (0, 0.5]")
-    rest_vec = np.broadcast_to(np.asarray(rest, dtype=float),
-                               (model.n_joints,)).copy()
+    rest_vec = np.array(rest, dtype=float)
+    if rest_vec.shape != (model.n_joints,):
+        raise ValueError(f"probe rest must be one drive per joint ({model.n_joints})")
     if not all(0.0 <= v <= 1.0 for v in rest_vec.tolist()):
         raise ValueError("probe rest drives must lie in [0, 1]")
     n_hold = round(hold_time / dt)
@@ -608,7 +612,11 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
 class RunSummary:
     """Per-iteration error curve and controller counts of one learning run.
 
-    The four count lists are the fields of each iteration's ``DdilcCounts``.
+    Each per-iteration list is named after the field it records: of the
+    trial's ``TrialMetrics`` (``samples`` is not kept), of its ``TrialLog``
+    (``diverged_at``, ``diverged_reason``) or of the iteration's
+    ``DdilcCounts`` (the four count lists). ``ff_shrink_iterations`` holds
+    the iterations after which the feedforward shrank.
     """
 
     iterations: int
@@ -674,7 +682,6 @@ class IlcResult:
     points: np.ndarray
     desired_joint_path: np.ndarray
     final_log: TrialLog
-    controller: DdilcController
 
 
 def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
@@ -687,10 +694,7 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
     """
     model = cfg.model
     points = generate_trajectory(cfg.trajectory, cfg.dt)
-    n_ticks = points.shape[0] - 1
-    if n_ticks % cfg.control_decimation != 0:
-        raise ValueError("control_decimation must divide the trajectory ticks")
-    horizon = n_ticks // cfg.control_decimation
+    horizon = _control_ticks(points, cfg.control_decimation)
     eff = loaded_plant(model, cfg.disturbance)
     desired_q = joint_path(model, points)
     start, u_hold = park_state(eff, desired_q[0], cfg.dt,
@@ -705,22 +709,18 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
 
     summary = RunSummary(cfg.iterations)
     growth_streak = 0
-    final_log = None
     for k in range(cfg.iterations):
         log = run_trial(model, controller, points, cfg.dt,
                         disturbance=cfg.disturbance, seed=[cfg.seed, k],
                         start_state=start, decimation=cfg.control_decimation,
                         desired_joint_path=desired_q)
         metrics = compute_metrics(log)
-        summary.mean_abs_mm.append(metrics.mean_abs_mm)
-        summary.mse_mm2.append(metrics.mse_mm2)
-        summary.std_mm.append(metrics.std_mm)
-        summary.muscle_len_mean_abs_mm.append(metrics.muscle_len_mean_abs_mm)
-        summary.diverged.append(metrics.diverged)
-        summary.diverged_at.append(log.diverged_at)
-        summary.diverged_reason.append(log.diverged_reason)
-        for name, count in asdict(controller.counts).items():
-            getattr(summary, name).append(count)
+        row = {**asdict(metrics), **asdict(controller.counts),
+               "diverged_at": log.diverged_at,
+               "diverged_reason": log.diverged_reason}
+        for name, series in vars(summary).items():
+            if name in row:
+                series.append(row[name])
         if on_iteration is not None:
             on_iteration(k, log, metrics, controller)
 
@@ -733,14 +733,13 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
             controller.shrink_feedforward()
             summary.ff_shrink_iterations.append(k)
             growth_streak = 0
-        final_log = log
 
     ff = np.clip(u_hold + controller.u_ff,
                  cfg.controller.u_min, cfg.controller.u_max)
     return IlcResult(summary=summary, feedforward_drives=ff,
                      sensitivity=probe.sensitivity, start_state=start,
                      points=points, desired_joint_path=desired_q,
-                     final_log=final_log, controller=controller)
+                     final_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -918,7 +917,6 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
 # the shipped benchmark
 # ---------------------------------------------------------------------------
 
-def benchmark_ilc_config(model: ArmModel | None = None, **overrides) -> IlcConfig:
+def benchmark_ilc_config() -> IlcConfig:
     """The acceptance benchmark: planar arm, 8 s sine chord, 100 Hz control."""
-    overrides.setdefault("trajectory", TrajectorySpec())
-    return IlcConfig(model=model if model is not None else planar2x4(), **overrides)
+    return IlcConfig(model=planar2x4(), trajectory=TrajectorySpec())

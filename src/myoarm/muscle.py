@@ -262,16 +262,19 @@ def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
     return MuscleState(a_new, l_new, v), params.f0_max * f_t
 
 
-def curve_samples(params: MuscleParams, n: int = 201) -> list[tuple[float, float, float, float, float]]:
+_CURVE_SAMPLES = 201
+
+
+def curve_samples(params: MuscleParams) -> list[tuple[float, float, float, float, float]]:
     """Sample the four normalized curves over a shared sweep parameter.
 
-    Each row is (x, fl, fpe, fv, ft) with x in [0, 1]: fl and fpe are
+    Each row is (x, fl, fpe, fv, ft) with x at 201 even steps over [0, 1]: fl and fpe are
     evaluated at fiber length 0.5 + x, fv at velocity 2x - 1 (capped below
     the eccentric asymptote), ft at tendon strain 2x * eps0_t.
     """
     rows = []
-    for i in range(n):
-        x = i / (n - 1)
+    for i in range(_CURVE_SAMPLES):
+        x = i / (_CURVE_SAMPLES - 1)
         l = 0.5 + x
         v = min(2.0 * x - 1.0, 0.999)
         strain = 2.0 * x * params.eps0_t

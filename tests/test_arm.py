@@ -10,6 +10,7 @@ the composite-inertia mass matrix.
 
 import math
 from dataclasses import FrozenInstanceError, fields, replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -667,7 +668,11 @@ def test_tendon_forces_match_step_muscle_at_muscle_lengths(case, data):
     exc = data.draw(st.lists(st.floats(0.0, 1.0), min_size=arm.n_muscles,
                              max_size=arm.n_muscles))
     state = ArmState(q, qd, rest_state(arm).muscle_states)
-    _, info = integrate_step(arm, state, np.array(exc), 1e-3)
+    # q lies up to 6 rad from q_ref, so a short light link can be flung past
+    # the joint-speed bound in this one tick (a 6.25 cm link at 1 rad reached
+    # 1.2e4 rad/s); the forces compared here are fixed before that check
+    with patch.object(arm_module, "_QDOT_MAX", math.inf):
+        _, info = integrate_step(arm, state, np.array(exc), 1e-3)
     want = [step_muscle(ms, u, length, 1e-3, mp)[1] for ms, u, length, mp in
             zip(state.muscle_states, exc, muscle_lengths(arm, q).tolist(), arm.muscles)]
     assert info.tendon_forces.tobytes() == np.array(want).tobytes()
@@ -682,6 +687,19 @@ def test_divergence_raises_with_last_state():
         for _ in range(10):
             s, _ = integrate_step(arm, s, np.zeros(4), 1e-3)
     assert isinstance(exc_info.value.last_state, ArmState)
+
+
+def test_joint_speed_bound_names_the_joint():
+    # a 1 us step keeps the joints off their stops at these speeds
+    arm = planar2x4()
+    state = rest_state(arm)
+    state.qdot[1] = 5e3
+    integrate_step(arm, state, np.zeros(4), 1e-6)
+    state.qdot[1] = 2e4
+    with pytest.raises(IntegrationDivergedError, match=(
+            r"^qdot\[1\] = \S+ rad/s, at or beyond the 10000 rad/s bound$")) as err:
+        integrate_step(arm, state, np.zeros(4), 1e-6)
+    assert err.value.last_state is state
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

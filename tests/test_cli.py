@@ -79,7 +79,7 @@ def test_config_echo_reflects_overrides(tmp_path):
     echoed = parse_config(
         (tmp_path / "runs" / "curves" / "config.ini").read_text(), env={})
     assert echoed.seed == 9
-    assert echoed.out_dir == str(tmp_path / "runs")
+    assert echoed.out == str(tmp_path / "runs")
     assert read_summary(tmp_path, "curves")["seed"] == 9
 
 
@@ -343,6 +343,18 @@ def test_unreachable_trajectory_exits_1_naming_the_point(tmp_path, capsys):
     out = tmp_path / "runs" / "simulate"
     assert not (out / "config.ini").exists()
     assert not (out / "run_summary.json").exists()
+
+
+def test_simulate_rejects_decimation_before_parking(tmp_path, capsys, monkeypatch):
+    def no_park(*args, **kwargs):
+        raise AssertionError("park_state ran before the decimation check")
+
+    monkeypatch.setattr(cli, "park_state", no_park)
+    config = tiny_config(tmp_path, extra="control_decimation = 3")
+    assert run(tmp_path, "simulate", "--config", config) == 1
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ValueError",
+                   "message": "decimation 3 must divide the 1000 trajectory ticks"}
 
 
 def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,9 @@
 field-naming validation errors, env-var overrides, and round-trip identity.
 """
 
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -37,7 +39,7 @@ def test_empty_file_gives_benchmark_defaults():
     assert cfg.iterations == 50
     assert cfg.seed == 0
     assert cfg.repetitions == 1
-    assert cfg.out_dir == "runs"
+    assert cfg.out == "runs"
     assert cfg.dt == 1e-3
     assert cfg.control_decimation == 10
     assert cfg.trajectory.duration == 8.0
@@ -46,6 +48,13 @@ def test_empty_file_gives_benchmark_defaults():
     assert cfg.disturbance.load_fraction == 0.0
     assert (cfg.pid.kp, cfg.pid.ki, cfg.pid.kd) == (800.0, 10.0, 20.0)
     assert cfg.sweep_fractions == (0.0, 0.05, 0.10, 0.15, 0.20)
+
+
+def test_readme_config_block_is_the_defaults():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    assert parse_config(block, env={}) == ExperimentConfig()
 
 
 def test_full_file_parses_every_section():
@@ -94,12 +103,12 @@ def test_full_file_parses_every_section():
     assert cfg.iterations == 7
     assert cfg.repetitions == 2
     assert cfg.seed == 42
-    assert cfg.out_dir == "results"
+    assert cfg.out == "results"
     assert cfg.dt == 0.002
     assert cfg.control_decimation == 5
     assert cfg.sweep_fractions == (0.0, 0.1, 0.2)
-    assert cfg.trajectory.offset == (0.4, -0.1)
-    assert cfg.trajectory.direction == (1.0, 0.0)
+    assert (cfg.trajectory.offset_x, cfg.trajectory.offset_y) == (0.4, -0.1)
+    assert (cfg.trajectory.direction_x, cfg.trajectory.direction_y) == (1.0, 0.0)
     assert cfg.trajectory.cycles == 3
     assert cfg.controller.feedforward_scale == 0.2
     assert cfg.controller.error_window == 2
@@ -356,7 +365,19 @@ _muscle_overrides = st.dictionaries(
 ).map(lambda scales: {name: _MUSCLE_DEFAULTS[name] * scale
                       for name, scale in scales.items()})
 
-_pairs = st.tuples(_floats(-2.0, 2.0), _floats(-2.0, 2.0))
+_COORD = _floats(-2.0, 2.0)
+
+
+@st.composite
+def _trajectories(draw):
+    direction_x, direction_y = draw(st.tuples(_COORD, _COORD).filter(
+        lambda d: d != (0.0, 0.0)))
+    return TrajectorySpec(
+        amplitude=draw(_POSITIVE), spatial_period=draw(_POSITIVE),
+        cycles=draw(st.integers(1, 10)), duration=draw(_POSITIVE),
+        offset_x=draw(_COORD), offset_y=draw(_COORD),
+        direction_x=direction_x, direction_y=direction_y)
+
 
 _configs = st.builds(
     ExperimentConfig,
@@ -364,7 +385,7 @@ _configs = st.builds(
     iterations=st.integers(1, 500),
     repetitions=st.integers(1, 20),
     seed=st.integers(0, 2**32),
-    out_dir=st.text("abcxyz019_-./", min_size=1, max_size=12),
+    out=st.text("abcxyz019_-./", min_size=1, max_size=12),
     dt=_floats(1e-6, 1.0),
     control_decimation=st.integers(1, 100),
     settle_time=_floats(3.0, 1e3),
@@ -372,10 +393,7 @@ _configs = st.builds(
     probe_hold=_POSITIVE,
     divergence_patience=st.integers(1, 10),
     sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6).map(tuple),
-    trajectory=st.builds(
-        TrajectorySpec, amplitude=_POSITIVE, spatial_period=_POSITIVE,
-        cycles=st.integers(1, 10), duration=_POSITIVE,
-        offset=_pairs, direction=_pairs.filter(lambda d: d != (0.0, 0.0))),
+    trajectory=_trajectories(),
     controller=_controllers(),
     muscle_overrides=_muscle_overrides,
     disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,
@@ -418,7 +436,7 @@ def test_arm_from_config_spatial_preset():
 def test_ilc_config_from_copies_fields():
     cfg = parse("[experiment]\niterations = 4\nseed = 5\n"
                 "control_decimation = 8\n[trajectory]\nduration = 1.6\n")
-    icfg = ilc_config_from(cfg)
+    icfg = ilc_config_from(cfg, arm_from_config(cfg))
     assert icfg.iterations == 4
     assert icfg.seed == 5
     assert icfg.control_decimation == 8
@@ -427,6 +445,7 @@ def test_ilc_config_from_copies_fields():
 
 
 def test_ilc_config_from_keeps_active_disturbance():
-    icfg = ilc_config_from(parse("[disturbance]\nload_fraction = 0.1\n"))
+    cfg = parse("[disturbance]\nload_fraction = 0.1\n")
+    icfg = ilc_config_from(cfg, arm_from_config(cfg))
     assert icfg.disturbance is not None
     assert icfg.disturbance.tip_mass == pytest.approx(0.25)

@@ -6,7 +6,7 @@ stand-in, and the muscle low-pass measurement.
 
 import math
 import re
-from dataclasses import FrozenInstanceError, fields
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from myoarm.arm import (
     rest_state,
     tip_path,
 )
-from myoarm.control import DdilcController
 from myoarm.harness import (
     DisturbanceSpec,
     IlcConfig,
@@ -41,9 +40,10 @@ from myoarm.harness import (
     run_ilc,
     run_trial,
 )
-from myoarm.presets import planar2x4
+from myoarm.presets import planar2x4, spatial_ltdm
 
 DT = 1e-3
+REST = np.full(2, 0.5)     # a probe rest drive on planar2x4
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +78,7 @@ def test_trajectory_frozen_samples():
 
 
 def test_trajectory_direction_normalized():
-    spec = TrajectorySpec(duration=2.0, cycles=1, direction=(3.0, 3.0))
+    spec = TrajectorySpec(duration=2.0, cycles=1, direction_x=3.0, direction_y=3.0)
     pts = generate_trajectory(spec, 1e-2)
     chord = pts[-1] - pts[0]
     # chord length is cycles * spatial_period regardless of direction scale
@@ -96,7 +96,7 @@ def test_trajectory_validation():
     with pytest.raises(ValueError):
         TrajectorySpec(cycles=0)
     with pytest.raises(ValueError):
-        TrajectorySpec(direction=(0.0, 0.0))
+        TrajectorySpec(direction_x=0.0, direction_y=0.0)
     with pytest.raises(ValueError):
         generate_trajectory(TrajectorySpec(), 0.0)
     with pytest.raises(ValueError):
@@ -387,14 +387,37 @@ def test_park_state_needs_time(model):
 def test_probe_validation(model):
     state = rest_state(model)
     with pytest.raises(ValueError):
-        probe_sensitivity(model, state, DT, delta=0.0, hold_time=0.2)
+        probe_sensitivity(model, state, DT, delta=0.0, hold_time=0.2, rest=REST)
     with pytest.raises(ValueError):
-        probe_sensitivity(model, state, DT, delta=0.6, hold_time=0.2)
+        probe_sensitivity(model, state, DT, delta=0.6, hold_time=0.2, rest=REST)
     with pytest.raises(ValueError):
-        probe_sensitivity(model, state, DT, hold_time=0.2, rest=1.5)
+        probe_sensitivity(model, state, DT, hold_time=0.2, rest=[1.5, 0.5])
     # a NaN rest drive used to pass and fail inside the muscle
     with pytest.raises(ValueError, match=r"^probe rest drives must lie in \[0, 1\]$"):
         probe_sensitivity(model, state, DT, hold_time=0.2, rest=[np.nan, 0.5])
+
+
+@pytest.mark.parametrize("rest", [0.5, [0.5], [0.5, 0.5, 0.5]],
+                         ids=["scalar", "one", "three"])
+def test_probe_rest_must_be_one_drive_per_joint(model, monkeypatch, rest):
+    def no_hold(*args, **kwargs):
+        raise AssertionError("a probe hold ran before the rest check")
+
+    monkeypatch.setattr(harness, "_hold", no_hold)
+    with pytest.raises(ValueError, match=r"^probe rest must be one drive per joint \(2\)$"):
+        probe_sensitivity(model, rest_state(model), DT, hold_time=0.2, rest=rest)
+
+
+def test_probe_blow_up_stops_at_the_joint_speed_bound():
+    # spatial-ltdm cannot hold a 3 s park, and channel 0's hold from it blows
+    # up; the joint stops keep q in range, so only the speed shows it
+    arm = spatial_ltdm()
+    start, u_hold = park_state(arm, np.asarray(arm.q_ref), DT, total_time=3.0)
+    with pytest.raises(IntegrationDivergedError, match=(
+            r"^probe hold channel 0 diverged at tick \d+: qdot\[0\] = \S+ rad/s, "
+            r"at or beyond the 10000 rad/s bound$")) as err:
+        probe_sensitivity(arm, start, DT, hold_time=0.5, rest=u_hold)
+    assert np.max(np.abs(err.value.last_state.qdot)) < 1e4
 
 
 def test_probe_steps_down_from_saturated_rest(model):
@@ -406,8 +429,8 @@ def test_probe_steps_down_from_saturated_rest(model):
 
 def test_probe_deterministic_and_sane(model):
     state, _ = park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
-    a = probe_sensitivity(model, state, DT, hold_time=2.0)
-    b = probe_sensitivity(model, state, DT, hold_time=2.0)
+    a = probe_sensitivity(model, state, DT, hold_time=2.0, rest=REST)
+    b = probe_sensitivity(model, state, DT, hold_time=2.0, rest=REST)
     assert np.array_equal(a.sensitivity, b.sensitivity)
     assert np.array_equal(a.response_time_s, b.response_time_s)
     assert a.sensitivity.shape == (2, model.n_joints)
@@ -424,7 +447,7 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
         with pytest.raises(IntegrationDivergedError, match=(
                 r"^probe hold rest diverged at tick 0: "
                 r"non-finite l_fiber_norm of muscle 0$")) as err:
-            probe_sensitivity(model, state, DT, hold_time=0.2)
+            probe_sensitivity(model, state, DT, hold_time=0.2, rest=REST)
     assert np.array_equal(err.value.last_state.q, state.q)
 
     # 0.2 s holds: call 201 is channel 0's first tick, so call 203 is tick 2
@@ -440,7 +463,7 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
     with pytest.raises(IntegrationDivergedError,
                        match=r"^probe hold channel 0 diverged at tick 2: "
                              r"injected$") as err:
-        probe_sensitivity(model, state, DT, hold_time=0.2)
+        probe_sensitivity(model, state, DT, hold_time=0.2, rest=REST)
     assert err.value.last_state is calls[-1][1]
 
 
@@ -467,7 +490,7 @@ def test_run_ilc_rejects_decimation_before_parking(model, monkeypatch):
     monkeypatch.setattr(harness, "park_state", no_park)
     cfg = IlcConfig(model=model, trajectory=TrajectorySpec(duration=1.0),
                     control_decimation=3)
-    with pytest.raises(ValueError, match="control_decimation"):
+    with pytest.raises(ValueError, match=r"^decimation 3 must divide the 1000 trajectory ticks$"):
         run_ilc(cfg)
 
 
@@ -484,7 +507,6 @@ def test_run_ilc_learns(short_run):
     assert result.feedforward_drives.shape == (n_control, 2)
     assert np.all(result.feedforward_drives >= cfg.controller.u_min)
     assert np.all(result.feedforward_drives <= cfg.controller.u_max)
-    assert isinstance(result.controller, DdilcController)
     assert result.final_log.tip.shape[0] == result.points.shape[0]
 
 
@@ -522,14 +544,14 @@ def test_run_ilc_summary_records_divergence(model, diverge_in_trial, tick):
     assert s.diverged_reason == [None, "injected", None]
 
 
-def test_benchmark_config_defaults(model):
+def test_benchmark_config_defaults():
     cfg = benchmark_ilc_config()
     assert cfg.trajectory.duration == 8.0
     assert cfg.iterations == 50
     assert cfg.dt == DT
     assert cfg.control_decimation == 10
     assert cfg.model.n_joints == 2
-    assert benchmark_ilc_config(model, iterations=3).iterations == 3
+    assert replace(cfg, iterations=3).iterations == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,78 @@
+"""sha256 of every artifact the six myoarm commands write on one small config.
+
+Runs ``curves``, ``simulate``, ``ilc``, ``sweep``, ``compare`` and
+``lowpass`` through ``myoarm.cli.main`` in a temporary directory with
+``out = runs``, on a fixed small config (2 iterations, a 1 s chord, a 20 %
+tip load, activation noise 0.01 at 2 Hz, 2 repetitions, sweep fractions 0
+and 0.2), and prints one ``<sha256>  <command>/<file>`` line per artifact,
+sorted by path. It uses only the CLI, so the outputs of two checkouts can be
+compared with ``diff``:
+
+    PYTHONPATH=<checkout>/src python tools/artifact_digest.py > digests.txt
+
+Without PYTHONPATH the package in ``src`` next to this script's directory is
+used. ``MYOARM_*`` environment overrides apply as they do to the CLI.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+COMMANDS = ("curves", "simulate", "ilc", "sweep", "compare", "lowpass")
+CONFIG = """\
+[experiment]
+iterations = 2
+repetitions = 2
+seed = 3
+out = runs
+settle_time = 3
+probe_hold = 1
+sweep_fractions = 0.0, 0.2
+
+[trajectory]
+duration = 1.0
+cycles = 1
+
+[disturbance]
+load_fraction = 0.2
+noise_amplitude = 0.01
+noise_frequency_hz = 2.0
+"""
+
+
+def digests() -> list[str]:
+    """Run every command on CONFIG; one ``sha256  path`` line per artifact."""
+    if str(_SRC) not in sys.path:
+        sys.path.append(str(_SRC))      # after PYTHONPATH, which thus wins
+    from myoarm.cli import main
+
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            Path("exp.ini").write_text(CONFIG, encoding="utf-8")
+            for command in COMMANDS:
+                code = main([command, "--config", "exp.ini"])
+                if code != 0:
+                    raise RuntimeError(f"myoarm {command} exited with {code}")
+            root = Path("runs")
+            return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                    f"{path.relative_to(root).as_posix()}"
+                    for path in sorted(root.rglob("*")) if path.is_file()]
+        finally:
+            os.chdir(cwd)
+
+
+def main() -> int:
+    print("\n".join(digests()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
