@@ -43,6 +43,7 @@ from .config import (
     load_config,
     parse_config,
     serialize_config,
+    sweep_condition,
 )
 from .control import DdilcController
 from .harness import (
@@ -207,7 +208,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     train_cfg = ilc_config_from(replace(cfg, disturbance=DisturbanceSpec()),
                                 model)
     result = run_ilc(train_cfg)
-    conditions = [f"load_{round(1000 * f):03d}" for f in cfg.sweep_fractions]
+    conditions = [sweep_condition(f) for f in cfg.sweep_fractions]
     dirs = [out / name for name in conditions]
     for d in dirs:
         d.mkdir(parents=True, exist_ok=True)

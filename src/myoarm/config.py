@@ -56,6 +56,7 @@ __all__ = [
     "serialize_config",
     "arm_from_config",
     "ilc_config_from",
+    "sweep_condition",
     "ENV_PREFIX",
 ]
 
@@ -70,13 +71,19 @@ class ConfigError(ValueError):
         self.line = line
 
 
+def sweep_condition(fraction: float) -> str:
+    """The output directory of one sweep fraction: ``load_<per mille>``."""
+    return f"load_{round(1000 * fraction):03d}"
+
+
 @dataclass
 class ExperimentConfig:
     """One experiment, fully specified: plant, task, controller, outputs.
 
     Construction validates every field, so ``dataclasses.replace`` cannot
     build an invalid config; the preset name is normalized to its
-    ``PRESETS`` key.
+    ``PRESETS`` key. ``settle_time`` is a whole number of seconds, and no
+    two ``sweep_fractions`` may share a ``sweep_condition`` directory.
     """
 
     preset: str = "planar2x4"
@@ -109,6 +116,12 @@ class ExperimentConfig:
         if not all(0.0 <= f <= 0.5 for f in self.sweep_fractions):
             raise ValueError(
                 "ExperimentConfig.sweep_fractions must lie in [0, 0.5]")
+        for i, f in enumerate(self.sweep_fractions):
+            for g in self.sweep_fractions[:i]:
+                if sweep_condition(g) == sweep_condition(f):
+                    raise ValueError(
+                        f"ExperimentConfig.sweep_fractions {g!r} and {f!r} "
+                        f"share the output directory {sweep_condition(f)}")
         MuscleParams(**self.muscle_overrides)    # bounds check of the overrides
 
 

@@ -271,13 +271,15 @@ class DdilcController:
     ``begin_iteration``. ``rest_drive`` is the per-channel bias the drive is
     composed on, within [u_min, u_max]; the harness passes the measured
     drives that hold the start posture, so the first iteration continues the
-    pre-trial equilibrium. ``counts`` holds the current iteration's
+    pre-trial equilibrium. ``response_lag_ticks`` (>= 0) is the probe's
+    identified response lag in control ticks, which scales the feedforward's
+    error-increment term. ``counts`` holds the current iteration's
     ``DdilcCounts``.
     """
 
     def __init__(self, sensitivity: np.ndarray, params: DdilcParams,
-                 horizon: int, rng: np.random.Generator,
-                 response_lag_ticks: float = 0.0, *, rest_drive: np.ndarray):
+                 horizon: int, rng: np.random.Generator, *,
+                 response_lag_ticks: float, rest_drive: np.ndarray):
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
         params.check_dimension(self.m)

@@ -45,7 +45,7 @@ from .arm import (
     tip_path,
 )
 from .control import DdilcController, DdilcParams, pair_drive_to_excitations
-from .muscle import activation_time_constant, step_muscle
+from .muscle import step_muscle
 from .presets import planar2x4
 
 __all__ = [
@@ -314,7 +314,7 @@ class TrialLog:
     excitations: np.ndarray          # (N, n_muscles)
     tendon_forces: np.ndarray        # (N, n_muscles)
     muscle_lengths: np.ndarray       # (N+1, n_muscles)
-    muscle_lengths_desired: np.ndarray | None = None
+    muscle_lengths_desired: np.ndarray   # (N+1, n_muscles), along the IK path
     diverged: bool = False
     diverged_at: int | None = None
     diverged_reason: str | None = None
@@ -327,7 +327,7 @@ class TrialMetrics:
     mean_abs_mm: float
     mse_mm2: float
     std_mm: float
-    muscle_len_mean_abs_mm: float | None
+    muscle_len_mean_abs_mm: float
     samples: int
     diverged: bool
 
@@ -375,11 +375,14 @@ def _control_ticks(points: np.ndarray, decimation: int) -> int:
 
 
 def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
-              disturbance: DisturbanceSpec = DisturbanceSpec(), seed=0,
-              start_state: ArmState, decimation: int = 1,
-              desired_joint_path: np.ndarray | None = None) -> TrialLog:
+              disturbance: DisturbanceSpec, seed, start_state: ArmState,
+              decimation: int, desired_joint_path: np.ndarray) -> TrialLog:
     """Execute one finite-horizon tracking trial from ``start_state`` and log
     every tick.
+
+    ``seed`` seeds the activation noise of ``disturbance``;
+    ``desired_joint_path`` is the inverse-kinematics path of ``points``, from
+    which the log's desired muscle lengths follow.
 
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
     ``diverged_reason`` with truncated arrays), not raised; a drive that is
@@ -442,7 +445,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         controller.finish_iteration(_chain(eff, state.q)[-1])
 
     q_arr = np.array(qs)
-    log = TrialLog(
+    return TrialLog(
         dt=dt,
         decimation=decimation,
         time=np.arange(filled + 1) * dt,
@@ -454,14 +457,11 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         excitations=excitations[:filled].copy() if diverged else excitations,
         tendon_forces=forces[:filled].copy() if diverged else forces,
         muscle_lengths=muscle_lengths(eff, q_arr),
+        muscle_lengths_desired=muscle_lengths(eff, desired_joint_path[:filled + 1]),
         diverged=diverged,
         diverged_at=diverged_at,
         diverged_reason=diverged_reason,
     )
-    if desired_joint_path is not None:
-        log.muscle_lengths_desired = muscle_lengths(
-            eff, desired_joint_path[:filled + 1])
-    return log
 
 
 def compute_metrics(log: TrialLog) -> TrialMetrics:
@@ -473,15 +473,12 @@ def compute_metrics(log: TrialLog) -> TrialMetrics:
     if log.tip.shape[0] < 1:
         raise ValueError("log holds no samples")
     err_mm = np.hypot(*(log.tip - log.tip_desired).T) * 1e3
-    muscle = None
-    if log.muscle_lengths_desired is not None:
-        muscle = float(np.mean(np.abs(log.muscle_lengths
-                                      - log.muscle_lengths_desired)) * 1e3)
+    muscle_err = log.muscle_lengths - log.muscle_lengths_desired
     return TrialMetrics(
         mean_abs_mm=float(np.mean(err_mm)),
         mse_mm2=float(np.mean(err_mm ** 2)),
         std_mm=float(np.std(err_mm)),
-        muscle_len_mean_abs_mm=muscle,
+        muscle_len_mean_abs_mm=float(np.mean(np.abs(muscle_err)) * 1e3),
         samples=int(err_mm.shape[0]),
         diverged=log.diverged,
     )
@@ -492,7 +489,7 @@ def compute_metrics(log: TrialLog) -> TrialMetrics:
 # ---------------------------------------------------------------------------
 
 def _hold(model: ArmModel, state: ArmState, drive: np.ndarray, dt: float,
-          n_ticks: int, label: str, first_tick: int = 0) -> tuple[ArmState, np.ndarray]:
+          n_ticks: int, label: str, first_tick: int) -> tuple[ArmState, np.ndarray]:
     """Integrate ``n_ticks`` at one constant pair drive; returns the final
     state and the (n_ticks, n_joints) postures after each tick.
 
@@ -516,7 +513,7 @@ _PARK_GAIN = 0.6        # drive correction per rad of joint error, per round
 
 
 def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
-               total_time: float = 12.0) -> tuple[ArmState, np.ndarray]:
+               total_time: float) -> tuple[ArmState, np.ndarray]:
     """Find constant drives that hold the arm at ``q_target`` and settle there.
 
     Repetitions of a finite-horizon task must all start from the same state
@@ -525,12 +522,14 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     integral servo (one drive correction per second of hold) converges
     because each joint's torque is monotone in its drive; the last two
     seconds hold the drives fixed so the returned state is an equilibrium of
-    the final drive vector. Returns ``(state, hold_drives)``. A park that
-    diverges raises ``IntegrationDivergedError`` naming ``park`` and the
-    tick, with the last good state.
+    the final drive vector. ``total_time`` is a whole number of seconds,
+    at least 3; anything else raises ``ValueError`` before the first tick.
+    Returns ``(state, hold_drives)``. A park that diverges raises
+    ``IntegrationDivergedError`` naming ``park`` and the tick, with the last
+    good state.
     """
-    if total_time < 3.0:
-        raise ValueError("park_state needs at least 3 seconds")
+    if not (total_time >= 3.0 and float(total_time).is_integer()):
+        raise ValueError("park_state needs a whole number of seconds >= 3")
     q_target = np.asarray(q_target, dtype=float)
     state = rest_state(model, q_target)
     u = np.full(model.n_joints, 0.5)
@@ -556,8 +555,7 @@ class ProbeResult:
 
 
 def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
-                      delta: float = 0.2, hold_time: float = 8.0,
-                      rest) -> ProbeResult:
+                      delta: float, hold_time: float, rest) -> ProbeResult:
     """Step each drive channel and identify gain and lag of the tip response.
 
     From the given state, each joint channel is stepped by ``delta`` away
@@ -582,7 +580,7 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     n_avg = max(1, n_hold // 5)
 
     def held_tips(hold: str, drive: np.ndarray) -> np.ndarray:
-        qs = _hold(model, state0, drive, dt, n_hold, f"probe hold {hold}")[1]
+        qs = _hold(model, state0, drive, dt, n_hold, f"probe hold {hold}", 0)[1]
         return tip_path(model, qs)
 
     base = held_tips("rest", rest_vec)
@@ -623,7 +621,7 @@ class RunSummary:
     mean_abs_mm: list[float] = field(default_factory=list)
     mse_mm2: list[float] = field(default_factory=list)
     std_mm: list[float] = field(default_factory=list)
-    muscle_len_mean_abs_mm: list[float | None] = field(default_factory=list)
+    muscle_len_mean_abs_mm: list[float] = field(default_factory=list)
     diverged: list[bool] = field(default_factory=list)
     # the tick at which each trial diverged, and the IntegrationDivergedError
     # message
@@ -664,7 +662,8 @@ def _check_run_fields(cfg) -> None:
             ("dt", cfg.dt > 0.0, "> 0"),
             ("control_decimation", cfg.control_decimation >= 1, ">= 1"),
             ("divergence_patience", cfg.divergence_patience >= 1, ">= 1"),
-            ("settle_time", cfg.settle_time >= 3.0, ">= 3"),
+            ("settle_time", cfg.settle_time >= 3.0
+             and float(cfg.settle_time).is_integer(), "a whole number >= 3"),
             ("probe_delta", 0.0 < cfg.probe_delta <= 0.5, "in (0, 0.5]"),
             ("probe_hold", cfg.probe_hold > 0.0, "> 0")):
         if not ok:
@@ -724,10 +723,10 @@ def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
         if on_iteration is not None:
             on_iteration(k, log, metrics, controller)
 
-        score = math.inf if metrics.diverged else metrics.mean_abs_mm
         prev = (summary.mean_abs_mm[-2] if len(summary.mean_abs_mm) > 1
                 and not summary.diverged[-2] else None)
-        grew = metrics.diverged or (prev is not None and score > prev)
+        grew = metrics.diverged or (prev is not None
+                                    and metrics.mean_abs_mm > prev)
         growth_streak = growth_streak + 1 if grew else 0
         if growth_streak >= cfg.divergence_patience:
             controller.shrink_feedforward()
@@ -765,10 +764,9 @@ class SweepResult:
 
 def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
                       points: np.ndarray, dt: float, fractions, *,
-                      decimation: int = 1, settle_time: float = 12.0,
-                      seed: int = 0, repetitions: int = 1,
+                      decimation: int, settle_time: float, seed: int,
+                      desired_joint_path: np.ndarray, repetitions: int = 1,
                       disturbance: DisturbanceSpec = DisturbanceSpec(),
-                      desired_joint_path: np.ndarray | None = None,
                       on_trial=None) -> SweepResult:
     """Replay a converged drive table open-loop under increasing tip load.
 
@@ -778,9 +776,11 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
     replaces its load fraction. With repetitions > 1 the per-repetition seeds
     vary only the stochastic activation noise. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every replay,
-    e.g. for CSV dumps. A ``decimation`` that does not divide the trajectory
-    ticks, or a table that is not one row of drives per control tick, raises
-    ``ValueError`` before any park.
+    e.g. for CSV dumps. ``settle_time`` is each park's ``total_time``;
+    ``seed`` and ``desired_joint_path`` are passed to every ``run_trial``. A
+    ``decimation`` that does not divide the trajectory ticks, or a table that
+    is not one row of drives per control tick, raises ``ValueError`` before
+    any park.
     """
     points = np.asarray(points, dtype=float)
     drive_table = np.asarray(drive_table, dtype=float)
@@ -819,12 +819,13 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
 
 def pid_baseline(model: ArmModel, points: np.ndarray, dt: float,
                  gains: PidGains, *, disturbance: DisturbanceSpec = DisturbanceSpec(),
-                 seed=0, start_state: ArmState, decimation: int = 1,
-                 desired_joint_path: np.ndarray | None = None) -> TrialLog:
+                 seed=0, start_state: ArmState, decimation: int,
+                 desired_joint_path: np.ndarray) -> TrialLog:
     """One tracking trial under the task-space PID stand-in, from ``start_state``.
 
-    ``disturbance`` and ``seed`` are passed to ``run_trial``, so the PID trial
-    can run on the same loaded, noisy plant as a learning trial.
+    ``disturbance``, ``seed``, ``decimation`` and ``desired_joint_path`` are
+    passed to ``run_trial``, so the PID trial can run on the same loaded,
+    noisy plant as a learning trial.
     """
     controller = PidController(model, gains, dt * decimation)
     return run_trial(model, controller, points, dt, disturbance=disturbance,
@@ -875,7 +876,7 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
     n_total = round(4.0 / dt)
 
     def slack_state() -> "object":
-        return rest_state(model, np.asarray(model.q_ref, float)).muscle_states[0]
+        return rest_state(model).muscle_states[0]
 
     def steady_force(u: float) -> float:
         state = slack_state()
@@ -890,17 +891,14 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
     out = []
     for freq in (1.0, 50.0):
         state = slack_state()
-        act = params.a_min
         forces = np.empty(n_total - n_settle)
         acts = np.empty(n_total - n_settle)
         for tick in range(n_total):
             u = carrier_u + noise_amplitude * math.sin(2.0 * np.pi * freq * tick * dt)
             state, force = step_muscle(state, u, l_mtu, dt, params)
-            tau = activation_time_constant(u, act, params)
-            act = u + (act - u) * math.exp(-dt / tau)
             if tick >= n_settle:
                 forces[tick - n_settle] = force
-                acts[tick - n_settle] = act
+                acts[tick - n_settle] = state.activation
         a_force = _lockin_amplitude(forces, freq, dt)
         a_act = _lockin_amplitude(acts, freq, dt)
         out.append(LowpassPoint(

@@ -74,13 +74,13 @@ def inverse_force_velocity(fv_target: float) -> float:
     return 1.0 - 1.0 / math.sqrt(z)
 
 
-def active_force_length(l_norm: float, gamma: float = 0.45) -> float:
+def active_force_length(l_norm: float, gamma: float) -> float:
     """Gaussian active force-length curve, peak 1 at optimal fiber length."""
     d = l_norm - 1.0
     return math.exp(-2.0 * d * d / gamma)
 
 
-def passive_force_length(l_norm: float, k_pe: float = 4.0, eps0_m: float = 0.6) -> float:
+def passive_force_length(l_norm: float, k_pe: float, eps0_m: float) -> float:
     """Exponential passive fiber elasticity, normalized to 1 at strain eps0_m."""
     return _passive(l_norm, k_pe, eps0_m, math.exp(k_pe) - 1.0)
 

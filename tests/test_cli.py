@@ -191,6 +191,7 @@ def _hand_log(decimation, n_ticks, n_joints=2, n_muscles=4, kept=None):
         excitations=rng.random((kept, n_muscles)),
         tendon_forces=cells(kept, n_muscles),
         muscle_lengths=cells(kept + 1, n_muscles),
+        muscle_lengths_desired=cells(kept + 1, n_muscles),
         diverged=kept < n_ticks, diverged_at=kept if kept < n_ticks else None)
 
 
@@ -321,6 +322,13 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     # keys with one value in use, now constants
     ("[controller]\nrest_command = 0.5\n", "line 2: unknown key 'rest_command'"),
     ("[trajectory]\nkind = sine\n", "line 2: unknown key 'kind'"),
+    # the park servos in whole seconds, so 3.5 used to park for 3
+    ("[experiment]\nsettle_time = 3.5\n", "line 2: [experiment] settle_time: "),
+    # both write load_100: the second replay's log used to overwrite the
+    # first's while the sweep summary listed load_100 twice
+    ("[experiment]\nsweep_fractions = 0.1, 0.1004\n",
+     "line 2: [experiment] sweep_fractions: ExperimentConfig.sweep_fractions "
+     "0.1 and 0.1004 share the output directory load_100"),
 ])
 def test_config_key_exits_2_naming_the_line(tmp_path, capsys, text, start):
     cfg = tmp_path / "bad.ini"

@@ -18,9 +18,15 @@ from myoarm.config import (
     load_config,
     parse_config,
     serialize_config,
+    sweep_condition,
 )
 from myoarm.control import DdilcParams
-from myoarm.harness import DisturbanceSpec, PidGains, TrajectorySpec
+from myoarm.harness import (
+    DisturbanceSpec,
+    PidGains,
+    TrajectorySpec,
+    benchmark_ilc_config,
+)
 from myoarm.muscle import MuscleParams
 from myoarm.presets import PRESETS
 
@@ -388,11 +394,12 @@ _configs = st.builds(
     out=st.text("abcxyz019_-./", min_size=1, max_size=12),
     dt=_floats(1e-6, 1.0),
     control_decimation=st.integers(1, 100),
-    settle_time=_floats(3.0, 1e3),
+    settle_time=st.integers(3, 1000).map(float),
     probe_delta=_floats(0.0, 0.5, exclude_min=True),
     probe_hold=_POSITIVE,
     divergence_patience=st.integers(1, 10),
-    sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6).map(tuple),
+    sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6,
+                             unique_by=sweep_condition).map(tuple),
     trajectory=_trajectories(),
     controller=_controllers(),
     muscle_overrides=_muscle_overrides,
@@ -442,6 +449,12 @@ def test_ilc_config_from_copies_fields():
     assert icfg.control_decimation == 8
     assert icfg.trajectory.duration == 1.6
     assert icfg.disturbance is cfg.disturbance
+
+
+def test_default_experiment_is_the_benchmark():
+    # README: `myoarm ilc --out runs` runs the acceptance benchmark
+    cfg = ExperimentConfig()
+    assert ilc_config_from(cfg, arm_from_config(cfg)) == benchmark_ilc_config()
 
 
 def test_ilc_config_from_keeps_active_disturbance():

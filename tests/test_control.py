@@ -195,7 +195,8 @@ def test_feedforward_update_scalar():
     # beta = feedforward_scale * pinv(S) = 0.5 and no lag term: every entry
     # learns 0.5 * 0.2 from an error of 0.2 at each of the 5 samples
     ctl = DdilcController(np.array([[1.0]]), scalar_params(feedforward_scale=0.5),
-                          horizon=4, rng=np.random.default_rng(0), rest_drive=[0.5])
+                          horizon=4, rng=np.random.default_rng(0),
+                          response_lag_ticks=0.0, rest_drive=[0.5])
     u_ff = _feedforward_after(ctl, 0.0, 0.2)
     assert u_ff == pytest.approx(np.full((4, 1), 0.1))
     # converged fixed point: zero previous error leaves the table untouched
@@ -205,7 +206,7 @@ def test_feedforward_update_scalar():
 def test_feedforward_initialized_to_zero():
     rng = np.random.default_rng(0)
     ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8, rng=rng,
-                          rest_drive=[0.5, 0.5])
+                          response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     assert np.all(ctl.u_ff == 0.0)
 
 
@@ -225,7 +226,8 @@ def test_rest_drive_outside_unit_interval_rejected(rest):
     # a NaN used to pass and surface as "control tick 0: drive 0 is nan"
     with pytest.raises(ValueError, match="rest_drive must lie within"):
         DdilcController(np.eye(2), DdilcParams(), horizon=4,
-                        rng=np.random.default_rng(0), rest_drive=rest)
+                        rng=np.random.default_rng(0), response_lag_ticks=0.0,
+                        rest_drive=rest)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +337,8 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     params = DdilcParams()
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed), rest_drive=[0.5, 0.5])
+                          rng=np.random.default_rng(seed),
+                          response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     ramp = np.linspace(0.0, 1.0, horizon + 1)[:, None]
     y_d = ramp * np.array([0.01, -0.008])
     errs = []
@@ -370,7 +373,8 @@ def test_closed_loop_determinism():
 
 def test_shrink_feedforward_halves_gain_and_clears_table():
     ctl = DdilcController(np.eye(2), DdilcParams(), horizon=5,
-                          rng=np.random.default_rng(0), rest_drive=[0.5, 0.5])
+                          rng=np.random.default_rng(0), response_lag_ticks=0.0,
+                          rest_drive=[0.5, 0.5])
     ctl.u_ff[:] = 0.3
     beta0 = ctl.beta.copy()
     ctl.shrink_feedforward()
@@ -547,7 +551,8 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
     rng = np.random.default_rng(seed)
     p = DdilcParams(error_window=window)
     ctl = DdilcController(rng.normal(scale=0.05, size=(y_dim, m)), p,
-                          horizon=3, rng=rng, rest_drive=rng.uniform(0, 1, m))
+                          horizon=3, rng=rng, response_lag_ticks=0.0,
+                          rest_drive=rng.uniform(0, 1, m))
     ctl.begin_iteration(np.zeros(y_dim))
     ref = _NumpyDdilc(ctl)
     _load_state(ctl, ref, rng, first)
@@ -581,7 +586,8 @@ def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100
     times as long."""
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed), rest_drive=[0.5, 0.5])
+                          rng=np.random.default_rng(seed),
+                          response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     ref = _NumpyDdilc(ctl)
     y_d = np.linspace(0.0, reach, horizon + 1)[:, None] * np.array([0.01, -0.008])
     trials = []

@@ -169,19 +169,28 @@ def _rest(n_control):
     return ReplayController(np.full((n_control, 2), 0.5))
 
 
+def _undisturbed(model, pts):
+    """``run_trial`` inputs of a trial along ``pts`` with no load and no
+    noise: seed 0 and the inverse-kinematics path of ``pts``."""
+    return dict(disturbance=DisturbanceSpec(), seed=0,
+                desired_joint_path=joint_path(model, pts))
+
+
 def test_run_trial_decimation_must_divide(model):
     pts = _one_second_points()[:11]          # 10 ticks
     start = rest_state(model)
     with pytest.raises(ValueError):
-        run_trial(model, _rest(100), pts, DT, start_state=start,
-                  decimation=3)
+        run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
+                  start_state=start, decimation=3)
     with pytest.raises(ValueError):
-        run_trial(model, _rest(100), pts[:1], DT, start_state=start)
+        run_trial(model, _rest(100), pts[:1], DT,
+                  **_undisturbed(model, pts[:1]), start_state=start,
+                  decimation=1)
 
 
 def test_run_trial_shapes_and_rest_drive(model):
     pts = _one_second_points()
-    log = run_trial(model, _rest(100), pts, DT,
+    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
                     start_state=rest_state(model), decimation=10)
     assert log.tip.shape == (1001, 2)
     assert log.q.shape == (1001, model.n_joints)
@@ -190,6 +199,7 @@ def test_run_trial_shapes_and_rest_drive(model):
     assert np.all(log.drives == 0.5)
     assert log.excitations.shape == (1000, model.n_muscles)
     assert log.tendon_forces.shape == (1000, model.n_muscles)
+    assert log.muscle_lengths_desired.shape == (1001, model.n_muscles)
     assert log.time[-1] == pytest.approx(1.0)
     assert not log.diverged and log.diverged_at is None
 
@@ -198,7 +208,8 @@ def test_run_trial_deterministic_under_noise(model):
     pts = _one_second_points()
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
     start = rest_state(model)
-    kw = dict(disturbance=dist, seed=[1, 2], start_state=start, decimation=10)
+    kw = dict(disturbance=dist, seed=[1, 2], start_state=start, decimation=10,
+              desired_joint_path=joint_path(model, pts))
     a = run_trial(model, _rest(100), pts, DT, **kw)
     b = run_trial(model, _rest(100), pts, DT, **kw)
     assert np.array_equal(a.tip, b.tip)
@@ -210,12 +221,16 @@ def test_run_trial_seed_and_noise_change_excitations(model):
     pts = _one_second_points()
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
     start = rest_state(model)
+    q_d = joint_path(model, pts)
     a = run_trial(model, _rest(100), pts, DT, disturbance=dist,
-                  seed=[1, 2], start_state=start, decimation=10)
+                  seed=[1, 2], start_state=start, decimation=10,
+                  desired_joint_path=q_d)
     c = run_trial(model, _rest(100), pts, DT, disturbance=dist,
-                  seed=[9, 9], start_state=start, decimation=10)
-    clean = run_trial(model, _rest(100), pts, DT, seed=[1, 2],
-                      start_state=start, decimation=10)
+                  seed=[9, 9], start_state=start, decimation=10,
+                  desired_joint_path=q_d)
+    clean = run_trial(model, _rest(100), pts, DT,
+                      disturbance=DisturbanceSpec(), seed=[1, 2],
+                      start_state=start, decimation=10, desired_joint_path=q_d)
     assert not np.array_equal(a.excitations, c.excitations)
     assert not np.array_equal(a.excitations, clean.excitations)
     # excitation noise is clipped to [0, 1] like any drive
@@ -224,18 +239,22 @@ def test_run_trial_seed_and_noise_change_excitations(model):
 
 def test_run_trial_tip_load_changes_motion(model):
     pts = _one_second_points()
-    start = rest_state(model, joint_path(model, pts[:1])[0])
+    q_d = joint_path(model, pts)
+    start = rest_state(model, q_d[0])
     plain = run_trial(model, _rest(100), pts, DT, decimation=10,
-                      start_state=start)
+                      start_state=start, disturbance=DisturbanceSpec(),
+                      seed=0, desired_joint_path=q_d)
     loaded = run_trial(model, _rest(100), pts, DT, decimation=10,
                        start_state=start,
-                       disturbance=DisturbanceSpec(load_fraction=0.2))
+                       disturbance=DisturbanceSpec(load_fraction=0.2),
+                       seed=0, desired_joint_path=q_d)
     assert not loaded.diverged
     assert not np.allclose(plain.tip[-1], loaded.tip[-1], atol=1e-6)
     # no load and no noise amplitude is no disturbance, bit for bit
     inert = run_trial(model, _rest(100), pts, DT, decimation=10,
                       start_state=start,
-                      disturbance=DisturbanceSpec(noise_frequency_hz=8.0))
+                      disturbance=DisturbanceSpec(noise_frequency_hz=8.0),
+                      seed=0, desired_joint_path=q_d)
     for f in fields(TrialLog):
         np.testing.assert_array_equal(getattr(inert, f.name), getattr(plain, f.name))
 
@@ -244,8 +263,8 @@ def test_run_trial_records_divergence(model):
     pts = _one_second_points()
     poisoned = rest_state(model)
     poisoned.qdot = np.full(model.n_joints, np.nan)
-    log = run_trial(model, _rest(100), pts, DT, start_state=poisoned,
-                    decimation=10)
+    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
+                    start_state=poisoned, decimation=10)
     assert log.diverged and log.diverged_at == 0
     assert log.tip.shape == (1, 2)
     assert log.excitations.shape == (0, model.n_muscles)
@@ -258,8 +277,9 @@ def test_run_trial_records_divergence(model):
 
 
 def test_run_trial_keeps_divergence_reason(model, monkeypatch):
+    pts = _one_second_points()
     monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
-    log = run_trial(model, _rest(100), _one_second_points(), DT,
+    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
                     start_state=rest_state(model), decimation=10)
     assert log.diverged and log.diverged_at == 0
     assert "l_fiber_norm of muscle 0" in log.diverged_reason
@@ -278,9 +298,11 @@ def test_run_trial_names_a_nan_drive_before_its_physics(model, monkeypatch):
     monkeypatch.setattr(harness, "integrate_step", counting_step)
     table = np.full((100, model.n_joints), 0.5)
     table[7, 1] = np.nan
+    pts = _one_second_points()
     with pytest.raises(ValueError, match=r"^control tick 7: drive 1 is nan$"):
-        run_trial(model, ReplayController(table), _one_second_points(), DT,
-                  start_state=rest_state(model), decimation=10)
+        run_trial(model, ReplayController(table), pts, DT,
+                  **_undisturbed(model, pts), start_state=rest_state(model),
+                  decimation=10)
     assert len(ticks) == 7 * 10
 
 
@@ -297,18 +319,21 @@ def test_run_trial_rejects_a_drive_not_one_per_joint(model, monkeypatch, shape):
 
     monkeypatch.setattr(harness, "integrate_step", counting_step)
     message = f"control tick 0: drive of shape {shape} is not one value per joint (2)"
+    pts = _one_second_points()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_trial(model, ReplayController(np.full((100, *shape), 0.5)),
-                  _one_second_points(), DT, start_state=rest_state(model),
-                  decimation=10)
+                  pts, DT, **_undisturbed(model, pts),
+                  start_state=rest_state(model), decimation=10)
     assert ticks == []
 
 
 def test_run_trial_clips_finite_drives(model):
     table = np.full((100, model.n_joints), 0.5)
     table[3] = (-0.2, 1.7)
-    log = run_trial(model, ReplayController(table), _one_second_points(), DT,
-                    start_state=rest_state(model), decimation=10)
+    pts = _one_second_points()
+    log = run_trial(model, ReplayController(table), pts, DT,
+                    **_undisturbed(model, pts), start_state=rest_state(model),
+                    decimation=10)
     assert log.drives[3].tolist() == [0.0, 1.0]
     assert log.drives[4].tolist() == [0.5, 0.5]
 
@@ -319,14 +344,16 @@ def test_run_trial_clips_finite_drives(model):
 
 def _stub_log(tip, desired, muscle=None, muscle_desired=None):
     n = tip.shape[0]
+    muscle = np.zeros((n, 4)) if muscle is None else muscle
     return TrialLog(dt=DT, decimation=1, time=np.arange(n) * DT, tip=tip,
                     tip_desired=desired, q=np.zeros((n, 2)),
                     qdot=np.zeros((n, 2)),
                     drives=np.zeros((n - 1, 2)),
                     excitations=np.zeros((n - 1, 4)),
                     tendon_forces=np.zeros((n - 1, 4)),
-                    muscle_lengths=np.zeros((n, 4)) if muscle is None else muscle,
-                    muscle_lengths_desired=muscle_desired)
+                    muscle_lengths=muscle,
+                    muscle_lengths_desired=(muscle if muscle_desired is None
+                                            else muscle_desired))
 
 
 def test_compute_metrics_hand_values():
@@ -336,7 +363,7 @@ def test_compute_metrics_hand_values():
     assert m.mean_abs_mm == pytest.approx(3.5, abs=1e-12)
     assert m.mse_mm2 == pytest.approx(12.5, abs=1e-12)
     assert m.std_mm == pytest.approx(0.5, abs=1e-12)
-    assert m.muscle_len_mean_abs_mm is None
+    assert m.muscle_len_mean_abs_mm == 0.0
     assert m.samples == 2 and not m.diverged
 
 
@@ -354,7 +381,7 @@ def test_compute_metrics_muscle_lengths():
 def test_park_state_holds_trajectory_start(model):
     pts = generate_trajectory(TrajectorySpec(duration=8.0), DT)
     q_target = joint_path(model, pts[:1])[0]
-    state, u_hold = park_state(model, q_target, DT)
+    state, u_hold = park_state(model, q_target, DT, total_time=12.0)
     assert u_hold.shape == (model.n_joints,)
     assert np.all(u_hold >= 0.0) and np.all(u_hold <= 1.0)
     residual_mm = math.hypot(*(forward_kinematics(model, state.q) - pts[0])) * 1e3
@@ -384,6 +411,17 @@ def test_park_state_needs_time(model):
         park_state(model, np.asarray(model.q_ref), DT, total_time=2.0)
 
 
+def test_park_state_needs_whole_seconds(model, monkeypatch):
+    # the servo runs in 1 s rounds, so 3.5 s used to park for 3 s
+    def no_step(*args):
+        raise AssertionError("park_state ticked before the time check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_step)
+    with pytest.raises(ValueError, match=r"^park_state needs a whole number "
+                                         r"of seconds >= 3$"):
+        park_state(model, np.asarray(model.q_ref), DT, total_time=3.5)
+
+
 def test_probe_validation(model):
     state = rest_state(model)
     with pytest.raises(ValueError):
@@ -391,10 +429,12 @@ def test_probe_validation(model):
     with pytest.raises(ValueError):
         probe_sensitivity(model, state, DT, delta=0.6, hold_time=0.2, rest=REST)
     with pytest.raises(ValueError):
-        probe_sensitivity(model, state, DT, hold_time=0.2, rest=[1.5, 0.5])
+        probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.2,
+                          rest=[1.5, 0.5])
     # a NaN rest drive used to pass and fail inside the muscle
     with pytest.raises(ValueError, match=r"^probe rest drives must lie in \[0, 1\]$"):
-        probe_sensitivity(model, state, DT, hold_time=0.2, rest=[np.nan, 0.5])
+        probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.2,
+                          rest=[np.nan, 0.5])
 
 
 @pytest.mark.parametrize("rest", [0.5, [0.5], [0.5, 0.5, 0.5]],
@@ -405,7 +445,8 @@ def test_probe_rest_must_be_one_drive_per_joint(model, monkeypatch, rest):
 
     monkeypatch.setattr(harness, "_hold", no_hold)
     with pytest.raises(ValueError, match=r"^probe rest must be one drive per joint \(2\)$"):
-        probe_sensitivity(model, rest_state(model), DT, hold_time=0.2, rest=rest)
+        probe_sensitivity(model, rest_state(model), DT, delta=0.2,
+                          hold_time=0.2, rest=rest)
 
 
 def test_probe_blow_up_stops_at_the_joint_speed_bound():
@@ -416,21 +457,21 @@ def test_probe_blow_up_stops_at_the_joint_speed_bound():
     with pytest.raises(IntegrationDivergedError, match=(
             r"^probe hold channel 0 diverged at tick \d+: qdot\[0\] = \S+ rad/s, "
             r"at or beyond the 10000 rad/s bound$")) as err:
-        probe_sensitivity(arm, start, DT, hold_time=0.5, rest=u_hold)
+        probe_sensitivity(arm, start, DT, delta=0.2, hold_time=0.5, rest=u_hold)
     assert np.max(np.abs(err.value.last_state.qdot)) < 1e4
 
 
 def test_probe_steps_down_from_saturated_rest(model):
     state, _ = park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
-    probe = probe_sensitivity(model, state, DT, hold_time=0.5,
+    probe = probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.5,
                               rest=np.array([1.0, 0.1]))
     assert np.all(np.isfinite(probe.sensitivity))
 
 
 def test_probe_deterministic_and_sane(model):
     state, _ = park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
-    a = probe_sensitivity(model, state, DT, hold_time=2.0, rest=REST)
-    b = probe_sensitivity(model, state, DT, hold_time=2.0, rest=REST)
+    a = probe_sensitivity(model, state, DT, delta=0.2, hold_time=2.0, rest=REST)
+    b = probe_sensitivity(model, state, DT, delta=0.2, hold_time=2.0, rest=REST)
     assert np.array_equal(a.sensitivity, b.sensitivity)
     assert np.array_equal(a.response_time_s, b.response_time_s)
     assert a.sensitivity.shape == (2, model.n_joints)
@@ -447,7 +488,8 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
         with pytest.raises(IntegrationDivergedError, match=(
                 r"^probe hold rest diverged at tick 0: "
                 r"non-finite l_fiber_norm of muscle 0$")) as err:
-            probe_sensitivity(model, state, DT, hold_time=0.2, rest=REST)
+            probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.2,
+                              rest=REST)
     assert np.array_equal(err.value.last_state.q, state.q)
 
     # 0.2 s holds: call 201 is channel 0's first tick, so call 203 is tick 2
@@ -463,7 +505,7 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
     with pytest.raises(IntegrationDivergedError,
                        match=r"^probe hold channel 0 diverged at tick 2: "
                              r"injected$") as err:
-        probe_sensitivity(model, state, DT, hold_time=0.2, rest=REST)
+        probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.2, rest=REST)
     assert err.value.last_state is calls[-1][1]
 
 
@@ -562,7 +604,7 @@ def test_disturbance_sweep_points(model, short_run):
     cfg, result = short_run
     sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
                               cfg.dt, [0.0, 0.1, 0.2], decimation=10,
-                              settle_time=6.0,
+                              settle_time=6.0, seed=0,
                               desired_joint_path=result.desired_joint_path)
     assert [p.load_fraction for p in sweep.points] == [0.0, 0.1, 0.2]
     errs = sweep.mean_errors()
@@ -580,9 +622,11 @@ def test_disturbance_sweep_rejects_a_table_before_parking(model, monkeypatch, sh
     monkeypatch.setattr(harness, "park_state", lambda *a, **k: parks.append(None))
     message = (f"drive table of shape {shape} is not one row of 2 drives per "
                "control tick (100)")
+    pts = _one_second_points()
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        disturbance_sweep(model, np.full(shape, 0.5), _one_second_points(), DT,
-                          [0.0], decimation=10)
+        disturbance_sweep(model, np.full(shape, 0.5), pts, DT, [0.0],
+                          decimation=10, settle_time=12.0, seed=0,
+                          desired_joint_path=joint_path(model, pts))
     assert parks == []
 
 
@@ -594,16 +638,20 @@ def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatc
         raise AssertionError("park_state ran before the decimation check")
 
     monkeypatch.setattr(harness, "park_state", no_park)
+    pts = _one_second_points()
     with pytest.raises(ValueError, match="^decimation 3 must divide the 1000 "
                                          "trajectory ticks$"):
-        disturbance_sweep(model, np.full((333, 2), 0.5), _one_second_points(), DT,
-                          [0.0], decimation=3)
+        disturbance_sweep(model, np.full((333, 2), 0.5), pts, DT, [0.0],
+                          decimation=3, settle_time=12.0, seed=0,
+                          desired_joint_path=joint_path(model, pts))
 
 
 def test_disturbance_sweep_repetition_scatter(model, short_run):
     cfg, result = short_run
     sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
                               cfg.dt, [0.0], decimation=10, settle_time=3.0,
+                              seed=0,
+                              desired_joint_path=result.desired_joint_path,
                               repetitions=2,
                               disturbance=DisturbanceSpec(
                                   noise_amplitude=0.02, noise_frequency_hz=8.0))
@@ -631,18 +679,22 @@ def test_pid_defaults_are_tuned_benchmark_gains():
 def test_pid_zero_gains_hold_rest_drive(model):
     pts = _one_second_points()
     log = pid_baseline(model, pts, DT, PidGains(kp=0.0, ki=0.0, kd=0.0),
-                       start_state=rest_state(model), decimation=10)
+                       start_state=rest_state(model), decimation=10,
+                       desired_joint_path=joint_path(model, pts))
     assert np.all(log.drives == 0.5)
 
 
 def test_pid_tracks_better_than_rest(model):
     pts = generate_trajectory(TrajectorySpec(duration=2.0, cycles=1), DT)
-    start, _ = park_state(model, joint_path(model, pts[:1])[0], DT,
-                          total_time=6.0)
+    q_d = joint_path(model, pts)
+    start, _ = park_state(model, q_d[0], DT, total_time=6.0)
     passive = compute_metrics(run_trial(model, _rest(200), pts, DT,
-                                        start_state=start, decimation=10))
+                                        disturbance=DisturbanceSpec(), seed=0,
+                                        start_state=start, decimation=10,
+                                        desired_joint_path=q_d))
     active = compute_metrics(pid_baseline(model, pts, DT, PidGains(),
-                                          start_state=start, decimation=10))
+                                          start_state=start, decimation=10,
+                                          desired_joint_path=q_d))
     assert active.mean_abs_mm < passive.mean_abs_mm
 
 

@@ -78,18 +78,19 @@ class TestActivationDynamics:
 
 class TestForceLength:
     def test_active_peak_at_optimal(self):
-        assert active_force_length(1.0) == pytest.approx(1.0, abs=1e-9)
+        assert active_force_length(1.0, P.gamma) == pytest.approx(1.0, abs=1e-9)
 
     def test_active_value_at_1p5(self):
         # exp(-0.5/0.45)
-        assert active_force_length(1.5) == pytest.approx(0.32919298780790557, rel=1e-12)
+        assert active_force_length(1.5, P.gamma) == pytest.approx(0.32919298780790557, rel=1e-12)
 
     def test_active_symmetric(self):
         for d in (0.1, 0.25, 0.4):
-            assert active_force_length(1 + d) == pytest.approx(active_force_length(1 - d), rel=1e-12)
+            assert active_force_length(1 + d, P.gamma) == pytest.approx(
+                active_force_length(1 - d, P.gamma), rel=1e-12)
 
     def test_passive_zero_at_optimal(self):
-        assert passive_force_length(1.0) == pytest.approx(0.0, abs=1e-9)
+        assert passive_force_length(1.0, P.k_pe, P.eps0_m) == pytest.approx(0.0, abs=1e-9)
 
     def test_passive_one_at_max_strain(self):
         assert passive_force_length(1.0 + P.eps0_m, P.k_pe, P.eps0_m) == pytest.approx(1.0, abs=1e-9)
@@ -102,7 +103,7 @@ class TestForceLength:
 
     def test_passive_monotone(self):
         xs = [0.6 + 0.01 * i for i in range(100)]
-        ys = [passive_force_length(x) for x in xs]
+        ys = [passive_force_length(x, P.k_pe, P.eps0_m) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
 
 
@@ -222,7 +223,8 @@ class TestEquilibrium:
         # Choose fiber length, then set l_mtu so the tendon carries exactly
         # the isometric fiber force: the solve must return v ~ 0.
         a, l_fiber = 0.6, 1.05
-        f_m = a * active_force_length(l_fiber) * force_velocity(0.0) + passive_force_length(l_fiber)
+        f_m = (a * active_force_length(l_fiber, P.gamma) * force_velocity(0.0)
+               + passive_force_length(l_fiber, P.k_pe, P.eps0_m))
         # invert tendon curve on the linear branch
         assert f_m > P.f_toe
         strain = (f_m - P.f_toe) / P.k_lin + P.eps_toe
@@ -245,7 +247,7 @@ class TestEquilibrium:
         strain = (0.6 - P.f_toe) / P.k_lin + P.eps_toe
         l_mtu = l_fiber * P.l0_fiber + (1 + strain) * P.l_slack_tendon
         v = _equilibrium(l_fiber, a, l_mtu, P, None)[0]
-        fpe = passive_force_length(l_fiber)
+        fpe = passive_force_length(l_fiber, P.k_pe, P.eps0_m)
         expected = inverse_force_velocity((0.6 - fpe) / (a * 1.0))
         assert v == pytest.approx(expected, rel=1e-9)
         assert v == pytest.approx(inverse_force_velocity(1.2), rel=1e-6)
