@@ -38,8 +38,6 @@ import numpy as np
 from .config import (
     ConfigError,
     ExperimentConfig,
-    arm_from_config,
-    ilc_config_from,
     load_config,
     parse_config,
     serialize_config,
@@ -164,7 +162,7 @@ def _cmd_curves(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
-    model = arm_from_config(cfg)
+    model = cfg.model
     points = generate_trajectory(cfg.trajectory, cfg.dt)
     n_control = _control_ticks(points, cfg.control_decimation)
     desired_q = joint_path(model, points)
@@ -182,7 +180,6 @@ def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
-    model = arm_from_config(cfg)
     cond = out / "train"
     cond.mkdir(parents=True, exist_ok=True)
 
@@ -190,11 +187,11 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
         _write_trial_csv(cond / f"iter_{k}.csv", log)
         _write_estimator_csv(cond / f"estimator_iter_{k}.csv", controller, k)
 
-    result = run_ilc(ilc_config_from(cfg, model), on_iteration=on_iteration)
+    result = run_ilc(cfg, on_iteration=on_iteration)
     _write_csv(out / "feedforward.csv",
                "myoarm-feedforward-v1: converged drive table, one row per "
                "control tick",
-               [f"drive{j}" for j in range(model.n_joints)],
+               [f"drive{j}" for j in range(cfg.model.n_joints)],
                result.feedforward_drives)
     summary = result.summary
     return {**asdict(summary), "final_mean_abs_mm": summary.mean_abs_mm[-1],
@@ -203,17 +200,14 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    model = arm_from_config(cfg)
     # train on the nominal plant; the disturbance applies to the replays
-    train_cfg = ilc_config_from(replace(cfg, disturbance=DisturbanceSpec()),
-                                model)
-    result = run_ilc(train_cfg)
+    result = run_ilc(replace(cfg, disturbance=DisturbanceSpec()))
     conditions = [sweep_condition(f) for f in cfg.sweep_fractions]
     dirs = [out / name for name in conditions]
     for d in dirs:
         d.mkdir(parents=True, exist_ok=True)
     sweep = disturbance_sweep(
-        model, result.feedforward_drives, result.points, cfg.dt,
+        cfg.model, result.feedforward_drives, result.points, cfg.dt,
         cfg.sweep_fractions, decimation=cfg.control_decimation,
         settle_time=cfg.settle_time, seed=cfg.seed,
         repetitions=cfg.repetitions, disturbance=cfg.disturbance,
@@ -234,8 +228,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
-    model = arm_from_config(cfg)
-    result = run_ilc(ilc_config_from(cfg, model))
+    result = run_ilc(cfg)
     ddilc_dir = out / "ddilc"
     pid_dir = out / "pid"
     ddilc_dir.mkdir(parents=True, exist_ok=True)
@@ -244,7 +237,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
                      result.final_log)
     # same plant and noise as the final DDILC trial (run_ilc seeds trial k
     # with [seed, k])
-    pid_log = pid_baseline(model, result.points, cfg.dt, cfg.pid,
+    pid_log = pid_baseline(cfg.model, result.points, cfg.dt, cfg.pid,
                            disturbance=cfg.disturbance,
                            seed=[cfg.seed, cfg.iterations - 1],
                            start_state=result.start_state,
@@ -264,8 +257,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_lowpass(cfg: ExperimentConfig, out: Path) -> dict:
-    model = arm_from_config(cfg)
-    points = lowpass_attenuation_test(model)
+    points = lowpass_attenuation_test(cfg.model)
     _write_csv(out / "lowpass.csv",
                "myoarm-lowpass-v1: lock-in tendon-force response to "
                "excitation ripple on one isometric muscle",
@@ -347,9 +339,15 @@ def main(argv=None) -> int:
         cfg = (load_config(args.config) if args.config is not None
                else parse_config(""))
         # each override flag is named after its ExperimentConfig field
-        flags = {name: getattr(args, name) for name in ("seed", "out", "preset")}
-        return dispatch(args.command, replace(
-            cfg, **{name: v for name, v in flags.items() if v is not None}))
+        for name in ("seed", "out", "preset"):
+            value = getattr(args, name)
+            if value is None:
+                continue
+            try:
+                cfg = replace(cfg, **{name: value})
+            except ValueError as exc:   # e.g. --preset against [controller]
+                raise ConfigError(f"--{name}: {exc}") from exc
+        return dispatch(args.command, cfg)
     except ConfigError as exc:
         _print_error(exc)
         return 2

@@ -1,7 +1,9 @@
-"""Experiment configuration: INI parsing, env overrides, validation, echo.
+"""The INI converter of the run description: parsing, env overrides, echo.
 
-The configuration format is sectioned plain text (``configparser`` INI). The
-sections and keys are derived from the dataclasses, not listed by hand:
+``harness.ExperimentConfig`` describes a run and validates itself; this
+module only converts between it and sectioned plain text (``configparser``
+INI), and re-exports it with ``sweep_condition``. The sections and keys are
+derived from the dataclasses, not listed by hand:
 
 * ``[experiment]`` — the run fields of ``ExperimentConfig`` (preset,
   iterations, repetitions, seed, out, dt, control_decimation, settle_time,
@@ -34,19 +36,18 @@ import configparser
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, fields
 
 from .arm import ArmModel
 from .control import DdilcParams
 from .harness import (
     DisturbanceSpec,
-    IlcConfig,
+    ExperimentConfig,
     PidGains,
     TrajectorySpec,
-    _check_run_fields,
+    sweep_condition,
 )
 from .muscle import MuscleParams
-from .presets import PRESETS, make_arm, preset_key
 
 __all__ = [
     "ConfigError",
@@ -69,60 +70,6 @@ class ConfigError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         super().__init__(f"line {line}: {message}" if line else message)
         self.line = line
-
-
-def sweep_condition(fraction: float) -> str:
-    """The output directory of one sweep fraction: ``load_<per mille>``."""
-    return f"load_{round(1000 * fraction):03d}"
-
-
-@dataclass
-class ExperimentConfig:
-    """One experiment, fully specified: plant, task, controller, outputs.
-
-    Construction validates every field, so ``dataclasses.replace`` cannot
-    build an invalid config; the preset name is normalized to its
-    ``PRESETS`` key. ``settle_time`` is a whole number of seconds, and no
-    two ``sweep_fractions`` may share a ``sweep_condition`` directory.
-    """
-
-    preset: str = "planar2x4"
-    iterations: int = 50
-    repetitions: int = 1
-    seed: int = 0
-    out: str = "runs"
-    dt: float = 1e-3
-    control_decimation: int = 10
-    settle_time: float = 12.0
-    probe_delta: float = 0.2
-    probe_hold: float = 8.0
-    divergence_patience: int = 3
-    sweep_fractions: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
-    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
-    controller: DdilcParams = field(default_factory=DdilcParams)
-    muscle_overrides: dict[str, float] = field(default_factory=dict)
-    disturbance: DisturbanceSpec = DisturbanceSpec()
-    pid: PidGains = field(default_factory=PidGains)
-
-    def __post_init__(self) -> None:
-        _check_run_fields(self)
-        key = preset_key(self.preset)
-        if key not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; available: "
-                             f"{', '.join(PRESETS)}")
-        self.preset = key
-        if self.repetitions < 1:
-            raise ValueError("ExperimentConfig.repetitions must be >= 1")
-        if not all(0.0 <= f <= 0.5 for f in self.sweep_fractions):
-            raise ValueError(
-                "ExperimentConfig.sweep_fractions must lie in [0, 0.5]")
-        for i, f in enumerate(self.sweep_fractions):
-            for g in self.sweep_fractions[:i]:
-                if sweep_condition(g) == sweep_condition(f):
-                    raise ValueError(
-                        f"ExperimentConfig.sweep_fractions {g!r} and {f!r} "
-                        f"share the output directory {sweep_condition(f)}")
-        MuscleParams(**self.muscle_overrides)    # bounds check of the overrides
 
 
 def _flatten(cfg: ExperimentConfig) -> dict[str, dict[str, object]]:
@@ -222,6 +169,12 @@ def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], _Sources]:
     except configparser.ParsingError as exc:
         lineno, content = exc.errors[0]
         raise ConfigError(f"malformed line {content}", lineno) from exc
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"duplicate key {exc.option!r} in [{exc.section}]",
+                          exc.lineno) from exc
+    except configparser.DuplicateSectionError as exc:
+        raise ConfigError(f"duplicate section [{exc.section}]",
+                          exc.lineno) from exc
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -313,17 +266,18 @@ def serialize_config(cfg: ExperimentConfig) -> str:
 
 
 def arm_from_config(cfg: ExperimentConfig) -> ArmModel:
-    """Instantiate the configured preset with its muscle overrides."""
-    return make_arm(cfg.preset, muscle_overrides=cfg.muscle_overrides or None)
+    """The configured arm, ``cfg.model``."""
+    return cfg.model
 
 
-def ilc_config_from(cfg: ExperimentConfig, model: ArmModel) -> IlcConfig:
-    """Assemble the learning-run configuration from an experiment config
-    and the arm built from it.
+def ilc_config_from(cfg: ExperimentConfig, model: ArmModel) -> ExperimentConfig:
+    """``cfg`` itself, which ``run_ilc`` takes; ``model`` must be ``cfg.model``.
 
-    Every ``IlcConfig`` field but the model is the experiment field of the
-    same name.
+    Kept for the benchmark's ``ilc-planar-fastctl`` workload, which calls it
+    and whose files change only with the benchmark; a model other than the
+    configured arm raises ``ValueError`` rather than being ignored.
     """
-    shared = {f.name: getattr(cfg, f.name) for f in fields(IlcConfig)
-              if f.name != "model"}
-    return IlcConfig(model=model, **shared)
+    if model != cfg.model:
+        raise ValueError("ilc_config_from: the model is not the arm that "
+                         "cfg describes (cfg.model)")
+    return cfg

@@ -1,5 +1,11 @@
-"""Experiment harness: trajectory generation, trial execution, the iterative
-learning loop, disturbance sweeps, a PID baseline, and metrics.
+"""Experiment harness: the run description, trajectory generation, trial
+execution, the iterative learning loop, disturbance sweeps, a PID baseline,
+and metrics.
+
+``ExperimentConfig`` is the one description of a run: its fields nest the
+section dataclasses defined here (``TrajectorySpec``, ``DisturbanceSpec``,
+``PidGains``) and the controller's ``DdilcParams``, its ``model`` is the arm,
+and ``run_ilc`` takes it; ``config`` converts it to and from INI text.
 
 A *trial* is one finite-horizon execution of a trajectory-tracking task on an
 arm model. Controllers plug into ``run_trial`` through a small duck-typed
@@ -46,7 +52,7 @@ from .arm import (
 )
 from .control import DdilcController, DdilcParams, pair_drive_to_excitations
 from .muscle import step_muscle
-from .presets import planar2x4
+from .presets import PRESETS, make_arm, preset_key
 
 __all__ = [
     "RATED_LOAD_KG",
@@ -56,7 +62,8 @@ __all__ = [
     "TrialLog",
     "TrialMetrics",
     "RunSummary",
-    "IlcConfig",
+    "ExperimentConfig",
+    "sweep_condition",
     "IlcResult",
     "SweepPoint",
     "SweepResult",
@@ -577,6 +584,8 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     if not all(0.0 <= v <= 1.0 for v in rest_vec.tolist()):
         raise ValueError("probe rest drives must lie in [0, 1]")
     n_hold = round(hold_time / dt)
+    if n_hold < 1:
+        raise ValueError("probe_sensitivity needs a hold_time of at least one tick")
     n_avg = max(1, n_hold // 5)
 
     def held_tips(hold: str, drive: np.ndarray) -> np.ndarray:
@@ -634,40 +643,87 @@ class RunSummary:
     ff_clips: list[int] = field(default_factory=list)
 
 
-@dataclass
-class IlcConfig:
-    """Everything one learning run needs."""
+def sweep_condition(fraction: float) -> str:
+    """The output directory of one sweep fraction: ``load_<per mille>``."""
+    return f"load_{round(1000 * fraction):03d}"
 
-    model: ArmModel
-    trajectory: TrajectorySpec
-    controller: DdilcParams = field(default_factory=DdilcParams)
+
+@dataclass
+class ExperimentConfig:
+    """One experiment, fully specified: plant, task, controller, outputs.
+
+    The arm is not a field but follows from the fields: ``model`` builds the
+    preset with the muscle overrides. Construction validates every field,
+    so ``dataclasses.replace`` cannot build an invalid config; the preset
+    name is normalized to its ``PRESETS`` key. ``settle_time`` is a whole
+    number of seconds;
+    ``probe_hold`` and the trajectory's ``duration`` each round to at least
+    one tick of ``dt``; the controller's element boxes must suit the arm's
+    joint count; and no two ``sweep_fractions`` may share a
+    ``sweep_condition`` directory.
+    """
+
+    preset: str = "planar2x4"
     iterations: int = 50
+    repetitions: int = 1
+    seed: int = 0
+    out: str = "runs"
     dt: float = 1e-3
     control_decimation: int = 10
-    seed: int = 0
-    disturbance: DisturbanceSpec = DisturbanceSpec()
     settle_time: float = 12.0
     probe_delta: float = 0.2
     probe_hold: float = 8.0
     divergence_patience: int = 3
+    sweep_fractions: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
+    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
+    controller: DdilcParams = field(default_factory=DdilcParams)
+    muscle_overrides: dict[str, float] = field(default_factory=dict)
+    disturbance: DisturbanceSpec = DisturbanceSpec()
+    pid: PidGains = field(default_factory=PidGains)
 
     def __post_init__(self) -> None:
-        _check_run_fields(self)
+        # ticks as the probe and generate_trajectory count them; dt's own
+        # bound comes first in the table
+        def lasts_a_tick(span: float) -> bool:
+            return self.dt > 0.0 and round(span / self.dt) >= 1
 
+        for name, ok, bound in (
+                ("iterations", self.iterations >= 1, "be >= 1"),
+                ("dt", self.dt > 0.0, "be > 0"),
+                ("control_decimation", self.control_decimation >= 1, "be >= 1"),
+                ("divergence_patience", self.divergence_patience >= 1, "be >= 1"),
+                ("settle_time", self.settle_time >= 3.0
+                 and float(self.settle_time).is_integer(),
+                 "be a whole number >= 3"),
+                ("probe_delta", 0.0 < self.probe_delta <= 0.5, "be in (0, 0.5]"),
+                ("probe_hold", lasts_a_tick(self.probe_hold),
+                 "round to at least one tick of dt"),
+                ("trajectory.duration", lasts_a_tick(self.trajectory.duration),
+                 "round to at least one tick of dt"),
+                ("repetitions", self.repetitions >= 1, "be >= 1"),
+                ("sweep_fractions",
+                 all(0.0 <= f <= 0.5 for f in self.sweep_fractions),
+                 "lie in [0, 0.5]")):
+            if not ok:
+                raise ValueError(f"ExperimentConfig.{name} must {bound}")
+        key = preset_key(self.preset)
+        if key not in PRESETS:
+            raise ValueError(f"unknown preset {self.preset!r}; available: "
+                             f"{', '.join(PRESETS)}")
+        self.preset = key
+        for i, f in enumerate(self.sweep_fractions):
+            for g in self.sweep_fractions[:i]:
+                if sweep_condition(g) == sweep_condition(f):
+                    raise ValueError(
+                        f"ExperimentConfig.sweep_fractions {g!r} and {f!r} "
+                        f"share the output directory {sweep_condition(f)}")
+        # building the arm also bounds-checks the muscle overrides
+        self.controller.check_dimension(self.model.n_joints)
 
-def _check_run_fields(cfg) -> None:
-    """Bounds on the run fields IlcConfig shares with the experiment config."""
-    for name, ok, bound in (
-            ("iterations", cfg.iterations >= 1, ">= 1"),
-            ("dt", cfg.dt > 0.0, "> 0"),
-            ("control_decimation", cfg.control_decimation >= 1, ">= 1"),
-            ("divergence_patience", cfg.divergence_patience >= 1, ">= 1"),
-            ("settle_time", cfg.settle_time >= 3.0
-             and float(cfg.settle_time).is_integer(), "a whole number >= 3"),
-            ("probe_delta", 0.0 < cfg.probe_delta <= 0.5, "in (0, 0.5]"),
-            ("probe_hold", cfg.probe_hold > 0.0, "> 0")):
-        if not ok:
-            raise ValueError(f"{type(cfg).__name__}.{name} must be {bound}")
+    @property
+    def model(self) -> ArmModel:
+        """The preset arm with the muscle overrides applied, built anew."""
+        return make_arm(self.preset, self.muscle_overrides or None)
 
 
 @dataclass
@@ -683,8 +739,9 @@ class IlcResult:
     final_log: TrialLog
 
 
-def run_ilc(cfg: IlcConfig, on_iteration=None) -> IlcResult:
-    """Repeat the task ``cfg.iterations`` times, learning between trials.
+def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
+    """Repeat the task ``cfg.iterations`` times on ``cfg.model``, learning
+    between trials.
 
     Three consecutive iterations of growing (or diverged) error trigger the
     controller's feedforward shrink, recorded in the summary. The optional
@@ -776,8 +833,9 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
     replaces its load fraction. With repetitions > 1 the per-repetition seeds
     vary only the stochastic activation noise. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every replay,
-    e.g. for CSV dumps. ``settle_time`` is each park's ``total_time``;
-    ``seed`` and ``desired_joint_path`` are passed to every ``run_trial``. A
+    e.g. for CSV dumps. ``settle_time`` is each park's ``total_time``, and
+    each park targets ``desired_joint_path[0]``; ``seed`` and
+    ``desired_joint_path`` are passed to every ``run_trial``. A
     ``decimation`` that does not divide the trajectory ticks, or a table that
     is not one row of drives per control tick, raises ``ValueError`` before
     any park.
@@ -789,12 +847,11 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
         raise ValueError(f"drive table of shape {drive_table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
                          f"({n_control})")
-    start_q = joint_path(model, points[:1])[0]
     out = []
     for fi, fraction in enumerate(fractions):
         dist = replace(disturbance, load_fraction=fraction)
-        start, _ = park_state(loaded_plant(model, dist), start_q, dt,
-                              total_time=settle_time)
+        start, _ = park_state(loaded_plant(model, dist), desired_joint_path[0],
+                              dt, total_time=settle_time)
         means, mses, diverged = [], [], False
         for rep in range(repetitions):
             log = run_trial(model, ReplayController(drive_table), points, dt,
@@ -915,6 +972,6 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
 # the shipped benchmark
 # ---------------------------------------------------------------------------
 
-def benchmark_ilc_config() -> IlcConfig:
+def benchmark_ilc_config() -> ExperimentConfig:
     """The acceptance benchmark: planar arm, 8 s sine chord, 100 Hz control."""
-    return IlcConfig(model=planar2x4(), trajectory=TrajectorySpec())
+    return ExperimentConfig()

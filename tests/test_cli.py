@@ -329,6 +329,19 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[experiment]\nsweep_fractions = 0.1, 0.1004\n",
      "line 2: [experiment] sweep_fractions: ExperimentConfig.sweep_fractions "
      "0.1 and 0.1004 share the output directory load_100"),
+    # each of these passed and failed only after the park: 0.4 ticks held
+    # nothing and the probe's NaN sensitivity broke the controller's pinv
+    ("[experiment]\nprobe_hold = 0.0004\n",
+     "line 2: [experiment] probe_hold: ExperimentConfig.probe_hold must round "
+     "to at least one tick of dt"),
+    ("[trajectory]\nduration = 0.0004\n",
+     "line 2: [trajectory] duration: ExperimentConfig.trajectory.duration "
+     "must round to at least one tick of dt"),
+    # element boxes that cannot hold for the preset's joint count
+    ("[controller]\noffdiag_cap = 3\n",
+     "line 2: [controller] offdiag_cap: diag_floor=10.0 must exceed "),
+    ("[experiment]\npreset = spatial-ltdm\n[controller]\noffdiag_cap = 0.4\n",
+     "line 4: [controller] offdiag_cap: diag_floor=10.0 must exceed "),
 ])
 def test_config_key_exits_2_naming_the_line(tmp_path, capsys, text, start):
     cfg = tmp_path / "bad.ini"
@@ -417,6 +430,19 @@ def test_preset_flag_overrides_config(tmp_path):
     assert run(tmp_path, "curves", "--preset", "spatial_ltdm") == 0
     ini = (tmp_path / "runs" / "curves" / "config.ini").read_text()
     assert "preset = spatial-ltdm\n" in ini
+
+
+def test_preset_flag_that_invalidates_the_config_exits_2(tmp_path, capsys):
+    # offdiag_cap 0.4 suits planar2x4's 2 joints but not spatial-ltdm's 7
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text("[controller]\noffdiag_cap = 0.4\n", encoding="utf-8")
+    assert run(tmp_path, "curves", "--config", str(cfg)) == 0
+    capsys.readouterr()
+    assert run(tmp_path, "curves", "--config", str(cfg),
+               "--preset", "spatial-ltdm") == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("--preset: diag_floor=10.0 must exceed ")
 
 
 def test_env_overrides_file_and_flag_beats_env(tmp_path, monkeypatch):

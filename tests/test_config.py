@@ -21,14 +21,9 @@ from myoarm.config import (
     sweep_condition,
 )
 from myoarm.control import DdilcParams
-from myoarm.harness import (
-    DisturbanceSpec,
-    PidGains,
-    TrajectorySpec,
-    benchmark_ilc_config,
-)
+from myoarm.harness import DisturbanceSpec, PidGains, TrajectorySpec
 from myoarm.muscle import MuscleParams
-from myoarm.presets import PRESETS
+from myoarm.presets import PRESETS, spatial_ltdm
 
 
 def parse(text: str, env=None) -> ExperimentConfig:
@@ -155,6 +150,20 @@ def test_unknown_key_is_an_error_with_line():
         parse("[experiment]\nseed = 1\nbogus = 2\n")
     assert "bogus" in str(err.value)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("[experiment]\nseed = 1\nseed = 2\n", 3,
+     "duplicate key 'seed' in [experiment]"),
+    ("[experiment]\nseed = 1\n[pid]\n[experiment]\n", 4,
+     "duplicate section [experiment]"),
+])
+def test_duplicate_key_or_section_names_its_line(text, line, message):
+    # configparser's own text used to come through, with .line None
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert str(err.value) == f"line {line}: {message}"
+    assert err.value.line == line
 
 
 def test_key_outside_section_is_an_error():
@@ -352,15 +361,21 @@ _MUSCLE_DEFAULTS = {f.name: f.default for f in fields(MuscleParams)}
 
 
 @st.composite
-def _controllers(draw):
+def _controllers(draw, n_joints):
     u_min = draw(_floats(0.0, 0.4))
     u_max = draw(_floats(0.6, 1.0))
+    diag_floor = draw(_POSITIVE)
+    diag_span = draw(_floats(1.0, 10.0))
+    # DdilcParams.check_dimension: diag_floor must exceed
+    # offdiag_cap*(2*diag_span+1)*(n_joints-1)
+    offdiag_cap = (draw(_floats(0.01, 0.99)) * diag_floor
+                   / ((2.0 * diag_span + 1.0) * (n_joints - 1)))
     return DdilcParams(
         gain_step=draw(_POSITIVE), energy_weight=draw(_POSITIVE),
         estimator_step=draw(_floats(0.0, 1.0, exclude_min=True)),
         estimator_weight=draw(_POSITIVE), feedforward_scale=draw(_POSITIVE),
-        error_window=draw(st.integers(1, 8)), offdiag_cap=draw(_POSITIVE),
-        diag_floor=draw(_POSITIVE), diag_span=draw(_floats(1.0, 10.0)),
+        error_window=draw(st.integers(1, 8)), offdiag_cap=offdiag_cap,
+        diag_floor=diag_floor, diag_span=diag_span,
         u_min=u_min, u_max=u_max)
 
 
@@ -375,44 +390,50 @@ _COORD = _floats(-2.0, 2.0)
 
 
 @st.composite
-def _trajectories(draw):
+def _trajectories(draw, durations):
     direction_x, direction_y = draw(st.tuples(_COORD, _COORD).filter(
         lambda d: d != (0.0, 0.0)))
     return TrajectorySpec(
         amplitude=draw(_POSITIVE), spatial_period=draw(_POSITIVE),
-        cycles=draw(st.integers(1, 10)), duration=draw(_POSITIVE),
+        cycles=draw(st.integers(1, 10)), duration=draw(durations),
         offset_x=draw(_COORD), offset_y=draw(_COORD),
         direction_x=direction_x, direction_y=direction_y)
 
 
-_configs = st.builds(
-    ExperimentConfig,
-    preset=st.sampled_from(sorted(PRESETS)),
-    iterations=st.integers(1, 500),
-    repetitions=st.integers(1, 20),
-    seed=st.integers(0, 2**32),
-    out=st.text("abcxyz019_-./", min_size=1, max_size=12),
-    dt=_floats(1e-6, 1.0),
-    control_decimation=st.integers(1, 100),
-    settle_time=st.integers(3, 1000).map(float),
-    probe_delta=_floats(0.0, 0.5, exclude_min=True),
-    probe_hold=_POSITIVE,
-    divergence_patience=st.integers(1, 10),
-    sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6,
-                             unique_by=sweep_condition).map(tuple),
-    trajectory=_trajectories(),
-    controller=_controllers(),
-    muscle_overrides=_muscle_overrides,
-    disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,
-                          noise_amplitude=_floats(0.0, 1.0),
-                          noise_frequency_hz=_floats(0.0, 100.0)),
-    pid=st.builds(PidGains, kp=_floats(0.0, 1e4), ki=_floats(0.0, 1e4),
-                  kd=_floats(0.0, 1e4), torque_scale=_POSITIVE),
-)
+@st.composite
+def _configs(draw):
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    dt = draw(_floats(1e-6, 1.0))
+    # probe_hold and the trajectory's duration last at least one tick of dt
+    spans = _floats(1.0, 1e6).map(lambda ticks: ticks * dt)
+    return draw(st.builds(
+        ExperimentConfig,
+        preset=st.just(preset),
+        iterations=st.integers(1, 500),
+        repetitions=st.integers(1, 20),
+        seed=st.integers(0, 2**32),
+        out=st.text("abcxyz019_-./", min_size=1, max_size=12),
+        dt=st.just(dt),
+        control_decimation=st.integers(1, 100),
+        settle_time=st.integers(3, 1000).map(float),
+        probe_delta=_floats(0.0, 0.5, exclude_min=True),
+        probe_hold=spans,
+        divergence_patience=st.integers(1, 10),
+        sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6,
+                                 unique_by=sweep_condition).map(tuple),
+        trajectory=_trajectories(spans),
+        controller=_controllers(PRESETS[preset]().n_joints),
+        muscle_overrides=_muscle_overrides,
+        disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,
+                              noise_amplitude=_floats(0.0, 1.0),
+                              noise_frequency_hz=_floats(0.0, 100.0)),
+        pid=st.builds(PidGains, kp=_floats(0.0, 1e4), ki=_floats(0.0, 1e4),
+                      kd=_floats(0.0, 1e4), torque_scale=_POSITIVE),
+    ))
 
 
 @settings(max_examples=150, deadline=None)
-@given(_configs)
+@given(_configs())
 @example(ExperimentConfig(
     preset="spatial-ltdm", sweep_fractions=(0.0, 0.125, 0.5),
     controller=DdilcParams(error_window=3),
@@ -440,25 +461,9 @@ def test_arm_from_config_spatial_preset():
     assert model.n_joints == 7
 
 
-def test_ilc_config_from_copies_fields():
-    cfg = parse("[experiment]\niterations = 4\nseed = 5\n"
-                "control_decimation = 8\n[trajectory]\nduration = 1.6\n")
-    icfg = ilc_config_from(cfg, arm_from_config(cfg))
-    assert icfg.iterations == 4
-    assert icfg.seed == 5
-    assert icfg.control_decimation == 8
-    assert icfg.trajectory.duration == 1.6
-    assert icfg.disturbance is cfg.disturbance
-
-
-def test_default_experiment_is_the_benchmark():
-    # README: `myoarm ilc --out runs` runs the acceptance benchmark
-    cfg = ExperimentConfig()
-    assert ilc_config_from(cfg, arm_from_config(cfg)) == benchmark_ilc_config()
-
-
-def test_ilc_config_from_keeps_active_disturbance():
-    cfg = parse("[disturbance]\nload_fraction = 0.1\n")
-    icfg = ilc_config_from(cfg, arm_from_config(cfg))
-    assert icfg.disturbance is not None
-    assert icfg.disturbance.tip_mass == pytest.approx(0.25)
+def test_ilc_config_from_returns_cfg_and_rejects_another_arm():
+    cfg = parse("[experiment]\niterations = 4\n")
+    assert ilc_config_from(cfg, arm_from_config(cfg)) is cfg
+    # a model other than cfg.model is not silently ignored
+    with pytest.raises(ValueError, match="cfg.model"):
+        ilc_config_from(cfg, spatial_ltdm())

@@ -23,7 +23,7 @@ from myoarm.control import (
     estimate_pjm,
     pair_drive_to_excitations,
 )
-from myoarm.harness import IlcConfig, TrajectorySpec, run_ilc
+from myoarm.harness import ExperimentConfig, TrajectorySpec, run_ilc
 from myoarm.presets import planar2x4, spatial_ltdm
 
 
@@ -657,9 +657,9 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
             seen.update(phi=controller.est.phi_hat, xi=controller.xi_hat,
                         u_ff=controller.u_ff.copy(), points=log.tip_desired)
 
-    cfg = IlcConfig(model=planar2x4(), trajectory=TrajectorySpec(duration=1.0, cycles=1),
-                    iterations=2, dt=1e-3, control_decimation=1, seed=0,
-                    settle_time=3.0, probe_hold=1.0)
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                           iterations=2, dt=1e-3, control_decimation=1, seed=0,
+                           settle_time=3.0, probe_hold=1.0)
     assert run_ilc(cfg, on_iteration=on_iteration).summary.diverged == [False, True]
     ref = seen["ref"]
     ref.u_ff = seen["u_ff"]

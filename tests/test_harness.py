@@ -22,7 +22,7 @@ from myoarm.arm import (
 )
 from myoarm.harness import (
     DisturbanceSpec,
-    IlcConfig,
+    ExperimentConfig,
     PidGains,
     ReplayController,
     TrajectorySpec,
@@ -52,12 +52,11 @@ def model():
 
 
 @pytest.fixture(scope="module")
-def short_run(model):
+def short_run():
     """A short learning run shared by the convergence, sweep, and export tests."""
-    cfg = IlcConfig(model=model,
-                    trajectory=TrajectorySpec(duration=3.0, cycles=1),
-                    iterations=8, dt=DT, control_decimation=10, seed=0,
-                    settle_time=6.0, probe_hold=4.0)
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=3.0, cycles=1),
+                           iterations=8, dt=DT, control_decimation=10, seed=0,
+                           settle_time=6.0, probe_hold=4.0)
     return cfg, run_ilc(cfg)
 
 
@@ -422,6 +421,19 @@ def test_park_state_needs_whole_seconds(model, monkeypatch):
         park_state(model, np.asarray(model.q_ref), DT, total_time=3.5)
 
 
+def test_probe_needs_a_hold_of_one_tick(model, monkeypatch):
+    # 0.4 ticks rounds to none: every hold was empty, the sensitivity NaN,
+    # and the controller's pinv raised only after the park
+    def no_step(*args):
+        raise AssertionError("probe_sensitivity ticked before the hold check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_step)
+    with pytest.raises(ValueError, match=r"^probe_sensitivity needs a hold_time "
+                                         r"of at least one tick$"):
+        probe_sensitivity(model, rest_state(model), DT, delta=0.2,
+                          hold_time=0.0004, rest=REST)
+
+
 def test_probe_validation(model):
     state = rest_state(model)
     with pytest.raises(ValueError):
@@ -513,25 +525,25 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
 # the learning loop
 # ---------------------------------------------------------------------------
 
-def test_ilc_config_validation(model):
+def test_ilc_config_validation():
     traj = TrajectorySpec(duration=1.0)
     with pytest.raises(ValueError):
-        IlcConfig(model=model, trajectory=traj, iterations=0)
+        ExperimentConfig(trajectory=traj, iterations=0)
     with pytest.raises(ValueError):
-        IlcConfig(model=model, trajectory=traj, dt=0.0)
+        ExperimentConfig(trajectory=traj, dt=0.0)
     with pytest.raises(ValueError):
-        IlcConfig(model=model, trajectory=traj, control_decimation=0)
+        ExperimentConfig(trajectory=traj, control_decimation=0)
     with pytest.raises(ValueError):
-        IlcConfig(model=model, trajectory=traj, divergence_patience=0)
+        ExperimentConfig(trajectory=traj, divergence_patience=0)
 
 
-def test_run_ilc_rejects_decimation_before_parking(model, monkeypatch):
+def test_run_ilc_rejects_decimation_before_parking(monkeypatch):
     def no_park(*args, **kwargs):
         raise AssertionError("park_state ran before the decimation check")
 
     monkeypatch.setattr(harness, "park_state", no_park)
-    cfg = IlcConfig(model=model, trajectory=TrajectorySpec(duration=1.0),
-                    control_decimation=3)
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0),
+                           control_decimation=3)
     with pytest.raises(ValueError, match=r"^decimation 3 must divide the 1000 trajectory ticks$"):
         run_ilc(cfg)
 
@@ -552,7 +564,7 @@ def test_run_ilc_learns(short_run):
     assert result.final_log.tip.shape[0] == result.points.shape[0]
 
 
-def test_run_ilc_deterministic(model, short_run):
+def test_run_ilc_deterministic(short_run):
     cfg, first = short_run
     again = run_ilc(cfg)
     assert again.summary.mean_abs_mm == first.summary.mean_abs_mm
@@ -561,11 +573,10 @@ def test_run_ilc_deterministic(model, short_run):
     assert np.array_equal(again.sensitivity, first.sensitivity)
 
 
-def test_run_ilc_callback_sees_every_iteration(model):
-    cfg = IlcConfig(model=model,
-                    trajectory=TrajectorySpec(duration=1.0, cycles=1),
-                    iterations=2, dt=DT, control_decimation=10, seed=0,
-                    settle_time=3.0, probe_hold=1.0)
+def test_run_ilc_callback_sees_every_iteration():
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                           iterations=2, dt=DT, control_decimation=10, seed=0,
+                           settle_time=3.0, probe_hold=1.0)
     seen = []
     run_ilc(cfg, on_iteration=lambda k, log, metrics, ctrl: seen.append(
         (k, metrics.mean_abs_mm)))
@@ -574,12 +585,11 @@ def test_run_ilc_callback_sees_every_iteration(model):
 
 
 @pytest.mark.parametrize("tick", [0, 37])
-def test_run_ilc_summary_records_divergence(model, diverge_in_trial, tick):
+def test_run_ilc_summary_records_divergence(diverge_in_trial, tick):
     diverge_in_trial(1, tick)
-    cfg = IlcConfig(model=model,
-                    trajectory=TrajectorySpec(duration=1.0, cycles=1),
-                    iterations=3, dt=DT, control_decimation=10, seed=0,
-                    settle_time=3.0, probe_hold=1.0)
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                           iterations=3, dt=DT, control_decimation=10, seed=0,
+                           settle_time=3.0, probe_hold=1.0)
     s = run_ilc(cfg).summary
     assert s.diverged == [False, True, False]
     assert s.diverged_at == [None, tick, None]
@@ -644,6 +654,21 @@ def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatc
         disturbance_sweep(model, np.full((333, 2), 0.5), pts, DT, [0.0],
                           decimation=3, settle_time=12.0, seed=0,
                           desired_joint_path=joint_path(model, pts))
+
+
+def test_disturbance_sweep_parks_on_the_given_joint_path(model, monkeypatch):
+    # the park target is desired_joint_path[0], not a second IK solve
+    pts = _one_second_points()
+    desired_q = joint_path(model, pts)
+
+    def no_ik(*args):
+        raise AssertionError("disturbance_sweep solved inverse kinematics")
+
+    monkeypatch.setattr(harness, "joint_path", no_ik)
+    sweep = disturbance_sweep(model, np.full((100, 2), 0.5), pts, DT, [0.0],
+                              decimation=10, settle_time=3.0, seed=0,
+                              desired_joint_path=desired_q)
+    assert not sweep.points[0].diverged
 
 
 def test_disturbance_sweep_repetition_scatter(model, short_run):
