@@ -8,12 +8,18 @@ Usage: ``myoarm <command> [--config PATH] [--seed N] [--out DIR]
   open-loop trial (the null baseline every learning run starts from);
 * ``ilc``       — run the iterative learning experiment, logging every
   iteration's trial and estimator state;
-* ``sweep``     — learn once, then replay the converged feedforward
-  open-loop under increasing tip load;
+* ``sweep``     — learn once on the undisturbed plant, then replay the
+  converged feedforward open-loop under increasing tip load;
 * ``compare``   — learn once, then run the task-space PID baseline from the
   same start, under the same disturbance, for side-by-side metrics;
 * ``lowpass``   — measure tendon-force attenuation of 1 Hz vs 50 Hz
   excitation ripple on one isometric muscle.
+
+Each experiment is one ``harness`` function called with the
+``ExperimentConfig``: ``hold_trial``, ``run_ilc``, then
+``disturbance_sweep`` or ``pid_baseline`` with the learning run's
+``IlcResult``, and ``lowpass_attenuation_test``. This module only dispatches
+and writes the artifacts.
 
 Every run writes, under ``<out>/<command>/``, per-condition directories of
 per-trial CSV logs named ``iter_<k>.csv``; once the command completes it
@@ -47,20 +53,14 @@ from .control import DdilcController
 from .harness import (
     DisturbanceSpec,
     LowpassPoint,
-    ReplayController,
     SweepPoint,
     TrialLog,
-    _control_ticks,
     compute_metrics,
     disturbance_sweep,
-    generate_trajectory,
-    joint_path,
-    loaded_plant,
+    hold_trial,
     lowpass_attenuation_test,
-    park_state,
     pid_baseline,
     run_ilc,
-    run_trial,
 )
 from .muscle import MuscleParams, curve_samples
 from .presets import PRESETS, preset_key
@@ -162,16 +162,7 @@ def _cmd_curves(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
-    model = cfg.model
-    points = generate_trajectory(cfg.trajectory, cfg.dt)
-    n_control = _control_ticks(points, cfg.control_decimation)
-    desired_q = joint_path(model, points)
-    start, u_hold = park_state(loaded_plant(model, cfg.disturbance), desired_q[0],
-                               cfg.dt, total_time=cfg.settle_time)
-    log = run_trial(model, ReplayController(np.tile(u_hold, (n_control, 1))),
-                    points, cfg.dt, disturbance=cfg.disturbance, seed=cfg.seed,
-                    start_state=start, decimation=cfg.control_decimation,
-                    desired_joint_path=desired_q)
+    log, u_hold = hold_trial(cfg)
     cond = out / "hold"
     cond.mkdir(parents=True, exist_ok=True)
     _write_trial_csv(cond / "iter_0.csv", log)
@@ -206,14 +197,8 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     dirs = [out / name for name in conditions]
     for d in dirs:
         d.mkdir(parents=True, exist_ok=True)
-    sweep = disturbance_sweep(
-        cfg.model, result.feedforward_drives, result.points, cfg.dt,
-        cfg.sweep_fractions, decimation=cfg.control_decimation,
-        settle_time=cfg.settle_time, seed=cfg.seed,
-        repetitions=cfg.repetitions, disturbance=cfg.disturbance,
-        desired_joint_path=result.desired_joint_path,
-        on_trial=lambda fi, rep, log: _write_trial_csv(
-            dirs[fi] / f"iter_{rep}.csv", log))
+    sweep = disturbance_sweep(cfg, result, on_trial=lambda fi, rep, log:
+                              _write_trial_csv(dirs[fi] / f"iter_{rep}.csv", log))
     _write_csv(out / "sweep.csv",
                "myoarm-sweep-v1: open-loop replay error vs tip load "
                "(fraction of the 2.5 kg rated load)",
@@ -235,14 +220,7 @@ def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
     pid_dir.mkdir(parents=True, exist_ok=True)
     _write_trial_csv(ddilc_dir / f"iter_{cfg.iterations - 1}.csv",
                      result.final_log)
-    # same plant and noise as the final DDILC trial (run_ilc seeds trial k
-    # with [seed, k])
-    pid_log = pid_baseline(cfg.model, result.points, cfg.dt, cfg.pid,
-                           disturbance=cfg.disturbance,
-                           seed=[cfg.seed, cfg.iterations - 1],
-                           start_state=result.start_state,
-                           decimation=cfg.control_decimation,
-                           desired_joint_path=result.desired_joint_path)
+    pid_log = pid_baseline(cfg, result)
     _write_trial_csv(pid_dir / "iter_0.csv", pid_log)
     ddilc_mm = result.summary.mean_abs_mm[-1]
     pid_m = compute_metrics(pid_log)

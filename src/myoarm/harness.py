@@ -5,7 +5,11 @@ and metrics.
 ``ExperimentConfig`` is the one description of a run: its fields nest the
 section dataclasses defined here (``TrajectorySpec``, ``DisturbanceSpec``,
 ``PidGains``) and the controller's ``DdilcParams``, its ``model`` is the arm,
-and ``run_ilc`` takes it; ``config`` converts it to and from INI text.
+and ``config`` converts it to and from INI text. Every experiment is a
+function of it: ``hold_trial(cfg)`` and ``run_ilc(cfg)`` set the task up and
+park on its start; ``disturbance_sweep(cfg, result)`` and
+``pid_baseline(cfg, result)`` follow a learning run and also take its
+``IlcResult``.
 
 A *trial* is one finite-horizon execution of a trajectory-tracking task on an
 arm model. Controllers plug into ``run_trial`` through a small duck-typed
@@ -52,7 +56,7 @@ from .arm import (
 )
 from .control import DdilcController, DdilcParams, pair_drive_to_excitations
 from .muscle import step_muscle
-from .presets import PRESETS, make_arm, preset_key
+from .presets import make_arm, preset_key
 
 __all__ = [
     "RATED_LOAD_KG",
@@ -76,6 +80,7 @@ __all__ = [
     "park_state",
     "probe_sensitivity",
     "run_trial",
+    "hold_trial",
     "run_ilc",
     "disturbance_sweep",
     "pid_baseline",
@@ -655,12 +660,12 @@ class ExperimentConfig:
     The arm is not a field but follows from the fields: ``model`` builds the
     preset with the muscle overrides. Construction validates every field,
     so ``dataclasses.replace`` cannot build an invalid config; the preset
-    name is normalized to its ``PRESETS`` key. ``settle_time`` is a whole
-    number of seconds;
-    ``probe_hold`` and the trajectory's ``duration`` each round to at least
-    one tick of ``dt``; the controller's element boxes must suit the arm's
-    joint count; and no two ``sweep_fractions`` may share a
-    ``sweep_condition`` directory.
+    name is normalized to its ``PRESETS`` key. ``seed`` is non-negative;
+    ``settle_time`` is a whole number of seconds; ``probe_hold`` and the
+    trajectory's ``duration`` each round to at least one, and finitely many,
+    ticks of ``dt``, and ``control_decimation`` divides the trajectory's
+    ticks; the controller's element boxes must suit the arm's joint count;
+    and no two ``sweep_fractions`` may share a ``sweep_condition`` directory.
     """
 
     preset: str = "planar2x4"
@@ -682,35 +687,44 @@ class ExperimentConfig:
     pid: PidGains = field(default_factory=PidGains)
 
     def __post_init__(self) -> None:
-        # ticks as the probe and generate_trajectory count them; dt's own
-        # bound comes first in the table
-        def lasts_a_tick(span: float) -> bool:
-            return self.dt > 0.0 and round(span / self.dt) >= 1
+        # ticks as the park (1 s rounds), the probe and generate_trajectory
+        # count them: 0 where dt fails its own bound, inf where round() would
+        # overflow; dt's rows come first in the table
+        def ticks(span: float) -> float:
+            if not self.dt > 0.0:
+                return 0
+            n = span / self.dt
+            return round(n) if math.isfinite(n) else math.inf
 
+        n_traj = ticks(self.trajectory.duration)
         for name, ok, bound in (
                 ("iterations", self.iterations >= 1, "be >= 1"),
+                ("seed", self.seed >= 0, "be >= 0"),
                 ("dt", self.dt > 0.0, "be > 0"),
+                ("dt", max(ticks(1.0), ticks(self.probe_hold), n_traj) < math.inf,
+                 "give finite tick counts for 1 s, probe_hold and "
+                 "trajectory.duration"),
                 ("control_decimation", self.control_decimation >= 1, "be >= 1"),
                 ("divergence_patience", self.divergence_patience >= 1, "be >= 1"),
                 ("settle_time", self.settle_time >= 3.0
                  and float(self.settle_time).is_integer(),
                  "be a whole number >= 3"),
                 ("probe_delta", 0.0 < self.probe_delta <= 0.5, "be in (0, 0.5]"),
-                ("probe_hold", lasts_a_tick(self.probe_hold),
+                ("probe_hold", ticks(self.probe_hold) >= 1,
                  "round to at least one tick of dt"),
-                ("trajectory.duration", lasts_a_tick(self.trajectory.duration),
+                ("trajectory.duration", n_traj >= 1,
                  "round to at least one tick of dt"),
+                ("control_decimation", self.control_decimation >= 1
+                 and n_traj % self.control_decimation == 0,
+                 "divide the trajectory's ticks (duration / dt)"),
                 ("repetitions", self.repetitions >= 1, "be >= 1"),
                 ("sweep_fractions",
                  all(0.0 <= f <= 0.5 for f in self.sweep_fractions),
                  "lie in [0, 0.5]")):
             if not ok:
                 raise ValueError(f"ExperimentConfig.{name} must {bound}")
-        key = preset_key(self.preset)
-        if key not in PRESETS:
-            raise ValueError(f"unknown preset {self.preset!r}; available: "
-                             f"{', '.join(PRESETS)}")
-        self.preset = key
+        # make_arm, through self.model below, rejects an unknown preset
+        self.preset = preset_key(self.preset)
         for i, f in enumerate(self.sweep_fractions):
             for g in self.sweep_fractions[:i]:
                 if sweep_condition(g) == sweep_condition(f):
@@ -739,23 +753,51 @@ class IlcResult:
     final_log: TrialLog
 
 
+def _parked_task(cfg: ExperimentConfig):
+    """The task of ``cfg``, parked on its start.
+
+    Returns ``(model, points, n_control, desired_q, start, u_hold)``: the
+    arm, the sampled trajectory, its control ticks, its inverse-kinematics
+    path, and the state and hold drives of a park on the path's start on
+    the loaded plant. The tick check runs before the park.
+    """
+    model = cfg.model
+    points = generate_trajectory(cfg.trajectory, cfg.dt)
+    n_control = _control_ticks(points, cfg.control_decimation)
+    desired_q = joint_path(model, points)
+    start, u_hold = park_state(loaded_plant(model, cfg.disturbance),
+                               desired_q[0], cfg.dt, total_time=cfg.settle_time)
+    return model, points, n_control, desired_q, start, u_hold
+
+
+def hold_trial(cfg: ExperimentConfig) -> tuple[TrialLog, np.ndarray]:
+    """Park on the task's start, then hold the park's drives open-loop for
+    one trial along the task: the null baseline every learning run starts
+    from. The trial's noise is seeded with ``cfg.seed``.
+
+    Returns ``(log, hold_drives)``.
+    """
+    model, points, n_control, desired_q, start, u_hold = _parked_task(cfg)
+    log = run_trial(model, ReplayController(np.tile(u_hold, (n_control, 1))),
+                    points, cfg.dt, disturbance=cfg.disturbance, seed=cfg.seed,
+                    start_state=start, decimation=cfg.control_decimation,
+                    desired_joint_path=desired_q)
+    return log, u_hold
+
+
 def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     """Repeat the task ``cfg.iterations`` times on ``cfg.model``, learning
     between trials.
 
-    Three consecutive iterations of growing (or diverged) error trigger the
-    controller's feedforward shrink, recorded in the summary. The optional
+    Trial ``k`` seeds its noise with ``[cfg.seed, k]``. Three consecutive
+    iterations of growing (or diverged) error trigger the controller's
+    feedforward shrink, recorded in the summary. The optional
     ``on_iteration(k, log, metrics, controller)`` callback observes every
     trial, e.g. for CSV dumps.
     """
-    model = cfg.model
-    points = generate_trajectory(cfg.trajectory, cfg.dt)
-    horizon = _control_ticks(points, cfg.control_decimation)
-    eff = loaded_plant(model, cfg.disturbance)
-    desired_q = joint_path(model, points)
-    start, u_hold = park_state(eff, desired_q[0], cfg.dt,
-                               total_time=cfg.settle_time)
-    probe = probe_sensitivity(eff, start, cfg.dt, delta=cfg.probe_delta,
+    model, points, horizon, desired_q, start, u_hold = _parked_task(cfg)
+    probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
+                              cfg.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)
     controller = DdilcController(
         probe.sensitivity, cfg.controller, horizon,
@@ -819,45 +861,44 @@ class SweepResult:
         return np.array([p.mean_abs_mm for p in self.points])
 
 
-def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
-                      points: np.ndarray, dt: float, fractions, *,
-                      decimation: int, settle_time: float, seed: int,
-                      desired_joint_path: np.ndarray, repetitions: int = 1,
-                      disturbance: DisturbanceSpec = DisturbanceSpec(),
+def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
                       on_trial=None) -> SweepResult:
-    """Replay a converged drive table open-loop under increasing tip load.
+    """Replay the learning run's converged drive table open-loop under
+    increasing tip load.
 
-    Each fraction re-parks the loaded arm on the trajectory start, then
-    replays the table; divergence is recorded per condition, never raised.
-    ``disturbance`` supplies the activation noise; each swept fraction
-    replaces its load fraction. With repetitions > 1 the per-repetition seeds
-    vary only the stochastic activation noise. The optional
-    ``on_trial(fraction_index, rep, log)`` callback observes every replay,
-    e.g. for CSV dumps. ``settle_time`` is each park's ``total_time``, and
-    each park targets ``desired_joint_path[0]``; ``seed`` and
-    ``desired_joint_path`` are passed to every ``run_trial``. A
-    ``decimation`` that does not divide the trajectory ticks, or a table that
-    is not one row of drives per control tick, raises ``ValueError`` before
-    any park.
+    Each of ``cfg.sweep_fractions`` re-parks the loaded arm on
+    ``result.desired_joint_path[0]``, then replays
+    ``result.feedforward_drives`` along ``result.points``
+    ``cfg.repetitions`` times; divergence is recorded per condition, never
+    raised. ``cfg.disturbance`` supplies the activation noise, and each
+    swept fraction replaces its load fraction. Replay ``rep`` of fraction
+    ``fi`` seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions
+    differ only in the noise. The optional ``on_trial(fraction_index, rep,
+    log)`` callback observes every replay, e.g. for CSV dumps. A result
+    whose trajectory ticks ``cfg.control_decimation`` does not divide, or
+    whose table is not one row of drives per control tick, raises
+    ``ValueError`` before any park.
     """
-    points = np.asarray(points, dtype=float)
-    drive_table = np.asarray(drive_table, dtype=float)
-    n_control = _control_ticks(points, decimation)
-    if drive_table.shape != (n_control, model.n_joints):
-        raise ValueError(f"drive table of shape {drive_table.shape} is not one "
+    model = cfg.model
+    table = result.feedforward_drives
+    n_control = _control_ticks(result.points, cfg.control_decimation)
+    if table.shape != (n_control, model.n_joints):
+        raise ValueError(f"drive table of shape {table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
                          f"({n_control})")
     out = []
-    for fi, fraction in enumerate(fractions):
-        dist = replace(disturbance, load_fraction=fraction)
-        start, _ = park_state(loaded_plant(model, dist), desired_joint_path[0],
-                              dt, total_time=settle_time)
+    for fi, fraction in enumerate(cfg.sweep_fractions):
+        dist = replace(cfg.disturbance, load_fraction=fraction)
+        start, _ = park_state(loaded_plant(model, dist),
+                              result.desired_joint_path[0], cfg.dt,
+                              total_time=cfg.settle_time)
         means, mses, diverged = [], [], False
-        for rep in range(repetitions):
-            log = run_trial(model, ReplayController(drive_table), points, dt,
-                            disturbance=dist, seed=[seed, fi, rep],
-                            start_state=start, decimation=decimation,
-                            desired_joint_path=desired_joint_path)
+        for rep in range(cfg.repetitions):
+            log = run_trial(model, ReplayController(table), result.points,
+                            cfg.dt, disturbance=dist, seed=[cfg.seed, fi, rep],
+                            start_state=start,
+                            decimation=cfg.control_decimation,
+                            desired_joint_path=result.desired_joint_path)
             if on_trial is not None:
                 on_trial(fi, rep, log)
             m = compute_metrics(log)
@@ -874,20 +915,23 @@ def disturbance_sweep(model: ArmModel, drive_table: np.ndarray,
     return SweepResult(out)
 
 
-def pid_baseline(model: ArmModel, points: np.ndarray, dt: float,
-                 gains: PidGains, *, disturbance: DisturbanceSpec = DisturbanceSpec(),
-                 seed=0, start_state: ArmState, decimation: int,
-                 desired_joint_path: np.ndarray) -> TrialLog:
-    """One tracking trial under the task-space PID stand-in, from ``start_state``.
+def pid_baseline(cfg: ExperimentConfig, result: IlcResult) -> TrialLog:
+    """One tracking trial under the task-space PID stand-in with ``cfg.pid``,
+    on the plant of the learning run's final trial.
 
-    ``disturbance``, ``seed``, ``decimation`` and ``desired_joint_path`` are
-    passed to ``run_trial``, so the PID trial can run on the same loaded,
-    noisy plant as a learning trial.
+    The trial starts from ``result.start_state``, follows ``result.points``
+    and runs under ``cfg.disturbance`` with the noise seed
+    ``[cfg.seed, cfg.iterations - 1]`` that ``run_ilc`` gave its final
+    trial, so both controllers meet the same load and the same noise.
     """
-    controller = PidController(model, gains, dt * decimation)
-    return run_trial(model, controller, points, dt, disturbance=disturbance,
-                     seed=seed, start_state=start_state, decimation=decimation,
-                     desired_joint_path=desired_joint_path)
+    model = cfg.model
+    controller = PidController(model, cfg.pid, cfg.dt * cfg.control_decimation)
+    return run_trial(model, controller, result.points, cfg.dt,
+                     disturbance=cfg.disturbance,
+                     seed=[cfg.seed, cfg.iterations - 1],
+                     start_state=result.start_state,
+                     decimation=cfg.control_decimation,
+                     desired_joint_path=result.desired_joint_path)
 
 
 # ---------------------------------------------------------------------------

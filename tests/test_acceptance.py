@@ -11,6 +11,7 @@ robustness, baseline comparison).
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from myoarm.arm import (
 from myoarm.cli import main
 from myoarm.control import DdilcParams, PjmEstimate, estimate_pjm
 from myoarm.harness import (
-    PidGains,
     benchmark_ilc_config,
     compute_metrics,
     disturbance_sweep,
@@ -243,11 +243,7 @@ def test_criterion_07_disturbance_robustness(benchmark_run):
     cfg = benchmark_ilc_config()
     start = time.perf_counter()
     fractions = (0.0, 0.05, 0.10, 0.15, 0.20)
-    sweep = disturbance_sweep(cfg.model, result.feedforward_drives,
-                              result.points, cfg.dt, fractions,
-                              decimation=cfg.control_decimation,
-                              settle_time=cfg.settle_time, seed=cfg.seed,
-                              desired_joint_path=result.desired_joint_path)
+    sweep = disturbance_sweep(replace(cfg, sweep_fractions=fractions), result)
     errs = sweep.mean_errors()
     assert not any(p.diverged for p in sweep.points)
     assert float(errs.max()) <= 3.0 * float(errs[0])
@@ -264,10 +260,7 @@ def test_criterion_08_beats_tuned_pid_baseline(benchmark_run):
     result, _ = benchmark_run
     cfg = benchmark_ilc_config()
     start = time.perf_counter()
-    pid_log = pid_baseline(cfg.model, result.points, cfg.dt, PidGains(),
-                           start_state=result.start_state,
-                           decimation=cfg.control_decimation,
-                           desired_joint_path=result.desired_joint_path)
+    pid_log = pid_baseline(cfg, result)
     pid_mm = compute_metrics(pid_log).mean_abs_mm
     ddilc_mm = result.summary.mean_abs_mm[-1]
     assert ddilc_mm <= 0.50 * pid_mm

@@ -3,11 +3,12 @@ and byte-identical reruns. All commands run in-process through main().
 """
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from myoarm import cli, harness
+from myoarm import harness
 from myoarm.cli import _write_trial_csv, main
 from myoarm.config import parse_config
 from myoarm.harness import TrialLog
@@ -259,6 +260,35 @@ def test_compare_runs_pid_on_the_disturbed_plant(tmp_path, monkeypatch):
     assert seed_pid == seed_ddilc == [3, 1]
 
 
+def test_sweep_trains_undisturbed_and_replays_each_load_with_the_noise(
+        tmp_path, monkeypatch):
+    calls = []
+    real = harness.run_trial
+
+    def recording(model, controller, points, dt, **kwargs):
+        calls.append((type(controller).__name__, kwargs.get("disturbance"),
+                      kwargs.get("seed")))
+        return real(model, controller, points, dt, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", recording)
+    extra = ("repetitions = 2\nsweep_fractions = 0, 0.1\n"
+             "[disturbance]\nload_fraction = 0.2\nnoise_amplitude = 0.01\n"
+             "noise_frequency_hz = 2.0\n")
+    assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 0
+    nominal = harness.DisturbanceSpec()
+    noisy = harness.DisturbanceSpec(noise_amplitude=0.01, noise_frequency_hz=2.0)
+    assert calls == [
+        # the learning run sees neither the load nor the noise
+        ("DdilcController", nominal, [3, 0]),
+        ("DdilcController", nominal, [3, 1]),
+        # each replay swaps the swept load in and keeps the noise
+        ("ReplayController", noisy, [3, 0, 0]),
+        ("ReplayController", noisy, [3, 0, 1]),
+        ("ReplayController", replace(noisy, load_fraction=0.1), [3, 1, 0]),
+        ("ReplayController", replace(noisy, load_fraction=0.1), [3, 1, 1]),
+    ]
+
+
 @pytest.mark.parametrize("tick", [0, 37])
 @pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
 def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key, tick):
@@ -324,6 +354,13 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[trajectory]\nkind = sine\n", "line 2: unknown key 'kind'"),
     # the park servos in whole seconds, so 3.5 used to park for 3
     ("[experiment]\nsettle_time = 3.5\n", "line 2: [experiment] settle_time: "),
+    # each of these passed and failed with exit 1: np.random.default_rng
+    # rejected the seed after the park, and round() overflowed on the ticks
+    ("[experiment]\nseed = -1\n",
+     "line 2: [experiment] seed: ExperimentConfig.seed must be >= 0"),
+    ("[experiment]\ndt = 1e-320\n",
+     "line 2: [experiment] dt: ExperimentConfig.dt must give finite tick "
+     "counts"),
     # both write load_100: the second replay's log used to overwrite the
     # first's while the sweep summary listed load_100 twice
     ("[experiment]\nsweep_fractions = 0.1, 0.1004\n",
@@ -370,23 +407,36 @@ def test_simulate_rejects_decimation_before_parking(tmp_path, capsys, monkeypatc
     def no_park(*args, **kwargs):
         raise AssertionError("park_state ran before the decimation check")
 
-    monkeypatch.setattr(cli, "park_state", no_park)
+    monkeypatch.setattr(harness, "park_state", no_park)
     config = tiny_config(tmp_path, extra="control_decimation = 3")
-    assert run(tmp_path, "simulate", "--config", config) == 1
+    assert run(tmp_path, "simulate", "--config", config) == 2
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err == {"type": "ValueError",
-                   "message": "decimation 3 must divide the 1000 trajectory ticks"}
+    assert err == {"type": "ConfigError",
+                   "message": "line 6: [experiment] control_decimation: "
+                              "ExperimentConfig.control_decimation must divide "
+                              "the trajectory's ticks (duration / dt)"}
+
+
+def test_negative_seed_flag_exits_2_before_parking(tmp_path, capsys, monkeypatch):
+    def no_park(*args, **kwargs):
+        raise AssertionError("park_state ran before the seed check")
+
+    monkeypatch.setattr(harness, "park_state", no_park)
+    assert run(tmp_path, "ilc", "--seed", "-1") == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"type": "ConfigError",
+                   "message": "--seed: ExperimentConfig.seed must be >= 0"}
 
 
 def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkeypatch):
-    real_park = cli.park_state
+    real_park = harness.park_state
 
     def nan_park(*args, **kwargs):
         state, u_hold = real_park(*args, **kwargs)
         u_hold[1] = np.nan
         return state, u_hold
 
-    monkeypatch.setattr(cli, "park_state", nan_park)
+    monkeypatch.setattr(harness, "park_state", nan_park)
     assert run(tmp_path, "simulate", "--config", tiny_config(tmp_path)) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
@@ -398,7 +448,10 @@ def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkey
 
 
 @pytest.mark.parametrize("var,value", [("MYOARM_SEED", "1"),
-                                       ("MYOARM_EXPERIMENT__DT", "fast")])
+                                       ("MYOARM_EXPERIMENT__DT", "fast"),
+                                       # each used to exit 1
+                                       ("MYOARM_EXPERIMENT__SEED", "-1"),
+                                       ("MYOARM_EXPERIMENT__DT", "1e-320")])
 def test_bad_env_override_exits_2_before_any_output(tmp_path, capsys,
                                                     monkeypatch, var, value):
     monkeypatch.setenv(var, value)

@@ -404,8 +404,11 @@ def _trajectories(draw, durations):
 def _configs(draw):
     preset = draw(st.sampled_from(sorted(PRESETS)))
     dt = draw(_floats(1e-6, 1.0))
-    # probe_hold and the trajectory's duration last at least one tick of dt
+    decimation = draw(st.integers(1, 100))
+    # probe_hold lasts at least one tick of dt, and the trajectory's duration
+    # a whole number of control ticks
     spans = _floats(1.0, 1e6).map(lambda ticks: ticks * dt)
+    durations = st.integers(1, 10_000).map(lambda n: n * decimation * dt)
     return draw(st.builds(
         ExperimentConfig,
         preset=st.just(preset),
@@ -414,14 +417,14 @@ def _configs(draw):
         seed=st.integers(0, 2**32),
         out=st.text("abcxyz019_-./", min_size=1, max_size=12),
         dt=st.just(dt),
-        control_decimation=st.integers(1, 100),
+        control_decimation=st.just(decimation),
         settle_time=st.integers(3, 1000).map(float),
         probe_delta=_floats(0.0, 0.5, exclude_min=True),
         probe_hold=spans,
         divergence_patience=st.integers(1, 10),
         sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6,
                                  unique_by=sweep_condition).map(tuple),
-        trajectory=_trajectories(spans),
+        trajectory=_trajectories(durations),
         controller=_controllers(PRESETS[preset]().n_joints),
         muscle_overrides=_muscle_overrides,
         disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,

@@ -23,6 +23,7 @@ from myoarm.arm import (
 from myoarm.harness import (
     DisturbanceSpec,
     ExperimentConfig,
+    IlcResult,
     PidGains,
     ReplayController,
     TrajectorySpec,
@@ -542,10 +543,11 @@ def test_run_ilc_rejects_decimation_before_parking(monkeypatch):
         raise AssertionError("park_state ran before the decimation check")
 
     monkeypatch.setattr(harness, "park_state", no_park)
-    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0),
-                           control_decimation=3)
-    with pytest.raises(ValueError, match=r"^decimation 3 must divide the 1000 trajectory ticks$"):
-        run_ilc(cfg)
+    # the config itself rejects the decimation, so no run can reach the park
+    with pytest.raises(ValueError, match=r"^ExperimentConfig.control_decimation "
+                                         r"must divide the trajectory's ticks"):
+        run_ilc(ExperimentConfig(trajectory=TrajectorySpec(duration=1.0),
+                                 control_decimation=3))
 
 
 def test_run_ilc_learns(short_run):
@@ -610,12 +612,22 @@ def test_benchmark_config_defaults():
 # disturbance sweep
 # ---------------------------------------------------------------------------
 
-def test_disturbance_sweep_points(model, short_run):
+ONE_SECOND = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                              sweep_fractions=(0.0,))
+
+
+def _learned(pts, desired_q, *, drives=None, start_state=None):
+    """An ``IlcResult`` holding only what the sweep and the PID baseline
+    read: the points, their joint path, a drive table and a start state."""
+    return IlcResult(summary=None, feedforward_drives=drives, sensitivity=None,
+                     start_state=start_state, points=pts,
+                     desired_joint_path=desired_q, final_log=None)
+
+
+def test_disturbance_sweep_points(short_run):
     cfg, result = short_run
-    sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
-                              cfg.dt, [0.0, 0.1, 0.2], decimation=10,
-                              settle_time=6.0, seed=0,
-                              desired_joint_path=result.desired_joint_path)
+    sweep = disturbance_sweep(replace(cfg, sweep_fractions=(0.0, 0.1, 0.2)),
+                              result)
     assert [p.load_fraction for p in sweep.points] == [0.0, 0.1, 0.2]
     errs = sweep.mean_errors()
     assert errs.shape == (3,)
@@ -633,53 +645,49 @@ def test_disturbance_sweep_rejects_a_table_before_parking(model, monkeypatch, sh
     message = (f"drive table of shape {shape} is not one row of 2 drives per "
                "control tick (100)")
     pts = _one_second_points()
+    result = _learned(pts, joint_path(model, pts), drives=np.full(shape, 0.5))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        disturbance_sweep(model, np.full(shape, 0.5), pts, DT, [0.0],
-                          decimation=10, settle_time=12.0, seed=0,
-                          desired_joint_path=joint_path(model, pts))
+        disturbance_sweep(ONE_SECOND, result)
     assert parks == []
 
 
 def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatch):
-    # a 1 s chord has 1000 ticks, which 3 does not divide; the (333, 2) table
-    # matched the shape check, so the sweep used to park before run_trial
-    # raised
+    # a result from another config: the sweep's decimation 3 divides its own
+    # 999 ticks but not the 1000 of the result's 1 s chord; the (333, 2)
+    # table matched the shape check, so the sweep used to park before
+    # run_trial raised
     def no_park(*args, **kwargs):
         raise AssertionError("park_state ran before the decimation check")
 
     monkeypatch.setattr(harness, "park_state", no_park)
+    cfg = replace(ONE_SECOND, control_decimation=3,
+                  trajectory=TrajectorySpec(duration=0.999, cycles=1))
     pts = _one_second_points()
+    result = _learned(pts, joint_path(model, pts), drives=np.full((333, 2), 0.5))
     with pytest.raises(ValueError, match="^decimation 3 must divide the 1000 "
                                          "trajectory ticks$"):
-        disturbance_sweep(model, np.full((333, 2), 0.5), pts, DT, [0.0],
-                          decimation=3, settle_time=12.0, seed=0,
-                          desired_joint_path=joint_path(model, pts))
+        disturbance_sweep(cfg, result)
 
 
 def test_disturbance_sweep_parks_on_the_given_joint_path(model, monkeypatch):
     # the park target is desired_joint_path[0], not a second IK solve
     pts = _one_second_points()
-    desired_q = joint_path(model, pts)
+    result = _learned(pts, joint_path(model, pts), drives=np.full((100, 2), 0.5))
 
     def no_ik(*args):
         raise AssertionError("disturbance_sweep solved inverse kinematics")
 
     monkeypatch.setattr(harness, "joint_path", no_ik)
-    sweep = disturbance_sweep(model, np.full((100, 2), 0.5), pts, DT, [0.0],
-                              decimation=10, settle_time=3.0, seed=0,
-                              desired_joint_path=desired_q)
+    sweep = disturbance_sweep(replace(ONE_SECOND, settle_time=3.0), result)
     assert not sweep.points[0].diverged
 
 
-def test_disturbance_sweep_repetition_scatter(model, short_run):
+def test_disturbance_sweep_repetition_scatter(short_run):
     cfg, result = short_run
-    sweep = disturbance_sweep(model, result.feedforward_drives, result.points,
-                              cfg.dt, [0.0], decimation=10, settle_time=3.0,
-                              seed=0,
-                              desired_joint_path=result.desired_joint_path,
-                              repetitions=2,
-                              disturbance=DisturbanceSpec(
-                                  noise_amplitude=0.02, noise_frequency_hz=8.0))
+    noisy = replace(cfg, sweep_fractions=(0.0,), settle_time=3.0, repetitions=2,
+                    disturbance=DisturbanceSpec(noise_amplitude=0.02,
+                                                noise_frequency_hz=8.0))
+    sweep = disturbance_sweep(noisy, result)
     assert sweep.points[0].std_between_reps_mm > 0.0
 
 
@@ -703,9 +711,9 @@ def test_pid_defaults_are_tuned_benchmark_gains():
 
 def test_pid_zero_gains_hold_rest_drive(model):
     pts = _one_second_points()
-    log = pid_baseline(model, pts, DT, PidGains(kp=0.0, ki=0.0, kd=0.0),
-                       start_state=rest_state(model), decimation=10,
-                       desired_joint_path=joint_path(model, pts))
+    cfg = replace(ONE_SECOND, pid=PidGains(kp=0.0, ki=0.0, kd=0.0))
+    log = pid_baseline(cfg, _learned(pts, joint_path(model, pts),
+                                     start_state=rest_state(model)))
     assert np.all(log.drives == 0.5)
 
 
@@ -717,9 +725,9 @@ def test_pid_tracks_better_than_rest(model):
                                         disturbance=DisturbanceSpec(), seed=0,
                                         start_state=start, decimation=10,
                                         desired_joint_path=q_d))
-    active = compute_metrics(pid_baseline(model, pts, DT, PidGains(),
-                                          start_state=start, decimation=10,
-                                          desired_joint_path=q_d))
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=2.0, cycles=1))
+    active = compute_metrics(pid_baseline(cfg, _learned(pts, q_d,
+                                                        start_state=start)))
     assert active.mean_abs_mm < passive.mean_abs_mm
 
 
