@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .muscle import MuscleDiagnostics, MuscleParams, MuscleState, step_muscle
+from .muscle import MuscleParams, MuscleState, step_muscle
 
 __all__ = [
     "LinkParams",
@@ -506,8 +506,7 @@ def rest_state(model: ArmModel, q: np.ndarray | None = None) -> ArmState:
 
 
 def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
-                   dt: float, diag: MuscleDiagnostics | None = None
-                   ) -> tuple[ArmState, StepInfo]:
+                   dt: float) -> tuple[ArmState, StepInfo]:
     """Advance the coupled muscle/skeleton system by one tick.
 
     Muscles are stepped first at the entry posture; the resulting tendon
@@ -529,7 +528,7 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
     for i, (mp, (j, arm_i, l_ref, q_ref_j)) in enumerate(zip(model.muscles, model._routes)):
         # muscle_lengths inlined: one numpy call per tick costs more than this loop
         ms, f = step_muscle(muscle_states[i], u[i], l_ref - arm_i * (q0[j] - q_ref_j),
-                            dt, mp, diag)
+                            dt, mp)
         if not _MIN_FIBER_NORM < ms.l_fiber_norm < math.inf:
             v = ms.l_fiber_norm
             reason = (f"l_fiber_norm of muscle {i} is {v!r}, at or below {_MIN_FIBER_NORM}"

@@ -8,27 +8,27 @@ Usage: ``myoarm <command> [--config PATH] [--seed N] [--out DIR]
   open-loop trial (the null baseline every learning run starts from);
 * ``ilc``       — run the iterative learning experiment, logging every
   iteration's trial and estimator state;
-* ``sweep``     — learn once on the undisturbed plant, then replay the
-  converged feedforward open-loop under increasing tip load;
-* ``compare``   — learn once, then run the task-space PID baseline from the
-  same start, under the same disturbance, for side-by-side metrics;
+* ``sweep``     — the robustness study: learn once on the nominal plant,
+  then, at each tip load, replay the converged feedforward open-loop and
+  run the task-space PID baseline from the same park;
 * ``lowpass``   — measure tendon-force attenuation of 1 Hz vs 50 Hz
   excitation ripple on one isometric muscle.
 
 Each experiment is one ``harness`` function called with the
 ``ExperimentConfig``: ``hold_trial``, ``run_ilc``, then
-``disturbance_sweep`` or ``pid_baseline`` with the learning run's
-``IlcResult``, and ``lowpass_attenuation_test``. This module only dispatches
-and writes the artifacts.
+``disturbance_sweep`` with the learning run's ``IlcResult``, and
+``lowpass_attenuation_test``. This module only dispatches and writes the
+artifacts.
 
 Every run writes, under ``<out>/<command>/``, per-condition directories of
-per-trial CSV logs named ``iter_<k>.csv``; once the command completes it
-adds the exact configuration used (``config.ini``) and a
-``run_summary.json`` (sorted keys, no timestamps, so identical config+seed
-reproduce it byte for byte), and a failed command writes neither. CSV files are
-UTF-8 with LF line endings, ``.`` decimal separators, and a versioned
-``#``-comment schema line above the column header. Failures exit nonzero
-after printing a one-line machine-readable error JSON to stderr.
+per-trial CSV logs named ``iter_<k>.csv`` (a sweep load's PID trial is
+``pid.csv``); once the command completes it adds the exact configuration
+used (``config.ini``) and a ``run_summary.json`` (sorted keys, no
+timestamps, so identical config+seed reproduce it byte for byte), and a
+failed command writes neither. CSV files are UTF-8 with LF line endings,
+``.`` decimal separators, and a versioned ``#``-comment schema line above
+the column header. Failures exit nonzero after printing a one-line
+machine-readable error JSON to stderr.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from .harness import (
     disturbance_sweep,
     hold_trial,
     lowpass_attenuation_test,
-    pid_baseline,
     run_ilc,
 )
 from .muscle import MuscleParams, curve_samples
@@ -71,8 +70,7 @@ _COMMANDS = {
     "curves": "dump normalized muscle curves (x, fl, fpe, fv, ft) as CSV",
     "simulate": "hold the parked posture open-loop for one logged trial",
     "ilc": "run the iterative learning experiment",
-    "sweep": "replay converged feedforward under increasing tip load",
-    "compare": "learning controller vs task-space PID on the same task",
+    "sweep": "learned replay and PID baseline under increasing tip load",
     "lowpass": "tendon-force attenuation of 1 Hz vs 50 Hz drive ripple",
 }
 
@@ -191,46 +189,33 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
 
 
 def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
-    # train on the nominal plant; the disturbance applies to the replays
+    if cfg.disturbance.load_fraction != 0.0:
+        raise ConfigError(
+            f"[disturbance] load_fraction = {cfg.disturbance.load_fraction!r}: "
+            "sweep learns on the unloaded plant and [experiment] "
+            "sweep_fractions sets the study's loads; leave it at 0")
+    # learn on the nominal plant; the noise applies to the study's trials
     result = run_ilc(replace(cfg, disturbance=DisturbanceSpec()))
     conditions = [sweep_condition(f) for f in cfg.sweep_fractions]
     dirs = [out / name for name in conditions]
     for d in dirs:
         d.mkdir(parents=True, exist_ok=True)
-    sweep = disturbance_sweep(cfg, result, on_trial=lambda fi, rep, log:
-                              _write_trial_csv(dirs[fi] / f"iter_{rep}.csv", log))
+
+    def on_trial(fi, rep, log):
+        name = "pid.csv" if rep is None else f"iter_{rep}.csv"
+        _write_trial_csv(dirs[fi] / name, log)
+
+    sweep = disturbance_sweep(cfg, result, on_trial=on_trial)
     _write_csv(out / "sweep.csv",
-               "myoarm-sweep-v1: open-loop replay error vs tip load "
-               "(fraction of the 2.5 kg rated load)",
+               "myoarm-sweep-v2: open-loop replay error and task-space PID "
+               "error vs tip load (fraction of the 2.5 kg rated load)",
                [f.name for f in fields(SweepPoint)],
                [astuple(p) for p in sweep.points])
     return {
         "conditions": conditions,
-        "training_final_mean_abs_mm": result.summary.mean_abs_mm[-1],
+        "training": asdict(result.summary),
         "repetitions": cfg.repetitions,
         "table": [asdict(p) for p in sweep.points],
-    }
-
-
-def _cmd_compare(cfg: ExperimentConfig, out: Path) -> dict:
-    result = run_ilc(cfg)
-    ddilc_dir = out / "ddilc"
-    pid_dir = out / "pid"
-    ddilc_dir.mkdir(parents=True, exist_ok=True)
-    pid_dir.mkdir(parents=True, exist_ok=True)
-    _write_trial_csv(ddilc_dir / f"iter_{cfg.iterations - 1}.csv",
-                     result.final_log)
-    pid_log = pid_baseline(cfg, result)
-    _write_trial_csv(pid_dir / "iter_0.csv", pid_log)
-    ddilc_mm = result.summary.mean_abs_mm[-1]
-    pid_m = compute_metrics(pid_log)
-    return {
-        "conditions": ["ddilc", "pid"],
-        "ddilc_final_mean_abs_mm": ddilc_mm,
-        "ddilc": asdict(result.summary),
-        "pid": asdict(pid_m),
-        "error_ratio": ddilc_mm / pid_m.mean_abs_mm,
-        "improvement_percent": 100.0 * (1.0 - ddilc_mm / pid_m.mean_abs_mm),
     }
 
 
@@ -254,7 +239,6 @@ _RUNNERS = {
     "simulate": _cmd_simulate,
     "ilc": _cmd_ilc,
     "sweep": _cmd_sweep,
-    "compare": _cmd_compare,
     "lowpass": _cmd_lowpass,
 }
 

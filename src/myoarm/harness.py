@@ -1,6 +1,6 @@
 """Experiment harness: the run description, trajectory generation, trial
-execution, the iterative learning loop, disturbance sweeps, a PID baseline,
-and metrics.
+execution, the iterative learning loop, the robustness study under tip load
+with its PID baseline, and metrics.
 
 ``ExperimentConfig`` is the one description of a run: its fields nest the
 section dataclasses defined here (``TrajectorySpec``, ``DisturbanceSpec``,
@@ -9,7 +9,9 @@ and ``config`` converts it to and from INI text. Every experiment is a
 function of it: ``hold_trial(cfg)`` and ``run_ilc(cfg)`` set the task up and
 park on its start; ``disturbance_sweep(cfg, result)`` and
 ``pid_baseline(cfg, result)`` follow a learning run and also take its
-``IlcResult``.
+``IlcResult``. The robustness study is ``disturbance_sweep``: per tip load it
+parks once, replays the learned drive table open-loop and runs the PID
+baseline from that park.
 
 A *trial* is one finite-horizon execution of a trajectory-tracking task on an
 arm model. Controllers plug into ``run_trial`` through a small duck-typed
@@ -846,11 +848,16 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
 
 @dataclass
 class SweepPoint:
+    """One load of the robustness study: the replays' error, averaged over
+    the repetitions, and the PID trial's error."""
+
     load_fraction: float
     mean_abs_mm: float
     mse_mm2: float
     std_between_reps_mm: float
     diverged: bool
+    pid_mean_abs_mm: float
+    pid_diverged: bool
 
 
 @dataclass
@@ -863,21 +870,24 @@ class SweepResult:
 
 def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
                       on_trial=None) -> SweepResult:
-    """Replay the learning run's converged drive table open-loop under
-    increasing tip load.
+    """The robustness study: track the learning run's task under increasing
+    tip load, open-loop with its converged drive table and closed-loop with
+    the PID baseline.
 
-    Each of ``cfg.sweep_fractions`` re-parks the loaded arm on
-    ``result.desired_joint_path[0]``, then replays
+    Each of ``cfg.sweep_fractions`` re-parks the loaded arm once on
+    ``result.desired_joint_path[0]``. From that park it replays
     ``result.feedforward_drives`` along ``result.points``
-    ``cfg.repetitions`` times; divergence is recorded per condition, never
-    raised. ``cfg.disturbance`` supplies the activation noise, and each
-    swept fraction replaces its load fraction. Replay ``rep`` of fraction
-    ``fi`` seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions
-    differ only in the noise. The optional ``on_trial(fraction_index, rep,
-    log)`` callback observes every replay, e.g. for CSV dumps. A result
-    whose trajectory ticks ``cfg.control_decimation`` does not divide, or
-    whose table is not one row of drives per control tick, raises
-    ``ValueError`` before any park.
+    ``cfg.repetitions`` times, then runs one ``pid_baseline`` trial at the
+    same load; divergence is recorded per condition, never raised.
+    ``cfg.disturbance`` supplies the activation noise, and each swept
+    fraction replaces its load fraction. Replay ``rep`` of fraction ``fi``
+    seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions differ only
+    in the noise; the PID trial keeps ``pid_baseline``'s seed. The optional
+    ``on_trial(fraction_index, rep, log)`` callback observes every trial,
+    e.g. for CSV dumps, with ``rep`` None for the PID trial. A result whose
+    trajectory ticks ``cfg.control_decimation`` does not divide, or whose
+    table is not one row of drives per control tick, raises ``ValueError``
+    before any park.
     """
     model = cfg.model
     table = result.feedforward_drives
@@ -905,24 +915,32 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
             means.append(m.mean_abs_mm)
             mses.append(m.mse_mm2)
             diverged = diverged or m.diverged
+        pid_log = pid_baseline(replace(cfg, disturbance=dist),
+                               replace(result, start_state=start))
+        if on_trial is not None:
+            on_trial(fi, None, pid_log)
+        pid = compute_metrics(pid_log)
         out.append(SweepPoint(
             load_fraction=float(fraction),
             mean_abs_mm=float(np.mean(means)),
             mse_mm2=float(np.mean(mses)),
             std_between_reps_mm=float(np.std(means)),
             diverged=diverged,
+            pid_mean_abs_mm=pid.mean_abs_mm,
+            pid_diverged=pid.diverged,
         ))
     return SweepResult(out)
 
 
 def pid_baseline(cfg: ExperimentConfig, result: IlcResult) -> TrialLog:
-    """One tracking trial under the task-space PID stand-in with ``cfg.pid``,
-    on the plant of the learning run's final trial.
+    """One tracking trial under the task-space PID stand-in with ``cfg.pid``.
 
     The trial starts from ``result.start_state``, follows ``result.points``
     and runs under ``cfg.disturbance`` with the noise seed
-    ``[cfg.seed, cfg.iterations - 1]`` that ``run_ilc`` gave its final
-    trial, so both controllers meet the same load and the same noise.
+    ``[cfg.seed, cfg.iterations - 1]`` that ``run_ilc`` gives its final
+    trial. Given the learning run's own ``cfg`` and ``result``, both
+    controllers thus meet the same plant and the same noise;
+    ``disturbance_sweep`` passes each load's disturbance and park instead.
     """
     model = cfg.model
     controller = PidController(model, cfg.pid, cfg.dt * cfg.control_decimation)

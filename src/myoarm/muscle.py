@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "MuscleParams",
     "MuscleState",
-    "MuscleDiagnostics",
     "activation_time_constant",
     "active_force_length",
     "passive_force_length",
@@ -160,15 +159,6 @@ class MuscleState:
     v_fiber_norm: float = 0.0
 
 
-@dataclass
-class MuscleDiagnostics:
-    """Counters for clamp events inside the equilibrium solve."""
-
-    fv_clamp_events: int = 0
-    activation_floor_events: int = 0
-    slack_tendon_events: int = 0
-
-
 def activation_time_constant(u: float, a: float, params: MuscleParams) -> float:
     """Effective first-order time constant; faster when excitation leads activation."""
     if not 0.0 <= u <= 1.0:
@@ -180,15 +170,12 @@ def activation_time_constant(u: float, a: float, params: MuscleParams) -> float:
     return params.t_deact / (0.5 + 1.5 * a)
 
 
-def tendon_force(strain: float, params: MuscleParams,
-                 diag: MuscleDiagnostics | None = None) -> float:
+def tendon_force(strain: float, params: MuscleParams) -> float:
     """Normalized tendon force: exponential toe then linear, C1 at the break.
 
     Slack tendon (strain <= 0) carries no force.
     """
     if strain <= 0.0:
-        if strain < 0.0 and diag is not None:
-            diag.slack_tendon_events += 1
         return 0.0
     eps_toe = params._eps_toe
     if strain <= eps_toe:
@@ -203,46 +190,36 @@ _FV_ARG_LO = FV_AT_MINUS_ONE + 1e-6
 _FV_ARG_HI = FV_SUP - 1e-6
 
 
-def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float, params: MuscleParams,
-                 diag: MuscleDiagnostics | None) -> tuple[float, float]:
+def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float,
+                 params: MuscleParams) -> tuple[float, float]:
     """(fiber velocity, normalized tendon force) that balance tendon and fiber.
 
     The tendon force implied by the current geometry is attributed to the
     fiber, and the force-velocity curve is inverted:
     v = fv^-1((f_t/cos(alpha) - f_pe) / (a * f_l)). Activation is floored at
-    ``a_min`` and the fv argument clamped to 1e-6 inside [fv(-1), 1.6];
-    both events are counted in ``diag`` when given.
+    ``a_min`` and the fv argument clamped to 1e-6 inside [fv(-1), 1.6].
     """
     if l_mtu <= 0.0:
         raise ValueError(f"l_mtu must be positive, got {l_mtu}")
     cos_a = params.pennation_factor
     l_tendon = l_mtu - l_fiber_norm * params.l0_fiber * cos_a
     strain = l_tendon / params.l_slack_tendon - 1.0
-    f_t = tendon_force(strain, params, diag)
+    f_t = tendon_force(strain, params)
 
-    a_eff = a
-    if a_eff < params.a_min:
-        a_eff = params.a_min
-        if diag is not None:
-            diag.activation_floor_events += 1
+    a_eff = params.a_min if a < params.a_min else a
     fl = active_force_length(l_fiber_norm, params.gamma)
     fpe = _passive(l_fiber_norm, params.k_pe, params.eps0_m, params._exp_k_pe_m1)
 
     arg = (f_t / cos_a - fpe) / (a_eff * fl)
     if arg < _FV_ARG_LO:
         arg = _FV_ARG_LO
-        if diag is not None:
-            diag.fv_clamp_events += 1
     elif arg > _FV_ARG_HI:
         arg = _FV_ARG_HI
-        if diag is not None:
-            diag.fv_clamp_events += 1
     return inverse_force_velocity(arg), f_t
 
 
 def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
-                params: MuscleParams,
-                diag: MuscleDiagnostics | None = None) -> tuple[MuscleState, float]:
+                params: MuscleParams) -> tuple[MuscleState, float]:
     """Advance one muscle by dt and return (new state, tendon force in N).
 
     The returned force is the tendon force at the entry geometry, i.e. the
@@ -257,7 +234,7 @@ def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
     tau = activation_time_constant(u, state.activation, params)
     a_new = u + (state.activation - u) * math.exp(-dt / tau)
 
-    v, f_t = _equilibrium(state.l_fiber_norm, a_new, l_mtu, params, diag)
+    v, f_t = _equilibrium(state.l_fiber_norm, a_new, l_mtu, params)
     l_new = state.l_fiber_norm + v * dt
     return MuscleState(a_new, l_new, v), params.f0_max * f_t
 

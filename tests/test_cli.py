@@ -3,13 +3,13 @@ and byte-identical reruns. All commands run in-process through main().
 """
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
 
-from myoarm import harness
-from myoarm.cli import _write_trial_csv, main
+from myoarm import cli, harness
+from myoarm.cli import _cell, _write_trial_csv, main
 from myoarm.config import parse_config
 from myoarm.harness import TrialLog
 
@@ -210,7 +210,7 @@ def test_trial_csv_bytes_match_the_row_formatter(tmp_path, decimation,
 
 
 # ---------------------------------------------------------------------------
-# sweep / compare / lowpass
+# sweep / lowpass
 # ---------------------------------------------------------------------------
 
 def test_sweep_fans_out_condition_directories(tmp_path):
@@ -228,40 +228,92 @@ def test_sweep_fans_out_condition_directories(tmp_path):
     assert all(not row["diverged"] for row in summary["table"])
 
 
-def test_compare_reports_both_controllers(tmp_path):
-    assert run(tmp_path, "compare", "--config", tiny_config(tmp_path)) == 0
-    out = tmp_path / "runs" / "compare"
-    assert (out / "ddilc" / "iter_1.csv").exists()
-    assert (out / "pid" / "iter_0.csv").exists()
-    summary = read_summary(tmp_path, "compare")
-    assert summary["conditions"] == ["ddilc", "pid"]
-    assert summary["error_ratio"] == pytest.approx(
-        summary["ddilc_final_mean_abs_mm"] / summary["pid"]["mean_abs_mm"])
+def test_sweep_learns_once_and_reports_replay_and_pid_per_load(
+        tmp_path, monkeypatch):
+    runs, trials = [], []
+    real_run_ilc, real_trial = cli.run_ilc, harness.run_trial
 
+    def recording_run_ilc(cfg, on_iteration=None):
+        runs.append(real_run_ilc(cfg, on_iteration))
+        return runs[-1]
 
-def test_compare_runs_pid_on_the_disturbed_plant(tmp_path, monkeypatch):
-    calls = []
-    real = harness.run_trial
+    def recording_trial(model, controller, *args, **kwargs):
+        trials.append(type(controller).__name__)
+        return real_trial(model, controller, *args, **kwargs)
 
-    def recording(model, controller, points, dt, **kwargs):
-        calls.append((type(controller).__name__, kwargs.get("disturbance"),
-                      kwargs.get("seed")))
-        return real(model, controller, points, dt, **kwargs)
+    monkeypatch.setattr(cli, "run_ilc", recording_run_ilc)
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    extra = "repetitions = 2\nsweep_fractions = 0, 0.2\n"
+    assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 0
+    monkeypatch.undo()
+    # one learning run of `iterations` trials serves the whole study
+    assert len(runs) == 1
+    assert trials.count("DdilcController") == 2
+    out = tmp_path / "runs" / "sweep"
+    for name in ("load_000", "load_200"):
+        for log in ("iter_0.csv", "iter_1.csv", "pid.csv"):
+            assert csv_lines(out / name / log)[0].startswith("# myoarm-trial-v1")
 
-    monkeypatch.setattr(harness, "run_trial", recording)
-    extra = ("[disturbance]\nload_fraction = 0.2\nnoise_amplitude = 0.01\n"
-             "noise_frequency_hz = 2.0\n")
-    assert run(tmp_path, "compare", "--config", tiny_config(tmp_path, extra)) == 0
-    (ddilc, dist_ddilc, seed_ddilc), (pid, dist_pid, seed_pid) = calls[-2:]
-    assert (ddilc, pid) == ("DdilcController", "PidController")
-    assert dist_ddilc.load_fraction == dist_pid.load_fraction == 0.2
-    assert dist_pid == dist_ddilc
-    # the PID trial replays the noise of the final DDILC trial
-    assert seed_pid == seed_ddilc == [3, 1]
+    # the rows are disturbance_sweep's for the same learning run
+    cfg = parse_config((out / "config.ini").read_text(), env={})
+    [result] = runs
+    points = harness.disturbance_sweep(cfg, result).points
+    summary = read_summary(tmp_path, "sweep")
+    assert summary["training"] == asdict(result.summary)
+    assert summary["table"] == [asdict(p) for p in points]
+    lines = csv_lines(out / "sweep.csv")
+    assert lines[0].startswith("# myoarm-sweep-v2")
+    assert lines[1].split(",") == [f.name for f in fields(harness.SweepPoint)]
+    assert lines[2:] == [",".join(map(_cell, astuple(p))) for p in points]
+
+    # load 0's PID trial is the baseline of the learning run's own park, so
+    # its error ratio to the learning run is criterion 08's
+    pid_mm = harness.compute_metrics(harness.pid_baseline(cfg, result)).mean_abs_mm
+    row0 = summary["table"][0]
+    assert row0["load_fraction"] == 0.0
+    assert row0["pid_mean_abs_mm"] == pid_mm
+    assert (summary["training"]["mean_abs_mm"][-1] / row0["pid_mean_abs_mm"]
+            == result.summary.mean_abs_mm[-1] / pid_mm)
 
 
 def test_sweep_trains_undisturbed_and_replays_each_load_with_the_noise(
         tmp_path, monkeypatch):
+    calls, starts = [], []
+    real = harness.run_trial
+
+    def recording(model, controller, points, dt, **kwargs):
+        calls.append((type(controller).__name__, kwargs.get("disturbance"),
+                      kwargs.get("seed")))
+        starts.append(kwargs.get("start_state"))
+        return real(model, controller, points, dt, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", recording)
+    extra = ("repetitions = 2\nsweep_fractions = 0, 0.1\n"
+             "[disturbance]\nnoise_amplitude = 0.01\nnoise_frequency_hz = 2.0\n")
+    assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 0
+    nominal = harness.DisturbanceSpec()
+    noisy = harness.DisturbanceSpec(noise_amplitude=0.01, noise_frequency_hz=2.0)
+    loaded = replace(noisy, load_fraction=0.1)
+    assert calls == [
+        # the learning run sees no noise
+        ("DdilcController", nominal, [3, 0]),
+        ("DdilcController", nominal, [3, 1]),
+        # each replay swaps the swept load in and keeps the noise; the PID
+        # trial shares the replays' disturbance and takes the final learning
+        # trial's seed
+        ("ReplayController", noisy, [3, 0, 0]),
+        ("ReplayController", noisy, [3, 0, 1]),
+        ("PidController", noisy, [3, 1]),
+        ("ReplayController", loaded, [3, 1, 0]),
+        ("ReplayController", loaded, [3, 1, 1]),
+        ("PidController", loaded, [3, 1]),
+    ]
+    # one park per load serves its replays and its PID trial
+    assert starts[2] is starts[3] is starts[4]
+    assert starts[5] is starts[6] is starts[7]
+
+
+def test_sweep_runs_pid_on_each_loaded_plant(tmp_path, monkeypatch):
     calls = []
     real = harness.run_trial
 
@@ -271,26 +323,41 @@ def test_sweep_trains_undisturbed_and_replays_each_load_with_the_noise(
         return real(model, controller, points, dt, **kwargs)
 
     monkeypatch.setattr(harness, "run_trial", recording)
-    extra = ("repetitions = 2\nsweep_fractions = 0, 0.1\n"
-             "[disturbance]\nload_fraction = 0.2\nnoise_amplitude = 0.01\n"
-             "noise_frequency_hz = 2.0\n")
+    extra = ("sweep_fractions = 0, 0.2\n"
+             "[disturbance]\nnoise_amplitude = 0.01\nnoise_frequency_hz = 2.0\n")
     assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 0
-    nominal = harness.DisturbanceSpec()
-    noisy = harness.DisturbanceSpec(noise_amplitude=0.01, noise_frequency_hz=2.0)
-    assert calls == [
-        # the learning run sees neither the load nor the noise
-        ("DdilcController", nominal, [3, 0]),
-        ("DdilcController", nominal, [3, 1]),
-        # each replay swaps the swept load in and keeps the noise
-        ("ReplayController", noisy, [3, 0, 0]),
-        ("ReplayController", noisy, [3, 0, 1]),
-        ("ReplayController", replace(noisy, load_fraction=0.1), [3, 1, 0]),
-        ("ReplayController", replace(noisy, load_fraction=0.1), [3, 1, 1]),
-    ]
+    final_seed = [seed for name, _, seed in calls if name == "DdilcController"][-1]
+    pid = [(dist, seed) for name, dist, seed in calls if name == "PidController"]
+    replays = [dist for name, dist, _ in calls if name == "ReplayController"]
+    assert [dist.load_fraction for dist, _ in pid] == [0.0, 0.2]
+    for dist, seed in pid:
+        # the PID trial shares its load's replay disturbance, noise included,
+        # and replays the noise of the final learning trial
+        assert dist in replays
+        assert (dist.noise_amplitude, dist.noise_frequency_hz) == (0.01, 2.0)
+        assert seed == final_seed
+    # the load reaches the PID's plant
+    table = read_summary(tmp_path, "sweep")["table"]
+    assert table[0]["pid_mean_abs_mm"] != table[1]["pid_mean_abs_mm"]
+
+
+def test_sweep_rejects_a_configured_load_before_any_tick(tmp_path, capsys,
+                                                         monkeypatch):
+    def no_tick(*args, **kwargs):
+        raise AssertionError("a tick ran before the load check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_tick)
+    extra = "[disturbance]\nload_fraction = 0.2\n"
+    assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("[disturbance] load_fraction = 0.2: ")
+    assert "sweep_fractions sets the study's loads" in err["message"]
+    assert not (tmp_path / "runs" / "sweep" / "run_summary.json").exists()
 
 
 @pytest.mark.parametrize("tick", [0, 37])
-@pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
+@pytest.mark.parametrize("command, key", [("ilc", None), ("sweep", "training")])
 def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key, tick):
     diverge_in_trial(1, tick)
     assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
@@ -301,7 +368,7 @@ def test_divergence_reaches_run_summary(tmp_path, diverge_in_trial, command, key
     assert summary["diverged_reason"] == [None, "injected"]
 
 
-@pytest.mark.parametrize("command, key", [("ilc", None), ("compare", "ddilc")])
+@pytest.mark.parametrize("command, key", [("ilc", None), ("sweep", "training")])
 def test_controller_counts_reach_run_summary(tmp_path, command, key):
     assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
     summary = read_summary(tmp_path, command)

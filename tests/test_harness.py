@@ -691,6 +691,31 @@ def test_disturbance_sweep_repetition_scatter(short_run):
     assert sweep.points[0].std_between_reps_mm > 0.0
 
 
+def test_disturbance_sweep_reports_each_loads_pid_trial(short_run):
+    cfg, result = short_run
+    seen = []
+    sweep = disturbance_sweep(replace(cfg, sweep_fractions=(0.0, 0.2)), result,
+                              on_trial=lambda fi, rep, log: seen.append(
+                                  (fi, rep, log)))
+    # each load's replays, then its PID trial, which on_trial sees as rep None
+    assert [(fi, rep) for fi, rep, _ in seen] == [(0, 0), (0, None),
+                                                  (1, 0), (1, None)]
+    for point, (_, _, log) in zip(sweep.points, seen[1::2]):
+        pid = compute_metrics(log)
+        assert not pid.diverged
+        assert (point.pid_mean_abs_mm, point.pid_diverged) == (pid.mean_abs_mm,
+                                                               pid.diverged)
+
+
+def test_disturbance_sweep_pid_at_load_zero_is_the_baseline(short_run):
+    # the unloaded re-park lands on the learning run's own park, so the
+    # study's load-0 PID trial is pid_baseline's, bit for bit
+    cfg, result = short_run
+    sweep = disturbance_sweep(replace(cfg, sweep_fractions=(0.0,)), result)
+    baseline = compute_metrics(pid_baseline(cfg, result))
+    assert sweep.points[0].pid_mean_abs_mm == baseline.mean_abs_mm
+
+
 # ---------------------------------------------------------------------------
 # PID stand-in
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
-"""sha256 of every artifact the six myoarm commands write on one small config.
+"""sha256 of every artifact the five myoarm commands write on small configs.
 
-Runs ``curves``, ``simulate``, ``ilc``, ``sweep``, ``compare`` and
-``lowpass`` through ``myoarm.cli.main`` in a temporary directory with
-``out = runs``, on a fixed small config (2 iterations, a 1 s chord, a 20 %
-tip load, activation noise 0.01 at 2 Hz, 2 repetitions, sweep fractions 0
-and 0.2), and prints one ``<sha256>  <command>/<file>`` line per artifact,
-sorted by path. It uses only the CLI, so the outputs of two checkouts can be
-compared with ``diff``:
+Runs ``curves``, ``simulate``, ``ilc``, ``sweep`` and ``lowpass`` through
+``myoarm.cli.main`` in a temporary directory with ``out = runs``, on a fixed
+small config (2 iterations, a 1 s chord, a 20 % tip load, activation noise
+0.01 at 2 Hz, 2 repetitions, sweep fractions 0 and 0.2). ``sweep`` takes its
+loads from the sweep fractions and rejects a configured tip load, so it runs
+on the same config without the load. The tool prints one
+``<sha256>  <command>/<file>`` line per artifact, sorted by path. It uses
+only the CLI, so the outputs of two checkouts can be compared with ``diff``:
 
     PYTHONPATH=<checkout>/src python tools/artifact_digest.py > digests.txt
 
@@ -24,7 +25,7 @@ from pathlib import Path
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
-COMMANDS = ("curves", "simulate", "ilc", "sweep", "compare", "lowpass")
+COMMANDS = ("curves", "simulate", "ilc", "sweep", "lowpass")
 CONFIG = """\
 [experiment]
 iterations = 2
@@ -44,10 +45,12 @@ load_fraction = 0.2
 noise_amplitude = 0.01
 noise_frequency_hz = 2.0
 """
+SWEEP_CONFIG = CONFIG.replace("load_fraction = 0.2\n", "")
 
 
 def digests() -> list[str]:
-    """Run every command on CONFIG; one ``sha256  path`` line per artifact."""
+    """Run every command on CONFIG (``sweep`` on SWEEP_CONFIG); one
+    ``sha256  path`` line per artifact."""
     if str(_SRC) not in sys.path:
         sys.path.append(str(_SRC))      # after PYTHONPATH, which thus wins
     from myoarm.cli import main
@@ -57,8 +60,10 @@ def digests() -> list[str]:
         os.chdir(tmp)
         try:
             Path("exp.ini").write_text(CONFIG, encoding="utf-8")
+            Path("sweep.ini").write_text(SWEEP_CONFIG, encoding="utf-8")
             for command in COMMANDS:
-                code = main([command, "--config", "exp.ini"])
+                config = "sweep.ini" if command == "sweep" else "exp.ini"
+                code = main([command, "--config", config])
                 if code != 0:
                     raise RuntimeError(f"myoarm {command} exited with {code}")
             root = Path("runs")
