@@ -21,6 +21,14 @@ to the floor ``rest_state`` enforces (0.1 optimal lengths) or goes non-finite,
 and a joint that reaches 1e4 rad/s, end the integration with
 ``IntegrationDivergedError``.
 
+`ArmState` (with one `MuscleState` per muscle) is the edge type: what a
+rollout starts from and returns, what ``IntegrationDivergedError`` carries,
+and what a controller that asks for the state sees. Between ticks a rollout
+carries the float state ``ArmState.floats()`` gives, ``(q, qdot, muscles)``:
+lists of Python floats, with one ``(activation, l_fiber_norm,
+v_fiber_norm)`` tuple per muscle. `integrate_step` advances that state by one
+tick, and `ArmState.from_floats` builds the edge type back.
+
 `ArmModel` is one frozen plant description that every physics path shares. It
 stores its sequences as tuples and builds each per-model table once: per-link
 and per-route scalars for the per-tick code, the read-only moment-arm matrix
@@ -199,22 +207,34 @@ class ArmModel:
 
 @dataclass
 class ArmState:
+    """The arm's state at a rollout's edges; ``floats`` gives the state a
+    rollout carries between ticks, ``from_floats`` builds it back."""
+
     q: np.ndarray
     qdot: np.ndarray
     muscle_states: list[MuscleState]
 
-    def copy(self) -> "ArmState":
-        return ArmState(self.q.copy(), self.qdot.copy(),
-                        [MuscleState(m.activation, m.l_fiber_norm, m.v_fiber_norm)
-                         for m in self.muscle_states])
+    def floats(self) -> tuple[list[float], list[float], list[tuple[float, float, float]]]:
+        """``(q, qdot, muscles)`` as new lists, one ``(activation,
+        l_fiber_norm, v_fiber_norm)`` tuple per muscle."""
+        return (self.q.tolist(), self.qdot.tolist(),
+                [(m.activation, m.l_fiber_norm, m.v_fiber_norm) for m in self.muscle_states])
+
+    @classmethod
+    def from_floats(cls, state) -> "ArmState":
+        """The ``ArmState`` holding the float state ``(q, qdot, muscles)``."""
+        q, qdot, muscles = state
+        return cls(np.array(q, dtype=float), np.array(qdot, dtype=float),
+                   [MuscleState(*m) for m in muscles])
 
 
 @dataclass
 class StepInfo:
-    """Per-tick byproducts of integrate_step."""
+    """Per-tick byproducts of integrate_step: each muscle's tendon force in N
+    and the number of joints a hard stop clamped."""
 
-    tendon_forces: np.ndarray
-    stop_events: int = 0
+    tendon_forces: list[float]
+    stop_events: int
 
 
 def moment_arm_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
@@ -505,40 +525,39 @@ def rest_state(model: ArmModel, q: np.ndarray | None = None) -> ArmState:
     return ArmState(q=q, qdot=np.zeros(model.n_joints), muscle_states=states)
 
 
-def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
-                   dt: float) -> tuple[ArmState, StepInfo]:
+def integrate_step(model: ArmModel, state, excitations,
+                   dt: float) -> tuple[tuple, StepInfo]:
     """Advance the coupled muscle/skeleton system by one tick.
 
-    Muscles are stepped first at the entry posture; the resulting tendon
-    forces are held constant while (q, qdot) advances by one RK4 step; hard
-    joint stops then clamp q and zero any outward velocity component.
-    A fiber length that is not finite or not above the 0.1 floor rest_state
-    enforces, a non-finite joint angle, a joint speed of 1e4 rad/s or more
-    (a blow-up, caught long before it overflows), or a mass matrix that is
-    not positive definite raises IntegrationDivergedError naming the
-    quantity.
+    ``state`` is the float state of ``ArmState.floats``, and ``excitations``
+    one value per muscle; returns the next float state and the tick's
+    ``StepInfo``. Muscles are stepped first at the entry posture; the
+    resulting tendon forces are held constant while (q, qdot) advances by one
+    RK4 step; hard joint stops then clamp q and zero any outward velocity
+    component. A fiber length that is not finite or not above the 0.1 floor
+    rest_state enforces, a non-finite joint angle, a joint speed of 1e4 rad/s
+    or more (a blow-up, caught long before it overflows), or a mass matrix
+    that is not positive definite raises IntegrationDivergedError naming the
+    quantity, with ``state`` as its ``ArmState``.
     """
-    n = model.n_joints
-    q0 = state.q.tolist()
-    u = excitations.tolist()
-    muscle_states = state.muscle_states
+    q0, qd0, muscles = state
+    n = len(q0)
     new_muscles = []
     forces = []
     tau = [0.0] * n
-    for i, (mp, (j, arm_i, l_ref, q_ref_j)) in enumerate(zip(model.muscles, model._routes)):
+    for i, (mp, (j, arm_i, l_ref, q_ref_j), (a, l, _)) in enumerate(
+            zip(model.muscles, model._routes, muscles)):
         # muscle_lengths inlined: one numpy call per tick costs more than this loop
-        ms, f = step_muscle(muscle_states[i], u[i], l_ref - arm_i * (q0[j] - q_ref_j),
-                            dt, mp)
-        if not _MIN_FIBER_NORM < ms.l_fiber_norm < math.inf:
-            v = ms.l_fiber_norm
-            reason = (f"l_fiber_norm of muscle {i} is {v!r}, at or below {_MIN_FIBER_NORM}"
-                      if math.isfinite(v) else f"non-finite l_fiber_norm of muscle {i}")
-            raise IntegrationDivergedError(reason, state)
-        new_muscles.append(ms)
+        a, l, v, f = step_muscle(a, l, excitations[i], l_ref - arm_i * (q0[j] - q_ref_j),
+                                 dt, mp)
+        if not _MIN_FIBER_NORM < l < math.inf:
+            reason = (f"l_fiber_norm of muscle {i} is {l!r}, at or below {_MIN_FIBER_NORM}"
+                      if math.isfinite(l) else f"non-finite l_fiber_norm of muscle {i}")
+            raise IntegrationDivergedError(reason, ArmState.from_floats(state))
+        new_muscles.append((a, l, v))
         forces.append(f)
         tau[j] += arm_i * f
 
-    qd0 = state.qdot.tolist()
     half = 0.5 * dt
     try:
         k1v = _accel(model, q0, qd0, tau)
@@ -549,10 +568,10 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
         k4x = [qd0[j] + dt * k3v[j] for j in range(n)]
         k4v = _accel(model, [q0[j] + dt * k3x[j] for j in range(n)], k4x, tau)
     except np.linalg.LinAlgError as exc:
-        raise IntegrationDivergedError(str(exc), state) from exc
+        raise IntegrationDivergedError(str(exc), ArmState.from_floats(state)) from exc
     sixth = dt / 6.0
-    q_new = np.empty(n)
-    qd_new = np.empty(n)
+    q_new = []
+    qd_new = []
     stops = 0
     for j, (lo, hi) in enumerate(model.joint_limits):
         qj = q0[j] + sixth * (qd0[j] + 2.0 * (k2x[j] + k3x[j]) + k4x[j])
@@ -571,9 +590,7 @@ def integrate_step(model: ArmModel, state: ArmState, excitations: np.ndarray,
         if not (math.isfinite(qj) and -_QDOT_MAX < vj < _QDOT_MAX):
             reason = (f"qdot[{j}] = {vj:.3g} rad/s, at or beyond the {_QDOT_MAX:g} rad/s bound"
                       if math.isfinite(qj) else f"non-finite joint state q[{j}]")
-            raise IntegrationDivergedError(reason, state)
-        q_new[j] = qj
-        qd_new[j] = vj
-
-    info = StepInfo(np.array(forces), stops)
-    return ArmState(q_new, qd_new, new_muscles), info
+            raise IntegrationDivergedError(reason, ArmState.from_floats(state))
+        q_new.append(qj)
+        qd_new.append(vj)
+    return (q_new, qd_new, new_muscles), StepInfo(forces, stops)

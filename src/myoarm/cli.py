@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
@@ -92,8 +93,26 @@ def _cell(value) -> str:
     return repr(float(value))
 
 
+def _create(path: Path):
+    """``path`` opened for UTF-8 text with LF line endings, its directory made
+    first: a command creates its output tree only as it writes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _check_writable(out: Path) -> None:
+    """Fail before the run, creating nothing, when ``out`` cannot be made: its
+    nearest existing ancestor must be a writable directory."""
+    existing = out
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise ConfigError(f"[experiment] out: cannot write {str(out)!r}: "
+                          f"{str(existing)!r} is not a writable directory")
+
+
 def _write_csv(path: Path, schema_note: str, columns, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(f"# {schema_note}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -102,7 +121,7 @@ def _write_csv(path: Path, schema_note: str, columns, rows) -> None:
 
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _create(path) as fh:
         fh.write(text + "\n")
 
 
@@ -161,16 +180,13 @@ def _cmd_curves(cfg: ExperimentConfig, out: Path) -> dict:
 
 def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> dict:
     log, u_hold = hold_trial(cfg)
-    cond = out / "hold"
-    cond.mkdir(parents=True, exist_ok=True)
-    _write_trial_csv(cond / "iter_0.csv", log)
+    _write_trial_csv(out / "hold" / "iter_0.csv", log)
     return {"conditions": ["hold"], "hold_drives": [float(u) for u in u_hold],
             "metrics": asdict(compute_metrics(log))}
 
 
 def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
     cond = out / "train"
-    cond.mkdir(parents=True, exist_ok=True)
 
     def on_iteration(k, log, metrics, controller):
         _write_trial_csv(cond / f"iter_{k}.csv", log)
@@ -198,8 +214,6 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     result = run_ilc(replace(cfg, disturbance=DisturbanceSpec()))
     conditions = [sweep_condition(f) for f in cfg.sweep_fractions]
     dirs = [out / name for name in conditions]
-    for d in dirs:
-        d.mkdir(parents=True, exist_ok=True)
 
     def on_trial(fi, rep, log):
         name = "pid.csv" if rep is None else f"iter_{rep}.csv"
@@ -252,17 +266,20 @@ def dispatch(command: str, cfg: ExperimentConfig) -> int:
 
     When the command completes, the output directory receives the exact
     configuration used (``config.ini``) and a deterministic
-    ``run_summary.json``; a command that fails writes neither.
+    ``run_summary.json``; a command that fails writes neither. Directories
+    are made as files are written, so a command that fails its config
+    checks before it writes leaves no directory behind; an output path that
+    cannot be written fails before the run.
     """
     if command not in _RUNNERS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
                           f"{', '.join(_RUNNERS)}")
     out = Path(cfg.out) / command
-    out.mkdir(parents=True, exist_ok=True)
+    _check_writable(out)
     echo = serialize_config(cfg)
     payload = {"command": command, "seed": cfg.seed, "config_ini": echo}
     payload.update(_RUNNERS[command](cfg, out))
-    with open(out / "config.ini", "w", encoding="utf-8", newline="\n") as fh:
+    with _create(out / "config.ini") as fh:
         fh.write(echo)
     _write_json(out / "run_summary.json", payload)
     return 0

@@ -39,6 +39,7 @@ inputs give bit-identical logs.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -206,28 +207,26 @@ def joint_path(model: ArmModel, points: np.ndarray) -> np.ndarray:
     previous solution; failure to converge, or a solution outside the joint
     limits, raises UnreachableTrajectoryError naming the offending sample.
     """
-    points = np.asarray(points, dtype=float)
     q = [float(v) for v in model.q_ref]
-    out = np.empty((points.shape[0], model.n_joints))
-    for idx, target in enumerate(points):
-        px, py = target.tolist()
+    rows = []
+    for idx, (px, py) in enumerate(np.asarray(points, dtype=float).tolist()):
         for _ in range(_IK_MAX_ITER):
             tx, ty, jx, jy = _tip_jacobian(model, q)
             ex, ey = px - tx, py - ty
-            if float(np.hypot(ex, ey)) < _IK_TOL:
+            if math.hypot(ex, ey) < _IK_TOL:
                 break
             dq, _ = _pinv_solve(jx, jy, ex, ey)
             q = [qi + d for qi, d in zip(q, dq)]
         else:
-            raise UnreachableTrajectoryError(idx, target, "inverse kinematics "
+            raise UnreachableTrajectoryError(idx, (px, py), "inverse kinematics "
                                              f"did not converge within {_IK_MAX_ITER} steps")
         for j, (lo, hi) in enumerate(model.joint_limits):
             if not lo - 1e-9 <= q[j] <= hi + 1e-9:
                 raise UnreachableTrajectoryError(
-                    idx, target, f"joint {j} at {q[j]:.4f} rad exceeds its "
+                    idx, (px, py), f"joint {j} at {q[j]:.4f} rad exceeds its "
                     f"limits [{lo}, {hi}]")
-        out[idx] = q
-    return out
+        rows.append(q)
+    return np.array(rows).reshape(-1, model.n_joints)
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +387,11 @@ def _control_ticks(points: np.ndarray, decimation: int) -> int:
     return n_ticks // decimation
 
 
+def _rows(buffer: array, width: int) -> np.ndarray:
+    """The flat per-tick rows of ``buffer`` as a (rows, width) array over its memory."""
+    return np.frombuffer(buffer).reshape(-1, width)
+
+
 def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
               disturbance: DisturbanceSpec, seed, start_state: ArmState,
               decimation: int, desired_joint_path: np.ndarray) -> TrialLog:
@@ -408,57 +412,53 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     n_ticks = n_control * decimation
 
     eff = loaded_plant(model, disturbance)
-    state = start_state.copy()
+    state = start_state.floats()
     noise = _noise_table(eff, disturbance, seed)
     wants_state = getattr(controller, "wants_state", False)
 
-    qs = [state.q]
-    qds = [state.qdot]
+    # the per-tick rows, flat; they become the log's arrays at the end
+    qs, qds = array("d", state[0]), array("d", state[1])
+    excitations, forces = array("d"), array("d")
     drives = []
-    excitations = np.empty((n_ticks, eff.n_muscles))
-    forces = np.empty((n_ticks, eff.n_muscles))
-    diverged = False
     diverged_at = diverged_reason = None
-    filled = 0
     targets = points[::decimation].tolist()      # one per control tick
 
     controller.begin_iteration(targets[0])
     for tc in range(n_control):
-        y = _chain(eff, state.q)[-1]
+        y = _chain(eff, state[0])[-1]
         y_d_next = targets[tc + 1]
         if wants_state:
-            raw = controller.step(tc, y, y_d_next, state=state)
+            raw = controller.step(tc, y, y_d_next, state=ArmState.from_floats(state))
         else:
             raw = controller.step(tc, y, y_d_next)
         drive = _checked_drive(tc, raw, eff.n_joints)
         drives.append(drive)
         exc0 = pair_drive_to_excitations(eff, drive)
+        exc = exc0.tolist()
         for i in range(decimation):
             tick = tc * decimation + i
-            if noise is None:
-                exc = exc0
-            else:
+            if noise is not None:
                 phases, omega, buf = noise
                 np.sin(omega * (tick * dt) + phases, out=buf)
-                exc = np.clip(exc0 + disturbance.noise_amplitude * buf, 0.0, 1.0)
+                exc = np.clip(exc0 + disturbance.noise_amplitude * buf, 0.0, 1.0).tolist()
             try:
                 state, info = integrate_step(eff, state, exc, dt)
-            except IntegrationDivergedError as exc:
-                diverged = True
+            except IntegrationDivergedError as err:
                 diverged_at = tick
-                diverged_reason = str(exc)
+                diverged_reason = str(err)
                 break
-            excitations[tick] = exc
-            forces[tick] = info.tendon_forces
-            qs.append(state.q)
-            qds.append(state.qdot)
-            filled = tick + 1
-        if diverged:
+            excitations.extend(exc)
+            forces.extend(info.tendon_forces)
+            qs.extend(state[0])
+            qds.extend(state[1])
+        if diverged_at is not None:
             break
+    diverged = diverged_at is not None
     if not diverged:
-        controller.finish_iteration(_chain(eff, state.q)[-1])
+        controller.finish_iteration(_chain(eff, state[0])[-1])
 
-    q_arr = np.array(qs)
+    filled = diverged_at if diverged else n_ticks
+    q_arr = _rows(qs, eff.n_joints)
     return TrialLog(
         dt=dt,
         decimation=decimation,
@@ -466,10 +466,10 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         tip=tip_path(eff, q_arr),
         tip_desired=points[:filled + 1].copy(),
         q=q_arr,
-        qdot=np.array(qds),
+        qdot=_rows(qds, eff.n_joints),
         drives=np.array(drives),
-        excitations=excitations[:filled].copy() if diverged else excitations,
-        tendon_forces=forces[:filled].copy() if diverged else forces,
+        excitations=_rows(excitations, eff.n_muscles),
+        tendon_forces=_rows(forces, eff.n_muscles),
         muscle_lengths=muscle_lengths(eff, q_arr),
         muscle_lengths_desired=muscle_lengths(eff, desired_joint_path[:filled + 1]),
         diverged=diverged,
@@ -510,17 +510,18 @@ def _hold(model: ArmModel, state: ArmState, drive: np.ndarray, dt: float,
     A divergence raises ``IntegrationDivergedError`` naming ``label`` and the
     tick (counted from ``first_tick``), with the last good state.
     """
-    exc = pair_drive_to_excitations(model, drive)
-    qs = np.empty((n_ticks, model.n_joints))
+    exc = pair_drive_to_excitations(model, drive).tolist()
+    flat = state.floats()
+    qs = array("d")
     try:
         for tick in range(n_ticks):
-            state, _ = integrate_step(model, state, exc, dt)
-            qs[tick] = state.q
+            flat, _ = integrate_step(model, flat, exc, dt)
+            qs.extend(flat[0])
     except IntegrationDivergedError as err:
         raise IntegrationDivergedError(
             f"{label} diverged at tick {first_tick + tick}: {err}",
             err.last_state) from err
-    return state, qs
+    return ArmState.from_floats(flat), _rows(qs, model.n_joints)
 
 
 _PARK_GAIN = 0.6        # drive correction per rad of joint error, per round
@@ -994,14 +995,12 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
     n_settle = round(1.0 / dt)
     n_total = round(4.0 / dt)
 
-    def slack_state() -> "object":
-        return rest_state(model).muscle_states[0]
+    rest = rest_state(model).muscle_states[0]
 
     def steady_force(u: float) -> float:
-        state = slack_state()
-        f = 0.0
+        a, l, f = rest.activation, rest.l_fiber_norm, 0.0
         for _ in range(n_settle * 2):
-            state, f = step_muscle(state, u, l_mtu, dt, params)
+            a, l, _, f = step_muscle(a, l, u, l_mtu, dt, params)
         return f
 
     static_gain = (steady_force(carrier_u + noise_amplitude)
@@ -1009,15 +1008,15 @@ def lowpass_attenuation_test(model: ArmModel) -> list[LowpassPoint]:
 
     out = []
     for freq in (1.0, 50.0):
-        state = slack_state()
+        a, l = rest.activation, rest.l_fiber_norm
         forces = np.empty(n_total - n_settle)
         acts = np.empty(n_total - n_settle)
         for tick in range(n_total):
             u = carrier_u + noise_amplitude * math.sin(2.0 * np.pi * freq * tick * dt)
-            state, force = step_muscle(state, u, l_mtu, dt, params)
+            a, l, _, force = step_muscle(a, l, u, l_mtu, dt, params)
             if tick >= n_settle:
                 forces[tick - n_settle] = force
-                acts[tick - n_settle] = state.activation
+                acts[tick - n_settle] = a
         a_force = _lockin_amplitude(forces, freq, dt)
         a_act = _lockin_amplitude(acts, freq, dt)
         out.append(LowpassPoint(

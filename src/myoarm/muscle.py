@@ -21,7 +21,6 @@ from dataclasses import dataclass
 __all__ = [
     "MuscleParams",
     "MuscleState",
-    "activation_time_constant",
     "active_force_length",
     "passive_force_length",
     "force_velocity",
@@ -151,23 +150,14 @@ class MuscleParams:
 class MuscleState:
     """Continuous state of one muscle: activation and normalized fiber length.
 
-    ``v_fiber_norm`` caches the most recent equilibrium fiber velocity.
+    ``v_fiber_norm`` caches the most recent equilibrium fiber velocity. The
+    edge type: a rollout carries these three values as Python floats, and
+    ``step_muscle`` takes and returns floats.
     """
 
     activation: float = 0.01
     l_fiber_norm: float = 1.0
     v_fiber_norm: float = 0.0
-
-
-def activation_time_constant(u: float, a: float, params: MuscleParams) -> float:
-    """Effective first-order time constant; faster when excitation leads activation."""
-    if not 0.0 <= u <= 1.0:
-        raise ValueError(f"excitation u must be in [0, 1], got {u}")
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"activation a must be in [0, 1], got {a}")
-    if u >= a:
-        return params.t_act * (0.5 + 1.5 * a)
-    return params.t_deact / (0.5 + 1.5 * a)
 
 
 def tendon_force(strain: float, params: MuscleParams) -> float:
@@ -190,53 +180,53 @@ _FV_ARG_LO = FV_AT_MINUS_ONE + 1e-6
 _FV_ARG_HI = FV_SUP - 1e-6
 
 
-def _equilibrium(l_fiber_norm: float, a: float, l_mtu: float,
-                 params: MuscleParams) -> tuple[float, float]:
-    """(fiber velocity, normalized tendon force) that balance tendon and fiber.
+def step_muscle(a: float, l_fiber_norm: float, u: float, l_mtu: float, dt: float,
+                params: MuscleParams) -> tuple[float, float, float, float]:
+    """Advance one muscle by dt from activation ``a`` and normalized fiber
+    length ``l_fiber_norm`` under excitation ``u`` at muscle-tendon length
+    ``l_mtu``; returns (activation, fiber length, fiber velocity, tendon force
+    in N), all Python floats.
 
-    The tendon force implied by the current geometry is attributed to the
-    fiber, and the force-velocity curve is inverted:
-    v = fv^-1((f_t/cos(alpha) - f_pe) / (a * f_l)). Activation is floored at
-    ``a_min`` and the fv argument clamped to 1e-6 inside [fv(-1), 1.6].
+    Activation uses the exact exponential step of the first-order dynamics,
+    with a time constant frozen over the tick: ``t_act (0.5 + 1.5 a)`` while
+    the excitation leads the activation, ``t_deact / (0.5 + 1.5 a)`` while it
+    lags. The fiber velocity balances tendon and fiber: the tendon force
+    implied by the current geometry is attributed to the fiber and the
+    force-velocity curve inverted, v = fv^-1((f_t/cos(alpha) - f_pe) /
+    (a * f_l)), with the new activation floored at ``a_min`` and the fv
+    argument clamped to 1e-6 inside [fv(-1), 1.6]. The fiber length then
+    advances by explicit Euler on that velocity. The returned force is the
+    tendon force at the entry geometry, i.e. the force acting over
+    [t, t+dt). A non-positive dt or l_mtu, or a u or a outside [0, 1],
+    raises ``ValueError``.
     """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not 0.0 <= u <= 1.0:
+        raise ValueError(f"excitation u must be in [0, 1], got {u}")
+    if not 0.0 <= a <= 1.0:
+        raise ValueError(f"activation a must be in [0, 1], got {a}")
     if l_mtu <= 0.0:
         raise ValueError(f"l_mtu must be positive, got {l_mtu}")
+    if u >= a:
+        tau = params.t_act * (0.5 + 1.5 * a)
+    else:
+        tau = params.t_deact / (0.5 + 1.5 * a)
+    a = u + (a - u) * math.exp(-dt / tau)
+
     cos_a = params.pennation_factor
     l_tendon = l_mtu - l_fiber_norm * params.l0_fiber * cos_a
-    strain = l_tendon / params.l_slack_tendon - 1.0
-    f_t = tendon_force(strain, params)
-
+    f_t = tendon_force(l_tendon / params.l_slack_tendon - 1.0, params)
     a_eff = params.a_min if a < params.a_min else a
     fl = active_force_length(l_fiber_norm, params.gamma)
     fpe = _passive(l_fiber_norm, params.k_pe, params.eps0_m, params._exp_k_pe_m1)
-
     arg = (f_t / cos_a - fpe) / (a_eff * fl)
     if arg < _FV_ARG_LO:
         arg = _FV_ARG_LO
     elif arg > _FV_ARG_HI:
         arg = _FV_ARG_HI
-    return inverse_force_velocity(arg), f_t
-
-
-def step_muscle(state: MuscleState, u: float, l_mtu: float, dt: float,
-                params: MuscleParams) -> tuple[MuscleState, float]:
-    """Advance one muscle by dt and return (new state, tendon force in N).
-
-    The returned force is the tendon force at the entry geometry, i.e. the
-    force acting over [t, t+dt); the fiber length does not change within the
-    tick, so it is also the force the equilibrium solve balances. Activation
-    uses the exact exponential step of the first-order dynamics with the time
-    constant frozen over the tick; fiber length is advanced by explicit Euler
-    on the equilibrium velocity.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    tau = activation_time_constant(u, state.activation, params)
-    a_new = u + (state.activation - u) * math.exp(-dt / tau)
-
-    v, f_t = _equilibrium(state.l_fiber_norm, a_new, l_mtu, params)
-    l_new = state.l_fiber_norm + v * dt
-    return MuscleState(a_new, l_new, v), params.f0_max * f_t
+    v = inverse_force_velocity(arg)
+    return a, l_fiber_norm + v * dt, v, params.f0_max * f_t
 
 
 _CURVE_SAMPLES = 201

@@ -39,7 +39,7 @@ from myoarm.arm import (
     total_energy,
 )
 from myoarm.harness import DisturbanceSpec, loaded_plant
-from myoarm.muscle import MuscleParams, MuscleState, step_muscle
+from myoarm.muscle import MuscleParams, step_muscle
 from myoarm.presets import make_arm, planar2x4, spatial_ltdm
 
 
@@ -588,52 +588,54 @@ def test_passive_energy_conservation_10s():
 
 def test_rest_state_is_posture_fixed_point():
     arm = planar2x4()
-    state = rest_state(arm)
-    u = np.zeros(4)
+    state = rest_state(arm).floats()
+    u = [0.0] * 4
     for _ in range(500):
         state, info = integrate_step(arm, state, u, 1e-3)
     # antagonist symmetry keeps the net torque exactly zero while the muscle
     # internals settle, so the posture never moves
-    assert state.q == pytest.approx(np.array(arm.q_ref), abs=1e-12)
-    assert np.max(np.abs(state.qdot)) < 1e-12
-    assert np.all(info.tendon_forces >= 0.0)
+    q, qdot, _ = state
+    assert q == pytest.approx(list(arm.q_ref), abs=1e-12)
+    assert max(map(abs, qdot)) < 1e-12
+    assert min(info.tendon_forces) >= 0.0
 
 
 def test_symmetric_coactivation_steady_joint_rising_tension():
     arm = planar2x4()
-    state = rest_state(arm)
-    u = np.full(4, 0.5)
+    state = rest_state(arm).floats()
+    u = [0.5] * 4
     f_early = None
     for i in range(400):
         state, info = integrate_step(arm, state, u, 1e-3)
+        forces = np.array(info.tendon_forces)
         if i == 10:
-            f_early = info.tendon_forces.copy()
-        tau = moment_arm_matrix(arm, state.q).T @ info.tendon_forces
+            f_early = forces
+        tau = moment_arm_matrix(arm, np.array(state[0])).T @ forces
         assert np.max(np.abs(tau)) < 1e-9
-    assert state.q == pytest.approx(np.array(arm.q_ref), abs=1e-9)
-    assert np.all(info.tendon_forces > f_early)
-    assert np.all(info.tendon_forces > 1.0)
+    assert state[0] == pytest.approx(list(arm.q_ref), abs=1e-9)
+    assert np.all(forces > f_early)
+    assert np.all(forces > 1.0)
 
 
 def test_single_muscle_pull_moves_joint_positive():
     arm = planar2x4()
-    state = rest_state(arm)
-    u = np.array([0.8, 0.0, 0.0, 0.0])
+    state = rest_state(arm).floats()
+    u = [0.8, 0.0, 0.0, 0.0]
     for _ in range(300):
         state, _ = integrate_step(arm, state, u, 1e-3)
-    assert state.q[0] > arm.q_ref[0] + 0.01
+    assert state[0][0] > arm.q_ref[0] + 0.01
 
 
 def test_dt_halving_consistency():
     arm = planar2x4()
-    state = rest_state(arm)
-    u = np.array([0.6, 0.2, 0.4, 0.5])
-    warm = state
+    u = [0.6, 0.2, 0.4, 0.5]
+    warm = rest_state(arm).floats()
     for _ in range(50):
         warm, _ = integrate_step(arm, warm, u, 1e-3)
     one, _ = integrate_step(arm, warm, u, 1e-3)
     half, _ = integrate_step(arm, warm, u, 0.5e-3)
     half, _ = integrate_step(arm, half, u, 0.5e-3)
+    one, half = ArmState.from_floats(one), ArmState.from_floats(half)
     # muscle-force freezing makes the scheme first order in dt overall, so a
     # halved step changes the outcome by O(dt^2)
     assert np.max(np.abs(one.q - half.q)) < 1e-6
@@ -643,18 +645,19 @@ def test_dt_halving_consistency():
 def test_hard_stop_clamps_and_zeros_velocity():
     arm = _chain(1, lengths=[0.3], gravity=(0.0, -9.81),
                  limits=[(-0.2, 0.2)])
-    state = rest_state(arm, q=np.array([0.0]))
-    u = np.zeros(2)
+    state = rest_state(arm, q=np.array([0.0])).floats()
+    u = [0.0] * 2
     hit = False
     for _ in range(2000):
         state, info = integrate_step(arm, state, u, 1e-3)
-        assert -0.2 - 1e-15 <= state.q[0] <= 0.2 + 1e-15
+        (q,), (qdot,), _ = state
+        assert -0.2 - 1e-15 <= q <= 0.2 + 1e-15
         if info.stop_events:
             hit = True
-            assert state.q[0] in (-0.2, 0.2)
+            assert q in (-0.2, 0.2)
     assert hit
-    assert state.q[0] == -0.2  # gravity holds it on the lower stop
-    assert state.qdot[0] == 0.0
+    assert q == -0.2  # gravity holds it on the lower stop
+    assert qdot == 0.0
 
 
 @given(_random_chains(), st.data())
@@ -672,10 +675,17 @@ def test_tendon_forces_match_step_muscle_at_muscle_lengths(case, data):
     # the joint-speed bound in this one tick (a 6.25 cm link at 1 rad reached
     # 1.2e4 rad/s); the forces compared here are fixed before that check
     with patch.object(arm_module, "_QDOT_MAX", math.inf):
-        _, info = integrate_step(arm, state, np.array(exc), 1e-3)
-    want = [step_muscle(ms, u, length, 1e-3, mp)[1] for ms, u, length, mp in
+        _, info = integrate_step(arm, state.floats(), exc, 1e-3)
+    want = [step_muscle(ms.activation, ms.l_fiber_norm, u, length, 1e-3, mp)[3]
+            for ms, u, length, mp in
             zip(state.muscle_states, exc, muscle_lengths(arm, q).tolist(), arm.muscles)]
-    assert info.tendon_forces.tobytes() == np.array(want).tobytes()
+    assert np.array(info.tendon_forces).tobytes() == np.array(want).tobytes()
+
+
+def _assert_same_state(arm_state, floats):
+    """``arm_state`` is an ``ArmState`` holding exactly the float state ``floats``."""
+    assert isinstance(arm_state, ArmState)
+    assert arm_state.floats() == floats
 
 
 def test_divergence_raises_with_last_state():
@@ -683,10 +693,11 @@ def test_divergence_raises_with_last_state():
     state = rest_state(arm)
     state.qdot[:] = 1e308
     with pytest.raises(IntegrationDivergedError) as exc_info:
-        s = state
+        s = state.floats()
         for _ in range(10):
-            s, _ = integrate_step(arm, s, np.zeros(4), 1e-3)
+            s, _ = integrate_step(arm, s, [0.0] * 4, 1e-3)
     assert isinstance(exc_info.value.last_state, ArmState)
+    _assert_same_state(exc_info.value.last_state, s)
 
 
 def test_joint_speed_bound_names_the_joint():
@@ -694,12 +705,12 @@ def test_joint_speed_bound_names_the_joint():
     arm = planar2x4()
     state = rest_state(arm)
     state.qdot[1] = 5e3
-    integrate_step(arm, state, np.zeros(4), 1e-6)
+    integrate_step(arm, state.floats(), [0.0] * 4, 1e-6)
     state.qdot[1] = 2e4
     with pytest.raises(IntegrationDivergedError, match=(
             r"^qdot\[1\] = \S+ rad/s, at or beyond the 10000 rad/s bound$")) as err:
-        integrate_step(arm, state, np.zeros(4), 1e-6)
-    assert err.value.last_state is state
+        integrate_step(arm, state.floats(), [0.0] * 4, 1e-6)
+    _assert_same_state(err.value.last_state, state.floats())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -712,8 +723,8 @@ def test_singular_mass_matrix_raises_with_last_state(n, inertia):
     length, mass, com, _ = arm._links[-1]
     object.__setattr__(arm, "_links", arm._links[:-1] + ((length, mass, com, inertia),))
     with pytest.raises(IntegrationDivergedError, match="mass matrix") as exc_info:
-        integrate_step(arm, state, np.zeros(arm.n_muscles), 1e-3)
-    assert exc_info.value.last_state is state
+        integrate_step(arm, state.floats(), [0.0] * arm.n_muscles, 1e-3)
+    _assert_same_state(exc_info.value.last_state, state.floats())
 
 
 def test_non_finite_fiber_raises_naming_muscle(monkeypatch):
@@ -721,8 +732,8 @@ def test_non_finite_fiber_raises_naming_muscle(monkeypatch):
     state = rest_state(arm)
     monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
     with pytest.raises(IntegrationDivergedError, match=r"l_fiber_norm of muscle 0\b") as exc_info:
-        integrate_step(arm, state, np.full(4, 0.3), 1e-3)
-    assert exc_info.value.last_state is state
+        integrate_step(arm, state.floats(), [0.3] * 4, 1e-3)
+    _assert_same_state(exc_info.value.last_state, state.floats())
 
 
 @pytest.mark.parametrize("l_fiber", [0.1, 0.05, -2.0])
@@ -732,29 +743,29 @@ def test_fiber_at_rest_state_floor_raises_naming_muscle(monkeypatch, l_fiber):
     arm = planar2x4()
     state = rest_state(arm)
     monkeypatch.setattr(arm_module, "step_muscle",
-                        lambda *args: (MuscleState(0.3, l_fiber), 10.0))
+                        lambda *args: (0.3, l_fiber, 0.0, 10.0))
     with pytest.raises(IntegrationDivergedError,
                        match=rf"^l_fiber_norm of muscle 0 is {l_fiber}, at or below 0.1$"):
-        integrate_step(arm, state, np.full(4, 0.3), 1e-3)
+        integrate_step(arm, state.floats(), [0.3] * 4, 1e-3)
 
 
 def test_fiber_just_above_floor_integrates(monkeypatch):
     arm = planar2x4()
     l_fiber = math.nextafter(0.1, 1.0)
     monkeypatch.setattr(arm_module, "step_muscle",
-                        lambda *args: (MuscleState(0.3, l_fiber), 10.0))
-    state, _ = integrate_step(arm, rest_state(arm), np.full(4, 0.3), 1e-3)
-    assert [m.l_fiber_norm for m in state.muscle_states] == [l_fiber] * 4
+                        lambda *args: (0.3, l_fiber, 0.0, 10.0))
+    (_, _, muscles), _ = integrate_step(arm, rest_state(arm).floats(), [0.3] * 4, 1e-3)
+    assert [l for _, l, _ in muscles] == [l_fiber] * 4
 
 
 def test_tendon_forces_never_negative_under_random_drive():
     arm = planar2x4()
-    state = rest_state(arm)
+    state = rest_state(arm).floats()
     rng = np.random.default_rng(41)
     for _ in range(300):
-        u = rng.uniform(0.0, 1.0, size=4)
+        u = rng.uniform(0.0, 1.0, size=4).tolist()
         state, info = integrate_step(arm, state, u, 1e-3)
-        assert np.all(info.tendon_forces >= 0.0)
+        assert min(info.tendon_forces) >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -796,14 +807,15 @@ def test_spatial_ltdm_layout_and_ranges():
 
 def test_spatial_ltdm_simulates():
     arm = spatial_ltdm()
-    state = rest_state(arm)
-    u = np.full(15, 0.3)
+    state = rest_state(arm).floats()
+    u = [0.3] * 15
     for _ in range(200):
         state, info = integrate_step(arm, state, u, 1e-3)
-    assert np.all(np.isfinite(state.q))
+    q = state[0]
+    assert np.all(np.isfinite(q))
     for j, (lo, hi) in enumerate(arm.joint_limits):
-        assert lo - 1e-12 <= state.q[j] <= hi + 1e-12
-    assert np.all(info.tendon_forces >= 0.0)
+        assert lo - 1e-12 <= q[j] <= hi + 1e-12
+    assert min(info.tendon_forces) >= 0.0
 
 
 def test_make_arm_lookup():

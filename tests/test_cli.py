@@ -353,7 +353,8 @@ def test_sweep_rejects_a_configured_load_before_any_tick(tmp_path, capsys,
     assert err["type"] == "ConfigError"
     assert err["message"].startswith("[disturbance] load_fraction = 0.2: ")
     assert "sweep_fractions sets the study's loads" in err["message"]
-    assert not (tmp_path / "runs" / "sweep" / "run_summary.json").exists()
+    # the check runs before anything is written: no output directory at all
+    assert not (tmp_path / "runs" / "sweep").exists()
 
 
 @pytest.mark.parametrize("tick", [0, 37])
@@ -512,6 +513,22 @@ def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkey
     out = tmp_path / "runs" / "simulate"
     assert not (out / "config.ini").exists()
     assert not (out / "run_summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "ilc"])
+def test_unwritable_out_exits_2_before_any_tick(tmp_path, capsys, monkeypatch,
+                                                command):
+    def no_tick(*args, **kwargs):
+        raise AssertionError("a tick ran before the output check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_tick)
+    blocker = tmp_path / "runs"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "ConfigError"
+    assert err["message"].startswith("[experiment] out: cannot write ")
+    assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
 
 
 @pytest.mark.parametrize("var,value", [("MYOARM_SEED", "1"),

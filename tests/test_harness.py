@@ -14,6 +14,7 @@ import pytest
 from myoarm import harness, muscle
 from myoarm.arm import (
     ArmModel,
+    ArmState,
     IntegrationDivergedError,
     forward_kinematics,
     muscle_lengths,
@@ -391,19 +392,20 @@ def test_park_state_holds_trajectory_start(model):
 
 def test_park_divergence_names_the_tick(model, monkeypatch):
     # a 3 s park is two 1 s servo rounds and a 2 s hold; call 1501 is tick 1500
-    real, calls = harness.integrate_step, []
+    real, calls, injected = harness.integrate_step, [], []
 
     def diverge_on_1501st_call(*args):
         calls.append(args)
         if len(calls) == 1501:
-            raise IntegrationDivergedError("injected", args[1])
+            injected.append(ArmState.from_floats(args[1]))
+            raise IntegrationDivergedError("injected", injected[0])
         return real(*args)
 
     monkeypatch.setattr(harness, "integrate_step", diverge_on_1501st_call)
     with pytest.raises(IntegrationDivergedError,
                        match=r"^park diverged at tick 1500: injected$") as err:
         park_state(model, np.asarray(model.q_ref), DT, total_time=3.0)
-    assert err.value.last_state is calls[-1][1]
+    assert err.value.last_state is injected[0]
 
 
 def test_park_state_needs_time(model):
@@ -506,12 +508,13 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
     assert np.array_equal(err.value.last_state.q, state.q)
 
     # 0.2 s holds: call 201 is channel 0's first tick, so call 203 is tick 2
-    real, calls = harness.integrate_step, []
+    real, calls, injected = harness.integrate_step, [], []
 
     def diverge_on_203rd_call(*args):
         calls.append(args)
         if len(calls) == 203:
-            raise IntegrationDivergedError("injected", args[1])
+            injected.append(ArmState.from_floats(args[1]))
+            raise IntegrationDivergedError("injected", injected[0])
         return real(*args)
 
     monkeypatch.setattr(harness, "integrate_step", diverge_on_203rd_call)
@@ -519,7 +522,7 @@ def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
                        match=r"^probe hold channel 0 diverged at tick 2: "
                              r"injected$") as err:
         probe_sensitivity(model, state, DT, delta=0.2, hold_time=0.2, rest=REST)
-    assert err.value.last_state is calls[-1][1]
+    assert err.value.last_state is injected[0]
 
 
 # ---------------------------------------------------------------------------

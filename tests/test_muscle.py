@@ -1,4 +1,12 @@
-"""Muscle-tendon unit: frozen curve anchors, equilibrium solve, stepping."""
+"""Muscle-tendon unit: frozen curve anchors, equilibrium solve, stepping.
+
+The activation time constant has no function of its own in the package:
+``step_muscle`` folds it in. Its tests read the reference composition in
+``reference_tick``, which ``test_step_muscle_equals_the_reference_composition``
+ties to ``step_muscle`` bit for bit; the equilibrium's tests read the fiber
+velocity ``step_muscle`` returns with the excitation equal to the activation,
+which then stays exactly where it is.
+"""
 
 import math
 from dataclasses import FrozenInstanceError, fields
@@ -13,9 +21,6 @@ from myoarm.muscle import (
     _FV_ARG_LO,
     FV_AT_MINUS_ONE,
     MuscleParams,
-    MuscleState,
-    _equilibrium,
-    activation_time_constant,
     active_force_length,
     force_velocity,
     inverse_force_velocity,
@@ -23,8 +28,14 @@ from myoarm.muscle import (
     step_muscle,
     tendon_force,
 )
+from reference_tick import activation_time_constant
 
 P = MuscleParams()
+
+
+def _velocity(l_fiber, a, l_mtu, p=P):
+    """The equilibrium fiber velocity at activation ``a``: one step with u = a."""
+    return step_muscle(a, l_fiber, a, l_mtu, 1e-3, p)[2]
 
 
 class TestActivationDynamics:
@@ -48,10 +59,11 @@ class TestActivationDynamics:
         assert rate(0.0, 1.0) == pytest.approx(-50.0, rel=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            activation_time_constant(1.2, 0.0, P)
-        with pytest.raises(ValueError):
-            activation_time_constant(0.5, -0.1, P)
+        l_mtu = P.l0_fiber + P.l_slack_tendon
+        with pytest.raises(ValueError, match=r"^excitation u must be in \[0, 1\], got 1.2$"):
+            step_muscle(0.0, 1.0, 1.2, l_mtu, 1e-3, P)
+        with pytest.raises(ValueError, match=r"^activation a must be in \[0, 1\], got -0.1$"):
+            step_muscle(-0.1, 1.0, 0.5, l_mtu, 1e-3, P)
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=50),
            st.floats(1e-5, 1e-3))
@@ -64,15 +76,15 @@ class TestActivationDynamics:
             assert 0.0 <= a <= 1.0
 
     def test_monotone_convergence_to_target(self):
-        state = MuscleState(activation=0.05, l_fiber_norm=1.0)
+        a, l_fiber = 0.05, 1.0
         l_mtu = P.l0_fiber + P.l_slack_tendon
-        prev = state.activation
+        prev = a
         for _ in range(500):
-            state, _ = step_muscle(state, 0.8, l_mtu, 0.001, P)
-            assert state.activation >= prev - 1e-15
-            assert state.activation <= 0.8 + 1e-15
-            prev = state.activation
-        assert state.activation == pytest.approx(0.8, abs=1e-6)
+            a, l_fiber, _, _ = step_muscle(a, l_fiber, 0.8, l_mtu, 0.001, P)
+            assert a >= prev - 1e-15
+            assert a <= 0.8 + 1e-15
+            prev = a
+        assert a == pytest.approx(0.8, abs=1e-6)
 
 
 class TestForceLength:
@@ -223,14 +235,14 @@ class TestEquilibrium:
         assert f_m > P.f_toe
         strain = (f_m - P.f_toe) / P.k_lin + P.eps_toe
         l_mtu = l_fiber * P.l0_fiber + (1 + strain) * P.l_slack_tendon
-        v = _equilibrium(l_fiber, a, l_mtu, P)[0]
+        v = _velocity(l_fiber, a, l_mtu)
         assert force_velocity(v) == pytest.approx(force_velocity(0.0), rel=1e-9)
 
     def test_slack_tendon_max_shortening(self):
         # slack tendon, no passive load: fv argument clamps at its floor
         l_fiber = 1.0
         l_mtu = l_fiber * P.l0_fiber + 0.5 * P.l_slack_tendon
-        v = _equilibrium(l_fiber, 0.5, l_mtu, P)[0]
+        v = _velocity(l_fiber, 0.5, l_mtu)
         assert v == pytest.approx(-1.0, abs=1e-3)
 
     def test_numeric_case_matches_hand_composition(self):
@@ -238,7 +250,7 @@ class TestEquilibrium:
         a, l_fiber = 0.5, 1.0
         strain = (0.6 - P.f_toe) / P.k_lin + P.eps_toe
         l_mtu = l_fiber * P.l0_fiber + (1 + strain) * P.l_slack_tendon
-        v = _equilibrium(l_fiber, a, l_mtu, P)[0]
+        v = _velocity(l_fiber, a, l_mtu)
         fpe = passive_force_length(l_fiber, P.k_pe, P.eps0_m)
         expected = inverse_force_velocity((0.6 - fpe) / (a * 1.0))
         assert v == pytest.approx(expected, rel=1e-9)
@@ -246,59 +258,57 @@ class TestEquilibrium:
 
     def test_activation_below_floor_solves_at_floor(self):
         l_mtu = P.l0_fiber + P.l_slack_tendon * 1.02
-        assert (_equilibrium(1.0, 0.0, l_mtu, P)
-                == _equilibrium(1.0, P.a_min, l_mtu, P))
+        # fiber length, velocity and force; the activation itself stays 0
+        assert (step_muscle(0.0, 1.0, 0.0, l_mtu, 1e-3, P)[1:]
+                == step_muscle(P.a_min, 1.0, P.a_min, l_mtu, 1e-3, P)[1:])
 
 
 class TestStepMuscle:
     def test_exact_exponential_activation_step(self):
-        state = MuscleState(activation=0.0, l_fiber_norm=1.0)
         l_mtu = P.l0_fiber + P.l_slack_tendon
-        new, _ = step_muscle(state, 1.0, l_mtu, 0.005, P)
-        assert new.activation == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
-        assert new.activation == pytest.approx(0.632, abs=5e-4)
+        a = step_muscle(0.0, 1.0, 1.0, l_mtu, 0.005, P)[0]
+        assert a == pytest.approx(1.0 - math.exp(-1.0), rel=1e-12)
+        assert a == pytest.approx(0.632, abs=5e-4)
 
     def test_settled_state_is_fixed_point(self):
         u = 0.4
-        state = MuscleState(activation=u, l_fiber_norm=1.0)
+        a, l_fiber = u, 1.0
         l_mtu = 1.0 * P.l0_fiber + 1.02 * P.l_slack_tendon
         for _ in range(20000):
-            state, _ = step_muscle(state, u, l_mtu, 0.001, P)
-        nxt, f1 = step_muscle(state, u, l_mtu, 0.001, P)
-        assert nxt.activation == pytest.approx(state.activation, abs=1e-12)
-        assert nxt.l_fiber_norm == pytest.approx(state.l_fiber_norm, abs=1e-12)
-        _, f2 = step_muscle(nxt, u, l_mtu, 0.001, P)
+            a, l_fiber, _, _ = step_muscle(a, l_fiber, u, l_mtu, 0.001, P)
+        a1, l1, _, f1 = step_muscle(a, l_fiber, u, l_mtu, 0.001, P)
+        assert a1 == pytest.approx(a, abs=1e-12)
+        assert l1 == pytest.approx(l_fiber, abs=1e-12)
+        f2 = step_muscle(a1, l1, u, l_mtu, 0.001, P)[3]
         assert f2 == pytest.approx(f1, abs=1e-9)
 
     def test_step_halving_consistency(self):
         # O(dt^2) one-step consistency: the dt vs 2x(dt/2) discrepancy must
         # shrink ~4x when dt halves.
-        state = MuscleState(activation=0.2, l_fiber_norm=0.98)
+        a, l_fiber = 0.2, 0.98
         l_mtu = 1.0 * P.l0_fiber + 1.01 * P.l_slack_tendon
 
         def discrepancy(dt):
-            full, _ = step_muscle(state, 0.9, l_mtu, dt, P)
-            half, _ = step_muscle(state, 0.9, l_mtu, dt / 2, P)
-            half2, _ = step_muscle(half, 0.9, l_mtu, dt / 2, P)
-            return (abs(full.activation - half2.activation)
-                    + abs(full.l_fiber_norm - half2.l_fiber_norm))
+            full = step_muscle(a, l_fiber, 0.9, l_mtu, dt, P)
+            half = step_muscle(a, l_fiber, 0.9, l_mtu, dt / 2, P)
+            half2 = step_muscle(half[0], half[1], 0.9, l_mtu, dt / 2, P)
+            return abs(full[0] - half2[0]) + abs(full[1] - half2[1])
 
         d1, d2 = discrepancy(0.002), discrepancy(0.001)
         assert d2 < d1
         assert d1 / d2 == pytest.approx(4.0, rel=0.5)
 
     def test_force_is_entry_force(self):
-        state = MuscleState(activation=0.3, l_fiber_norm=1.0)
         strain = 0.03
         l_mtu = 1.0 * P.l0_fiber + (1 + strain) * P.l_slack_tendon
-        _, force = step_muscle(state, 0.3, l_mtu, 0.001, P)
+        force = step_muscle(0.3, 1.0, 0.3, l_mtu, 0.001, P)[3]
         assert force == pytest.approx(P.f0_max * tendon_force(strain, P), rel=1e-12)
 
     def test_dt_validation(self):
-        with pytest.raises(ValueError):
-            step_muscle(MuscleState(), 0.5, 0.15, 0.0, P)
-        with pytest.raises(ValueError):
-            step_muscle(MuscleState(), 0.5, 0.0, 1e-3, P)
+        with pytest.raises(ValueError, match=r"^dt must be positive, got 0.0$"):
+            step_muscle(0.01, 1.0, 0.5, 0.15, 0.0, P)
+        with pytest.raises(ValueError, match=r"^l_mtu must be positive, got 0.0$"):
+            step_muscle(0.01, 1.0, 0.5, 0.0, 1e-3, P)
 
 
 def _tendon_formula(strain, p):
@@ -360,8 +370,7 @@ class TestParams:
                 arg = ((f_t / p.pennation_factor - _passive_formula(l_fiber, p))
                        / (a * active_force_length(l_fiber, p.gamma)))
                 arg = min(max(arg, _FV_ARG_LO), _FV_ARG_HI)
-                v = _equilibrium(l_fiber, a, l_mtu, p)[0]
-                assert v == inverse_force_velocity(arg)
+                assert _velocity(l_fiber, a, l_mtu, p) == inverse_force_velocity(arg)
 
     def test_params_are_frozen(self):
         p = MuscleParams()
