@@ -11,12 +11,14 @@ shortens when its joint angle grows pulls that angle up).
 Forward dynamics use the articulated-body algorithm (Featherstone, Rigid Body
 Dynamics Algorithms, ch. 7): O(n) in the chain length, it never forms the mass
 matrix, and its pivots are those of the mass matrix's LDL^T factorization, so
-a matrix that is not positive definite is still detected exactly. The mass
-matrix and bias torques come from a separate composite-inertia sweep. An
-optional point mass is rigidly attached to the end effector (payload); the
-tendons are the only forces applied to the chain besides gravity and joint
-friction. Integration is classic RK4 on (q, qdot) with muscle forces frozen
-over the tick and hard joint stops applied afterwards. A fiber that shortens
+a matrix that is not positive definite is still detected exactly. The
+constructor's conditioning check runs on the same pass: column j of H^-1 is
+the acceleration a unit torque on joint j adds at q_ref and rest, and
+cond(H^-1) = cond(H). An optional point mass is rigidly attached to the end
+effector (payload); the tendons are the only forces applied to the chain
+besides gravity and joint friction. Integration is classic RK4 on (q, qdot)
+with muscle forces frozen over the tick and hard joint stops applied
+afterwards. A muscle-tendon length that is not positive, a fiber that shortens
 to the floor ``rest_state`` enforces (0.1 optimal lengths) or goes non-finite,
 and a joint that reaches 1e4 rad/s, end the integration with
 ``IntegrationDivergedError``.
@@ -58,8 +60,6 @@ __all__ = [
     "forward_kinematics",
     "tip_path",
     "task_jacobian",
-    "mass_matrix",
-    "bias_forces",
     "forward_dynamics",
     "total_energy",
     "integrate_step",
@@ -192,8 +192,13 @@ class ArmModel:
         put("_q_ref", _read_only(self.q_ref))
         put("_lengths", _read_only([k.length for k in self.links]))
         # A well-posed model must have an invertible mass matrix everywhere.
-        h = mass_matrix(self, self._q_ref)
-        if np.linalg.cond(h) > 1e12:
+        # cond(H) = cond(H^-1), and column j of H^-1 is the acceleration a
+        # unit torque on joint j adds at q_ref and rest: n + 1 passes.
+        q, zero = list(self.q_ref), [0.0] * n
+        base = _accel(self, q, zero, zero)
+        h_inv = [[a - b for a, b in zip(_accel(self, q, zero, e), base)]
+                 for e in np.eye(n).tolist()]
+        if np.linalg.cond(h_inv) > 1e12:
             raise ValueError("mass matrix ill-conditioned at q_ref; check link masses/inertias")
 
     @property
@@ -321,73 +326,6 @@ def _pinv_solve(jx: list[float], jy: list[float], rx: float,
     wx = (c * rx - b * ry) / det
     wy = (a * ry - b * rx) / det
     return [u * wx + v * wy for u, v in zip(jx, jy)], singular
-
-
-def _composite(model: ArmModel, q, qd):
-    """Mass matrix rows and bias torques C qdot + G in one sweep.
-
-    Forward: joint origins p_j (ending at the tip), link COMs and the
-    velocity-product accelerations. Backward: suffix sums over the bodies
-    distal to joint j, payload included, of mass M, first moment S, polar
-    inertia P about the base, the force F = sum m (a - g) and its moment N, so
-    H_ij = P - (p_i + p_j) . S + M p_i . p_j (i <= j) and bias_j = N - p_j x F.
-    Row j of H holds H_j0..H_jj. Python scalars throughout: this sits inside RK4.
-    """
-    gx, gy = model.gravity
-    cos, sin = math.cos, math.sin
-    origins = [(0.0, 0.0)]
-    bodies = []                  # (m, I, COM x, y, m (a - g) x, y) per link
-    phi = w = x = y = ax = ay = 0.0
-    for (ell, m, r, inertia), qi, qdi in zip(model._links, q, qd):
-        phi += qi
-        w += qdi
-        c, s = cos(phi), sin(phi)
-        w2 = w * w
-        bodies.append((m, inertia, x + r * c, y + r * s,
-                       m * (ax - w2 * r * c - gx), m * (ay - w2 * r * s - gy)))
-        x += ell * c
-        y += ell * s
-        ax -= w2 * ell * c
-        ay -= w2 * ell * s
-        origins.append((x, y))
-    n = len(bodies)
-    M = mt = model.tip_mass
-    sx, sy = mt * x, mt * y
-    P = mt * (x * x + y * y)
-    fx, fy = mt * (ax - gx), mt * (ay - gy)
-    N = x * fy - y * fx
-    rows = [None] * n
-    bias = [0.0] * n
-    for j in range(n - 1, -1, -1):
-        m, inertia, cx, cy, bx, by = bodies[j]
-        M += m
-        sx += m * cx
-        sy += m * cy
-        P += inertia + m * (cx * cx + cy * cy)
-        fx += bx
-        fy += by
-        N += cx * by - cy * bx
-        pjx, pjy = origins[j]
-        bias[j] = N - pjx * fy + pjy * fx
-        # H_ij = (P - p_j . S) + p_i . (M p_j - S)
-        hj, ux, uy = P - pjx * sx - pjy * sy, M * pjx - sx, M * pjy - sy
-        rows[j] = [hj + pix * ux + piy * uy for pix, piy in origins[:j + 1]]
-    return rows, bias
-
-
-def mass_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
-    """Joint-space inertia matrix from the composite-inertia sweep."""
-    n = model.n_joints
-    rows = _composite(model, [float(v) for v in q], [0.0] * n)[0]
-    H = np.empty((n, n))
-    for j, row in enumerate(rows):
-        H[j, :j + 1] = H[:j + 1, j] = row
-    return H
-
-
-def bias_forces(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
-    """Coriolis/centrifugal plus gravity torques, C(q, qdot) qdot + G(q)."""
-    return np.array(_composite(model, [float(v) for v in q], [float(v) for v in qdot])[1])
 
 
 def _accel(model: ArmModel, q: list[float], qd: list[float], tau: list[float]) -> list[float]:
@@ -534,11 +472,13 @@ def integrate_step(model: ArmModel, state, excitations,
     ``StepInfo``. Muscles are stepped first at the entry posture; the
     resulting tendon forces are held constant while (q, qdot) advances by one
     RK4 step; hard joint stops then clamp q and zero any outward velocity
-    component. A fiber length that is not finite or not above the 0.1 floor
-    rest_state enforces, a non-finite joint angle, a joint speed of 1e4 rad/s
-    or more (a blow-up, caught long before it overflows), or a mass matrix
-    that is not positive definite raises IntegrationDivergedError naming the
-    quantity, with ``state`` as its ``ArmState``.
+    component. A muscle-tendon length that is not positive (a joint swung
+    past where the routing can reach), a fiber length that is not finite or
+    not above the 0.1 floor rest_state enforces, a non-finite joint angle, a
+    joint speed of 1e4 rad/s or more (a blow-up, caught long before it
+    overflows), or a mass matrix that is not positive definite raises
+    IntegrationDivergedError naming the quantity, with ``state`` as its
+    ``ArmState``.
     """
     q0, qd0, muscles = state
     n = len(q0)
@@ -548,8 +488,12 @@ def integrate_step(model: ArmModel, state, excitations,
     for i, (mp, (j, arm_i, l_ref, q_ref_j), (a, l, _)) in enumerate(
             zip(model.muscles, model._routes, muscles)):
         # muscle_lengths inlined: one numpy call per tick costs more than this loop
-        a, l, v, f = step_muscle(a, l, excitations[i], l_ref - arm_i * (q0[j] - q_ref_j),
-                                 dt, mp)
+        l_mtu = l_ref - arm_i * (q0[j] - q_ref_j)
+        if l_mtu <= 0.0:
+            raise IntegrationDivergedError(
+                f"muscle-tendon length of muscle {i} is {l_mtu!r}, not positive",
+                ArmState.from_floats(state))
+        a, l, v, f = step_muscle(a, l, excitations[i], l_mtu, dt, mp)
         if not _MIN_FIBER_NORM < l < math.inf:
             reason = (f"l_fiber_norm of muscle {i} is {l!r}, at or below {_MIN_FIBER_NORM}"
                       if math.isfinite(l) else f"non-finite l_fiber_norm of muscle {i}")

@@ -243,17 +243,18 @@ def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
     return PjmEstimate(np.array(phi), est.phi_init)
 
 
-def pair_drive_to_excitations(model, drive) -> np.ndarray:
-    """Map per-joint drives in [0,1] to per-muscle excitations.
+def pair_drive_to_excitations(model, drive) -> list[float]:
+    """Map per-joint drives in [0,1] to per-muscle excitations, a list of
+    Python floats.
 
     drive 0.5 is rest; above rest the joint's positive-torque muscles are
     excited proportionally, below rest the negative-torque muscles; the
     opposing group stays at its activation floor. Reads the model's
     (joint, sign, a_min, 1 - a_min) table.
     """
-    s = [2.0 * v - 1.0 for v in drive]
-    return np.array([a_min + max(sign * s[j], 0.0) * span
-                     for j, sign, a_min, span in model._pair_drive])
+    s = [2.0 * float(v) - 1.0 for v in drive]
+    return [a_min + max(sign * s[j], 0.0) * span
+            for j, sign, a_min, span in model._pair_drive]
 
 
 class DdilcController:

@@ -433,8 +433,9 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
             raw = controller.step(tc, y, y_d_next)
         drive = _checked_drive(tc, raw, eff.n_joints)
         drives.append(drive)
-        exc0 = pair_drive_to_excitations(eff, drive)
-        exc = exc0.tolist()
+        exc = pair_drive_to_excitations(eff, drive)
+        if noise is not None:
+            exc0 = np.array(exc)
         for i in range(decimation):
             tick = tc * decimation + i
             if noise is not None:
@@ -510,7 +511,7 @@ def _hold(model: ArmModel, state: ArmState, drive: np.ndarray, dt: float,
     A divergence raises ``IntegrationDivergedError`` naming ``label`` and the
     tick (counted from ``first_tick``), with the last good state.
     """
-    exc = pair_drive_to_excitations(model, drive).tolist()
+    exc = pair_drive_to_excitations(model, drive)
     flat = state.floats()
     qs = array("d")
     try:

@@ -141,7 +141,7 @@ def integrate_step(model, state, excitations, dt):
 def hold(model, state, drive, dt, n_ticks):
     """(final state, (n_ticks, n_joints) postures, stop events) at one
     constant pair drive."""
-    exc = pair_drive_to_excitations(model, drive)
+    exc = np.array(pair_drive_to_excitations(model, drive))
     qs = np.empty((n_ticks, model.n_joints))
     stops = 0
     for tick in range(n_ticks):
@@ -175,7 +175,7 @@ def run_trial(model, controller, points, dt, *, disturbance, seed, start_state,
         drive = _checked_drive(tc, controller.step(tc, y, targets[tc + 1], **kwargs),
                                eff.n_joints)
         drives.append(drive)
-        exc0 = pair_drive_to_excitations(eff, drive)
+        exc0 = np.array(pair_drive_to_excitations(eff, drive))
         for i in range(decimation):
             tick = tc * decimation + i
             exc = exc0

@@ -27,11 +27,9 @@ from myoarm.arm import (
     MuscleRoute,
     _chain as _joint_chain,
     _pinv_solve,
-    bias_forces,
     forward_dynamics,
     forward_kinematics,
     integrate_step,
-    mass_matrix,
     moment_arm_matrix,
     muscle_lengths,
     rest_state,
@@ -310,6 +308,78 @@ def test_ik_closed_form_matches_numpy_reference(case):
     scale = np.linalg.norm(J_pinv, 2) * np.linalg.norm(p_dot)
     tol = 64.0 * np.finfo(float).eps * np.linalg.cond(A) * scale
     assert np.linalg.norm(have - want) <= tol
+
+
+# ---------------------------------------------------------------------------
+# composite-inertia oracle: a second rigid-body dynamics sharing no code with
+# the articulated-body pass
+# ---------------------------------------------------------------------------
+
+def _composite(model: ArmModel, q, qd):
+    """Mass matrix rows and bias torques C qdot + G in one sweep.
+
+    Forward: joint origins p_j (ending at the tip), link COMs and the
+    velocity-product accelerations. Backward: suffix sums over the bodies
+    distal to joint j, payload included, of mass M, first moment S, polar
+    inertia P about the base, the force F = sum m (a - g) and its moment N, so
+    H_ij = P - (p_i + p_j) . S + M p_i . p_j (i <= j) and bias_j = N - p_j x F.
+    Row j of H holds H_j0..H_jj.
+    """
+    gx, gy = model.gravity
+    cos, sin = math.cos, math.sin
+    origins = [(0.0, 0.0)]
+    bodies = []                  # (m, I, COM x, y, m (a - g) x, y) per link
+    phi = w = x = y = ax = ay = 0.0
+    for (ell, m, r, inertia), qi, qdi in zip(model._links, q, qd):
+        phi += qi
+        w += qdi
+        c, s = cos(phi), sin(phi)
+        w2 = w * w
+        bodies.append((m, inertia, x + r * c, y + r * s,
+                       m * (ax - w2 * r * c - gx), m * (ay - w2 * r * s - gy)))
+        x += ell * c
+        y += ell * s
+        ax -= w2 * ell * c
+        ay -= w2 * ell * s
+        origins.append((x, y))
+    n = len(bodies)
+    M = mt = model.tip_mass
+    sx, sy = mt * x, mt * y
+    P = mt * (x * x + y * y)
+    fx, fy = mt * (ax - gx), mt * (ay - gy)
+    N = x * fy - y * fx
+    rows = [None] * n
+    bias = [0.0] * n
+    for j in range(n - 1, -1, -1):
+        m, inertia, cx, cy, bx, by = bodies[j]
+        M += m
+        sx += m * cx
+        sy += m * cy
+        P += inertia + m * (cx * cx + cy * cy)
+        fx += bx
+        fy += by
+        N += cx * by - cy * bx
+        pjx, pjy = origins[j]
+        bias[j] = N - pjx * fy + pjy * fx
+        # H_ij = (P - p_j . S) + p_i . (M p_j - S)
+        hj, ux, uy = P - pjx * sx - pjy * sy, M * pjx - sx, M * pjy - sy
+        rows[j] = [hj + pix * ux + piy * uy for pix, piy in origins[:j + 1]]
+    return rows, bias
+
+
+def mass_matrix(model: ArmModel, q: np.ndarray) -> np.ndarray:
+    """Joint-space inertia matrix from the composite-inertia sweep."""
+    n = model.n_joints
+    rows = _composite(model, [float(v) for v in q], [0.0] * n)[0]
+    H = np.empty((n, n))
+    for j, row in enumerate(rows):
+        H[j, :j + 1] = H[:j + 1, j] = row
+    return H
+
+
+def bias_forces(model: ArmModel, q: np.ndarray, qdot: np.ndarray) -> np.ndarray:
+    """Coriolis/centrifugal plus gravity torques, C(q, qdot) qdot + G(q)."""
+    return np.array(_composite(model, [float(v) for v in q], [float(v) for v in qdot])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -718,8 +788,8 @@ def test_joint_speed_bound_names_the_joint():
 def test_singular_mass_matrix_raises_with_last_state(n, inertia):
     arm = _chain(n)
     state = rest_state(arm)
-    # the model is frozen and a NaN link fails the constructor's conditioning
-    # check, so the bad inertia goes into the table the dynamics read
+    # the model is frozen and LinkParams refuses an inertia that is not > 0,
+    # NaN included, so the bad inertia goes into the table the dynamics read
     length, mass, com, _ = arm._links[-1]
     object.__setattr__(arm, "_links", arm._links[:-1] + ((length, mass, com, inertia),))
     with pytest.raises(IntegrationDivergedError, match="mass matrix") as exc_info:
@@ -747,6 +817,21 @@ def test_fiber_at_rest_state_floor_raises_naming_muscle(monkeypatch, l_fiber):
     with pytest.raises(IntegrationDivergedError,
                        match=rf"^l_fiber_norm of muscle 0 is {l_fiber}, at or below 0.1$"):
         integrate_step(arm, state.floats(), [0.3] * 4, 1e-3)
+
+
+@pytest.mark.parametrize("swing", [0.0, 1e-3])
+def test_non_positive_muscle_tendon_length_raises_naming_muscle(swing):
+    # muscle 0 pulls joint 0 positive, so its muscle-tendon length shrinks as
+    # q0 grows past q_ref: at l_ref / moment arm it is zero, beyond negative
+    arm = planar2x4()
+    state = rest_state(arm).floats()
+    j, arm_0, l_ref, q_ref_0 = arm._routes[0]
+    assert j == 0 and arm_0 > 0.0
+    state[0][0] = q_ref_0 + l_ref / arm_0 + swing
+    with pytest.raises(IntegrationDivergedError, match=(
+            r"^muscle-tendon length of muscle 0 is \S+, not positive$")) as err:
+        integrate_step(arm, state, [0.3] * 4, 1e-3)
+    _assert_same_state(err.value.last_state, state)
 
 
 def test_fiber_just_above_floor_integrates(monkeypatch):
@@ -855,6 +940,36 @@ def test_model_rejects_bad_limits_and_counts():
     with pytest.raises(ValueError):
         ArmModel(links=links, joint_limits=[(-1.0, 1.0)], routing=routes,
                  muscles=muscles, tip_mass=-0.1)
+
+
+# The last link's mass and inertia scaled down until H is ill-conditioned at
+# q_ref: the oracle's cond(H) passes 1e12 at 1e-12 on planar2x4 (1.7e12) and
+# at 1e-10 on spatial-ltdm (1.4e12), and stays within a factor 10 below it
+# one scale up.
+@pytest.mark.parametrize("preset, rejected", [
+    (planar2x4, {1e-12}),
+    (spatial_ltdm, {1e-10, 1e-11, 1e-12}),
+], ids=["planar2x4", "spatial-ltdm"])
+@pytest.mark.parametrize("scale", [1e-8, 1e-9, 1e-10, 1e-11, 1e-12])
+def test_constructor_rejects_an_ill_conditioned_mass_matrix_where_the_oracle_does(
+        preset, rejected, scale):
+    model = preset()
+    last = model.links[-1]
+    links = model.links[:-1] + (replace(last, mass=last.mass * scale,
+                                        inertia=last.inertia * scale),)
+    # the oracle reads the link table, so a copy of the accepted model with
+    # the scaled table gives cond(H) whatever the constructor decides
+    stand_in = replace(model)
+    object.__setattr__(stand_in, "_links",
+                       tuple((k.length, k.mass, k.com, k.inertia) for k in links))
+    ill = np.linalg.cond(mass_matrix(stand_in, stand_in._q_ref)) > 1e12
+    assert ill == (scale in rejected)
+    if ill:
+        with pytest.raises(ValueError, match=r"^mass matrix ill-conditioned at q_ref; "
+                                             r"check link masses/inertias$"):
+            replace(model, links=links)
+    else:
+        assert replace(model, links=links).links == links
 
 
 def test_link_params_validation():

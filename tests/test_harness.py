@@ -286,6 +286,22 @@ def test_run_trial_keeps_divergence_reason(model, monkeypatch):
     assert "l_fiber_norm of muscle 0" in log.diverged_reason
 
 
+def test_run_trial_records_a_non_positive_muscle_tendon_length(model):
+    # a fast swing from the chord's start turns joint 0 so far that muscle 0's
+    # muscle-tendon length reaches zero, a divergence and not step_muscle's
+    # ValueError
+    pts = _one_second_points()
+    undisturbed = _undisturbed(model, pts)
+    start = rest_state(model, undisturbed["desired_joint_path"][0])
+    start.qdot[:] = (200.0, -200.0)
+    log = run_trial(model, _rest(100), pts, DT, **undisturbed, start_state=start,
+                    decimation=10)
+    assert log.diverged and log.diverged_at > 0
+    assert re.fullmatch(r"muscle-tendon length of muscle \d+ is -\S+, not positive",
+                        log.diverged_reason)
+    assert log.q.shape == (log.diverged_at + 1, model.n_joints)
+
+
 def test_run_trial_names_a_nan_drive_before_its_physics(model, monkeypatch):
     # a NaN drive used to reach the muscle as "excitation u must be in
     # [0, 1], got nan", without its tick or channel
