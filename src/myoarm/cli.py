@@ -27,7 +27,13 @@ used (``config.ini``) and a ``run_summary.json`` (sorted keys, no
 timestamps, so identical config+seed reproduce it byte for byte), and a
 failed command writes neither. CSV files are UTF-8 with LF line endings,
 ``.`` decimal separators, and a versioned ``#``-comment schema line above
-the column header. Failures exit nonzero after printing a one-line
+the column header. A float cell is Python's shortest round-trip ``repr``, so
+``float(cell)`` gives back the logged value exactly; integer and flag cells
+are plain integers. The float tables (trial logs, ``feedforward.csv``) are
+formatted ``_BLOCK_ROWS`` rows at a time, with one ``repr`` per run of
+bit-identical values in a column, such as a drive held over its control
+tick; the mixed-type rows (curves, estimator, sweep, lowpass) go through
+``_cell``. Failures exit nonzero after printing a one-line
 machine-readable error JSON to stderr.
 """
 
@@ -81,7 +87,8 @@ _COMMANDS = {
 # ---------------------------------------------------------------------------
 
 def _cell(value) -> str:
-    # exact type first: the trial table's cells (np.float64 subclasses float)
+    # exact type first: the float cells of the mixed-type rows (np.float64
+    # subclasses float)
     if type(value) is float:
         return repr(value)
     if isinstance(value, str):
@@ -119,6 +126,48 @@ def _write_csv(path: Path, schema_note: str, columns, rows) -> None:
             fh.write(",".join(map(_cell, row)) + "\n")
 
 
+# rows per block of a float table: its cells are held as strings one block at
+# a time, so a 256-row block costs a few hundred kB at any log length
+_BLOCK_ROWS = 256
+
+
+def _float_columns(block: np.ndarray) -> list[list[str]]:
+    """The cells of a (rows x columns) float64 block, one list per column.
+
+    ``repr`` runs once per run of bit-identical values in a column (a drive
+    held over its control tick): runs compare the int64 view, since float
+    ``==`` joins ``-0.0`` with ``0.0`` and never ``nan`` with itself.
+    """
+    n = block.shape[0]
+    bits = block.view(np.int64)
+    starts = bits[1:] != bits[:-1]      # row i + 1 starts a new run
+    n_runs = starts.sum(axis=0).tolist()
+    columns = []
+    for j, values in enumerate(block.T.tolist()):
+        if n_runs[j] == n - 1:          # every value its own run
+            columns.append(list(map(repr, values)))
+            continue
+        edges = [0, *(np.flatnonzero(starts[:, j]) + 1).tolist(), n]
+        cells = []
+        for a, b in zip(edges, edges[1:]):
+            cells += [repr(values[a])] * (b - a)
+        columns.append(cells)
+    return columns
+
+
+def _write_float_table(path: Path, schema_note: str, columns,
+                       table: np.ndarray) -> None:
+    """``_write_csv`` of a float table, written ``_BLOCK_ROWS`` rows at a time;
+    each cell is ``repr`` of its value, as ``_cell`` formats a float."""
+    table = np.ascontiguousarray(table, dtype=float)
+    with _create(path) as fh:
+        fh.write(f"# {schema_note}\n")
+        fh.write(",".join(columns) + "\n")
+        for start in range(0, table.shape[0], _BLOCK_ROWS):
+            cells = _float_columns(table[start:start + _BLOCK_ROWS])
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+
+
 def _write_json(path: Path, payload: dict) -> None:
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     with _create(path) as fh:
@@ -142,10 +191,9 @@ def _write_trial_csv(path: Path, log: TrialLog) -> None:
     table = np.column_stack([a[:n_ticks] for a in (
         log.time, log.q, log.qdot, log.tip, log.tip_desired, drives,
         log.excitations, log.tendon_forces)])
-    # row by row: one list for the whole table costs more memory than speed
-    _write_csv(path, "myoarm-trial-v1: one row per physics tick; q/qdot/tip "
-               "at tick start, drive/exc/force applied over the tick",
-               columns, (row.tolist() for row in table))
+    _write_float_table(path, "myoarm-trial-v1: one row per physics tick; "
+                       "q/qdot/tip at tick start, drive/exc/force applied over "
+                       "the tick", columns, table)
 
 
 def _write_estimator_csv(path: Path, controller: DdilcController,
@@ -193,11 +241,11 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
         _write_estimator_csv(cond / f"estimator_iter_{k}.csv", controller, k)
 
     result = run_ilc(cfg, on_iteration=on_iteration)
-    _write_csv(out / "feedforward.csv",
-               "myoarm-feedforward-v1: converged drive table, one row per "
-               "control tick",
-               [f"drive{j}" for j in range(cfg.model.n_joints)],
-               result.feedforward_drives)
+    _write_float_table(out / "feedforward.csv",
+                       "myoarm-feedforward-v1: converged drive table, one row "
+                       "per control tick",
+                       [f"drive{j}" for j in range(cfg.model.n_joints)],
+                       result.feedforward_drives)
     summary = result.summary
     return {**asdict(summary), "final_mean_abs_mm": summary.mean_abs_mm[-1],
             "conditions": ["train"],

@@ -365,10 +365,11 @@ class DdilcController:
         self._y_d_t = _floats(y_d0)
         self._errors_recorded = False
 
-    def step(self, t: int, y, y_d_next) -> np.ndarray:
+    def step(self, t: int, y, y_d_next) -> list[float]:
         """Emit the per-joint drive for tick t given the measured output y(t).
 
-        ``y`` and ``y_d_next`` are sequences of y_dim floats.
+        ``y`` and ``y_d_next`` are sequences of y_dim floats; the drive is a
+        new list of floats.
         """
         params = self.params
         rows = self._transform_rows
@@ -406,7 +407,7 @@ class DdilcController:
         self._e_prev = e_t
         self._stack_prev = stack
         self._y_d_t = y_d_next
-        return np.array(drive)
+        return list(drive)
 
     def finish_iteration(self, y_final) -> None:
         """Record the final-sample error so the next repetition can learn."""

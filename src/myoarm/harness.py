@@ -359,14 +359,26 @@ def _checked_drive(tc: int, drive, n_joints: int) -> list[float]:
     """The controller's drive for control tick ``tc``, clipped to [0, 1].
 
     A drive that is not one value per joint raises ``ValueError`` naming the
-    tick; a non-finite entry, naming the tick and channel.
+    tick; a non-finite entry, naming the tick and channel. A list of
+    ``n_joints`` numbers is read as it is; anything else goes through one
+    float array.
     """
+    if type(drive) is list and len(drive) == n_joints:
+        try:
+            return _clipped_drive(tc, drive)
+        except TypeError:       # entries that are not numbers
+            pass
     drive = np.asarray(drive, dtype=float)
     if drive.shape != (n_joints,):
         raise ValueError(f"control tick {tc}: drive of shape {drive.shape} "
                          f"is not one value per joint ({n_joints})")
+    return _clipped_drive(tc, drive.tolist())
+
+
+def _clipped_drive(tc: int, values) -> list[float]:
     out = []
-    for j, v in enumerate(drive.tolist()):
+    for j, v in enumerate(values):
+        v = float(v)
         if not 0.0 <= v <= 1.0:
             if not math.isfinite(v):
                 raise ValueError(f"control tick {tc}: drive {j} is {v}")
@@ -418,8 +430,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
 
     # the per-tick rows, flat; they become the log's arrays at the end
     qs, qds = array("d", state[0]), array("d", state[1])
-    excitations, forces = array("d"), array("d")
-    drives = []
+    excitations, forces, drives = array("d"), array("d"), array("d")
     diverged_at = diverged_reason = None
     targets = points[::decimation].tolist()      # one per control tick
 
@@ -432,7 +443,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         else:
             raw = controller.step(tc, y, y_d_next)
         drive = _checked_drive(tc, raw, eff.n_joints)
-        drives.append(drive)
+        drives.extend(drive)
         exc = pair_drive_to_excitations(eff, drive)
         if noise is not None:
             exc0 = np.array(exc)
@@ -468,7 +479,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         tip_desired=points[:filled + 1].copy(),
         q=q_arr,
         qdot=_rows(qds, eff.n_joints),
-        drives=np.array(drives),
+        drives=_rows(drives, eff.n_joints),
         excitations=_rows(excitations, eff.n_muscles),
         tendon_forces=_rows(forces, eff.n_muscles),
         muscle_lengths=muscle_lengths(eff, q_arr),

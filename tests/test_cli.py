@@ -3,6 +3,7 @@ and byte-identical reruns. All commands run in-process through main().
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
@@ -180,7 +181,8 @@ def _hand_log(decimation, n_ticks, n_joints=2, n_muscles=4, kept=None):
     def cells(*shape):
         a = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
         flat = a.reshape(-1)
-        flat[:5] = [-0.0, 1.0, 5e-324, 1e300, 0.1 + 0.2]
+        awkward = [-0.0, 1.0, 5e-324, 1e300, 0.1 + 0.2][:flat.size]
+        flat[:len(awkward)] = awkward
         return a
 
     return TrialLog(
@@ -196,17 +198,89 @@ def _hand_log(decimation, n_ticks, n_joints=2, n_muscles=4, kept=None):
         diverged=kept < n_ticks, diverged_at=kept if kept < n_ticks else None)
 
 
-@pytest.mark.parametrize("decimation,n_ticks,kept", [
-    (1, 37, None),
-    (10, 120, None),
-    (10, 120, 53),        # diverged in the middle of control tick 5
+# held values whose runs float == would merge (0.0 beside -0.0) or split
+# (nan, also with its sign bit set), and the infinities
+_HELD = [0.0, -0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -0.0, np.nan]
+
+
+def _hold_specials(log):
+    """Drives that hold each of ``_HELD`` for two control ticks and
+    excitations that hold them for seven physics ticks, column-shifted."""
+    for a, hold in ((log.drives, 2), (log.excitations, 7)):
+        rows = np.arange(a.shape[0])[:, None] // hold + np.arange(a.shape[1])
+        a[:] = np.take(_HELD, rows % len(_HELD))
+
+
+_BLOCK = cli._BLOCK_ROWS
+# over two blocks and not a whole number of them, and a drive held over
+# the physics ticks 10k..10k+9 that span the first block boundary
+_LONG = 10 * ((5 * _BLOCK // 2) // 10)
+assert _LONG > 2 * _BLOCK and _LONG % _BLOCK and _BLOCK % 10
+
+
+@pytest.mark.parametrize("decimation,n_ticks,kept,specials", [
+    pytest.param(1, 37, None, False, id="1-37-None"),
+    pytest.param(10, 120, None, False, id="10-120-None"),
+    # diverged in the middle of control tick 5
+    pytest.param(10, 120, 53, False, id="10-120-53"),
+    pytest.param(10, _LONG, None, False, id="blocks"),
+    pytest.param(10, _LONG, None, True, id="blocks-held-specials"),
+    pytest.param(1, _LONG, _LONG - 3, True, id="blocks-held-specials-diverged"),
+    # diverged at its first tick: the header only
+    pytest.param(10, 120, 0, False, id="diverged-at-first-tick"),
 ])
 def test_trial_csv_bytes_match_the_row_formatter(tmp_path, decimation,
-                                                 n_ticks, kept):
+                                                 n_ticks, kept, specials):
     log = _hand_log(decimation, n_ticks, kept=kept)
+    if specials:
+        _hold_specials(log)
     path = tmp_path / "iter_0.csv"
     _write_trial_csv(path, log)
     assert path.read_bytes() == _reference_trial_csv(log)
+    if kept == 0:
+        assert len(csv_lines(path)) == 2
+
+
+def test_trial_csv_writer_holds_less_than_the_table_as_floats(tmp_path):
+    # the writer formats a block of rows at a time: its peak allocation stays
+    # below what the whole table would take as Python floats
+    log = _hand_log(10, 16000)
+    path = tmp_path / "iter_0.csv"
+    _write_trial_csv(path, log)
+    n_cells = 16000 * len(csv_lines(path)[1].split(","))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        floats = np.arange(n_cells, dtype=float).tolist()
+        list_bytes = tracemalloc.get_traced_memory()[0] - before
+        del floats
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        _write_trial_csv(path, log)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < list_bytes
+    assert path.read_bytes() == _reference_trial_csv(log)
+
+
+def test_feedforward_csv_bytes_match_the_cell_formatter(tmp_path, monkeypatch):
+    awkward = [-0.0, 5e-324, 1e300, 0.1 + 0.2, 0.0, 1.0, 0.5, -1e-300]
+    rows = np.arange(2 * _BLOCK + 7)[:, None] // 3 + np.arange(2)
+    table = np.take(awkward, rows % len(awkward))
+    real_run_ilc = cli.run_ilc
+
+    def run_ilc_awkward_table(cfg, on_iteration=None):
+        return replace(real_run_ilc(cfg, on_iteration), feedforward_drives=table)
+
+    monkeypatch.setattr(cli, "run_ilc", run_ilc_awkward_table)
+    assert run(tmp_path, "ilc", "--config", tiny_config(tmp_path)) == 0
+    head, columns, body = (tmp_path / "runs" / "ilc" / "feedforward.csv"
+                           ).read_bytes().split(b"\n", 2)
+    assert head.startswith(b"# myoarm-feedforward-v1")
+    assert columns == b"drive0,drive1"
+    assert body == "".join(",".join(map(_cell, row)) + "\n"
+                           for row in table).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

@@ -348,7 +348,7 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
         y = np.zeros(2)
         total = 0.0
         for t in range(horizon):
-            u = ctl.step(t, y, y_d[t + 1])
+            u = np.asarray(ctl.step(t, y, y_d[t + 1]))
             drives.append(u.copy())
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
             y = y + alpha * (s_gain @ (u - 0.5) - y)
@@ -571,7 +571,7 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
                         np.minimum(abs(v - p.offdiag_cap), np.where(v > 0, v, np.inf)))
         assume(np.all(edge > s_phi))
     assume(np.all(abs(np.abs(ref.xi_raw) - p.xi_cap(m, window)) > s_xi))
-    have = ctl.step(t, y.tolist(), y_d_next.tolist())
+    have = np.asarray(ctl.step(t, y.tolist(), y_d_next.tolist()))
     assert asdict(ctl.counts) == asdict(ref.counts)
     assert np.all(np.abs(ctl.est.phi_hat - ref.phi) <= s_phi)
     assert np.all(np.abs(ctl.xi_hat - ref.xi) <= s_xi)
@@ -596,7 +596,7 @@ def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100
         y = np.zeros(2)
         ticks = []
         for t in range(horizon):
-            drive = ctl.step(t, y.tolist(), y_d[t + 1].tolist())
+            drive = np.asarray(ctl.step(t, y.tolist(), y_d[t + 1].tolist()))
             ticks.append((y.tolist(), y_d[t + 1].tolist(), drive))
             y = y + alpha * (gain * s_gain @ (drive - 0.5) - y)
         ctl.finish_iteration(y.tolist())

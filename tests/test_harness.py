@@ -355,6 +355,29 @@ def test_run_trial_clips_finite_drives(model):
     assert log.drives[4].tolist() == [0.5, 0.5]
 
 
+@pytest.mark.parametrize("drive, message", [
+    ([-0.2, 1.7], None),
+    ([0.5, math.nan], "control tick 3: drive 1 is nan"),
+    ([0.5, 0.5, 0.5], "control tick 3: drive of shape (3,) is not one value "
+                      "per joint (2)"),
+    ([[0.5, 0.5]], "control tick 3: drive of shape (1, 2) is not one value "
+                   "per joint (2)"),
+    ([[0.5], [0.5]], "control tick 3: drive of shape (2, 1) is not one value "
+                     "per joint (2)"),
+    ([0, 1], None),
+])
+def test_checked_drive_reads_a_list_as_it_reads_an_array(drive, message):
+    # DdilcController's list skips the array round trip: same floats, same errors
+    for raw in (drive, np.array(drive)):
+        if message is None:
+            out = harness._checked_drive(3, raw, 2)
+            assert out == [min(max(float(v), 0.0), 1.0) for v in drive]
+            assert all(type(v) is float for v in out)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                harness._checked_drive(3, raw, 2)
+
+
 # ---------------------------------------------------------------------------
 # metrics
 # ---------------------------------------------------------------------------
