@@ -30,11 +30,11 @@ failed command writes neither. CSV files are UTF-8 with LF line endings,
 the column header. A float cell is Python's shortest round-trip ``repr``, so
 ``float(cell)`` gives back the logged value exactly; integer and flag cells
 are plain integers. The float tables (trial logs, ``feedforward.csv``) are
-formatted ``_BLOCK_ROWS`` rows at a time, with one ``repr`` per run of
-bit-identical values in a column, such as a drive held over its control
-tick; the mixed-type rows (curves, estimator, sweep, lowpass) go through
-``_cell``. Failures exit nonzero after printing a one-line
-machine-readable error JSON to stderr.
+formatted ``_BLOCK_ROWS`` rows at a time, each block cut from the arrays
+it comes from, with one ``repr`` per run of bit-identical values in a
+column, such as a drive held over its control tick; the mixed-type rows
+(curves, estimator, sweep, lowpass) go through ``_cell``. Failures exit
+nonzero after printing a one-line machine-readable error JSON to stderr.
 """
 
 from __future__ import annotations
@@ -156,15 +156,16 @@ def _float_columns(block: np.ndarray) -> list[list[str]]:
 
 
 def _write_float_table(path: Path, schema_note: str, columns,
-                       table: np.ndarray) -> None:
-    """``_write_csv`` of a float table, written ``_BLOCK_ROWS`` rows at a time;
-    each cell is ``repr`` of its value, as ``_cell`` formats a float."""
-    table = np.ascontiguousarray(table, dtype=float)
+                       blocks) -> None:
+    """``_write_csv`` of a float table given as an iterable of nonempty
+    (rows x columns) blocks of at most ``_BLOCK_ROWS`` rows, written one
+    block at a time; each cell is ``repr`` of its value, as ``_cell`` formats
+    a float."""
     with _create(path) as fh:
         fh.write(f"# {schema_note}\n")
         fh.write(",".join(columns) + "\n")
-        for start in range(0, table.shape[0], _BLOCK_ROWS):
-            cells = _float_columns(table[start:start + _BLOCK_ROWS])
+        for block in blocks:
+            cells = _float_columns(np.ascontiguousarray(block, dtype=float))
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
@@ -185,15 +186,22 @@ def _write_trial_csv(path: Path, log: TrialLog) -> None:
                + [f"drive{j}" for j in range(n_joints)]
                + [f"exc{i}" for i in range(n_muscles)]
                + [f"tendon_force{i}" for i in range(n_muscles)])
-    # state columns end with the state after the last tick, and a diverged
-    # trial's drives cover the control tick it broke off: cut all to the ticks
-    drives = np.repeat(log.drives, log.decimation, axis=0)
-    table = np.column_stack([a[:n_ticks] for a in (
-        log.time, log.q, log.qdot, log.tip, log.tip_desired, drives,
-        log.excitations, log.tendon_forces)])
+
+    def blocks():
+        # state columns end with the state after the last tick, and a
+        # diverged trial's drives cover the control tick it broke off: a block
+        # takes only its ticks' rows, a tick's drive from row tick // decimation
+        for start in range(0, n_ticks, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, n_ticks)
+            yield np.column_stack([
+                *(a[start:stop] for a in (log.time, log.q, log.qdot, log.tip,
+                                          log.tip_desired)),
+                log.drives[np.arange(start, stop) // log.decimation],
+                log.excitations[start:stop], log.tendon_forces[start:stop]])
+
     _write_float_table(path, "myoarm-trial-v1: one row per physics tick; "
                        "q/qdot/tip at tick start, drive/exc/force applied over "
-                       "the tick", columns, table)
+                       "the tick", columns, blocks())
 
 
 def _write_estimator_csv(path: Path, controller: DdilcController,
@@ -241,11 +249,13 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
         _write_estimator_csv(cond / f"estimator_iter_{k}.csv", controller, k)
 
     result = run_ilc(cfg, on_iteration=on_iteration)
+    table = result.feedforward_drives
     _write_float_table(out / "feedforward.csv",
                        "myoarm-feedforward-v1: converged drive table, one row "
                        "per control tick",
                        [f"drive{j}" for j in range(cfg.model.n_joints)],
-                       result.feedforward_drives)
+                       (table[start:start + _BLOCK_ROWS]
+                        for start in range(0, table.shape[0], _BLOCK_ROWS)))
     summary = result.summary
     return {**asdict(summary), "final_mean_abs_mm": summary.mean_abs_mm[-1],
             "conditions": ["train"],

@@ -207,9 +207,10 @@ def joint_path(model: ArmModel, points: np.ndarray) -> np.ndarray:
     previous solution; failure to converge, or a solution outside the joint
     limits, raises UnreachableTrajectoryError naming the offending sample.
     """
+    xs, ys = np.asarray(points, dtype=float).T.tolist()
     q = [float(v) for v in model.q_ref]
-    rows = []
-    for idx, (px, py) in enumerate(np.asarray(points, dtype=float).tolist()):
+    qs = array("d")     # the solved postures, flat
+    for idx, (px, py) in enumerate(zip(xs, ys)):
         for _ in range(_IK_MAX_ITER):
             tx, ty, jx, jy = _tip_jacobian(model, q)
             ex, ey = px - tx, py - ty
@@ -225,8 +226,8 @@ def joint_path(model: ArmModel, points: np.ndarray) -> np.ndarray:
                 raise UnreachableTrajectoryError(
                     idx, (px, py), f"joint {j} at {q[j]:.4f} rad exceeds its "
                     f"limits [{lo}, {hi}]")
-        rows.append(q)
-    return np.array(rows).reshape(-1, model.n_joints)
+        qs.extend(q)
+    return _rows(qs, model.n_joints)
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +243,8 @@ class ReplayController:
     def begin_iteration(self, y_d0) -> None:
         pass
 
-    def step(self, tc: int, y, y_d_next) -> np.ndarray:
-        return self.table[tc]
+    def step(self, tc: int, y, y_d_next) -> list[float]:
+        return self.table[tc].tolist()
 
     def finish_iteration(self, y_final) -> None:
         pass
@@ -320,7 +321,7 @@ class TrialLog:
     decimation: int
     time: np.ndarray                 # (N+1,)
     tip: np.ndarray                  # (N+1, 2)
-    tip_desired: np.ndarray          # (N+1, 2)
+    tip_desired: np.ndarray          # (N+1, 2), read-only view of the points
     q: np.ndarray                    # (N+1, n_joints)
     qdot: np.ndarray                 # (N+1, n_joints)
     drives: np.ndarray               # (N_control, n_joints)
@@ -471,12 +472,14 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
 
     filled = diverged_at if diverged else n_ticks
     q_arr = _rows(qs, eff.n_joints)
+    tip_desired = points[:filled + 1]
+    tip_desired.flags.writeable = False     # a view of the caller's points
     return TrialLog(
         dt=dt,
         decimation=decimation,
         time=np.arange(filled + 1) * dt,
         tip=tip_path(eff, q_arr),
-        tip_desired=points[:filled + 1].copy(),
+        tip_desired=tip_desired,
         q=q_arr,
         qdot=_rows(qds, eff.n_joints),
         drives=_rows(drives, eff.n_joints),
@@ -804,11 +807,13 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     """Repeat the task ``cfg.iterations`` times on ``cfg.model``, learning
     between trials.
 
-    Trial ``k`` seeds its noise with ``[cfg.seed, k]``. Three consecutive
-    iterations of growing (or diverged) error trigger the controller's
-    feedforward shrink, recorded in the summary. The optional
+    Trial ``k`` seeds its noise with ``[cfg.seed, k]``.
+    ``cfg.divergence_patience`` consecutive iterations of growing (or
+    diverged) error trigger the controller's ``shrink_feedforward`` (halved
+    learning gains, zeroed table), recorded in the summary. The optional
     ``on_iteration(k, log, metrics, controller)`` callback observes every
-    trial, e.g. for CSV dumps.
+    trial, e.g. for CSV dumps. One trial's log is held at a time: the last
+    one becomes ``final_log``.
     """
     model, points, horizon, desired_q, start, u_hold = _parked_task(cfg)
     probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
@@ -823,6 +828,7 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     summary = RunSummary(cfg.iterations)
     growth_streak = 0
     for k in range(cfg.iterations):
+        log = None      # drop the previous trial's log before this one runs
         log = run_trial(model, controller, points, cfg.dt,
                         disturbance=cfg.disturbance, seed=[cfg.seed, k],
                         start_state=start, decimation=cfg.control_decimation,
@@ -897,10 +903,10 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
     seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions differ only
     in the noise; the PID trial keeps ``pid_baseline``'s seed. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every trial,
-    e.g. for CSV dumps, with ``rep`` None for the PID trial. A result whose
-    trajectory ticks ``cfg.control_decimation`` does not divide, or whose
-    table is not one row of drives per control tick, raises ``ValueError``
-    before any park.
+    e.g. for CSV dumps, with ``rep`` None for the PID trial; each log is
+    dropped before the next trial runs. A result whose trajectory ticks
+    ``cfg.control_decimation`` does not divide, or whose table is not one row
+    of drives per control tick, raises ``ValueError`` before any park.
     """
     model = cfg.model
     table = result.feedforward_drives
@@ -909,6 +915,12 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
         raise ValueError(f"drive table of shape {table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
                          f"({n_control})")
+
+    def observed(fi, rep, log) -> TrialMetrics:
+        if on_trial is not None:
+            on_trial(fi, rep, log)
+        return compute_metrics(log)
+
     out = []
     for fi, fraction in enumerate(cfg.sweep_fractions):
         dist = replace(cfg.disturbance, load_fraction=fraction)
@@ -917,22 +929,16 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
                               total_time=cfg.settle_time)
         means, mses, diverged = [], [], False
         for rep in range(cfg.repetitions):
-            log = run_trial(model, ReplayController(table), result.points,
-                            cfg.dt, disturbance=dist, seed=[cfg.seed, fi, rep],
-                            start_state=start,
-                            decimation=cfg.control_decimation,
-                            desired_joint_path=result.desired_joint_path)
-            if on_trial is not None:
-                on_trial(fi, rep, log)
-            m = compute_metrics(log)
+            m = observed(fi, rep, run_trial(
+                model, ReplayController(table), result.points, cfg.dt,
+                disturbance=dist, seed=[cfg.seed, fi, rep], start_state=start,
+                decimation=cfg.control_decimation,
+                desired_joint_path=result.desired_joint_path))
             means.append(m.mean_abs_mm)
             mses.append(m.mse_mm2)
             diverged = diverged or m.diverged
-        pid_log = pid_baseline(replace(cfg, disturbance=dist),
-                               replace(result, start_state=start))
-        if on_trial is not None:
-            on_trial(fi, None, pid_log)
-        pid = compute_metrics(pid_log)
+        pid = observed(fi, None, pid_baseline(
+            replace(cfg, disturbance=dist), replace(result, start_state=start)))
         out.append(SweepPoint(
             load_fraction=float(fraction),
             mean_abs_mm=float(np.mean(means)),

@@ -242,8 +242,9 @@ def test_trial_csv_bytes_match_the_row_formatter(tmp_path, decimation,
 
 
 def test_trial_csv_writer_holds_less_than_the_table_as_floats(tmp_path):
-    # the writer formats a block of rows at a time: its peak allocation stays
-    # below what the whole table would take as Python floats
+    # the writer formats a block of rows at a time, cut from the log's
+    # arrays: its peak allocation stays below what the whole table would take
+    # as Python floats, and below the table as one float64 array
     log = _hand_log(10, 16000)
     path = tmp_path / "iter_0.csv"
     _write_trial_csv(path, log)
@@ -261,6 +262,7 @@ def test_trial_csv_writer_holds_less_than_the_table_as_floats(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < list_bytes
+    assert peak < n_cells * 8
     assert path.read_bytes() == _reference_trial_csv(log)
 
 

@@ -6,6 +6,7 @@ stand-in, and the muscle low-pass measurement.
 
 import math
 import re
+import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -133,6 +134,44 @@ def test_joint_path_round_trip(model):
         assert np.all(qs[:, j] <= hi + 1e-9)
 
 
+def _list_built_joint_path(model, points):
+    """``joint_path``'s Newton solve with each posture kept as a list of
+    floats and the list of lists handed to ``np.array``: the reference for
+    its flat buffer. Reachable paths only."""
+    q = [float(v) for v in model.q_ref]
+    rows = []
+    for px, py in np.asarray(points, dtype=float).tolist():
+        for _ in range(harness._IK_MAX_ITER):
+            tx, ty, jx, jy = harness._tip_jacobian(model, q)
+            ex, ey = px - tx, py - ty
+            if math.hypot(ex, ey) < harness._IK_TOL:
+                break
+            dq, _ = harness._pinv_solve(jx, jy, ex, ey)
+            q = [qi + d for qi, d in zip(q, dq)]
+        else:
+            raise AssertionError("the reference path must be reachable")
+        rows.append(q)
+    return np.array(rows).reshape(-1, model.n_joints)
+
+
+@pytest.mark.parametrize("arm,spec,dt", [
+    (planar2x4, TrajectorySpec(), DT),
+    # a sine chord through the tip at q_ref: seven joints for two
+    # coordinates, the redundant case
+    (spatial_ltdm, TrajectorySpec(amplitude=0.05, spatial_period=0.1,
+                                  cycles=1, duration=1.0, offset_x=-0.445,
+                                  offset_y=0.519, direction_x=1.0,
+                                  direction_y=0.0), 1e-2),
+], ids=["planar2x4", "spatial-ltdm"])
+def test_joint_path_matches_the_list_built_path(arm, spec, dt):
+    model = arm()
+    pts = generate_trajectory(spec, dt)
+    qs = joint_path(model, pts)
+    assert qs.dtype == np.float64
+    assert qs.shape == (pts.shape[0], model.n_joints)
+    assert qs.tobytes() == _list_built_joint_path(model, pts).tobytes()
+
+
 def test_joint_path_unreachable_names_sample(model):
     # link lengths 0.38 + 0.34 = 0.72 m of reach; 1.5 m is out of range
     pts = np.array([[0.45, -0.2], [1.5, 0.0]])
@@ -203,6 +242,17 @@ def test_run_trial_shapes_and_rest_drive(model):
     assert log.muscle_lengths_desired.shape == (1001, model.n_muscles)
     assert log.time[-1] == pytest.approx(1.0)
     assert not log.diverged and log.diverged_at is None
+
+
+def test_run_trial_logs_the_points_read_only_without_a_copy(model):
+    pts = _one_second_points()
+    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
+                    start_state=rest_state(model), decimation=10)
+    assert np.shares_memory(log.tip_desired, pts)
+    assert np.array_equal(log.tip_desired, pts)
+    with pytest.raises(ValueError, match="read-only"):
+        log.tip_desired[0, 0] = 0.0
+    assert pts.flags.writeable
 
 
 def test_run_trial_deterministic_under_noise(model):
@@ -664,6 +714,31 @@ def _learned(pts, desired_q, *, drives=None, start_state=None):
     return IlcResult(summary=None, feedforward_drives=drives, sensitivity=None,
                      start_state=start_state, points=pts,
                      desired_joint_path=desired_q, final_log=None)
+
+
+def test_one_trial_log_is_alive_at_a_time(monkeypatch):
+    # each run_trial of run_ilc and of disturbance_sweep starts after the
+    # logs of the trials before it are gone
+    real_trial = harness.run_trial
+    logs, alive = [], []
+
+    def tracked_trial(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in logs))
+        log = real_trial(*args, **kwargs)
+        logs.append(weakref.ref(log))
+        return log
+
+    monkeypatch.setattr(harness, "run_trial", tracked_trial)
+    cfg = replace(ONE_SECOND, iterations=3, repetitions=2, settle_time=3.0,
+                  probe_hold=1.0, sweep_fractions=(0.0, 0.1))
+    result = run_ilc(cfg)
+    assert alive == [0, 0, 0]
+    assert logs[-1]() is result.final_log
+    logs.clear()
+    alive.clear()
+    disturbance_sweep(cfg, result)
+    # per load two replays, then the PID trial
+    assert alive == [0] * 6
 
 
 def test_disturbance_sweep_points(short_run):
