@@ -268,8 +268,11 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
             f"[disturbance] load_fraction = {cfg.disturbance.load_fraction!r}: "
             "sweep learns on the unloaded plant and [experiment] "
             "sweep_fractions sets the study's loads; leave it at 0")
-    # learn on the nominal plant; the noise applies to the study's trials
-    result = run_ilc(replace(cfg, disturbance=DisturbanceSpec()))
+    # learn on the nominal plant; the noise applies to the study's trials.
+    # The study reads nothing of the learning run's last trial log, so that
+    # log is dropped before the study's trials run
+    result = replace(run_ilc(replace(cfg, disturbance=DisturbanceSpec())),
+                     final_log=None)
     conditions = [sweep_condition(f) for f in cfg.sweep_fractions]
     dirs = [out / name for name in conditions]
 

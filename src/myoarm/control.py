@@ -114,6 +114,14 @@ class DdilcParams:
                 f"diag_floor={self.diag_floor} must exceed "
                 f"offdiag_cap*(2*diag_span+1)*(m-1)={need} for m={m}")
 
+    def check_rest_drive(self, rest_drive) -> None:
+        """``ValueError`` giving the drives and the bounds unless every rest
+        drive lies within [u_min, u_max]."""
+        rest = [float(v) for v in rest_drive]
+        if not all(self.u_min <= v <= self.u_max for v in rest):
+            raise ValueError(f"rest_drive must lie within [u_min, u_max] = "
+                             f"[{self.u_min!r}, {self.u_max!r}]: {rest}")
+
     def xi_cap(self, m: int, window: int) -> float:
         """Saturation bound for feedback-gain entries.
 
@@ -291,9 +299,7 @@ class DdilcController:
         self.rest_drive = np.asarray(rest_drive, dtype=float).copy()
         if self.rest_drive.shape != (self.m,):
             raise ValueError("rest_drive must have one entry per channel")
-        if not all(params.u_min <= v <= params.u_max
-                   for v in self.rest_drive.tolist()):
-            raise ValueError("rest_drive must lie within [u_min, u_max]")
+        params.check_rest_drive(self.rest_drive)
         self.gamma = params.diag_floor * math.sqrt(params.diag_span)
         s_pinv = np.linalg.pinv(sensitivity, rcond=1e-8)
         self.transform = self.gamma * s_pinv            # (m, y_dim)

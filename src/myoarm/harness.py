@@ -106,6 +106,69 @@ class UnreachableTrajectoryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# run rules: one function each, called by the run step it governs and by
+# ExperimentConfig when it loads
+# ---------------------------------------------------------------------------
+
+def _ticks(span: float, dt: float, name: str) -> int:
+    """The physics ticks of ``span`` seconds, ``round(span / dt)``: the one
+    conversion of the trajectory, the park's 1 s round and the probe's hold.
+
+    ``ValueError`` naming ``name`` unless ``dt > 0`` and the count is finite
+    and at least one tick.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt = {dt!r} s must be > 0")
+    n = span / dt
+    if not math.isfinite(n):
+        raise ValueError(f"{name} of {span!r} s is not a finite number "
+                         f"of ticks of dt = {dt!r} s")
+    n = round(n)
+    if n < 1:
+        raise ValueError(f"{name} of {span!r} s rounds to no tick of "
+                         f"dt = {dt!r} s")
+    return n
+
+
+def _park_rounds(total_time: float, dt: float, name: str) -> tuple[int, int]:
+    """The park's servo rounds and ticks per 1 s round for a park of
+    ``total_time`` seconds, which must be whole and at least 3 (the last
+    two hold)."""
+    if not (total_time >= 3.0 and float(total_time).is_integer()):
+        raise ValueError(f"{name} must be a whole number of seconds >= 3")
+    return int(total_time) - 2, _ticks(1.0, dt, "park round")
+
+
+def _check_probe_delta(delta: float, name: str) -> None:
+    """A probe's drive step lies in (0, 0.5]."""
+    if not 0.0 < delta <= 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5]")
+
+
+def _check_load(fraction: float, name: str) -> None:
+    """A tip load, as a fraction of the rated load, lies in [0, 0.5]."""
+    if not 0.0 <= fraction <= 0.5:
+        raise ValueError(f"{name} must lie in [0, 0.5]")
+
+
+def _decimated(n_ticks: int, decimation: int, name: str) -> int:
+    """The control ticks of ``n_ticks`` trajectory ticks; ``ValueError``
+    naming ``name`` unless ``decimation`` divides them."""
+    if decimation < 1 or n_ticks % decimation != 0:
+        raise ValueError(f"{name} {decimation} must divide the "
+                         f"{n_ticks} trajectory ticks")
+    return n_ticks // decimation
+
+
+def _control_ticks(points: np.ndarray, decimation: int) -> int:
+    """Control ticks of a sampled trajectory; ``ValueError`` unless it holds
+    at least one physics tick and ``decimation`` divides them."""
+    if points.shape[0] < 2:
+        raise ValueError("trajectory must contain at least two samples")
+    return _decimated(points.shape[0] - 1, decimation, "decimation")
+
+
+# ---------------------------------------------------------------------------
 # experiment descriptors
 # ---------------------------------------------------------------------------
 
@@ -155,8 +218,7 @@ class DisturbanceSpec:
     noise_frequency_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.load_fraction <= 0.5:
-            raise ValueError("DisturbanceSpec.load_fraction must lie in [0, 0.5]")
+        _check_load(self.load_fraction, "DisturbanceSpec.load_fraction")
         if self.noise_amplitude < 0.0:
             raise ValueError("DisturbanceSpec.noise_amplitude must be >= 0")
         if self.noise_frequency_hz < 0.0:
@@ -180,11 +242,7 @@ def loaded_plant(model: ArmModel, disturbance: DisturbanceSpec) -> ArmModel:
 
 def generate_trajectory(spec: TrajectorySpec, dt: float) -> np.ndarray:
     """Sample the desired tip path at the physics rate; (T+1, 2) array."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    steps = round(spec.duration / dt)
-    if steps < 1:
-        raise ValueError("duration shorter than one tick")
+    steps = _ticks(spec.duration, dt, "trajectory duration")
     frac = np.arange(steps + 1) / steps
     s = spec.cycles * spec.spatial_period * frac
     dx, dy = spec.direction_x, spec.direction_y
@@ -388,18 +446,6 @@ def _clipped_drive(tc: int, values) -> list[float]:
     return out
 
 
-def _control_ticks(points: np.ndarray, decimation: int) -> int:
-    """Control ticks of a sampled trajectory; ``ValueError`` unless it holds
-    at least one physics tick and ``decimation`` divides them."""
-    n_ticks = points.shape[0] - 1
-    if n_ticks < 1:
-        raise ValueError("trajectory must contain at least two samples")
-    if decimation < 1 or n_ticks % decimation != 0:
-        raise ValueError(f"decimation {decimation} must divide the "
-                         f"{n_ticks} trajectory ticks")
-    return n_ticks // decimation
-
-
 def _rows(buffer: array, width: int) -> np.ndarray:
     """The flat per-tick rows of ``buffer`` as a (rows, width) array over its memory."""
     return np.frombuffer(buffer).reshape(-1, width)
@@ -553,18 +599,16 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     because each joint's torque is monotone in its drive; the last two
     seconds hold the drives fixed so the returned state is an equilibrium of
     the final drive vector. ``total_time`` is a whole number of seconds,
-    at least 3; anything else raises ``ValueError`` before the first tick.
+    at least 3, and the 1 s round takes at least one tick of ``dt``; anything
+    else raises ``ValueError`` before the first tick.
     Returns ``(state, hold_drives)``. A park that diverges raises
     ``IntegrationDivergedError`` naming ``park`` and the tick, with the last
     good state.
     """
-    if not (total_time >= 3.0 and float(total_time).is_integer()):
-        raise ValueError("park_state needs a whole number of seconds >= 3")
+    rounds, n_round = _park_rounds(total_time, dt, "park_state total_time")
     q_target = np.asarray(q_target, dtype=float)
     state = rest_state(model, q_target)
     u = np.full(model.n_joints, 0.5)
-    n_round = round(1.0 / dt)
-    rounds = int(total_time) - 2
     for r in range(rounds):
         state, _ = _hold(model, state, u, dt, n_round, "park", r * n_round)
         u = np.clip(u + _PARK_GAIN * (q_target - state.q), 0.0, 1.0)
@@ -599,16 +643,13 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     A hold that diverges raises ``IntegrationDivergedError`` naming the hold
     (``rest`` or ``channel j``) and the tick, with the last good state.
     """
-    if not 0.0 < delta <= 0.5:
-        raise ValueError("probe delta must lie in (0, 0.5]")
+    _check_probe_delta(delta, "probe delta")
     rest_vec = np.array(rest, dtype=float)
     if rest_vec.shape != (model.n_joints,):
         raise ValueError(f"probe rest must be one drive per joint ({model.n_joints})")
     if not all(0.0 <= v <= 1.0 for v in rest_vec.tolist()):
         raise ValueError("probe rest drives must lie in [0, 1]")
-    n_hold = round(hold_time / dt)
-    if n_hold < 1:
-        raise ValueError("probe_sensitivity needs a hold_time of at least one tick")
+    n_hold = _ticks(hold_time, dt, "probe hold_time")
     n_avg = max(1, n_hold // 5)
 
     def held_tips(hold: str, drive: np.ndarray) -> np.ndarray:
@@ -678,12 +719,14 @@ class ExperimentConfig:
     The arm is not a field but follows from the fields: ``model`` builds the
     preset with the muscle overrides. Construction validates every field,
     so ``dataclasses.replace`` cannot build an invalid config; the preset
-    name is normalized to its ``PRESETS`` key. ``seed`` is non-negative;
-    ``settle_time`` is a whole number of seconds; ``probe_hold`` and the
-    trajectory's ``duration`` each round to at least one, and finitely many,
-    ticks of ``dt``, and ``control_decimation`` divides the trajectory's
-    ticks; the controller's element boxes must suit the arm's joint count;
-    and no two ``sweep_fractions`` may share a ``sweep_condition`` directory.
+    name is normalized to its ``PRESETS`` key. The run's rules on ``dt``,
+    ``settle_time``, ``probe_delta``, ``probe_hold``, ``control_decimation``,
+    the trajectory and ``sweep_fractions`` are checked by the functions the
+    run itself checks them with. The rules owned here: ``iterations``,
+    ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
+    is non-negative; no two ``sweep_fractions`` share a ``sweep_condition``
+    directory; and the controller's element boxes suit the arm's joint
+    count.
     """
 
     preset: str = "planar2x4"
@@ -705,42 +748,21 @@ class ExperimentConfig:
     pid: PidGains = field(default_factory=PidGains)
 
     def __post_init__(self) -> None:
-        # ticks as the park (1 s rounds), the probe and generate_trajectory
-        # count them: 0 where dt fails its own bound, inf where round() would
-        # overflow; dt's rows come first in the table
-        def ticks(span: float) -> float:
-            if not self.dt > 0.0:
-                return 0
-            n = span / self.dt
-            return round(n) if math.isfinite(n) else math.inf
-
-        n_traj = ticks(self.trajectory.duration)
-        for name, ok, bound in (
-                ("iterations", self.iterations >= 1, "be >= 1"),
-                ("seed", self.seed >= 0, "be >= 0"),
-                ("dt", self.dt > 0.0, "be > 0"),
-                ("dt", max(ticks(1.0), ticks(self.probe_hold), n_traj) < math.inf,
-                 "give finite tick counts for 1 s, probe_hold and "
-                 "trajectory.duration"),
-                ("control_decimation", self.control_decimation >= 1, "be >= 1"),
-                ("divergence_patience", self.divergence_patience >= 1, "be >= 1"),
-                ("settle_time", self.settle_time >= 3.0
-                 and float(self.settle_time).is_integer(),
-                 "be a whole number >= 3"),
-                ("probe_delta", 0.0 < self.probe_delta <= 0.5, "be in (0, 0.5]"),
-                ("probe_hold", ticks(self.probe_hold) >= 1,
-                 "round to at least one tick of dt"),
-                ("trajectory.duration", n_traj >= 1,
-                 "round to at least one tick of dt"),
-                ("control_decimation", self.control_decimation >= 1
-                 and n_traj % self.control_decimation == 0,
-                 "divide the trajectory's ticks (duration / dt)"),
-                ("repetitions", self.repetitions >= 1, "be >= 1"),
-                ("sweep_fractions",
-                 all(0.0 <= f <= 0.5 for f in self.sweep_fractions),
-                 "lie in [0, 0.5]")):
-            if not ok:
-                raise ValueError(f"ExperimentConfig.{name} must {bound}")
+        for name, least in (("iterations", 1), ("seed", 0),
+                            ("divergence_patience", 1), ("repetitions", 1)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"ExperimentConfig.{name} must be >= {least}")
+        # the run's own rules, as the park, the probe, the trajectory and
+        # the sweep's loads check them
+        _park_rounds(self.settle_time, self.dt, "ExperimentConfig.settle_time")
+        _check_probe_delta(self.probe_delta, "ExperimentConfig.probe_delta")
+        _ticks(self.probe_hold, self.dt, "ExperimentConfig.probe_hold")
+        n_traj = _ticks(self.trajectory.duration, self.dt,
+                        "ExperimentConfig.trajectory.duration")
+        _decimated(n_traj, self.control_decimation,
+                   "ExperimentConfig.control_decimation")
+        for f in self.sweep_fractions:
+            _check_load(f, "ExperimentConfig.sweep_fractions")
         # make_arm, through self.model below, rejects an unknown preset
         self.preset = preset_key(self.preset)
         for i, f in enumerate(self.sweep_fractions):
@@ -768,7 +790,7 @@ class IlcResult:
     start_state: ArmState
     points: np.ndarray
     desired_joint_path: np.ndarray
-    final_log: TrialLog
+    final_log: TrialLog | None        # None where a caller has dropped it
 
 
 def _parked_task(cfg: ExperimentConfig):
@@ -816,6 +838,7 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     one becomes ``final_log``.
     """
     model, points, horizon, desired_q, start, u_hold = _parked_task(cfg)
+    cfg.controller.check_rest_drive(u_hold)     # before the probe's holds
     probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
                               cfg.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)

@@ -4,6 +4,7 @@ and byte-identical reruns. All commands run in-process through main().
 
 import json
 import tracemalloc
+import weakref
 from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
@@ -352,6 +353,31 @@ def test_sweep_learns_once_and_reports_replay_and_pid_per_load(
             == result.summary.mean_abs_mm[-1] / pid_mm)
 
 
+def test_sweep_drops_the_learning_runs_last_log(tmp_path, monkeypatch):
+    # nothing in the study reads the learning run's final_log, which used to
+    # stay alive through every replay and PID trial
+    real_trial, real_sweep = harness.run_trial, cli.disturbance_sweep
+    logs, last_learned, alive_at_first = [], [], []
+
+    def tracked_trial(*args, **kwargs):
+        if last_learned and not alive_at_first:
+            alive_at_first.append(last_learned[0]() is not None)
+        log = real_trial(*args, **kwargs)
+        logs.append(weakref.ref(log))
+        return log
+
+    def tracked_sweep(*args, **kwargs):
+        last_learned.append(logs[-1])
+        return real_sweep(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", tracked_trial)
+    monkeypatch.setattr(cli, "disturbance_sweep", tracked_sweep)
+    extra = "sweep_fractions = 0, 0.1\n"
+    assert run(tmp_path, "sweep", "--config", tiny_config(tmp_path, extra)) == 0
+    assert len(logs) == 2 + 2 * 2       # two learning trials, then per load
+    assert alive_at_first == [False]
+
+
 def test_sweep_trains_undisturbed_and_replays_each_load_with_the_noise(
         tmp_path, monkeypatch):
     calls, starts = [], []
@@ -503,8 +529,16 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[experiment]\nseed = -1\n",
      "line 2: [experiment] seed: ExperimentConfig.seed must be >= 0"),
     ("[experiment]\ndt = 1e-320\n",
-     "line 2: [experiment] dt: ExperimentConfig.dt must give finite tick "
-     "counts"),
+     "line 2: [experiment] dt: park round of 1.0 s is not a finite number "
+     "of ticks of dt = 1e-320 s"),
+    # the park's 1 s round rounded to no tick, so the park held nothing and
+    # returned the slack rest state; either key order names dt
+    ("[experiment]\ndt = 2.5\ncontrol_decimation = 1\n",
+     "line 2: [experiment] dt: park round of 1.0 s rounds to no tick of "
+     "dt = 2.5 s"),
+    ("[experiment]\ncontrol_decimation = 1\ndt = 2.5\n",
+     "line 3: [experiment] dt: park round of 1.0 s rounds to no tick of "
+     "dt = 2.5 s"),
     # both write load_100: the second replay's log used to overwrite the
     # first's while the sweep summary listed load_100 twice
     ("[experiment]\nsweep_fractions = 0.1, 0.1004\n",
@@ -513,11 +547,11 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     # each of these passed and failed only after the park: 0.4 ticks held
     # nothing and the probe's NaN sensitivity broke the controller's pinv
     ("[experiment]\nprobe_hold = 0.0004\n",
-     "line 2: [experiment] probe_hold: ExperimentConfig.probe_hold must round "
-     "to at least one tick of dt"),
+     "line 2: [experiment] probe_hold: ExperimentConfig.probe_hold of 0.0004 s "
+     "rounds to no tick of dt = 0.001 s"),
     ("[trajectory]\nduration = 0.0004\n",
-     "line 2: [trajectory] duration: ExperimentConfig.trajectory.duration "
-     "must round to at least one tick of dt"),
+     "line 2: [trajectory] duration: ExperimentConfig.trajectory.duration of "
+     "0.0004 s rounds to no tick of dt = 0.001 s"),
     # element boxes that cannot hold for the preset's joint count
     ("[controller]\noffdiag_cap = 3\n",
      "line 2: [controller] offdiag_cap: diag_floor=10.0 must exceed "),
@@ -555,10 +589,12 @@ def test_simulate_rejects_decimation_before_parking(tmp_path, capsys, monkeypatc
     config = tiny_config(tmp_path, extra="control_decimation = 3")
     assert run(tmp_path, "simulate", "--config", config) == 2
     err = json.loads(capsys.readouterr().err)["error"]
+    # named where the file first fails, read top down: [trajectory]
+    # duration = 1.0 comes later, so the 8 s default chord is the one counted
     assert err == {"type": "ConfigError",
                    "message": "line 6: [experiment] control_decimation: "
-                              "ExperimentConfig.control_decimation must divide "
-                              "the trajectory's ticks (duration / dt)"}
+                              "ExperimentConfig.control_decimation 3 must "
+                              "divide the 8000 trajectory ticks"}
 
 
 def test_negative_seed_flag_exits_2_before_parking(tmp_path, capsys, monkeypatch):

@@ -22,6 +22,7 @@ from myoarm.arm import (
     rest_state,
     tip_path,
 )
+from myoarm.control import DdilcParams
 from myoarm.harness import (
     DisturbanceSpec,
     ExperimentConfig,
@@ -508,9 +509,29 @@ def test_park_state_needs_whole_seconds(model, monkeypatch):
         raise AssertionError("park_state ticked before the time check")
 
     monkeypatch.setattr(harness, "integrate_step", no_step)
-    with pytest.raises(ValueError, match=r"^park_state needs a whole number "
-                                         r"of seconds >= 3$"):
+    with pytest.raises(ValueError, match=r"^park_state total_time must be a "
+                                         r"whole number of seconds >= 3$"):
         park_state(model, np.asarray(model.q_ref), DT, total_time=3.5)
+
+
+def test_park_state_needs_a_tick_per_round(model, monkeypatch):
+    # round(1 / 2.5) is 0: every 1 s round held nothing, and the park
+    # returned the slack rest state
+    def no_step(*args):
+        raise AssertionError("park_state ticked before the round check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_step)
+    with pytest.raises(ValueError, match=r"^park round of 1.0 s rounds to no "
+                                         r"tick of dt = 2.5 s$"):
+        park_state(model, np.asarray(model.q_ref), 2.5, total_time=3)
+
+
+def test_generate_trajectory_needs_a_finite_tick_count():
+    # round() of the infinite count used to raise OverflowError
+    with pytest.raises(ValueError, match=r"^trajectory duration of 8.0 s is not "
+                                         r"a finite number of ticks of "
+                                         r"dt = 1e-320 s$"):
+        generate_trajectory(TrajectorySpec(), 1e-320)
 
 
 def test_probe_needs_a_hold_of_one_tick(model, monkeypatch):
@@ -520,8 +541,8 @@ def test_probe_needs_a_hold_of_one_tick(model, monkeypatch):
         raise AssertionError("probe_sensitivity ticked before the hold check")
 
     monkeypatch.setattr(harness, "integrate_step", no_step)
-    with pytest.raises(ValueError, match=r"^probe_sensitivity needs a hold_time "
-                                         r"of at least one tick$"):
+    with pytest.raises(ValueError, match=r"^probe hold_time of 0.0004 s rounds "
+                                         r"to no tick of dt = 0.001 s$"):
         probe_sensitivity(model, rest_state(model), DT, delta=0.2,
                           hold_time=0.0004, rest=REST)
 
@@ -637,9 +658,74 @@ def test_run_ilc_rejects_decimation_before_parking(monkeypatch):
     monkeypatch.setattr(harness, "park_state", no_park)
     # the config itself rejects the decimation, so no run can reach the park
     with pytest.raises(ValueError, match=r"^ExperimentConfig.control_decimation "
-                                         r"must divide the trajectory's ticks"):
+                                         r"3 must divide the 1000 trajectory "
+                                         r"ticks$"):
         run_ilc(ExperimentConfig(trajectory=TrajectorySpec(duration=1.0),
                                  control_decimation=3))
+
+
+# half a second of chord, one control tick per physics tick
+HALF_SECOND = ExperimentConfig(
+    trajectory=TrajectorySpec(duration=0.5, cycles=1), iterations=2,
+    control_decimation=1, settle_time=3.0, probe_hold=0.5)
+
+
+def _count_ticks(monkeypatch) -> list[int]:
+    """Counts ``harness.integrate_step`` calls in the returned one-item list."""
+    real, count = harness.integrate_step, [0]
+
+    def counted(*args):
+        count[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(harness, "integrate_step", counted)
+    return count
+
+
+def _credited_ticks(cfg: ExperimentConfig, n_joints: int,
+                    trials: bool) -> int:
+    """The physics ticks the benchmark credits a park, a probe and, with
+    ``trials``, the learning trials of ``cfg``."""
+    ticks = (int(cfg.settle_time) * round(1.0 / cfg.dt)
+             + (n_joints + 1) * round(cfg.probe_hold / cfg.dt))
+    if trials:
+        ticks += cfg.iterations * round(cfg.trajectory.duration / cfg.dt)
+    return ticks
+
+
+def test_run_ilc_ticks_as_the_benchmark_credits(monkeypatch):
+    count = _count_ticks(monkeypatch)
+    run_ilc(HALF_SECOND)
+    assert count[0] == _credited_ticks(HALF_SECOND, 2, trials=True) == 5500
+
+
+def test_spatial_park_and_probe_tick_as_the_benchmark_credits(monkeypatch):
+    count = _count_ticks(monkeypatch)
+    cfg = replace(HALF_SECOND, preset="spatial-ltdm", probe_hold=0.1)
+    arm = cfg.model
+    start, u_hold = park_state(arm, np.asarray(arm.q_ref), cfg.dt,
+                               total_time=cfg.settle_time)
+    probe_sensitivity(arm, start, cfg.dt, delta=cfg.probe_delta,
+                      hold_time=cfg.probe_hold, rest=u_hold)
+    assert count[0] == _credited_ticks(cfg, 7, trials=False) == 3800
+
+
+def test_run_ilc_checks_the_rest_drive_before_the_probe(monkeypatch):
+    # this park holds the joints at about 0.41 and 0.47; the controller used
+    # to reject them only after every probe hold, naming neither
+    real_hold, holds = harness._hold, []
+
+    def recorded_hold(model, state, drive, dt, n_ticks, label, first_tick):
+        holds.append(label)
+        return real_hold(model, state, drive, dt, n_ticks, label, first_tick)
+
+    monkeypatch.setattr(harness, "_hold", recorded_hold)
+    cfg = replace(HALF_SECOND, controller=DdilcParams(u_min=0.48))
+    with pytest.raises(ValueError, match=(
+            r"^rest_drive must lie within \[u_min, u_max\] = \[0.48, 1.0\]: "
+            r"\[0.41\d*, 0.46\d*\]$")):
+        run_ilc(cfg)
+    assert holds == ["park", "park"]
 
 
 def test_run_ilc_learns(short_run):
