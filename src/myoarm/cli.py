@@ -385,7 +385,7 @@ def main(argv=None) -> int:
                 continue
             try:
                 cfg = replace(cfg, **{name: value})
-            except ValueError as exc:   # e.g. --preset against [controller]
+            except ValueError as exc:   # e.g. --seed -1
                 raise ConfigError(f"--{name}: {exc}") from exc
         return dispatch(args.command, cfg)
     except ConfigError as exc:

@@ -226,21 +226,35 @@ def parse_config(text: str, env=None) -> ExperimentConfig:
     """
     values, sources = _read_sections(text)
     _apply_env(values, sources, os.environ if env is None else env)
+
+    def build(drop):
+        """The config of the defaults and every override but ``drop``."""
+        return _unflatten({
+            section: {**defaults, **{key: value
+                                     for key, value in values[section].items()
+                                     if (section, key) != drop}}
+            for section, defaults in _DEFAULTS.items()})
+
     try:
-        return _unflatten({section: {**defaults, **values[section]}
-                           for section, defaults in _DEFAULTS.items()})
+        return build(None)
     except ValueError as exc:
-        # Name the source: add the overrides to the defaults one at a time
-        # and report the first whose addition fails.
-        trial = {section: dict(defaults)
-                 for section, defaults in _DEFAULTS.items()}
-        for (section, key), (where, line) in sources.items():
-            trial[section][key] = values[section][key]
+        # Name the source of the full config's message: the last override
+        # whose removal lets the config build, else the last whose removal
+        # changes the message, else none.
+        blamed = None
+        for source in reversed(sources):
             try:
-                _unflatten(trial)
-            except ValueError as first:
-                raise ConfigError(f"{where}: {first}", line) from first
-        raise ConfigError(str(exc)) from exc
+                build(source)
+            except ValueError as other:
+                if blamed is None and str(other) != str(exc):
+                    blamed = source
+            else:
+                blamed = source
+                break
+        if blamed is None:
+            raise ConfigError(str(exc)) from exc
+        where, line = sources[blamed]
+        raise ConfigError(f"{where}: {exc}", line) from exc
 
 
 def load_config(path, env=None) -> ExperimentConfig:

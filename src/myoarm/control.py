@@ -6,8 +6,8 @@ mechanisms cooperate:
 
 * a compact-form dynamic linearization: output increments are modeled as
   dy(t+1) = Phi(t) du_b(t), with the partitioned Jacobian matrix (PJM)
-  Phi estimated online by a normalized projection step with a box/sign
-  reset (``_project_pjm``);
+  Phi, a diagonal matrix, estimated online by a normalized projection step
+  with a box/sign reset (``_project_pjm``);
 * a time-axis feedback gain matrix updated by gradient descent on a
   tracking-plus-input-energy cost (``_descend_gain``), producing the
   feedback component u_b = Xi . stacked error increments (``_feedback``);
@@ -20,21 +20,21 @@ a measured command-to-output sensitivity matrix (one step-perturbation probe
 per channel) and gamma = diag_floor * sqrt(diag_span). In these coordinates
 the true sensitivity is approximately gamma * identity, which places the PJM
 diagonal inside the prescribed [diag_floor, diag_span*diag_floor] box and
-keeps cross terms small — exactly the regime the estimator's reset mechanism
-assumes. The feedforward gain acts in physical units as
+leaves cross terms small. The feedforward gain acts in physical units as
 feedforward_scale * pinv(S).
 
-The PJM estimate starts every trial at gamma * identity, so its
-off-diagonal elements start at 0. The sign rule restores an element whose
-sign differs from its trial-start value, and sign(0) = 0, so every nonzero
-off-diagonal update is reset to 0: the estimate stays diagonal and
-``offdiag_cap`` never binds in the controller.
+The PJM estimate is diagonal: it starts every trial at gamma * identity, and
+the controller holds and updates only its m diagonal elements, leaving the
+coupling between channels to the sensitivity transform above. (Under the
+sign rule an off-diagonal element starting at 0 would be reset to 0 by
+every update, as sign(0) = 0.)
 
 The per-tick law runs on the controller state held as Python lists of
-floats (row-major matrices), through the list kernels below, the one
-implementation of each equation; ``estimate_pjm`` wraps the PJM kernel for
-numpy callers. For vectors of a few elements this is several times cheaper
-than numpy calls, and the result does not depend on the BLAS build.
+floats (row-major matrices, the PJM as its diagonal), through the list
+kernels below, the one implementation of each equation; ``estimate_pjm``
+wraps the PJM kernel for numpy callers. For vectors of a few elements this
+is several times cheaper than numpy calls, and the result does not depend
+on the BLAS build.
 
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
@@ -70,9 +70,9 @@ class DdilcParams:
     estimator_step in (0,1] and estimator_weight > 0 normalize the PJM
     projection update; feedforward_scale scales the iteration-axis learning
     gain (as a fraction of the inverse sensitivity); error_window is the
-    number of stacked error increments the feedback acts on; offdiag_cap,
-    diag_floor, diag_span define the PJM element boxes (off-diagonals within
-    +/-offdiag_cap, diagonals within [diag_floor, diag_span*diag_floor]).
+    number of stacked error increments the feedback acts on; diag_floor and
+    diag_span define the box of each (diagonal) PJM element, whose magnitude
+    stays within [diag_floor, diag_span*diag_floor].
     u_min and u_max bound every drive the controller emits, inside the
     plant's domain: 0 <= u_min < u_max <= 1, so the harness's clip to [0, 1]
     leaves the controller's drives unchanged and the PJM learns from the
@@ -85,7 +85,6 @@ class DdilcParams:
     estimator_weight: float = 1.0   # projection regularizer, > 0
     feedforward_scale: float = 0.3  # fraction of inverse sensitivity
     error_window: int = 1           # n_e, >= 1
-    offdiag_cap: float = 0.1        # c1
     diag_floor: float = 10.0        # c2
     diag_span: float = 2.0          # a, diagonal box is [c2, a*c2]
     u_min: float = 0.0
@@ -95,7 +94,7 @@ class DdilcParams:
         if not 0.0 < self.estimator_step <= 1.0:
             raise ValueError("estimator_step must lie in (0, 1]")
         for name in ("gain_step", "energy_weight", "estimator_weight",
-                     "feedforward_scale", "offdiag_cap", "diag_floor"):
+                     "feedforward_scale", "diag_floor"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"DdilcParams.{name} must be > 0")
         if self.diag_span < 1.0:
@@ -105,14 +104,6 @@ class DdilcParams:
         if not 0.0 <= self.u_min < self.u_max <= 1.0:
             raise ValueError("DdilcParams.u_min and u_max must satisfy "
                              "0 <= u_min < u_max <= 1")
-
-    def check_dimension(self, m: int) -> None:
-        """Well-posedness of the element boxes for an m-channel controller."""
-        need = self.offdiag_cap * (2.0 * self.diag_span + 1.0) * (m - 1)
-        if not self.diag_floor > need:
-            raise ValueError(
-                f"diag_floor={self.diag_floor} must exceed "
-                f"offdiag_cap*(2*diag_span+1)*(m-1)={need} for m={m}")
 
     def check_rest_drive(self, rest_drive) -> None:
         """``ValueError`` giving the drives and the bounds unless every rest
@@ -141,15 +132,15 @@ class DdilcParams:
 class DdilcCounts:
     """How often one iteration's learning law hit its bounds."""
 
-    pjm_diag_resets: int = 0     # PJM diagonal elements reset by the box/sign rule
-    pjm_offdiag_resets: int = 0  # PJM off-diagonal elements reset likewise
-    xi_clips: int = 0            # feedback-gain entries clipped at +/-xi_cap
-    ff_clips: int = 0            # feedforward entries clipped by the anti-windup bound
+    pjm_diag_resets: int = 0    # PJM diagonal elements reset by the box/sign rule
+    xi_clips: int = 0           # feedback-gain entries clipped at +/-xi_cap
+    ff_clips: int = 0           # feedforward entries clipped by the anti-windup bound
 
 
 @dataclass
 class PjmEstimate:
-    """Current PJM estimate plus the trial-start reference it resets to."""
+    """Current PJM estimate plus the trial-start reference it resets to, as
+    (m, m) arrays whose off-diagonal elements are 0."""
 
     phi_hat: np.ndarray
     phi_init: np.ndarray
@@ -159,32 +150,25 @@ class PjmEstimate:
 # list kernels: one implementation of each per-tick equation
 # ---------------------------------------------------------------------------
 
-def _project_pjm(phi: list, phi_init: list, dy, du, params: DdilcParams) -> tuple[int, int]:
-    """Projection update of the rows ``phi`` in place, then the reset pass.
+def _project_pjm(phi: list, phi0: list, dy, du, params: DdilcParams) -> int:
+    """Projection update of the diagonal ``phi`` in place, then the reset pass.
 
-    Returns the number of (diagonal, off-diagonal) elements reset. Signs
-    compare as ``np.sign`` does, sign(0) = 0 included; a NaN fails its box
-    test and is reset.
+    Returns the number of elements reset to ``phi0``. Signs compare as
+    ``np.sign`` does, sign(0) = 0 included; a NaN fails its box test and is
+    reset.
     """
     step = params.estimator_step
     denom = params.estimator_weight + sum(map(mul, du, du))
     lo, hi = params.diag_floor, params.diag_span * params.diag_floor
-    cap = params.offdiag_cap
-    n_diag = n_off = 0
-    for i, (row, row0) in enumerate(zip(phi, phi_init)):
-        g = dy[i] - sum(map(mul, row, du))
-        for j, d in enumerate(du):
-            v = row[j] + step * (g * d) / denom
-            v0 = row0[j]
-            if (not (lo <= abs(v) <= hi if i == j else abs(v) <= cap)
-                    or (v > 0.0) != (v0 > 0.0) or (v < 0.0) != (v0 < 0.0)):
-                v = v0
-                if i == j:
-                    n_diag += 1
-                else:
-                    n_off += 1
-            row[j] = v
-    return n_diag, n_off
+    resets = 0
+    for i, (p, p0, y, d) in enumerate(zip(phi, phi0, dy, du)):
+        v = p + step * ((y - p * d) * d) / denom
+        if (not lo <= abs(v) <= hi
+                or (v > 0.0) != (p0 > 0.0) or (v < 0.0) != (p0 < 0.0)):
+            v = p0
+            resets += 1
+        phi[i] = v
+    return resets
 
 
 def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
@@ -192,15 +176,17 @@ def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
     """Gradient step on the rows ``xi`` in place, then saturation at +/-cap.
 
     xi <- xi - xi * eta * lambda * (dE_t dE_t^T) + eta * phi^T e_t dE_{t+1}^T,
-    with the output sensitivity replaced by the PJM estimate. The decay term xi (c s_t s_t^T) is applied as (xi s_t)(c s_t^T), which
-    costs one pass per row. Returns the number of entries clipped.
+    with the output sensitivity replaced by the diagonal PJM estimate
+    ``phi``. The decay term xi (c s_t s_t^T) is applied as
+    (xi s_t)(c s_t^T), which costs one pass per row. Returns the number of
+    entries clipped.
     """
     eta = params.gain_step
     decay = [eta * params.energy_weight * s for s in s_t]
     clipped = 0
-    for row, col in zip(xi, zip(*phi)):
+    for row, p, e in zip(xi, phi, e_t):
         r = sum(map(mul, row, s_t))
-        a = eta * sum(map(mul, col, e_t))       # eta (phi^T e_t)_i
+        a = eta * (p * e)                       # eta (phi^T e_t)_i
         for k, (dk, sk) in enumerate(zip(decay, s_next)):
             v = row[k] - r * dk + a * sk
             if v > cap:
@@ -214,8 +200,9 @@ def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
 
 
 def _predict(y_d_next, y_t, phi: list, du) -> list[float]:
-    """One-step-ahead error prediction from the linearized data model."""
-    return [a - b - sum(map(mul, row, du)) for a, b, row in zip(y_d_next, y_t, phi)]
+    """One-step-ahead error prediction from the linearized data model, with
+    the diagonal PJM ``phi``."""
+    return [a - b - p * d for a, b, p, d in zip(y_d_next, y_t, phi, du)]
 
 
 def _feedback(xi: list, stack) -> list[float]:
@@ -240,15 +227,21 @@ def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
                  params: DdilcParams) -> PjmEstimate:
     """Normalized projection update of the PJM followed by the reset pass.
 
-    phi += step * (dy - phi du_b) du_b^T / (weight + ||du_b||^2); elements
-    leaving their box or flipping sign (sign(0) = 0 counts as a sign) are
-    restored to the trial-start value. From the controller's diagonal start
-    every nonzero off-diagonal update is therefore restored to 0. A numpy
-    wrapper of the controller's kernel, for estimating a PJM outside a trial.
+    phi += step * (dy - phi du_b) du_b^T / (weight + ||du_b||^2) on the
+    diagonal; elements leaving their box or flipping sign (sign(0) = 0 counts
+    as a sign) are restored to the trial-start value. A numpy wrapper of the
+    controller's kernel, for estimating a PJM outside a trial; an estimate
+    with a nonzero off-diagonal element raises ``ValueError``.
     """
-    phi = _floats(est.phi_hat)
-    _project_pjm(phi, _floats(est.phi_init), _floats(dy), _floats(du_b), params)
-    return PjmEstimate(np.array(phi), est.phi_init)
+    phi, phi0 = (np.asarray(a, dtype=float) for a in (est.phi_hat, est.phi_init))
+    for a in (phi, phi0):
+        if np.count_nonzero(a[~np.eye(*a.shape, dtype=bool)]):
+            raise ValueError("estimate_pjm: the PJM is diagonal, but an "
+                             "off-diagonal element is nonzero")
+    diag = np.diagonal(phi).tolist()
+    _project_pjm(diag, np.diagonal(phi0).tolist(), _floats(dy), _floats(du_b),
+                 params)
+    return PjmEstimate(np.diag(diag), est.phi_init)
 
 
 def pair_drive_to_excitations(model, drive) -> list[float]:
@@ -291,7 +284,6 @@ class DdilcController:
                  response_lag_ticks: float, rest_drive: np.ndarray):
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
-        params.check_dimension(self.m)
         if response_lag_ticks < 0.0:
             raise ValueError("response_lag_ticks must be >= 0")
         self.params = params
@@ -308,8 +300,7 @@ class DdilcController:
         # lag (in control ticks) so the learning inverts gain and phase
         self.beta_deriv = response_lag_ticks * self.beta
         n_e = params.error_window
-        self._phi_init = self.gamma * np.eye(self.m)
-        self._phi0 = self._phi_init.tolist()
+        self._phi0 = [self.gamma] * self.m
         self._xi_cap = params.xi_cap(self.m, n_e)
         self._xi = rng.uniform(-0.5 * self._xi_cap, 0.5 * self._xi_cap,
                                size=(self.m, self.m * n_e)).tolist()
@@ -326,7 +317,7 @@ class DdilcController:
     @property
     def est(self) -> PjmEstimate:
         """The live PJM estimate, as arrays."""
-        return PjmEstimate(np.array(self._phi), self._phi_init)
+        return PjmEstimate(np.diag(self._phi), np.diag(self._phi0))
 
     @property
     def xi_hat(self) -> np.ndarray:
@@ -337,7 +328,7 @@ class DdilcController:
 
     def _start_trial(self) -> None:
         zeros = [0.0] * self.m
-        self._phi = [row[:] for row in self._phi0]
+        self._phi = self._phi0[:]
         self._window = [zeros] * self.params.error_window
         self._y_prev = None
         self._e_prev = zeros
@@ -389,11 +380,9 @@ class DdilcController:
         # plant actually received (post-saturation), keeping every internal
         # signal bounded even when the raw feedback saturates.
         if self._y_prev is not None:
-            n_diag, n_off = _project_pjm(
+            self.counts.pjm_diag_resets += _project_pjm(
                 phi, self._phi0,
                 [a - b for a, b in zip(y_t, self._y_prev)], du_prev, params)
-            self.counts.pjm_diag_resets += n_diag
-            self.counts.pjm_offdiag_resets += n_off
             self._window = [[a - b for a, b in zip(e_t, self._e_prev)]] \
                 + self._window[:-1]
         e_next_hat = _predict([sum(map(mul, row, y_d_next)) for row in rows],

@@ -686,7 +686,7 @@ class RunSummary:
     Each per-iteration list is named after the field it records: of the
     trial's ``TrialMetrics`` (``samples`` is not kept), of its ``TrialLog``
     (``diverged_at``, ``diverged_reason``) or of the iteration's
-    ``DdilcCounts`` (the four count lists). ``ff_shrink_iterations`` holds
+    ``DdilcCounts`` (the three count lists). ``ff_shrink_iterations`` holds
     the iterations after which the feedforward shrank.
     """
 
@@ -702,7 +702,6 @@ class RunSummary:
     diverged_reason: list[str | None] = field(default_factory=list)
     ff_shrink_iterations: list[int] = field(default_factory=list)
     pjm_diag_resets: list[int] = field(default_factory=list)
-    pjm_offdiag_resets: list[int] = field(default_factory=list)
     xi_clips: list[int] = field(default_factory=list)
     ff_clips: list[int] = field(default_factory=list)
 
@@ -725,8 +724,7 @@ class ExperimentConfig:
     run itself checks them with. The rules owned here: ``iterations``,
     ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
     is non-negative; no two ``sweep_fractions`` share a ``sweep_condition``
-    directory; and the controller's element boxes suit the arm's joint
-    count.
+    directory; and the preset and the muscle overrides build an arm.
     """
 
     preset: str = "planar2x4"
@@ -772,7 +770,7 @@ class ExperimentConfig:
                         f"ExperimentConfig.sweep_fractions {g!r} and {f!r} "
                         f"share the output directory {sweep_condition(f)}")
         # building the arm also bounds-checks the muscle overrides
-        self.controller.check_dimension(self.model.n_joints)
+        self.model
 
     @property
     def model(self) -> ArmModel:

@@ -199,7 +199,7 @@ def test_criterion_04_dynamics_oracles():
 
 def test_criterion_05_estimator_converges_on_scalar_plant():
     start = time.perf_counter()
-    params = DdilcParams(diag_floor=1.0, diag_span=2.0, offdiag_cap=0.1)
+    params = DdilcParams(diag_floor=1.0, diag_span=2.0)
     gain_true = 1.5                      # inside the [1.0, 2.0] element box
     est = PjmEstimate(np.array([[1.0]]), np.array([[1.0]]))
     rng = np.random.default_rng(0)

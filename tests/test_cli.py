@@ -476,12 +476,11 @@ def test_controller_counts_reach_run_summary(tmp_path, command, key):
     assert run(tmp_path, command, "--config", tiny_config(tmp_path)) == 0
     summary = read_summary(tmp_path, command)
     summary = summary if key is None else summary[key]
-    for name in ("pjm_diag_resets", "pjm_offdiag_resets", "xi_clips", "ff_clips"):
+    for name in ("pjm_diag_resets", "xi_clips", "ff_clips"):
         assert len(summary[name]) == 2
         assert all(type(n) is int and n >= 0 for n in summary[name])
-    # the PJM starts diagonal, and the sign rule resets every off-diagonal
-    # update to 0 (see the control module docstring)
-    assert min(summary["pjm_offdiag_resets"]) > 0
+    # the PJM is diagonal, so no off-diagonal count is kept
+    assert "pjm_offdiag_resets" not in summary
 
 
 def test_lowpass_reports_attenuation_gap(tmp_path):
@@ -521,6 +520,8 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[controller]\nu_max = 1.2\n", "line 2: [controller] u_max: "),
     # keys with one value in use, now constants
     ("[controller]\nrest_command = 0.5\n", "line 2: unknown key 'rest_command'"),
+    # the PJM is diagonal, so no off-diagonal cap remains to set
+    ("[controller]\noffdiag_cap = 0.1\n", "line 2: unknown key 'offdiag_cap'"),
     ("[trajectory]\nkind = sine\n", "line 2: unknown key 'kind'"),
     # the park servos in whole seconds, so 3.5 used to park for 3
     ("[experiment]\nsettle_time = 3.5\n", "line 2: [experiment] settle_time: "),
@@ -552,11 +553,6 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[trajectory]\nduration = 0.0004\n",
      "line 2: [trajectory] duration: ExperimentConfig.trajectory.duration of "
      "0.0004 s rounds to no tick of dt = 0.001 s"),
-    # element boxes that cannot hold for the preset's joint count
-    ("[controller]\noffdiag_cap = 3\n",
-     "line 2: [controller] offdiag_cap: diag_floor=10.0 must exceed "),
-    ("[experiment]\npreset = spatial-ltdm\n[controller]\noffdiag_cap = 0.4\n",
-     "line 4: [controller] offdiag_cap: diag_floor=10.0 must exceed "),
 ])
 def test_config_key_exits_2_naming_the_line(tmp_path, capsys, text, start):
     cfg = tmp_path / "bad.ini"
@@ -589,12 +585,12 @@ def test_simulate_rejects_decimation_before_parking(tmp_path, capsys, monkeypatc
     config = tiny_config(tmp_path, extra="control_decimation = 3")
     assert run(tmp_path, "simulate", "--config", config) == 2
     err = json.loads(capsys.readouterr().err)["error"]
-    # named where the file first fails, read top down: [trajectory]
-    # duration = 1.0 comes later, so the 8 s default chord is the one counted
+    # the full config's message: [trajectory] duration = 1.0 comes later in
+    # the file, and the run's 1 s chord is the one counted
     assert err == {"type": "ConfigError",
                    "message": "line 6: [experiment] control_decimation: "
                               "ExperimentConfig.control_decimation 3 must "
-                              "divide the 8000 trajectory ticks"}
+                              "divide the 1000 trajectory ticks"}
 
 
 def test_negative_seed_flag_exits_2_before_parking(tmp_path, capsys, monkeypatch):
@@ -679,19 +675,6 @@ def test_preset_flag_overrides_config(tmp_path):
     assert run(tmp_path, "curves", "--preset", "spatial_ltdm") == 0
     ini = (tmp_path / "runs" / "curves" / "config.ini").read_text()
     assert "preset = spatial-ltdm\n" in ini
-
-
-def test_preset_flag_that_invalidates_the_config_exits_2(tmp_path, capsys):
-    # offdiag_cap 0.4 suits planar2x4's 2 joints but not spatial-ltdm's 7
-    cfg = tmp_path / "exp.ini"
-    cfg.write_text("[controller]\noffdiag_cap = 0.4\n", encoding="utf-8")
-    assert run(tmp_path, "curves", "--config", str(cfg)) == 0
-    capsys.readouterr()
-    assert run(tmp_path, "curves", "--config", str(cfg),
-               "--preset", "spatial-ltdm") == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "ConfigError"
-    assert err["message"].startswith("--preset: diag_floor=10.0 must exceed ")
 
 
 def test_env_overrides_file_and_flag_beats_env(tmp_path, monkeypatch):

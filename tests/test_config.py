@@ -248,10 +248,33 @@ def test_out_of_range_file_value_names_its_line():
     assert str(err.value) == ("line 2: [experiment] iterations: "
                               "ExperimentConfig.iterations must be >= 1")
     assert err.value.line == 2
-    # the first failing key is named, after valid keys of other sections
+    # the failing key is named, after valid keys of other sections
     with pytest.raises(ConfigError, match=r"^line 5: \[pid\] kp: ") as err:
         parse("[experiment]\nseed = 4\n\n[pid]\nkp = -1\n")
     assert err.value.line == 5
+
+
+def test_error_is_the_full_configs_named_by_the_key_that_breaks_it():
+    # probe_hold = 0.0004 s rounds to no tick of the default dt, but to 4 of
+    # the file's dt: the full config fails on iterations alone, and removing
+    # that key is what lets it build
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\nprobe_hold = 0.0004\ndt = 0.0001\niterations = 0\n")
+    assert str(err.value) == ("line 4: [experiment] iterations: "
+                              "ExperimentConfig.iterations must be >= 1")
+    # either removal builds it: the later key is named
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\ncontrol_decimation = 16\n"
+              "[trajectory]\nduration = 1.0\n")
+    assert str(err.value) == ("line 4: [trajectory] duration: "
+                              "ExperimentConfig.control_decimation 16 must "
+                              "divide the 1000 trajectory ticks")
+    # no single removal builds it: the last key whose removal changes the
+    # message is named
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\niterations = 0\nseed = -1\n")
+    assert str(err.value) == ("line 2: [experiment] iterations: "
+                              "ExperimentConfig.iterations must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +349,6 @@ estimator_step = 1.0
 estimator_weight = 1.0
 feedforward_scale = 0.3
 error_window = 1
-offdiag_cap = 0.1
 diag_floor = 10.0
 diag_span = 2.0
 u_min = 0.0
@@ -361,22 +383,14 @@ _MUSCLE_DEFAULTS = {f.name: f.default for f in fields(MuscleParams)}
 
 
 @st.composite
-def _controllers(draw, n_joints):
-    u_min = draw(_floats(0.0, 0.4))
-    u_max = draw(_floats(0.6, 1.0))
-    diag_floor = draw(_POSITIVE)
-    diag_span = draw(_floats(1.0, 10.0))
-    # DdilcParams.check_dimension: diag_floor must exceed
-    # offdiag_cap*(2*diag_span+1)*(n_joints-1)
-    offdiag_cap = (draw(_floats(0.01, 0.99)) * diag_floor
-                   / ((2.0 * diag_span + 1.0) * (n_joints - 1)))
+def _controllers(draw):
     return DdilcParams(
         gain_step=draw(_POSITIVE), energy_weight=draw(_POSITIVE),
         estimator_step=draw(_floats(0.0, 1.0, exclude_min=True)),
         estimator_weight=draw(_POSITIVE), feedforward_scale=draw(_POSITIVE),
-        error_window=draw(st.integers(1, 8)), offdiag_cap=offdiag_cap,
-        diag_floor=diag_floor, diag_span=diag_span,
-        u_min=u_min, u_max=u_max)
+        error_window=draw(st.integers(1, 8)), diag_floor=draw(_POSITIVE),
+        diag_span=draw(_floats(1.0, 10.0)),
+        u_min=draw(_floats(0.0, 0.4)), u_max=draw(_floats(0.6, 1.0)))
 
 
 # every field scaled by a factor near 1 stays inside MuscleParams' bounds
@@ -425,7 +439,7 @@ def _configs(draw):
         sweep_fractions=st.lists(_FRACTION, min_size=1, max_size=6,
                                  unique_by=sweep_condition).map(tuple),
         trajectory=_trajectories(durations),
-        controller=_controllers(PRESETS[preset]().n_joints),
+        controller=_controllers(),
         muscle_overrides=_muscle_overrides,
         disturbance=st.builds(DisturbanceSpec, load_fraction=_FRACTION,
                               noise_amplitude=_floats(0.0, 1.0),

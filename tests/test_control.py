@@ -28,7 +28,7 @@ from myoarm.presets import planar2x4, spatial_ltdm
 
 
 def scalar_params(**kw):
-    defaults = dict(diag_floor=1.0, diag_span=2.0, offdiag_cap=0.1)
+    defaults = dict(diag_floor=1.0, diag_span=2.0)
     defaults.update(kw)
     return DdilcParams(**defaults)
 
@@ -40,7 +40,7 @@ def scalar_estimate(phi=1.0, init=1.0):
 def descend_scalar_gain(xi, phi, e_t, s_t, s_next, params):
     """The gain kernel on 1 x 1 lists; returns (new gain, entries clipped)."""
     rows = [[float(xi)]]
-    clipped = _descend_gain(rows, [[float(phi)]], [e_t], [s_t], [s_next], params,
+    clipped = _descend_gain(rows, [float(phi)], [e_t], [s_t], [s_next], params,
                             params.xi_cap(1, 1))
     return rows[0][0], clipped
 
@@ -77,32 +77,39 @@ def test_estimate_pjm_reset_restores_out_of_box_diagonal():
 
 
 def test_project_pjm_counts_resets_by_kind():
-    # innovations -11 and 0.3 over a denominator of 3: (0, 0) leaves its box
-    # and (0, 1) its cap; (1, 0) moves off its zero start, which the sign
-    # rule restores; (1, 1) moves to 1.4 and stays
-    params = DdilcParams(diag_floor=1.0, diag_span=2.0, offdiag_cap=0.1)
-    phi0 = [[1.05, 0.05], [0.0, 1.5]]
-    phi = [row[:] for row in phi0]
-    assert _project_pjm(phi, phi0, [-10.0, -1.2], [1.0, -1.0], params) == (1, 2)
-    assert phi[0] == phi0[0] and phi[1][0] == 0.0
-    assert phi[1][1] == pytest.approx(1.4, abs=1e-15)
+    # innovations -3.05, 12 and -0.4 over a denominator of 4: element 0 leaves
+    # its box; element 1 lands on -1.5, inside its box, but flips sign; both
+    # are restored to their trial-start values; element 2 moves to 1.4 and
+    # stays
+    phi0 = [1.5, 1.5, 1.5]
+    phi = [1.05, 1.5, 1.5]
+    assert _project_pjm(phi, phi0, [-2.0, 10.5, 1.1], [1.0, -1.0, 1.0],
+                        scalar_params()) == 2
+    assert phi[:2] == phi0[:2]
+    assert phi[2] == pytest.approx(1.4, abs=1e-15)
 
 
 def test_estimate_pjm_reset_preserves_signs_and_boxes():
-    params = DdilcParams(diag_floor=1.0, diag_span=2.0, offdiag_cap=0.1)
-    init = np.array([[1.4, 0.05], [-0.05, -1.4]])
+    init = np.diag([1.4, -1.4])
     est = PjmEstimate(init.copy(), init.copy())
     rng = np.random.default_rng(5)
     for _ in range(200):
         est = estimate_pjm(est, rng.normal(scale=3.0, size=2),
-                           rng.normal(scale=1.0, size=2), params)
+                           rng.normal(scale=1.0, size=2), scalar_params())
         phi = est.phi_hat
         for i in range(2):
             assert 1.0 <= abs(phi[i, i]) <= 2.0
             assert np.sign(phi[i, i]) == np.sign(init[i, i])
-            j = 1 - i
-            assert abs(phi[i, j]) <= 0.1
-            assert np.sign(phi[i, j]) == np.sign(init[i, j])
+            assert phi[i, 1 - i] == 0.0
+
+
+@pytest.mark.parametrize("which", ["phi_hat", "phi_init"])
+def test_estimate_pjm_rejects_an_off_diagonal_element(which):
+    arrays = {"phi_hat": np.diag([1.4, 1.4]), "phi_init": np.diag([1.4, 1.4])}
+    arrays[which][1, 0] = 0.05
+    with pytest.raises(ValueError, match="off-diagonal element is nonzero"):
+        estimate_pjm(PjmEstimate(**arrays), np.zeros(2), np.ones(2),
+                     scalar_params())
 
 
 def test_estimator_converges_on_scalar_lti_plant():
@@ -163,14 +170,14 @@ def test_update_feedback_gain_saturates():
 # ---------------------------------------------------------------------------
 
 def test_predict_error_scalar_hand_value():
-    e = _predict([1.0], [0.8], [[2.0]], [0.05])
+    e = _predict([1.0], [0.8], [2.0], [0.05])
     assert e[0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_predict_error_zero_feedback_increment():
-    e = _predict([1.0], [0.8], [[2.0]], [0.0])
+    e = _predict([1.0], [0.8], [2.0], [0.0])
     assert e[0] == pytest.approx(0.2)
-    e = _predict([0.8], [0.8], [[2.0]], [0.0])
+    e = _predict([0.8], [0.8], [2.0], [0.0])
     assert e[0] == 0.0
 
 
@@ -253,15 +260,6 @@ def test_drive_bounds_must_lie_in_the_plant_domain(u_min, u_max):
     # again, and the PJM learned from increments the plant never received
     with pytest.raises(ValueError, match=r"0 <= u_min < u_max <= 1"):
         DdilcParams(u_min=u_min, u_max=u_max)
-
-
-def test_params_dimension_check():
-    # diag_floor must exceed offdiag_cap*(2*diag_span+1)*(m-1)
-    p = DdilcParams(offdiag_cap=1.0, diag_floor=1.0, diag_span=2.0)
-    p.check_dimension(1)  # m=1 always fine
-    with pytest.raises(ValueError, match="diag_floor"):
-        p.check_dimension(2)
-    DdilcParams().check_dimension(19)  # defaults sized for m <= 19
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +388,7 @@ def test_shrink_feedforward_halves_gain_and_clears_table():
 class _NumpyDdilc:
     """The controller's law as it was written with numpy calls, kept as the
     reference for the list kernels, with the reset and clip counts added.
+    Its PJM ``phi`` is the vector of the diagonal.
 
     It copies the constants and the current gains and table of ``ctl``.
     """
@@ -400,7 +399,7 @@ class _NumpyDdilc:
         self.transform = ctl.transform
         self.rest = ctl.rest_drive
         self.beta, self.beta_deriv = ctl.beta, ctl.beta_deriv
-        self.phi_init = ctl.est.phi_init
+        self.phi_init = np.diagonal(ctl.est.phi_init).copy()
         self.xi = ctl.xi_hat
         self.u_ff = ctl.u_ff.copy()
         self.e_prev = np.zeros((ctl.horizon + 1, ctl.y_dim))
@@ -444,27 +443,22 @@ class _NumpyDdilc:
         if self.y_prev is not None:
             dy, du = y_t - self.y_prev, self.du_prev
             denom = p.estimator_weight + float(du @ du)
-            innovation = dy - self.phi @ du
-            self.phi_raw = self.phi + p.estimator_step * np.outer(innovation, du) / denom
-            self.phi = self.phi_raw.copy()
+            innovation = dy - self.phi * du
+            self.phi_raw = self.phi + p.estimator_step * innovation * du / denom
             lo, hi = p.diag_floor, p.diag_span * p.diag_floor
-            for (i, j), v in np.ndenumerate(self.phi_raw):
-                v0 = self.phi_init[i, j]
-                bad = not (lo <= abs(v) <= hi) if i == j else abs(v) > p.offdiag_cap
-                if bad or np.sign(v) != np.sign(v0):
-                    self.phi[i, j] = v0
-                    if i == j:
-                        self.counts.pjm_diag_resets += 1
-                    else:
-                        self.counts.pjm_offdiag_resets += 1
+            v = self.phi_raw
+            reset = (~((lo <= np.abs(v)) & (np.abs(v) <= hi))
+                     | (np.sign(v) != np.sign(self.phi_init)))
+            self.counts.pjm_diag_resets += int(np.count_nonzero(reset))
+            self.phi = np.where(reset, self.phi_init, self.phi_raw)
             self.window[1:] = self.window[:-1]
             self.window[0] = e_t - self.e_last
         e_next_hat = (self.transform @ np.asarray(y_d_next, dtype=float) - y_t
-                      - self.phi @ self.du_prev)
+                      - self.phi * self.du_prev)
         stack = np.concatenate([[e_next_hat - e_t], self.window[:-1]], axis=0).ravel()
         eta = p.gain_step
         decay = eta * p.energy_weight * np.outer(self.stack_prev, self.stack_prev)
-        gain_drive = eta * np.outer(self.phi.T @ e_t, stack)
+        gain_drive = eta * np.outer(self.phi * e_t, stack)
         self.xi_raw = self.xi - self.xi @ decay + gain_drive
         m = self.xi.shape[0]
         cap = p.xi_cap(m, self.xi.shape[1] // m)
@@ -496,13 +490,13 @@ def _step_error_scales(ref, y, y_d_next, t):
     phi = a(ref.phi)
     if ref.y_prev is not None:
         dy = ty + a(ref.y_prev)
-        phi = phi + p.estimator_step * np.outer(dy + phi @ du, du) / (
+        phi = phi + p.estimator_step * (dy + phi * du) * du / (
             p.estimator_weight + float(du @ du))
     older = max(float(np.max(ty + a(ref.e_last))), float(np.max(a(ref.window))))
-    stack = np.concatenate([ty + phi @ du + ty, np.full(m * (n_e - 1), older)])
+    stack = np.concatenate([ty + phi * du + ty, np.full(m * (n_e - 1), older)])
     s_prev = a(ref.stack_prev)
     decay = p.gain_step * p.energy_weight * np.outer(s_prev, s_prev)
-    xi = a(ref.xi) + a(ref.xi) @ decay + p.gain_step * np.outer(phi.T @ ty, stack)
+    xi = a(ref.xi) + a(ref.xi) @ decay + p.gain_step * np.outer(phi * ty, stack)
     drive = a(ref.rest) + xi @ stack + a(ref.u_ff[t])
     return phi, xi, drive
 
@@ -521,12 +515,10 @@ def _load_state(ctl, ref, rng, first):
     n_e = p.error_window
     lo, hi, cap = p.diag_floor, p.diag_span * p.diag_floor, p.xi_cap(m, n_e)
     diag = rng.uniform(lo, hi, m) if rng.random() < 0.5 else rng.uniform(-2 * hi, 2 * hi, m)
-    off = rng.choice([0.0, 0.5, 2.0]) * p.offdiag_cap * rng.uniform(-1, 1, (m, m))
-    off *= (rng.random((m, m)) < 0.5) & ~np.eye(m, dtype=bool)
     shape = (m, m * n_e)
     near = cap * rng.choice([-1.0, 1.0], shape) * rng.uniform(0.98, 1.02, shape)
     size = 10.0 ** rng.uniform(-4, 0)          # of the increments
-    ref.phi = np.diag(diag) + off
+    ref.phi = diag
     ref.xi = np.where(rng.random(shape) < 0.5, near, rng.uniform(-cap, cap, shape))
     ref.window = size * rng.normal(size=(n_e, m))
     ref.y_d_t = rng.uniform(-0.5, 0.5, y_dim)
@@ -562,18 +554,15 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
     tol = 128.0 * EPS
     s_phi, s_xi, s_drive = (tol * s for s in _step_error_scales(ref, y, y_d_next, t))
     want = ref.step(t, y, y_d_next)
-    # a reset or clip decision may differ only within rounding of its edge;
-    # an off-diagonal's edges are its cap and, for the sign test, zero
+    # a reset or clip decision may differ only within rounding of its edge
     if ref.phi_raw is not None:
         v = np.abs(ref.phi_raw)
         lo, hi = p.diag_floor, p.diag_span * p.diag_floor
-        edge = np.where(np.eye(m, dtype=bool), np.minimum(abs(v - lo), abs(v - hi)),
-                        np.minimum(abs(v - p.offdiag_cap), np.where(v > 0, v, np.inf)))
-        assume(np.all(edge > s_phi))
+        assume(np.all(np.minimum(abs(v - lo), abs(v - hi)) > s_phi))
     assume(np.all(abs(np.abs(ref.xi_raw) - p.xi_cap(m, window)) > s_xi))
     have = np.asarray(ctl.step(t, y.tolist(), y_d_next.tolist()))
     assert asdict(ctl.counts) == asdict(ref.counts)
-    assert np.all(np.abs(ctl.est.phi_hat - ref.phi) <= s_phi)
+    assert np.all(np.abs(ctl.est.phi_hat - np.diag(ref.phi)) <= s_phi)
     assert np.all(np.abs(ctl.xi_hat - ref.xi) <= s_xi)
     assert np.all(np.abs(have - want) <= s_drive)
 
@@ -609,7 +598,7 @@ ALL_COUNTS = set(asdict(DdilcCounts()))
 
 
 @pytest.mark.parametrize("weight, gain, reach, exercised", [
-    (1.0, 1.0, 1.0, {"pjm_offdiag_resets", "xi_clips"}),
+    (1.0, 1.0, 1.0, {"xi_clips"}),
     # a fast estimator on a weak plant leaves the PJM box, and a far target
     # winds the feedforward up against its anti-windup bound
     (1e-3, 0.3, 8.0, ALL_COUNTS),
@@ -626,7 +615,7 @@ def test_lag_plant_counts_match_numpy_reference(weight, gain, reach, exercised):
             np.testing.assert_allclose(ref.step(t, y, y_d_next), drive, rtol=0, atol=1e-12)
         ref.finish_iteration(y_final)
         assert counts == asdict(ref.counts)
-        np.testing.assert_allclose(phi, ref.phi, rtol=1e-12)
+        np.testing.assert_allclose(phi, np.diag(ref.phi), rtol=1e-12)
         np.testing.assert_allclose(xi, ref.xi, rtol=0, atol=1e-14)
         for name, n in counts.items():
             totals[name] += n
@@ -668,5 +657,5 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
     for t, y, y_d_next in steps:
         ref.step(t, y, y_d_next)
     assert not np.array_equal(ref.phi, ref.phi_init)
-    np.testing.assert_allclose(seen["phi"], ref.phi, rtol=1e-12)
+    np.testing.assert_allclose(seen["phi"], np.diag(ref.phi), rtol=1e-12)
     np.testing.assert_allclose(seen["xi"], ref.xi, rtol=0, atol=1e-14)
