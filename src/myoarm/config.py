@@ -1,9 +1,9 @@
 """The INI converter of the run description: parsing, env overrides, echo.
 
 ``harness.ExperimentConfig`` describes a run and validates itself; this
-module only converts between it and sectioned plain text (``configparser``
-INI), and re-exports it with ``sweep_condition``. The sections and keys are
-derived from the dataclasses, not listed by hand:
+module only converts between it and sectioned plain text, and re-exports it
+with ``sweep_condition``. The sections and keys are derived from the
+dataclasses, not listed by hand:
 
 * ``[experiment]`` — the run fields of ``ExperimentConfig`` (preset,
   iterations, repetitions, seed, out, dt, control_decimation, settle_time,
@@ -19,20 +19,28 @@ default value (a tuple default is a list of numbers). ``_flatten`` and
 ``_unflatten`` group the fields into these sections; parsing, environment
 overrides and the echo all go through them.
 
-Every key is optional (an empty file yields the benchmark defaults), unknown
-sections or keys are hard errors carrying the offending line number, and
+The text is read one line at a time. A line first loses its comment, which
+starts at ``#`` or ``;`` at the start of the line or after whitespace. What
+is left is blank, a ``[section]`` header, or a ``key = value`` or
+``key: value`` line split at the first delimiter; anything else is a
+malformed line. A value is one line. Section names and keys ignore case, and
+``[DEFAULT]`` is not special.
+
+Every key is optional (an empty file yields the benchmark defaults). An
+unknown section or key, a section or key given twice in any case, and a key
+outside a section are hard errors carrying the offending line number, and
 values are validated on load so a bad config never reaches a simulation; an
 invalid value is reported with its line or environment variable.
 After the file, environment variables override individual keys using the
 documented prefix scheme ``MYOARM_<SECTION>__<KEY>`` (for example
-``MYOARM_EXPERIMENT__SEED=3`` or ``MYOARM_CONTROLLER__FEEDFORWARD_SCALE=0.2``).
+``MYOARM_EXPERIMENT__SEED=3`` or ``MYOARM_CONTROLLER__FEEDFORWARD_SCALE=0.2``);
+two variables for one key are an error.
 ``serialize_config`` emits a canonical full dump that parses back to an equal
 configuration; every experiment writes that echo next to its artifacts.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 import re
@@ -107,23 +115,6 @@ _SECTIONS: dict[str, dict[str, type]] = {
 }
 
 
-def _find_line(text: str, section: str, key: str | None = None) -> int | None:
-    """Best-effort line number of a section header or of a key inside it."""
-    in_section = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        m = re.match(r"\[([^\]]+)\]", line)
-        if m:
-            if key is None and m.group(1).strip().lower() == section:
-                return lineno
-            in_section = m.group(1).strip().lower() == section
-            continue
-        if key is not None and in_section and re.match(
-                rf"{re.escape(key)}\s*[=:]", line, re.IGNORECASE):
-            return lineno
-    return None
-
-
 def _coerce(where: str, raw: str, typ: type, line: int | None = None):
     """``raw`` as a value of ``typ``; ``where`` names the key in errors."""
     raw = raw.strip()
@@ -158,44 +149,50 @@ def _coerce(where: str, raw: str, typ: type, line: int | None = None):
 _Sources = dict[tuple[str, str], tuple[str, int | None]]
 
 
-def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], _Sources]:
-    parser = configparser.ConfigParser(interpolation=None,
-                                       inline_comment_prefixes=("#", ";"))
-    try:
-        parser.read_string(text)
-    except configparser.MissingSectionHeaderError as exc:
-        raise ConfigError(f"key outside any [section]: {exc.line.strip()!r}",
-                          exc.lineno) from exc
-    except configparser.ParsingError as exc:
-        lineno, content = exc.errors[0]
-        raise ConfigError(f"malformed line {content}", lineno) from exc
-    except configparser.DuplicateOptionError as exc:
-        raise ConfigError(f"duplicate key {exc.option!r} in [{exc.section}]",
-                          exc.lineno) from exc
-    except configparser.DuplicateSectionError as exc:
-        raise ConfigError(f"duplicate section [{exc.section}]",
-                          exc.lineno) from exc
-    except configparser.Error as exc:
-        raise ConfigError(str(exc)) from exc
+# a comment starts at '#' or ';' at the start of a line or after whitespace
+_COMMENT = re.compile(r"(?:^|\s)[#;].*")
+_HEADER = re.compile(r"\[([^\]]*)\]")
+_KEY = re.compile(r"([^=:]+?)\s*[=:](.*)")
 
+
+def _read_sections(text: str) -> tuple[dict[str, dict[str, object]], _Sources]:
     values: dict[str, dict[str, object]] = {name: {} for name in _SECTIONS}
     sources: _Sources = {}
-    for section in parser.sections():
-        name = section.strip().lower()
-        if name not in _SECTIONS:
-            raise ConfigError(
-                f"unknown section [{section}]; expected one of "
-                f"{', '.join(_SECTIONS)}", _find_line(text, name))
-        keys = _SECTIONS[name]
-        for key, raw in parser.items(section):
-            if key not in keys:
+    seen: set[str] = set()
+    name = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _COMMENT.sub("", raw, count=1).strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            header = _HEADER.fullmatch(line)
+            if not header:
+                raise ConfigError(f"malformed line {line!r}", lineno)
+            section = header.group(1).strip()
+            name = section.lower()
+            if name not in _SECTIONS:
                 raise ConfigError(
-                    f"unknown key {key!r} in [{name}]; expected one of "
-                    f"{', '.join(keys)}", _find_line(text, name, key))
-            where = f"[{name}] {key}"
-            line = _find_line(text, name, key)
-            values[name][key] = _coerce(where, raw, keys[key], line)
-            sources[name, key] = (where, line)
+                    f"unknown section [{section}]; expected one of "
+                    f"{', '.join(_SECTIONS)}", lineno)
+            if name in seen:
+                raise ConfigError(f"duplicate section [{name}]", lineno)
+            seen.add(name)
+            continue
+        if name is None:
+            raise ConfigError(f"key outside any [section]: {line!r}", lineno)
+        pair = _KEY.fullmatch(line)
+        if not pair:
+            raise ConfigError(f"malformed line {line!r}", lineno)
+        key, keys = pair.group(1).lower(), _SECTIONS[name]
+        if key not in keys:
+            raise ConfigError(
+                f"unknown key {key!r} in [{name}]; expected one of "
+                f"{', '.join(keys)}", lineno)
+        if key in values[name]:
+            raise ConfigError(f"duplicate key {key!r} in [{name}]", lineno)
+        where = f"[{name}] {key}"
+        values[name][key] = _coerce(where, pair.group(2), keys[key], lineno)
+        sources[name, key] = (where, lineno)
     return values, sources
 
 
@@ -214,6 +211,12 @@ def _apply_env(values: dict[str, dict[str, object]], sources: _Sources,
             raise ConfigError(f"{var}: unknown section {section!r}")
         if key not in _SECTIONS[section]:
             raise ConfigError(f"{var}: unknown key {key!r} in [{section}]")
+        # only a variable's entry has no line; the file's entry goes, so the
+        # variable counts as the last override
+        previous = sources.pop((section, key), None)
+        if previous and previous[1] is None:
+            raise ConfigError(f"{previous[0]} and {var} both set "
+                              f"[{section}] {key}")
         values[section][key] = _coerce(var, env[var], _SECTIONS[section][key])
         sources[section, key] = (var, None)
 
@@ -258,8 +261,8 @@ def parse_config(text: str, env=None) -> ExperimentConfig:
 
 
 def load_config(path, env=None) -> ExperimentConfig:
-    """Parse a config file from disk (UTF-8)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse a config file from disk (UTF-8, with or without a BOM)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config(fh.read(), env=env)
 
 

@@ -661,6 +661,14 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "FileNotFoundError"
 
 
+def test_config_file_with_a_byte_order_mark_loads(tmp_path):
+    cfg = tmp_path / "bom.ini"
+    cfg.write_text("[experiment]\nseed = 9\n", encoding="utf-8-sig")
+    assert cfg.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert run(tmp_path, "curves", "--config", str(cfg)) == 0
+    assert read_summary(tmp_path, "curves")["seed"] == 9
+
+
 def test_unknown_command_is_rejected(tmp_path):
     with pytest.raises(SystemExit):
         main(["teleport", "--out", str(tmp_path)])

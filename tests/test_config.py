@@ -2,6 +2,7 @@
 field-naming validation errors, env-var overrides, and round-trip identity.
 """
 
+import random
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -166,6 +167,38 @@ def test_duplicate_key_or_section_names_its_line(text, line, message):
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[DEFAULT]\nseed = 5\n", "line 1: unknown section [DEFAULT]; "),
+    ("[experiment]\nseed = 1\n[Experiment]\nseed = 2\n",
+     "line 3: duplicate section [experiment]"),
+    ("[experiment]\nseed = 1\n[ EXPERIMENT ]\n",
+     "line 3: duplicate section [experiment]"),
+    ("[experiment]\nSeed = 1\nSEED: 2\n",
+     "line 3: duplicate key 'seed' in [experiment]"),
+    # a value is one line: an indented line is not glued onto the last value
+    ("[experiment]\nrepetitions: 2\n  more\n",
+     "line 3: malformed line 'more'"),
+    ("[experiment]\nseed\n", "line 2: malformed line 'seed'"),
+    ("[experiment] x\n", "line 1: malformed line '[experiment] x'"),
+    ("[experiment\n", "line 1: malformed line '[experiment'"),
+    ("[experiment]\n= 4\n", "line 2: malformed line '= 4'"),
+    # the first offending line in file order is reported
+    ("[experiment]\nbogus = 1\nseed\n", "line 2: unknown key 'bogus'"),
+])
+def test_reader_errors_name_their_line(text, message):
+    with pytest.raises(ConfigError) as err:
+        parse(text)
+    assert str(err.value).startswith(message)
+
+
+def test_comment_needs_whitespace_or_line_start():
+    assert parse("[experiment]\nout = runs#1\n").out == "runs#1"
+    assert parse("[experiment]\nout = a;b # c\n").out == "a;b"
+    cfg = parse("  ; indented comment\n[experiment]  # note\n"
+                "  seed: 5\n#[pid]\n")
+    assert cfg.seed == 5
+
+
 def test_key_outside_section_is_an_error():
     with pytest.raises(ConfigError):
         parse("seed = 1\n")
@@ -240,6 +273,25 @@ def test_env_values_are_validated():
     cfg = parse("[experiment]\niterations = 0\n",
                 env={"MYOARM_EXPERIMENT__ITERATIONS": "3"})
     assert cfg.iterations == 3
+
+
+def test_env_override_counts_as_the_last_override():
+    # the file's probe_hold stands before dt, but the variable replaces it
+    # and so is the override whose removal lets the config build
+    with pytest.raises(ConfigError) as err:
+        parse("[experiment]\nprobe_hold = 0.0009\ndt = 0.002\n",
+              env={"MYOARM_EXPERIMENT__PROBE_HOLD": "0.0009"})
+    assert str(err.value).startswith("MYOARM_EXPERIMENT__PROBE_HOLD: ")
+    assert err.value.line is None
+
+
+def test_two_env_variables_for_one_key_are_an_error():
+    env = {"MYOARM_EXPERIMENT__SEED": "3", "MYOARM_experiment__seed": "7"}
+    with pytest.raises(ConfigError) as err:
+        parse("", env=env)
+    assert str(err.value) == ("MYOARM_EXPERIMENT__SEED and "
+                              "MYOARM_experiment__seed both set "
+                              "[experiment] seed")
 
 
 def test_out_of_range_file_value_names_its_line():
@@ -449,18 +501,44 @@ def _configs(draw):
     ))
 
 
+def _respell(text: str, rnd) -> str:
+    """``text`` spelled another way that reads alike: random case of section
+    names and keys, ``=`` or ``:``, extra spaces and comments."""
+    def case(word):
+        return "".join(rnd.choice((c.lower(), c.upper())) for c in word)
+
+    def pad():
+        return " " * rnd.randint(0, 3)
+
+    lines = []
+    for line in text.splitlines():
+        if rnd.random() < 0.2:
+            lines.append(f"{pad()}{rnd.choice('#;')} comment = [x]")
+        if line.startswith("["):
+            line = f"{pad()}[{pad()}{case(line[1:-1])}{pad()}]{pad()}"
+        elif line:
+            key, value = line.split(" = ", 1)
+            line = f"{pad()}{case(key)}{pad()}{rnd.choice('=:')}{pad()}{value}"
+        if line and rnd.random() < 0.3:
+            line += f" {pad()}{rnd.choice('#;')} inline; note"
+        lines.append(line)
+    return "\n".join(lines)
+
+
 @settings(max_examples=150, deadline=None)
-@given(_configs())
+@given(_configs(), st.randoms(use_true_random=False))
 @example(ExperimentConfig(
     preset="spatial-ltdm", sweep_fractions=(0.0, 0.125, 0.5),
     controller=DdilcParams(error_window=3),
     muscle_overrides={"eps0_t": 0.02, "a_min": 0.05},
-    disturbance=DisturbanceSpec(0.2, 0.01, 2.0), pid=PidGains(kd=15.0)))
-def test_round_trip_random_configs(cfg):
+    disturbance=DisturbanceSpec(0.2, 0.01, 2.0), pid=PidGains(kd=15.0)),
+    random.Random(0))
+def test_round_trip_random_configs(cfg, rnd):
     text = serialize_config(cfg)
     again = parse(text)
     assert again == cfg
     assert serialize_config(again) == text
+    assert parse(_respell(text, rnd)) == cfg
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@
 Runs ``curves``, ``simulate``, ``ilc``, ``sweep`` and ``lowpass`` through
 ``myoarm.cli.main`` in a temporary directory with ``out = runs``, on a fixed
 small config (2 iterations, a 1 s chord, a 20 % tip load, activation noise
-0.01 at 2 Hz, 2 repetitions, sweep fractions 0 and 0.2). ``sweep`` takes its
-loads from the sweep fractions and rejects a configured tip load, so it runs
-on the same config without the load. The tool prints one
+0.01 at 2 Hz, 2 repetitions, sweep fractions 0 and 0.2). The config is
+written in the syntax's variant spellings (mixed case, ``:`` and ``=`` with
+or without spaces, comments); the ``config.ini`` echoes are canonical, so
+the spelling moves no digest. ``sweep`` takes its loads from the sweep
+fractions and rejects a configured tip load, so it runs on the same config
+without the load. The tool prints one
 ``<sha256>  <command>/<file>`` line per artifact, sorted by path. It uses
 only the CLI, so the outputs of two checkouts can be compared with ``diff``:
 
@@ -27,16 +30,17 @@ _SRC = Path(__file__).resolve().parent.parent / "src"
 
 COMMANDS = ("curves", "simulate", "ilc", "sweep", "lowpass")
 CONFIG = """\
-[experiment]
+# variant spellings of the config syntax
+[Experiment]
 iterations = 2
-repetitions = 2
-seed = 3
+repetitions: 2
+seed = 3        ; inline comment
 out = runs
-settle_time = 3
-probe_hold = 1
+SETTLE_TIME = 3
+probe_hold=1
 sweep_fractions = 0.0, 0.2
 
-[trajectory]
+[ trajectory ]
 duration = 1.0
 cycles = 1
 
