@@ -276,12 +276,13 @@ class DdilcController:
     pre-trial equilibrium. ``response_lag_ticks`` (>= 0) is the probe's
     identified response lag in control ticks, which scales the feedforward's
     error-increment term. ``counts`` holds the current iteration's
-    ``DdilcCounts``.
+    ``DdilcCounts``. The feedback gains ``xi_hat`` start at zero and carry
+    over from trial to trial; the controller draws no random numbers.
     """
 
     def __init__(self, sensitivity: np.ndarray, params: DdilcParams,
-                 horizon: int, rng: np.random.Generator, *,
-                 response_lag_ticks: float, rest_drive: np.ndarray):
+                 horizon: int, *, response_lag_ticks: float,
+                 rest_drive: np.ndarray):
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
         if response_lag_ticks < 0.0:
@@ -302,8 +303,7 @@ class DdilcController:
         n_e = params.error_window
         self._phi0 = [self.gamma] * self.m
         self._xi_cap = params.xi_cap(self.m, n_e)
-        self._xi = rng.uniform(-0.5 * self._xi_cap, 0.5 * self._xi_cap,
-                               size=(self.m, self.m * n_e)).tolist()
+        self._xi = [[0.0] * (self.m * n_e) for _ in range(self.m)]
         self.u_ff = np.zeros((horizon, self.m))
         # rows are replaced, never mutated, so they may start shared
         self._errors = [[0.0] * self.y_dim] * (horizon + 1)

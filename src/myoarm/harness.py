@@ -625,7 +625,11 @@ class ProbeResult:
 
     @property
     def lag_s(self) -> float:
-        return float(np.median(self.response_time_s))
+        """The median response time: the mean of the middle one or two
+        sorted times, numpy's median arithmetic without its masked-array
+        check, which imports ``numpy.ma``."""
+        t = np.sort(self.response_time_s)
+        return float(t[(len(t) - 1) // 2:len(t) // 2 + 1].mean())
 
 
 def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
@@ -842,7 +846,6 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
                               hold_time=cfg.probe_hold, rest=u_hold)
     controller = DdilcController(
         probe.sensitivity, cfg.controller, horizon,
-        rng=np.random.default_rng(cfg.seed),
         response_lag_ticks=probe.lag_s / (cfg.dt * cfg.control_decimation),
         rest_drive=u_hold)
 

@@ -1,15 +1,22 @@
 """CLI tests: artifact layout, CSV schemas, exit codes, flag/env precedence,
-and byte-identical reruns. All commands run in-process through main().
+byte-identical reruns and the modules a run imports. All commands run
+through main(), in-process except where a fresh interpreter's modules are
+checked.
 """
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import asdict, astuple, fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import myoarm
 from myoarm import cli, harness
 from myoarm.cli import _cell, _write_trial_csv, main
 from myoarm.config import parse_config
@@ -129,6 +136,21 @@ def test_ilc_artifacts(tmp_path):
     assert len(summary["mean_abs_mm"]) == 2
     assert summary["final_mean_abs_mm"] == summary["mean_abs_mm"][-1]
     assert summary["ff_shrink_iterations"] == []
+
+
+def test_noise_free_ilc_imports_neither_numpy_random_nor_numpy_ma(tmp_path):
+    # a noise-free learning run draws no random number and takes no masked
+    # median, so it need not pay for either module's memory
+    argv = ["ilc", "--config", tiny_config(tmp_path), "--out", str(tmp_path / "runs")]
+    script = ("import sys\n"
+              "from myoarm.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print([m for m in ('numpy.random', 'numpy.ma') if m in sys.modules])\n")
+    src = str(Path(myoarm.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_ilc_reruns_are_byte_identical(tmp_path):

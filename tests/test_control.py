@@ -202,8 +202,7 @@ def test_feedforward_update_scalar():
     # beta = feedforward_scale * pinv(S) = 0.5 and no lag term: every entry
     # learns 0.5 * 0.2 from an error of 0.2 at each of the 5 samples
     ctl = DdilcController(np.array([[1.0]]), scalar_params(feedforward_scale=0.5),
-                          horizon=4, rng=np.random.default_rng(0),
-                          response_lag_ticks=0.0, rest_drive=[0.5])
+                          horizon=4, response_lag_ticks=0.0, rest_drive=[0.5])
     u_ff = _feedforward_after(ctl, 0.0, 0.2)
     assert u_ff == pytest.approx(np.full((4, 1), 0.1))
     # converged fixed point: zero previous error leaves the table untouched
@@ -211,10 +210,15 @@ def test_feedforward_update_scalar():
 
 
 def test_feedforward_initialized_to_zero():
-    rng = np.random.default_rng(0)
-    ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8, rng=rng,
+    ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(), horizon=8,
                           response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     assert np.all(ctl.u_ff == 0.0)
+
+
+def test_feedback_gains_start_at_zero():
+    ctl = DdilcController(np.eye(2) * 0.1, DdilcParams(error_window=3), horizon=8,
+                          response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
+    assert np.array_equal(ctl.xi_hat, np.zeros((2, 6)))
 
 
 def test_compose_control_clamps():
@@ -233,8 +237,7 @@ def test_rest_drive_outside_unit_interval_rejected(rest):
     # a NaN used to pass and surface as "control tick 0: drive 0 is nan"
     with pytest.raises(ValueError, match="rest_drive must lie within"):
         DdilcController(np.eye(2), DdilcParams(), horizon=4,
-                        rng=np.random.default_rng(0), response_lag_ticks=0.0,
-                        rest_drive=rest)
+                        response_lag_ticks=0.0, rest_drive=rest)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +328,7 @@ def test_pair_drive_matches_per_route_formula_bitwise(arm):
 # closed-loop learning on a synthetic plant
 # ---------------------------------------------------------------------------
 
-def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
+def _run_lag_plant_iterations(iterations, horizon=100, alpha=0.5):
     """Iterated tracking of a first-order lag toward the static map S (u - rest).
 
     This mirrors the arm's closed-muscle behaviour: a steady command offset
@@ -335,7 +338,6 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     params = DdilcParams()
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed),
                           response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     ramp = np.linspace(0.0, 1.0, horizon + 1)[:, None]
     y_d = ramp * np.array([0.01, -0.008])
@@ -357,22 +359,21 @@ def _run_lag_plant_iterations(seed, iterations, horizon=100, alpha=0.5):
 
 
 def test_closed_loop_learning_reduces_error():
-    errs, _ = _run_lag_plant_iterations(seed=1, iterations=12)
+    errs, _ = _run_lag_plant_iterations(iterations=12)
     assert errs[-1] < 0.25 * errs[0]
     assert errs[-1] < 1e-3
 
 
 def test_closed_loop_determinism():
-    errs_a, drives_a = _run_lag_plant_iterations(seed=7, iterations=4)
-    errs_b, drives_b = _run_lag_plant_iterations(seed=7, iterations=4)
+    errs_a, drives_a = _run_lag_plant_iterations(iterations=4)
+    errs_b, drives_b = _run_lag_plant_iterations(iterations=4)
     assert np.array_equal(drives_a, drives_b)
     assert np.array_equal(errs_a, errs_b)
 
 
 def test_shrink_feedforward_halves_gain_and_clears_table():
     ctl = DdilcController(np.eye(2), DdilcParams(), horizon=5,
-                          rng=np.random.default_rng(0), response_lag_ticks=0.0,
-                          rest_drive=[0.5, 0.5])
+                          response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     ctl.u_ff[:] = 0.3
     beta0 = ctl.beta.copy()
     ctl.shrink_feedforward()
@@ -543,7 +544,7 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
     rng = np.random.default_rng(seed)
     p = DdilcParams(error_window=window)
     ctl = DdilcController(rng.normal(scale=0.05, size=(y_dim, m)), p,
-                          horizon=3, rng=rng, response_lag_ticks=0.0,
+                          horizon=3, response_lag_ticks=0.0,
                           rest_drive=rng.uniform(0, 1, m))
     ctl.begin_iteration(np.zeros(y_dim))
     ref = _NumpyDdilc(ctl)
@@ -567,7 +568,7 @@ def test_step_matches_numpy_reference(m, y_dim, window, first, seed):
     assert np.all(np.abs(have - want) <= s_drive)
 
 
-def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100,
+def _lag_plant_inputs(iterations, params, gain=1.0, reach=1.0, horizon=100,
                       alpha=0.5):
     """Closed-loop runs of ``_run_lag_plant_iterations``'s plant, recording
     every input the controller received. The plant's gain is ``gain`` times
@@ -575,7 +576,6 @@ def _lag_plant_inputs(seed, iterations, params, gain=1.0, reach=1.0, horizon=100
     times as long."""
     s_gain = np.array([[0.1, 0.0], [0.0, 0.08]])
     ctl = DdilcController(s_gain, params, horizon=horizon,
-                          rng=np.random.default_rng(seed),
                           response_lag_ticks=0.0, rest_drive=[0.5, 0.5])
     ref = _NumpyDdilc(ctl)
     y_d = np.linspace(0.0, reach, horizon + 1)[:, None] * np.array([0.01, -0.008])
@@ -607,7 +607,7 @@ def test_lag_plant_counts_match_numpy_reference(weight, gain, reach, exercised):
     # the reference replays the inputs the controller received; its drives
     # follow the controller's at float-noise level, and its counts exactly
     params = DdilcParams(estimator_weight=weight)
-    ref, y_d, trials = _lag_plant_inputs(1, 12, params, gain, reach)
+    ref, y_d, trials = _lag_plant_inputs(12, params, gain, reach)
     totals = dict.fromkeys(asdict(DdilcCounts()), 0)
     for ticks, y_final, counts, phi, xi in trials:
         ref.begin_iteration(y_d[0])

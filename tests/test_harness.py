@@ -11,6 +11,8 @@ from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from myoarm import harness, muscle
 from myoarm.arm import (
@@ -28,6 +30,7 @@ from myoarm.harness import (
     ExperimentConfig,
     IlcResult,
     PidGains,
+    ProbeResult,
     ReplayController,
     TrajectorySpec,
     TrialLog,
@@ -606,6 +609,13 @@ def test_probe_deterministic_and_sane(model):
     assert a.lag_s == pytest.approx(float(np.median(a.response_time_s)))
 
 
+@given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
+def test_lag_is_numpys_median(times):
+    times = np.array(times)
+    lag = ProbeResult(np.zeros((2, len(times))), times).lag_s
+    assert type(lag) is float and lag == float(np.median(times))
+
+
 def test_probe_divergence_names_the_hold_and_tick(model, monkeypatch):
     state = rest_state(model)
     with monkeypatch.context() as patch:
@@ -751,6 +761,16 @@ def test_run_ilc_deterministic(short_run):
     assert again.summary.mse_mm2 == first.summary.mse_mm2
     assert np.array_equal(again.feedforward_drives, first.feedforward_drives)
     assert np.array_equal(again.sensitivity, first.sensitivity)
+
+
+def test_noise_free_run_ilc_does_not_depend_on_the_seed():
+    # the seed only phases the activation noise; the controller draws nothing
+    cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
+                           iterations=2, dt=DT, control_decimation=10, seed=0,
+                           settle_time=3.0, probe_hold=1.0)
+    a, b = run_ilc(cfg), run_ilc(replace(cfg, seed=5))
+    assert a.summary.mean_abs_mm == b.summary.mean_abs_mm
+    assert np.array_equal(a.feedforward_drives, b.feedforward_drives)
 
 
 def test_run_ilc_callback_sees_every_iteration():
