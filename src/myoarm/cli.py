@@ -253,7 +253,7 @@ def _cmd_ilc(cfg: ExperimentConfig, out: Path) -> dict:
     _write_float_table(out / "feedforward.csv",
                        "myoarm-feedforward-v1: converged drive table, one row "
                        "per control tick",
-                       [f"drive{j}" for j in range(cfg.model.n_joints)],
+                       [f"drive{j}" for j in range(table.shape[1])],
                        (table[start:start + _BLOCK_ROWS]
                         for start in range(0, table.shape[0], _BLOCK_ROWS)))
     summary = result.summary

@@ -6,12 +6,16 @@ with its PID baseline, and metrics.
 section dataclasses defined here (``TrajectorySpec``, ``DisturbanceSpec``,
 ``PidGains``) and the controller's ``DdilcParams``, its ``model`` is the arm,
 and ``config`` converts it to and from INI text. Every experiment is a
-function of it: ``hold_trial(cfg)`` and ``run_ilc(cfg)`` set the task up and
-park on its start; ``disturbance_sweep(cfg, result)`` and
-``pid_baseline(cfg, result)`` follow a learning run and also take its
-``IlcResult``. The robustness study is ``disturbance_sweep``: per tip load it
-parks once, replays the learned drive table open-loop and runs the PID
-baseline from that park.
+function of it and builds its arm once: ``hold_trial(cfg)`` and
+``run_ilc(cfg)`` build the run's ``Task`` (the sampled trajectory, its
+inverse-kinematics path and its control ticks) and park on its start;
+``disturbance_sweep(cfg, result)`` and ``pid_baseline(cfg, result)`` follow a
+learning run along its ``IlcResult.task``. The robustness study is
+``disturbance_sweep``: per tip load it parks once, replays the learned drive
+table open-loop and runs the PID baseline from that park. Every experiment
+parks and runs its trials through the same two steps, one ``park_state`` of
+the loaded plant on the task's start and one ``run_trial`` at the config's
+``dt`` and ``control_decimation``.
 
 A *trial* is one finite-horizon execution of a trajectory-tracking task on an
 arm model. Controllers plug into ``run_trial`` through a small duck-typed
@@ -71,6 +75,7 @@ __all__ = [
     "RunSummary",
     "ExperimentConfig",
     "sweep_condition",
+    "Task",
     "IlcResult",
     "SweepPoint",
     "SweepResult",
@@ -782,34 +787,51 @@ class ExperimentConfig:
         return make_arm(self.preset, self.muscle_overrides or None)
 
 
+@dataclass(frozen=True)
+class Task:
+    """What every trial of a run follows: the trajectory sampled at ``dt``,
+    its inverse-kinematics path and its control ticks."""
+
+    points: np.ndarray          # (T+1, 2), the desired tip path
+    joint_path: np.ndarray      # (T+1, n_joints), its inverse kinematics
+    n_control: int              # control ticks at the config's decimation
+
+
 @dataclass
 class IlcResult:
-    """Learning-run outputs needed by sweeps, baselines, and reports."""
+    """Learning-run outputs needed by sweeps, baselines, and reports: the
+    run's ``task`` and the ``start_state`` of its park, what it learned and
+    probed, and its last trial's log."""
 
     summary: RunSummary
     feedforward_drives: np.ndarray    # (N_control, n_joints), clip(rest + u_f)
     sensitivity: np.ndarray           # (2, n_joints) probe matrix
     start_state: ArmState
-    points: np.ndarray
-    desired_joint_path: np.ndarray
+    task: Task
     final_log: TrialLog | None        # None where a caller has dropped it
 
 
-def _parked_task(cfg: ExperimentConfig):
-    """The task of ``cfg``, parked on its start.
-
-    Returns ``(model, points, n_control, desired_q, start, u_hold)``: the
-    arm, the sampled trajectory, its control ticks, its inverse-kinematics
-    path, and the state and hold drives of a park on the path's start on
-    the loaded plant. The tick check runs before the park.
-    """
-    model = cfg.model
+def _task(cfg: ExperimentConfig, model: ArmModel) -> Task:
+    """The task of ``cfg`` on ``model``; the tick check runs before the
+    inverse kinematics."""
     points = generate_trajectory(cfg.trajectory, cfg.dt)
     n_control = _control_ticks(points, cfg.control_decimation)
-    desired_q = joint_path(model, points)
-    start, u_hold = park_state(loaded_plant(model, cfg.disturbance),
-                               desired_q[0], cfg.dt, total_time=cfg.settle_time)
-    return model, points, n_control, desired_q, start, u_hold
+    return Task(points, joint_path(model, points), n_control)
+
+
+def _park(cfg: ExperimentConfig, model: ArmModel, task: Task,
+          disturbance: DisturbanceSpec) -> tuple[ArmState, np.ndarray]:
+    """``park_state`` of the plant loaded by ``disturbance`` on the task's start."""
+    return park_state(loaded_plant(model, disturbance), task.joint_path[0],
+                      cfg.dt, total_time=cfg.settle_time)
+
+
+def _trial(cfg: ExperimentConfig, model: ArmModel, task: Task, controller,
+           start: ArmState, disturbance: DisturbanceSpec, seed) -> TrialLog:
+    """``run_trial`` along the task at the config's ``dt`` and decimation."""
+    return run_trial(model, controller, task.points, cfg.dt, disturbance=disturbance,
+                     seed=seed, start_state=start, decimation=cfg.control_decimation,
+                     desired_joint_path=task.joint_path)
 
 
 def hold_trial(cfg: ExperimentConfig) -> tuple[TrialLog, np.ndarray]:
@@ -819,12 +841,11 @@ def hold_trial(cfg: ExperimentConfig) -> tuple[TrialLog, np.ndarray]:
 
     Returns ``(log, hold_drives)``.
     """
-    model, points, n_control, desired_q, start, u_hold = _parked_task(cfg)
-    log = run_trial(model, ReplayController(np.tile(u_hold, (n_control, 1))),
-                    points, cfg.dt, disturbance=cfg.disturbance, seed=cfg.seed,
-                    start_state=start, decimation=cfg.control_decimation,
-                    desired_joint_path=desired_q)
-    return log, u_hold
+    model = cfg.model
+    task = _task(cfg, model)
+    start, u_hold = _park(cfg, model, task, cfg.disturbance)
+    hold = ReplayController(np.tile(u_hold, (task.n_control, 1)))
+    return _trial(cfg, model, task, hold, start, cfg.disturbance, cfg.seed), u_hold
 
 
 def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
@@ -839,13 +860,15 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     trial, e.g. for CSV dumps. One trial's log is held at a time: the last
     one becomes ``final_log``.
     """
-    model, points, horizon, desired_q, start, u_hold = _parked_task(cfg)
+    model = cfg.model
+    task = _task(cfg, model)
+    start, u_hold = _park(cfg, model, task, cfg.disturbance)
     cfg.controller.check_rest_drive(u_hold)     # before the probe's holds
     probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
                               cfg.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)
     controller = DdilcController(
-        probe.sensitivity, cfg.controller, horizon,
+        probe.sensitivity, cfg.controller, task.n_control,
         response_lag_ticks=probe.lag_s / (cfg.dt * cfg.control_decimation),
         rest_drive=u_hold)
 
@@ -853,10 +876,8 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     growth_streak = 0
     for k in range(cfg.iterations):
         log = None      # drop the previous trial's log before this one runs
-        log = run_trial(model, controller, points, cfg.dt,
-                        disturbance=cfg.disturbance, seed=[cfg.seed, k],
-                        start_state=start, decimation=cfg.control_decimation,
-                        desired_joint_path=desired_q)
+        log = _trial(cfg, model, task, controller, start, cfg.disturbance,
+                     [cfg.seed, k])
         metrics = compute_metrics(log)
         row = {**asdict(metrics), **asdict(controller.counts),
                "diverged_at": log.diverged_at,
@@ -881,8 +902,7 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
                  cfg.controller.u_min, cfg.controller.u_max)
     return IlcResult(summary=summary, feedforward_drives=ff,
                      sensitivity=probe.sensitivity, start_state=start,
-                     points=points, desired_joint_path=desired_q,
-                     final_log=log)
+                     task=task, final_log=log)
 
 
 # ---------------------------------------------------------------------------
@@ -918,10 +938,11 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
     the PID baseline.
 
     Each of ``cfg.sweep_fractions`` re-parks the loaded arm once on
-    ``result.desired_joint_path[0]``. From that park it replays
-    ``result.feedforward_drives`` along ``result.points``
-    ``cfg.repetitions`` times, then runs one ``pid_baseline`` trial at the
-    same load; divergence is recorded per condition, never raised.
+    ``result.task.joint_path[0]``. From that park it replays
+    ``result.feedforward_drives`` along ``result.task`` ``cfg.repetitions``
+    times, then runs the ``pid_baseline`` trial from the same park at the
+    same load; divergence is recorded per condition, never raised. The arm
+    is built once for all loads.
     ``cfg.disturbance`` supplies the activation noise, and each swept
     fraction replaces its load fraction. Replay ``rep`` of fraction ``fi``
     seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions differ only
@@ -932,9 +953,8 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
     ``cfg.control_decimation`` does not divide, or whose table is not one row
     of drives per control tick, raises ``ValueError`` before any park.
     """
-    model = cfg.model
-    table = result.feedforward_drives
-    n_control = _control_ticks(result.points, cfg.control_decimation)
+    model, task, table = cfg.model, result.task, result.feedforward_drives
+    n_control = _control_ticks(task.points, cfg.control_decimation)
     if table.shape != (n_control, model.n_joints):
         raise ValueError(f"drive table of shape {table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
@@ -948,21 +968,15 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
     out = []
     for fi, fraction in enumerate(cfg.sweep_fractions):
         dist = replace(cfg.disturbance, load_fraction=fraction)
-        start, _ = park_state(loaded_plant(model, dist),
-                              result.desired_joint_path[0], cfg.dt,
-                              total_time=cfg.settle_time)
+        start, _ = _park(cfg, model, task, dist)
         means, mses, diverged = [], [], False
         for rep in range(cfg.repetitions):
-            m = observed(fi, rep, run_trial(
-                model, ReplayController(table), result.points, cfg.dt,
-                disturbance=dist, seed=[cfg.seed, fi, rep], start_state=start,
-                decimation=cfg.control_decimation,
-                desired_joint_path=result.desired_joint_path))
+            m = observed(fi, rep, _trial(cfg, model, task, ReplayController(table),
+                                         start, dist, [cfg.seed, fi, rep]))
             means.append(m.mean_abs_mm)
             mses.append(m.mse_mm2)
             diverged = diverged or m.diverged
-        pid = observed(fi, None, pid_baseline(
-            replace(cfg, disturbance=dist), replace(result, start_state=start)))
+        pid = observed(fi, None, _pid_trial(cfg, model, task, start, dist))
         out.append(SweepPoint(
             load_fraction=float(fraction),
             mean_abs_mm=float(np.mean(means)),
@@ -978,21 +992,24 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
 def pid_baseline(cfg: ExperimentConfig, result: IlcResult) -> TrialLog:
     """One tracking trial under the task-space PID stand-in with ``cfg.pid``.
 
-    The trial starts from ``result.start_state``, follows ``result.points``
+    The trial starts from ``result.start_state``, follows ``result.task``
     and runs under ``cfg.disturbance`` with the noise seed
     ``[cfg.seed, cfg.iterations - 1]`` that ``run_ilc`` gives its final
     trial. Given the learning run's own ``cfg`` and ``result``, both
     controllers thus meet the same plant and the same noise;
-    ``disturbance_sweep`` passes each load's disturbance and park instead.
+    ``disturbance_sweep`` runs the same trial from each load's park under
+    that load instead.
     """
-    model = cfg.model
+    return _pid_trial(cfg, cfg.model, result.task, result.start_state,
+                      cfg.disturbance)
+
+
+def _pid_trial(cfg: ExperimentConfig, model: ArmModel, task: Task,
+               start: ArmState, disturbance: DisturbanceSpec) -> TrialLog:
+    """The ``pid_baseline`` trial from ``start`` under ``disturbance``."""
     controller = PidController(model, cfg.pid, cfg.dt * cfg.control_decimation)
-    return run_trial(model, controller, result.points, cfg.dt,
-                     disturbance=cfg.disturbance,
-                     seed=[cfg.seed, cfg.iterations - 1],
-                     start_state=result.start_state,
-                     decimation=cfg.control_decimation,
-                     desired_joint_path=result.desired_joint_path)
+    return _trial(cfg, model, task, controller, start, disturbance,
+                  [cfg.seed, cfg.iterations - 1])
 
 
 # ---------------------------------------------------------------------------

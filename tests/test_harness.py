@@ -32,6 +32,7 @@ from myoarm.harness import (
     PidGains,
     ProbeResult,
     ReplayController,
+    Task,
     TrajectorySpec,
     TrialLog,
     UnreachableTrajectoryError,
@@ -751,7 +752,13 @@ def test_run_ilc_learns(short_run):
     assert result.feedforward_drives.shape == (n_control, 2)
     assert np.all(result.feedforward_drives >= cfg.controller.u_min)
     assert np.all(result.feedforward_drives <= cfg.controller.u_max)
-    assert result.final_log.tip.shape[0] == result.points.shape[0]
+    assert result.final_log.tip.shape[0] == result.task.points.shape[0]
+    # the task is the config's trajectory and its inverse kinematics, bit
+    # for bit, with one control tick per table row
+    points = generate_trajectory(cfg.trajectory, cfg.dt)
+    assert np.array_equal(result.task.points, points)
+    assert np.array_equal(result.task.joint_path, joint_path(cfg.model, points))
+    assert result.task.n_control == result.feedforward_drives.shape[0]
 
 
 def test_run_ilc_deterministic(short_run):
@@ -816,10 +823,35 @@ ONE_SECOND = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
 
 def _learned(pts, desired_q, *, drives=None, start_state=None):
     """An ``IlcResult`` holding only what the sweep and the PID baseline
-    read: the points, their joint path, a drive table and a start state."""
+    read: the task along the points and their joint path (its control ticks
+    at decimation 10), a drive table and a start state."""
+    task = Task(pts, desired_q, (pts.shape[0] - 1) // 10)
     return IlcResult(summary=None, feedforward_drives=drives, sensitivity=None,
-                     start_state=start_state, points=pts,
-                     desired_joint_path=desired_q, final_log=None)
+                     start_state=start_state, task=task, final_log=None)
+
+
+@pytest.mark.parametrize("experiment", ["hold_trial", "run_ilc",
+                                        "disturbance_sweep"])
+def test_each_experiment_builds_its_arm_once(model, monkeypatch, experiment):
+    # the sweep used to build it once, then twice more per load for its PID
+    # trial: 7 times for three loads. The configs are built, and build their
+    # arm, before the count starts
+    pts = _one_second_points()
+    sweep_cfg = replace(ONE_SECOND, settle_time=3.0,
+                        sweep_fractions=(0.0, 0.1, 0.2))
+    result = _learned(pts, joint_path(model, pts), drives=np.full((100, 2), 0.5))
+    runs = {"hold_trial": lambda: harness.hold_trial(HALF_SECOND),
+            "run_ilc": lambda: run_ilc(HALF_SECOND),
+            "disturbance_sweep": lambda: disturbance_sweep(sweep_cfg, result)}
+    real_make_arm, builds = harness.make_arm, []
+
+    def counted(*args):
+        builds.append(args)
+        return real_make_arm(*args)
+
+    monkeypatch.setattr(harness, "make_arm", counted)
+    runs[experiment]()
+    assert len(builds) == 1
 
 
 def test_one_trial_log_is_alive_at_a_time(monkeypatch):
@@ -893,7 +925,7 @@ def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatc
 
 
 def test_disturbance_sweep_parks_on_the_given_joint_path(model, monkeypatch):
-    # the park target is desired_joint_path[0], not a second IK solve
+    # the park target is task.joint_path[0], not a second IK solve
     pts = _one_second_points()
     result = _learned(pts, joint_path(model, pts), drives=np.full((100, 2), 0.5))
 
