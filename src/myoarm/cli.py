@@ -58,6 +58,7 @@ from .config import (
 )
 from .control import DdilcController
 from .harness import (
+    RATED_LOAD_KG,
     DisturbanceSpec,
     LowpassPoint,
     SweepPoint,
@@ -72,15 +73,6 @@ from .muscle import MuscleParams, curve_samples
 from .presets import PRESETS, preset_key
 
 __all__ = ["main", "dispatch"]
-
-_COMMANDS = {
-    "curves": "dump normalized muscle curves (x, fl, fpe, fv, ft) as CSV",
-    "simulate": "hold the parked posture open-loop for one logged trial",
-    "ilc": "run the iterative learning experiment",
-    "sweep": "learned replay and PID baseline under increasing tip load",
-    "lowpass": "tendon-force attenuation of 1 Hz vs 50 Hz drive ripple",
-}
-
 
 # ---------------------------------------------------------------------------
 # serialization helpers
@@ -283,7 +275,7 @@ def _cmd_sweep(cfg: ExperimentConfig, out: Path) -> dict:
     sweep = disturbance_sweep(cfg, result, on_trial=on_trial)
     _write_csv(out / "sweep.csv",
                "myoarm-sweep-v2: open-loop replay error and task-space PID "
-               "error vs tip load (fraction of the 2.5 kg rated load)",
+               f"error vs tip load (fraction of the {RATED_LOAD_KG} kg rated load)",
                [f.name for f in fields(SweepPoint)],
                [astuple(p) for p in sweep.points])
     return {
@@ -309,12 +301,13 @@ def _cmd_lowpass(cfg: ExperimentConfig, out: Path) -> dict:
     }
 
 
-_RUNNERS = {
-    "curves": _cmd_curves,
-    "simulate": _cmd_simulate,
-    "ilc": _cmd_ilc,
-    "sweep": _cmd_sweep,
-    "lowpass": _cmd_lowpass,
+# command -> (help text, runner)
+_COMMANDS = {
+    "curves": ("dump normalized muscle curves (x, fl, fpe, fv, ft) as CSV", _cmd_curves),
+    "simulate": ("hold the parked posture open-loop for one logged trial", _cmd_simulate),
+    "ilc": ("run the iterative learning experiment", _cmd_ilc),
+    "sweep": ("learned replay and PID baseline under increasing tip load", _cmd_sweep),
+    "lowpass": ("tendon-force attenuation of 1 Hz vs 50 Hz drive ripple", _cmd_lowpass),
 }
 
 
@@ -332,14 +325,14 @@ def dispatch(command: str, cfg: ExperimentConfig) -> int:
     checks before it writes leaves no directory behind; an output path that
     cannot be written fails before the run.
     """
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}; expected one of "
-                          f"{', '.join(_RUNNERS)}")
+                          f"{', '.join(_COMMANDS)}")
     out = Path(cfg.out) / command
     _check_writable(out)
     echo = serialize_config(cfg)
     payload = {"command": command, "seed": cfg.seed, "config_ini": echo}
-    payload.update(_RUNNERS[command](cfg, out))
+    payload.update(_COMMANDS[command][1](cfg, out))
     with _create(out / "config.ini") as fh:
         fh.write(echo)
     _write_json(out / "run_summary.json", payload)
@@ -362,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "iterative learning controller.")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
-    for name, help_text in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=help_text)
     return parser
 

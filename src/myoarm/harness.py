@@ -8,18 +8,18 @@ section dataclasses defined here (``TrajectorySpec``, ``DisturbanceSpec``,
 and ``config`` converts it to and from INI text. Every experiment is a
 function of it and builds its arm once: ``hold_trial(cfg)`` and
 ``run_ilc(cfg)`` build the run's ``Task`` (the sampled trajectory, its
-inverse-kinematics path and its control ticks) and park on its start;
-``disturbance_sweep(cfg, result)`` and ``pid_baseline(cfg, result)`` follow a
-learning run along its ``IlcResult.task``. The robustness study is
-``disturbance_sweep``: per tip load it parks once, replays the learned drive
-table open-loop and runs the PID baseline from that park. Every experiment
-parks and runs its trials through the same two steps, one ``park_state`` of
-the loaded plant on the task's start and one ``run_trial`` at the config's
-``dt`` and ``control_decimation``.
+inverse-kinematics path, ``dt`` and the control decimation) and park on its
+start; ``disturbance_sweep(cfg, result)`` and ``pid_baseline(cfg, result)``
+follow a learning run along its ``IlcResult.task``, at the task's rates. The
+robustness study is ``disturbance_sweep``: per tip load it parks once,
+replays the learned drive table open-loop and runs the PID baseline from
+that park. Every experiment parks and runs its trials through the same two
+steps, one ``park_state`` of the loaded plant on the task's start and one
+``run_trial`` along the task; the config's ``dt`` and
+``control_decimation`` are read once, into the task.
 
-A *trial* is one finite-horizon execution of a trajectory-tracking task on an
-arm model. Controllers plug into ``run_trial`` through a small duck-typed
-protocol:
+A *trial* is one finite-horizon execution of a ``Task`` on an arm model.
+Controllers plug into ``run_trial`` through a small duck-typed protocol:
 
 * ``begin_iteration(y_d0)`` — called once before the first tick;
 * ``step(tc, y, y_d_next) -> drive`` — called at every control tick with the
@@ -31,9 +31,9 @@ protocol:
   ``ArmState`` as a keyword argument;
 * ``finish_iteration(y_final)`` — called once after the last tick.
 
-Physics always advances at ``dt``; drives are held (zero-order) over
-``decimation`` physics ticks per control tick. A trial starts from the state
-it is given, in every experiment a park on the trajectory start. A
+Physics always advances at the task's ``dt``; drives are held (zero-order)
+over its ``decimation`` physics ticks per control tick. A trial starts from
+the state it is given, in every experiment a park on the trajectory start. A
 ``DisturbanceSpec`` is always given too: its all-zero default is no
 disturbance, and ``loaded_plant`` is the one place its tip load enters the
 plant. All randomness is routed through explicit integer seeds, so identical
@@ -156,21 +156,11 @@ def _check_load(fraction: float, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 0.5]")
 
 
-def _decimated(n_ticks: int, decimation: int, name: str) -> int:
-    """The control ticks of ``n_ticks`` trajectory ticks; ``ValueError``
-    naming ``name`` unless ``decimation`` divides them."""
+def _check_decimation(n_ticks: int, decimation: int, name: str) -> None:
+    """``decimation`` divides ``n_ticks`` trajectory ticks."""
     if decimation < 1 or n_ticks % decimation != 0:
         raise ValueError(f"{name} {decimation} must divide the "
                          f"{n_ticks} trajectory ticks")
-    return n_ticks // decimation
-
-
-def _control_ticks(points: np.ndarray, decimation: int) -> int:
-    """Control ticks of a sampled trajectory; ``ValueError`` unless it holds
-    at least one physics tick and ``decimation`` divides them."""
-    if points.shape[0] < 2:
-        raise ValueError("trajectory must contain at least two samples")
-    return _decimated(points.shape[0] - 1, decimation, "decimation")
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +214,10 @@ class DisturbanceSpec:
 
     def __post_init__(self) -> None:
         _check_load(self.load_fraction, "DisturbanceSpec.load_fraction")
-        if self.noise_amplitude < 0.0:
-            raise ValueError("DisturbanceSpec.noise_amplitude must be >= 0")
-        if self.noise_frequency_hz < 0.0:
-            raise ValueError("DisturbanceSpec.noise_frequency_hz must be >= 0")
+        for name in ("noise_amplitude", "noise_frequency_hz"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0.0):
+                raise ValueError(f"DisturbanceSpec.{name} must be finite and >= 0")
 
     @property
     def tip_mass(self) -> float:
@@ -376,6 +366,35 @@ class PidController:
 # trial execution
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class Task:
+    """What a trial follows: the desired tip path sampled at ``dt``, its
+    inverse-kinematics path, and the physics ticks per control tick.
+
+    Construction checks that the path holds at least two samples, that the
+    joint path has one posture per sample and that ``decimation`` divides
+    the path's physics ticks; ``ValueError`` otherwise.
+    """
+
+    points: np.ndarray          # (T+1, 2), the desired tip path
+    joint_path: np.ndarray      # (T+1, n_joints), its inverse kinematics
+    dt: float                   # s, the sample and physics period
+    decimation: int             # physics ticks per control tick
+
+    def __post_init__(self) -> None:
+        n = len(self.points)
+        if n < 2:
+            raise ValueError("trajectory must contain at least two samples")
+        if len(self.joint_path) != n:
+            raise ValueError(f"joint path of {len(self.joint_path)} postures for {n} samples")
+        _check_decimation(n - 1, self.decimation, "decimation")
+
+    @property
+    def n_control(self) -> int:
+        """The control ticks, one drive each."""
+        return (len(self.points) - 1) // self.decimation
+
+
 @dataclass
 class TrialLog:
     """Per-tick records of one trial; arrays are truncated on divergence."""
@@ -456,24 +475,20 @@ def _rows(buffer: array, width: int) -> np.ndarray:
     return np.frombuffer(buffer).reshape(-1, width)
 
 
-def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
-              disturbance: DisturbanceSpec, seed, start_state: ArmState,
-              decimation: int, desired_joint_path: np.ndarray) -> TrialLog:
-    """Execute one finite-horizon tracking trial from ``start_state`` and log
-    every tick.
+def run_trial(model: ArmModel, controller, task: Task, *, disturbance: DisturbanceSpec,
+              seed, start_state: ArmState) -> TrialLog:
+    """Execute one finite-horizon tracking trial along ``task`` from
+    ``start_state`` and log every tick.
 
-    ``seed`` seeds the activation noise of ``disturbance``;
-    ``desired_joint_path`` is the inverse-kinematics path of ``points``, from
-    which the log's desired muscle lengths follow.
+    ``seed`` seeds the activation noise of ``disturbance``; the log's
+    desired muscle lengths follow from ``task.joint_path``.
 
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
     ``diverged_reason`` with truncated arrays), not raised; a drive that is
     not one finite value per joint raises ``ValueError`` before its tick's
     physics. Deterministic given identical inputs.
     """
-    points = np.asarray(points, dtype=float)
-    n_control = _control_ticks(points, decimation)
-    n_ticks = n_control * decimation
+    points, dt, decimation = task.points, task.dt, task.decimation
 
     eff = loaded_plant(model, disturbance)
     state = start_state.floats()
@@ -487,7 +502,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     targets = points[::decimation].tolist()      # one per control tick
 
     controller.begin_iteration(targets[0])
-    for tc in range(n_control):
+    for tc in range(task.n_control):
         y = _chain(eff, state[0])[-1]
         y_d_next = targets[tc + 1]
         if wants_state:
@@ -521,10 +536,10 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
     if not diverged:
         controller.finish_iteration(_chain(eff, state[0])[-1])
 
-    filled = diverged_at if diverged else n_ticks
+    filled = diverged_at if diverged else len(points) - 1
     q_arr = _rows(qs, eff.n_joints)
     tip_desired = points[:filled + 1]
-    tip_desired.flags.writeable = False     # a view of the caller's points
+    tip_desired.flags.writeable = False     # a view of the task's points
     return TrialLog(
         dt=dt,
         decimation=decimation,
@@ -537,7 +552,7 @@ def run_trial(model: ArmModel, controller, points: np.ndarray, dt: float, *,
         excitations=_rows(excitations, eff.n_muscles),
         tendon_forces=_rows(forces, eff.n_muscles),
         muscle_lengths=muscle_lengths(eff, q_arr),
-        muscle_lengths_desired=muscle_lengths(eff, desired_joint_path[:filled + 1]),
+        muscle_lengths_desired=muscle_lengths(eff, task.joint_path[:filled + 1]),
         diverged=diverged,
         diverged_at=diverged_at,
         diverged_reason=diverged_reason,
@@ -732,7 +747,8 @@ class ExperimentConfig:
     the trajectory and ``sweep_fractions`` are checked by the functions the
     run itself checks them with. The rules owned here: ``iterations``,
     ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
-    is non-negative; no two ``sweep_fractions`` share a ``sweep_condition``
+    is non-negative; ``sweep_fractions`` is not empty, is stored as a tuple
+    of floats, and no two of its loads share a ``sweep_condition``
     directory; and the preset and the muscle overrides build an arm.
     """
 
@@ -766,8 +782,11 @@ class ExperimentConfig:
         _ticks(self.probe_hold, self.dt, "ExperimentConfig.probe_hold")
         n_traj = _ticks(self.trajectory.duration, self.dt,
                         "ExperimentConfig.trajectory.duration")
-        _decimated(n_traj, self.control_decimation,
-                   "ExperimentConfig.control_decimation")
+        _check_decimation(n_traj, self.control_decimation,
+                          "ExperimentConfig.control_decimation")
+        self.sweep_fractions = tuple(map(float, self.sweep_fractions))
+        if not self.sweep_fractions:
+            raise ValueError("ExperimentConfig.sweep_fractions must not be empty")
         for f in self.sweep_fractions:
             _check_load(f, "ExperimentConfig.sweep_fractions")
         # make_arm, through self.model below, rejects an unknown preset
@@ -787,16 +806,6 @@ class ExperimentConfig:
         return make_arm(self.preset, self.muscle_overrides or None)
 
 
-@dataclass(frozen=True)
-class Task:
-    """What every trial of a run follows: the trajectory sampled at ``dt``,
-    its inverse-kinematics path and its control ticks."""
-
-    points: np.ndarray          # (T+1, 2), the desired tip path
-    joint_path: np.ndarray      # (T+1, n_joints), its inverse kinematics
-    n_control: int              # control ticks at the config's decimation
-
-
 @dataclass
 class IlcResult:
     """Learning-run outputs needed by sweeps, baselines, and reports: the
@@ -812,26 +821,17 @@ class IlcResult:
 
 
 def _task(cfg: ExperimentConfig, model: ArmModel) -> Task:
-    """The task of ``cfg`` on ``model``; the tick check runs before the
-    inverse kinematics."""
+    """The task of ``cfg`` on ``model``: the one read of the config's ``dt``
+    and ``control_decimation``."""
     points = generate_trajectory(cfg.trajectory, cfg.dt)
-    n_control = _control_ticks(points, cfg.control_decimation)
-    return Task(points, joint_path(model, points), n_control)
+    return Task(points, joint_path(model, points), cfg.dt, cfg.control_decimation)
 
 
 def _park(cfg: ExperimentConfig, model: ArmModel, task: Task,
           disturbance: DisturbanceSpec) -> tuple[ArmState, np.ndarray]:
     """``park_state`` of the plant loaded by ``disturbance`` on the task's start."""
     return park_state(loaded_plant(model, disturbance), task.joint_path[0],
-                      cfg.dt, total_time=cfg.settle_time)
-
-
-def _trial(cfg: ExperimentConfig, model: ArmModel, task: Task, controller,
-           start: ArmState, disturbance: DisturbanceSpec, seed) -> TrialLog:
-    """``run_trial`` along the task at the config's ``dt`` and decimation."""
-    return run_trial(model, controller, task.points, cfg.dt, disturbance=disturbance,
-                     seed=seed, start_state=start, decimation=cfg.control_decimation,
-                     desired_joint_path=task.joint_path)
+                      task.dt, total_time=cfg.settle_time)
 
 
 def hold_trial(cfg: ExperimentConfig) -> tuple[TrialLog, np.ndarray]:
@@ -845,7 +845,8 @@ def hold_trial(cfg: ExperimentConfig) -> tuple[TrialLog, np.ndarray]:
     task = _task(cfg, model)
     start, u_hold = _park(cfg, model, task, cfg.disturbance)
     hold = ReplayController(np.tile(u_hold, (task.n_control, 1)))
-    return _trial(cfg, model, task, hold, start, cfg.disturbance, cfg.seed), u_hold
+    return run_trial(model, hold, task, disturbance=cfg.disturbance,
+                     seed=cfg.seed, start_state=start), u_hold
 
 
 def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
@@ -865,19 +866,19 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     start, u_hold = _park(cfg, model, task, cfg.disturbance)
     cfg.controller.check_rest_drive(u_hold)     # before the probe's holds
     probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
-                              cfg.dt, delta=cfg.probe_delta,
+                              task.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)
     controller = DdilcController(
         probe.sensitivity, cfg.controller, task.n_control,
-        response_lag_ticks=probe.lag_s / (cfg.dt * cfg.control_decimation),
+        response_lag_ticks=probe.lag_s / (task.dt * task.decimation),
         rest_drive=u_hold)
 
     summary = RunSummary(cfg.iterations)
     growth_streak = 0
     for k in range(cfg.iterations):
         log = None      # drop the previous trial's log before this one runs
-        log = _trial(cfg, model, task, controller, start, cfg.disturbance,
-                     [cfg.seed, k])
+        log = run_trial(model, controller, task, disturbance=cfg.disturbance,
+                        seed=[cfg.seed, k], start_state=start)
         metrics = compute_metrics(log)
         row = {**asdict(metrics), **asdict(controller.counts),
                "diverged_at": log.diverged_at,
@@ -942,23 +943,24 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
     ``result.feedforward_drives`` along ``result.task`` ``cfg.repetitions``
     times, then runs the ``pid_baseline`` trial from the same park at the
     same load; divergence is recorded per condition, never raised. The arm
-    is built once for all loads.
+    is built once for all loads. Parks and trials run at the task's ``dt``
+    and decimation, not at the ``dt`` and ``control_decimation`` of
+    ``cfg``.
     ``cfg.disturbance`` supplies the activation noise, and each swept
     fraction replaces its load fraction. Replay ``rep`` of fraction ``fi``
     seeds its noise with ``[cfg.seed, fi, rep]``, so repetitions differ only
     in the noise; the PID trial keeps ``pid_baseline``'s seed. The optional
     ``on_trial(fraction_index, rep, log)`` callback observes every trial,
     e.g. for CSV dumps, with ``rep`` None for the PID trial; each log is
-    dropped before the next trial runs. A result whose trajectory ticks
-    ``cfg.control_decimation`` does not divide, or whose table is not one row
-    of drives per control tick, raises ``ValueError`` before any park.
+    dropped before the next trial runs. A result whose table is not one row
+    of drives per control tick of its task raises ``ValueError`` before any
+    park.
     """
     model, task, table = cfg.model, result.task, result.feedforward_drives
-    n_control = _control_ticks(task.points, cfg.control_decimation)
-    if table.shape != (n_control, model.n_joints):
+    if table.shape != (task.n_control, model.n_joints):
         raise ValueError(f"drive table of shape {table.shape} is not one "
                          f"row of {model.n_joints} drives per control tick "
-                         f"({n_control})")
+                         f"({task.n_control})")
 
     def observed(fi, rep, log) -> TrialMetrics:
         if on_trial is not None:
@@ -971,8 +973,9 @@ def disturbance_sweep(cfg: ExperimentConfig, result: IlcResult,
         start, _ = _park(cfg, model, task, dist)
         means, mses, diverged = [], [], False
         for rep in range(cfg.repetitions):
-            m = observed(fi, rep, _trial(cfg, model, task, ReplayController(table),
-                                         start, dist, [cfg.seed, fi, rep]))
+            m = observed(fi, rep, run_trial(
+                model, ReplayController(table), task, disturbance=dist,
+                seed=[cfg.seed, fi, rep], start_state=start))
             means.append(m.mean_abs_mm)
             mses.append(m.mse_mm2)
             diverged = diverged or m.diverged
@@ -993,7 +996,9 @@ def pid_baseline(cfg: ExperimentConfig, result: IlcResult) -> TrialLog:
     """One tracking trial under the task-space PID stand-in with ``cfg.pid``.
 
     The trial starts from ``result.start_state``, follows ``result.task``
-    and runs under ``cfg.disturbance`` with the noise seed
+    at the task's ``dt`` and decimation, with the PID's control period
+    ``task.dt * task.decimation``, and runs under ``cfg.disturbance`` with
+    the noise seed
     ``[cfg.seed, cfg.iterations - 1]`` that ``run_ilc`` gives its final
     trial. Given the learning run's own ``cfg`` and ``result``, both
     controllers thus meet the same plant and the same noise;
@@ -1007,9 +1012,9 @@ def pid_baseline(cfg: ExperimentConfig, result: IlcResult) -> TrialLog:
 def _pid_trial(cfg: ExperimentConfig, model: ArmModel, task: Task,
                start: ArmState, disturbance: DisturbanceSpec) -> TrialLog:
     """The ``pid_baseline`` trial from ``start`` under ``disturbance``."""
-    controller = PidController(model, cfg.pid, cfg.dt * cfg.control_decimation)
-    return _trial(cfg, model, task, controller, start, disturbance,
-                  [cfg.seed, cfg.iterations - 1])
+    controller = PidController(model, cfg.pid, task.dt * task.decimation)
+    return run_trial(model, controller, task, disturbance=disturbance,
+                     seed=[cfg.seed, cfg.iterations - 1], start_state=start)
 
 
 # ---------------------------------------------------------------------------

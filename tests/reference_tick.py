@@ -18,7 +18,6 @@ from myoarm.control import pair_drive_to_excitations
 from myoarm.harness import (
     TrialLog,
     _checked_drive,
-    _control_ticks,
     _noise_table,
     loaded_plant,
     muscle_lengths,
@@ -155,7 +154,7 @@ def run_trial(model, controller, points, dt, *, disturbance, seed, start_state,
               decimation, desired_joint_path):
     """The trial loop of ``harness.run_trial`` on the reference tick."""
     points = np.asarray(points, dtype=float)
-    n_control = _control_ticks(points, decimation)
+    n_control = (points.shape[0] - 1) // decimation
     n_ticks = n_control * decimation
     eff = loaded_plant(model, disturbance)
     state = start_state

@@ -405,11 +405,11 @@ def test_sweep_trains_undisturbed_and_replays_each_load_with_the_noise(
     calls, starts = [], []
     real = harness.run_trial
 
-    def recording(model, controller, points, dt, **kwargs):
+    def recording(model, controller, task, **kwargs):
         calls.append((type(controller).__name__, kwargs.get("disturbance"),
                       kwargs.get("seed")))
         starts.append(kwargs.get("start_state"))
-        return real(model, controller, points, dt, **kwargs)
+        return real(model, controller, task, **kwargs)
 
     monkeypatch.setattr(harness, "run_trial", recording)
     extra = ("repetitions = 2\nsweep_fractions = 0, 0.1\n"
@@ -441,10 +441,10 @@ def test_sweep_runs_pid_on_each_loaded_plant(tmp_path, monkeypatch):
     calls = []
     real = harness.run_trial
 
-    def recording(model, controller, points, dt, **kwargs):
+    def recording(model, controller, task, **kwargs):
         calls.append((type(controller).__name__, kwargs.get("disturbance"),
                       kwargs.get("seed")))
-        return real(model, controller, points, dt, **kwargs)
+        return real(model, controller, task, **kwargs)
 
     monkeypatch.setattr(harness, "run_trial", recording)
     extra = ("sweep_fractions = 0, 0.2\n"

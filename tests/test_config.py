@@ -237,6 +237,14 @@ def test_config_error_is_a_value_error():
     assert issubclass(ConfigError, ValueError)
 
 
+def test_empty_sweep_fractions_are_rejected():
+    # a sweep of no loads used to run the whole learning run, write a
+    # header-only sweep.csv and echo a config.ini that load_config rejects
+    with pytest.raises(ValueError, match="^ExperimentConfig.sweep_fractions "
+                                         "must not be empty$"):
+        ExperimentConfig(sweep_fractions=())
+
+
 # ---------------------------------------------------------------------------
 # environment overrides
 # ---------------------------------------------------------------------------
@@ -332,6 +340,15 @@ def test_error_is_the_full_configs_named_by_the_key_that_breaks_it():
 # ---------------------------------------------------------------------------
 # serialization round trip
 # ---------------------------------------------------------------------------
+
+def test_sweep_fractions_are_stored_as_a_tuple():
+    # a list used to be kept, and echoed as "[0.0, 0.2]", which does not parse
+    cfg = ExperimentConfig(sweep_fractions=[0.0, 0.2])
+    assert cfg.sweep_fractions == (0.0, 0.2)
+    assert type(cfg.sweep_fractions) is tuple
+    assert "sweep_fractions = 0.0, 0.2\n" in serialize_config(cfg)
+    assert parse(serialize_config(cfg)) == cfg
+
 
 def test_round_trip_defaults():
     cfg = parse("")

@@ -124,6 +124,16 @@ def test_disturbance_validation_and_mass():
         DisturbanceSpec(noise_frequency_hz=-1.0)
 
 
+@pytest.mark.parametrize("name", ["noise_amplitude", "noise_frequency_hz"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_disturbance_rejects_non_finite_noise(name, value):
+    # a NaN amplitude used to pass, and hold_trial failed only after its park
+    # with "excitation u must be in [0, 1], got nan", naming neither
+    with pytest.raises(ValueError, match=f"^DisturbanceSpec.{name} must be "
+                                         "finite and >= 0$"):
+        DisturbanceSpec(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # inverse kinematics and batched kinematic paths
 # ---------------------------------------------------------------------------
@@ -214,29 +224,47 @@ def _rest(n_control):
     return ReplayController(np.full((n_control, 2), 0.5))
 
 
-def _undisturbed(model, pts):
-    """``run_trial`` inputs of a trial along ``pts`` with no load and no
-    noise: seed 0 and the inverse-kinematics path of ``pts``."""
-    return dict(disturbance=DisturbanceSpec(), seed=0,
-                desired_joint_path=joint_path(model, pts))
+def _task_along(model, pts, decimation=10):
+    """The task along ``pts`` at ``DT``: their inverse-kinematics path and
+    ``decimation`` physics ticks per control tick."""
+    return Task(pts, joint_path(model, pts), DT, decimation)
 
 
-def test_run_trial_decimation_must_divide(model):
+UNDISTURBED = dict(disturbance=DisturbanceSpec(), seed=0)   # no load, no noise
+
+
+def test_task_needs_two_samples(model):
+    pts = _one_second_points()[:1]
+    with pytest.raises(ValueError, match="^trajectory must contain at least "
+                                         "two samples$"):
+        _task_along(model, pts, decimation=1)
+
+
+def test_task_needs_one_posture_per_sample(model):
+    # a joint path solved for a longer chord used to run, and the trial
+    # logged its desired muscle lengths along the wrong postures
+    pts = _one_second_points()
+    longer = generate_trajectory(TrajectorySpec(duration=1.5, cycles=2), DT)
+    with pytest.raises(ValueError, match="^joint path of 1501 postures for "
+                                         "1001 samples$"):
+        Task(pts, joint_path(model, longer), DT, 10)
+
+
+def test_task_decimation_must_divide(model):
     pts = _one_second_points()[:11]          # 10 ticks
-    start = rest_state(model)
-    with pytest.raises(ValueError):
-        run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
-                  start_state=start, decimation=3)
-    with pytest.raises(ValueError):
-        run_trial(model, _rest(100), pts[:1], DT,
-                  **_undisturbed(model, pts[:1]), start_state=start,
-                  decimation=1)
+    with pytest.raises(ValueError, match="^decimation 3 must divide the 10 "
+                                         "trajectory ticks$"):
+        _task_along(model, pts, decimation=3)
+    with pytest.raises(ValueError, match="^decimation 0 must divide"):
+        _task_along(model, pts, decimation=0)
+    assert _task_along(model, pts, decimation=5).n_control == 2
 
 
 def test_run_trial_shapes_and_rest_drive(model):
     pts = _one_second_points()
-    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
-                    start_state=rest_state(model), decimation=10)
+    log = run_trial(model, _rest(100), _task_along(model, pts), **UNDISTURBED,
+                    start_state=rest_state(model))
+    assert (log.dt, log.decimation) == (DT, 10)
     assert log.tip.shape == (1001, 2)
     assert log.q.shape == (1001, model.n_joints)
     assert log.qdot.shape == (1001, model.n_joints)
@@ -251,8 +279,8 @@ def test_run_trial_shapes_and_rest_drive(model):
 
 def test_run_trial_logs_the_points_read_only_without_a_copy(model):
     pts = _one_second_points()
-    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
-                    start_state=rest_state(model), decimation=10)
+    log = run_trial(model, _rest(100), _task_along(model, pts), **UNDISTURBED,
+                    start_state=rest_state(model))
     assert np.shares_memory(log.tip_desired, pts)
     assert np.array_equal(log.tip_desired, pts)
     with pytest.raises(ValueError, match="read-only"):
@@ -263,11 +291,10 @@ def test_run_trial_logs_the_points_read_only_without_a_copy(model):
 def test_run_trial_deterministic_under_noise(model):
     pts = _one_second_points()
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
-    start = rest_state(model)
-    kw = dict(disturbance=dist, seed=[1, 2], start_state=start, decimation=10,
-              desired_joint_path=joint_path(model, pts))
-    a = run_trial(model, _rest(100), pts, DT, **kw)
-    b = run_trial(model, _rest(100), pts, DT, **kw)
+    kw = dict(disturbance=dist, seed=[1, 2], start_state=rest_state(model))
+    task = _task_along(model, pts)
+    a = run_trial(model, _rest(100), task, **kw)
+    b = run_trial(model, _rest(100), task, **kw)
     assert np.array_equal(a.tip, b.tip)
     assert np.array_equal(a.excitations, b.excitations)
     assert np.array_equal(a.tendon_forces, b.tendon_forces)
@@ -277,16 +304,13 @@ def test_run_trial_seed_and_noise_change_excitations(model):
     pts = _one_second_points()
     dist = DisturbanceSpec(noise_amplitude=0.05, noise_frequency_hz=8.0)
     start = rest_state(model)
-    q_d = joint_path(model, pts)
-    a = run_trial(model, _rest(100), pts, DT, disturbance=dist,
-                  seed=[1, 2], start_state=start, decimation=10,
-                  desired_joint_path=q_d)
-    c = run_trial(model, _rest(100), pts, DT, disturbance=dist,
-                  seed=[9, 9], start_state=start, decimation=10,
-                  desired_joint_path=q_d)
-    clean = run_trial(model, _rest(100), pts, DT,
-                      disturbance=DisturbanceSpec(), seed=[1, 2],
-                      start_state=start, decimation=10, desired_joint_path=q_d)
+    task = _task_along(model, pts)
+    a = run_trial(model, _rest(100), task, disturbance=dist, seed=[1, 2],
+                  start_state=start)
+    c = run_trial(model, _rest(100), task, disturbance=dist, seed=[9, 9],
+                  start_state=start)
+    clean = run_trial(model, _rest(100), task, disturbance=DisturbanceSpec(),
+                      seed=[1, 2], start_state=start)
     assert not np.array_equal(a.excitations, c.excitations)
     assert not np.array_equal(a.excitations, clean.excitations)
     # excitation noise is clipped to [0, 1] like any drive
@@ -294,23 +318,18 @@ def test_run_trial_seed_and_noise_change_excitations(model):
 
 
 def test_run_trial_tip_load_changes_motion(model):
-    pts = _one_second_points()
-    q_d = joint_path(model, pts)
-    start = rest_state(model, q_d[0])
-    plain = run_trial(model, _rest(100), pts, DT, decimation=10,
-                      start_state=start, disturbance=DisturbanceSpec(),
-                      seed=0, desired_joint_path=q_d)
-    loaded = run_trial(model, _rest(100), pts, DT, decimation=10,
-                       start_state=start,
-                       disturbance=DisturbanceSpec(load_fraction=0.2),
-                       seed=0, desired_joint_path=q_d)
+    task = _task_along(model, _one_second_points())
+    start = rest_state(model, task.joint_path[0])
+    plain = run_trial(model, _rest(100), task, start_state=start,
+                      disturbance=DisturbanceSpec(), seed=0)
+    loaded = run_trial(model, _rest(100), task, start_state=start,
+                       disturbance=DisturbanceSpec(load_fraction=0.2), seed=0)
     assert not loaded.diverged
     assert not np.allclose(plain.tip[-1], loaded.tip[-1], atol=1e-6)
     # no load and no noise amplitude is no disturbance, bit for bit
-    inert = run_trial(model, _rest(100), pts, DT, decimation=10,
-                      start_state=start,
+    inert = run_trial(model, _rest(100), task, start_state=start,
                       disturbance=DisturbanceSpec(noise_frequency_hz=8.0),
-                      seed=0, desired_joint_path=q_d)
+                      seed=0)
     for f in fields(TrialLog):
         np.testing.assert_array_equal(getattr(inert, f.name), getattr(plain, f.name))
 
@@ -319,8 +338,8 @@ def test_run_trial_records_divergence(model):
     pts = _one_second_points()
     poisoned = rest_state(model)
     poisoned.qdot = np.full(model.n_joints, np.nan)
-    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
-                    start_state=poisoned, decimation=10)
+    log = run_trial(model, _rest(100), _task_along(model, pts), **UNDISTURBED,
+                    start_state=poisoned)
     assert log.diverged and log.diverged_at == 0
     assert log.tip.shape == (1, 2)
     assert log.excitations.shape == (0, model.n_muscles)
@@ -335,8 +354,8 @@ def test_run_trial_records_divergence(model):
 def test_run_trial_keeps_divergence_reason(model, monkeypatch):
     pts = _one_second_points()
     monkeypatch.setattr(muscle, "inverse_force_velocity", lambda fv: math.inf)
-    log = run_trial(model, _rest(100), pts, DT, **_undisturbed(model, pts),
-                    start_state=rest_state(model), decimation=10)
+    log = run_trial(model, _rest(100), _task_along(model, pts), **UNDISTURBED,
+                    start_state=rest_state(model))
     assert log.diverged and log.diverged_at == 0
     assert "l_fiber_norm of muscle 0" in log.diverged_reason
 
@@ -345,12 +364,10 @@ def test_run_trial_records_a_non_positive_muscle_tendon_length(model):
     # a fast swing from the chord's start turns joint 0 so far that muscle 0's
     # muscle-tendon length reaches zero, a divergence and not step_muscle's
     # ValueError
-    pts = _one_second_points()
-    undisturbed = _undisturbed(model, pts)
-    start = rest_state(model, undisturbed["desired_joint_path"][0])
+    task = _task_along(model, _one_second_points())
+    start = rest_state(model, task.joint_path[0])
     start.qdot[:] = (200.0, -200.0)
-    log = run_trial(model, _rest(100), pts, DT, **undisturbed, start_state=start,
-                    decimation=10)
+    log = run_trial(model, _rest(100), task, **UNDISTURBED, start_state=start)
     assert log.diverged and log.diverged_at > 0
     assert re.fullmatch(r"muscle-tendon length of muscle \d+ is -\S+, not positive",
                         log.diverged_reason)
@@ -370,11 +387,10 @@ def test_run_trial_names_a_nan_drive_before_its_physics(model, monkeypatch):
     monkeypatch.setattr(harness, "integrate_step", counting_step)
     table = np.full((100, model.n_joints), 0.5)
     table[7, 1] = np.nan
-    pts = _one_second_points()
+    task = _task_along(model, _one_second_points())
     with pytest.raises(ValueError, match=r"^control tick 7: drive 1 is nan$"):
-        run_trial(model, ReplayController(table), pts, DT,
-                  **_undisturbed(model, pts), start_state=rest_state(model),
-                  decimation=10)
+        run_trial(model, ReplayController(table), task, **UNDISTURBED,
+                  start_state=rest_state(model))
     assert len(ticks) == 7 * 10
 
 
@@ -391,21 +407,19 @@ def test_run_trial_rejects_a_drive_not_one_per_joint(model, monkeypatch, shape):
 
     monkeypatch.setattr(harness, "integrate_step", counting_step)
     message = f"control tick 0: drive of shape {shape} is not one value per joint (2)"
-    pts = _one_second_points()
+    task = _task_along(model, _one_second_points())
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        run_trial(model, ReplayController(np.full((100, *shape), 0.5)),
-                  pts, DT, **_undisturbed(model, pts),
-                  start_state=rest_state(model), decimation=10)
+        run_trial(model, ReplayController(np.full((100, *shape), 0.5)), task,
+                  **UNDISTURBED, start_state=rest_state(model))
     assert ticks == []
 
 
 def test_run_trial_clips_finite_drives(model):
     table = np.full((100, model.n_joints), 0.5)
     table[3] = (-0.2, 1.7)
-    pts = _one_second_points()
-    log = run_trial(model, ReplayController(table), pts, DT,
-                    **_undisturbed(model, pts), start_state=rest_state(model),
-                    decimation=10)
+    log = run_trial(model, ReplayController(table),
+                    _task_along(model, _one_second_points()), **UNDISTURBED,
+                    start_state=rest_state(model))
     assert log.drives[3].tolist() == [0.0, 1.0]
     assert log.drives[4].tolist() == [0.5, 0.5]
 
@@ -823,9 +837,9 @@ ONE_SECOND = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
 
 def _learned(pts, desired_q, *, drives=None, start_state=None):
     """An ``IlcResult`` holding only what the sweep and the PID baseline
-    read: the task along the points and their joint path (its control ticks
-    at decimation 10), a drive table and a start state."""
-    task = Task(pts, desired_q, (pts.shape[0] - 1) // 10)
+    read: the task along the points and their joint path at ``DT`` and
+    decimation 10, a drive table and a start state."""
+    task = Task(pts, desired_q, DT, 10)
     return IlcResult(summary=None, feedforward_drives=drives, sensitivity=None,
                      start_state=start_state, task=task, final_log=None)
 
@@ -906,22 +920,26 @@ def test_disturbance_sweep_rejects_a_table_before_parking(model, monkeypatch, sh
     assert parks == []
 
 
-def test_disturbance_sweep_rejects_a_decimation_before_parking(model, monkeypatch):
-    # a result from another config: the sweep's decimation 3 divides its own
-    # 999 ticks but not the 1000 of the result's 1 s chord; the (333, 2)
-    # table matched the shape check, so the sweep used to park before
-    # run_trial raised
-    def no_park(*args, **kwargs):
-        raise AssertionError("park_state ran before the decimation check")
+def test_disturbance_sweep_runs_at_the_tasks_rates(short_run, monkeypatch):
+    # the task carries its dt and decimation, so a sweep config with other
+    # rates parks and tracks as the learning run's own config does; a PID
+    # period or a table check read from this config would differ
+    cfg, result = short_run
+    own = replace(cfg, sweep_fractions=(0.1,), settle_time=3.0)
+    other = replace(own, dt=5e-4, control_decimation=40)
+    real_park, park_dts = harness.park_state, []
 
-    monkeypatch.setattr(harness, "park_state", no_park)
-    cfg = replace(ONE_SECOND, control_decimation=3,
-                  trajectory=TrajectorySpec(duration=0.999, cycles=1))
-    pts = _one_second_points()
-    result = _learned(pts, joint_path(model, pts), drives=np.full((333, 2), 0.5))
-    with pytest.raises(ValueError, match="^decimation 3 must divide the 1000 "
-                                         "trajectory ticks$"):
-        disturbance_sweep(cfg, result)
+    def recorded_park(model, q_target, dt, **kwargs):
+        park_dts.append(dt)
+        return real_park(model, q_target, dt, **kwargs)
+
+    monkeypatch.setattr(harness, "park_state", recorded_park)
+    rates = []
+    sweep = disturbance_sweep(other, result, on_trial=lambda fi, rep, log: (
+        rates.append((log.dt, log.decimation, log.time.shape[0]))))
+    assert park_dts == [DT]
+    assert rates == [(DT, 10, 3001)] * 2        # the replay, then the PID trial
+    assert sweep.points == disturbance_sweep(own, result).points
 
 
 def test_disturbance_sweep_parks_on_the_given_joint_path(model, monkeypatch):
@@ -1001,10 +1019,8 @@ def test_pid_tracks_better_than_rest(model):
     pts = generate_trajectory(TrajectorySpec(duration=2.0, cycles=1), DT)
     q_d = joint_path(model, pts)
     start, _ = park_state(model, q_d[0], DT, total_time=6.0)
-    passive = compute_metrics(run_trial(model, _rest(200), pts, DT,
-                                        disturbance=DisturbanceSpec(), seed=0,
-                                        start_state=start, decimation=10,
-                                        desired_joint_path=q_d))
+    passive = compute_metrics(run_trial(model, _rest(200), Task(pts, q_d, DT, 10),
+                                        **UNDISTURBED, start_state=start))
     cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=2.0, cycles=1))
     active = compute_metrics(pid_baseline(cfg, _learned(pts, q_d,
                                                         start_state=start)))

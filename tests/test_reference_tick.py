@@ -19,6 +19,7 @@ from myoarm.harness import (
     PidController,
     PidGains,
     ReplayController,
+    Task,
     TrajectorySpec,
     TrialLog,
     _hold,
@@ -92,11 +93,11 @@ def _planar_task():
     return model, points, q_d, rest_state(model, q_d[0])
 
 
-def _both(model, make_controller, points, q_d, start, **kwargs):
-    kwargs = dict(points=points, dt=DT, start_state=start, desired_joint_path=q_d,
-                  **kwargs)
-    return (run_trial(model, make_controller(), **kwargs),
-            ref.run_trial(model, make_controller(), **kwargs))
+def _both(model, make_controller, points, q_d, start, *, decimation, **kwargs):
+    task = Task(points, q_d, DT, decimation)
+    return (run_trial(model, make_controller(), task, start_state=start, **kwargs),
+            ref.run_trial(model, make_controller(), points, DT, start_state=start,
+                          decimation=decimation, desired_joint_path=q_d, **kwargs))
 
 
 def test_noisy_loaded_trial_matches_the_reference_bit_for_bit():
