@@ -10,7 +10,7 @@ mechanisms cooperate:
   with a box/sign reset (``_project_pjm``);
 * a time-axis feedback gain matrix updated by gradient descent on a
   tracking-plus-input-energy cost (``_descend_gain``), producing the
-  feedback component u_b = Xi . stacked error increments (``_feedback``);
+  feedback component u_b = Xi . (predicted error increment) (``_feedback``);
 * an iteration-axis feedforward table u_f(t), updated between repetitions of
   the same finite-horizon task from the previous run's error
   (``DdilcController.begin_iteration``).
@@ -41,13 +41,16 @@ positive-torque (agonist) muscles of that joint, values below drive the
 antagonists, both floored at the muscle's minimum activation
 (``pair_drive_to_excitations``). The controller composes each command on a
 per-channel rest bias, the drives that hold the parked start posture
-(``rest_drive``), and saturates it to [u_min, u_max] within [0, 1].
+(``rest_drive``), and saturates it to the plant's domain [0, 1], so the
+harness's own clip leaves it unchanged and the PJM learns from the
+increments the plant received.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from operator import mul
 
 import numpy as np
@@ -62,21 +65,31 @@ __all__ = [
 ]
 
 
-@dataclass
+def _check_numbers(obj) -> None:
+    """``ValueError`` naming ``Class.field`` unless every field of the
+    dataclass ``obj`` whose default is an int holds an integer, and every
+    field whose default is a float a finite number; a bool is neither. So
+    the value echoes as text that reads back as itself."""
+    for f in fields(obj):
+        v, kind = getattr(obj, f.name), type(f.default)
+        if kind in (int, float) and (isinstance(v, bool) or not isinstance(
+                v, numbers.Integral if kind is int else numbers.Real)
+                or kind is float and not math.isfinite(v)):
+            what = "an integer" if kind is int else "a finite number"
+            raise ValueError(f"{type(obj).__name__}.{f.name} must be {what}, got {v!r}")
+
+
+@dataclass(frozen=True)
 class DdilcParams:
     """Hyperparameters of the learning controller.
 
     gain_step / energy_weight drive the feedback-gain gradient step;
     estimator_step in (0,1] and estimator_weight > 0 normalize the PJM
     projection update; feedforward_scale scales the iteration-axis learning
-    gain (as a fraction of the inverse sensitivity); error_window is the
-    number of stacked error increments the feedback acts on; diag_floor and
+    gain (as a fraction of the inverse sensitivity); diag_floor and
     diag_span define the box of each (diagonal) PJM element, whose magnitude
-    stays within [diag_floor, diag_span*diag_floor].
-    u_min and u_max bound every drive the controller emits, inside the
-    plant's domain: 0 <= u_min < u_max <= 1, so the harness's clip to [0, 1]
-    leaves the controller's drives unchanged and the PJM learns from the
-    increments the plant received.
+    stays within [diag_floor, diag_span*diag_floor]. Every field is a
+    finite number.
     """
 
     gain_step: float = 0.5          # eta
@@ -84,13 +97,11 @@ class DdilcParams:
     estimator_step: float = 1.0     # projection step, in (0, 1]
     estimator_weight: float = 1.0   # projection regularizer, > 0
     feedforward_scale: float = 0.3  # fraction of inverse sensitivity
-    error_window: int = 1           # n_e, >= 1
     diag_floor: float = 10.0        # c2
     diag_span: float = 2.0          # a, diagonal box is [c2, a*c2]
-    u_min: float = 0.0
-    u_max: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if not 0.0 < self.estimator_step <= 1.0:
             raise ValueError("estimator_step must lie in (0, 1]")
         for name in ("gain_step", "energy_weight", "estimator_weight",
@@ -99,33 +110,20 @@ class DdilcParams:
                 raise ValueError(f"DdilcParams.{name} must be > 0")
         if self.diag_span < 1.0:
             raise ValueError("diag_span must be >= 1")
-        if self.error_window < 1:
-            raise ValueError("error_window must be >= 1")
-        if not 0.0 <= self.u_min < self.u_max <= 1.0:
-            raise ValueError("DdilcParams.u_min and u_max must satisfy "
-                             "0 <= u_min < u_max <= 1")
 
-    def check_rest_drive(self, rest_drive) -> None:
-        """``ValueError`` giving the drives and the bounds unless every rest
-        drive lies within [u_min, u_max]."""
-        rest = [float(v) for v in rest_drive]
-        if not all(self.u_min <= v <= self.u_max for v in rest):
-            raise ValueError(f"rest_drive must lie within [u_min, u_max] = "
-                             f"[{self.u_min!r}, {self.u_max!r}]: {rest}")
-
-    def xi_cap(self, m: int, window: int) -> float:
+    def xi_cap(self, m: int) -> float:
         """Saturation bound for feedback-gain entries.
 
-        The gain matrix maps output-unit increments back to inputs, so its
-        natural scale is the reciprocal of the PJM magnitude cap. Because the
-        newest stacked entry is a predicted increment, the feedback closes a
+        The (m, m) gain matrix maps output-unit increments back to inputs,
+        so its natural scale is the reciprocal of the PJM magnitude cap.
+        Because the feedback acts on a predicted error increment, it closes a
         two-step recursion in the input increments whose characteristic
         polynomial is z^2 + g z - g with loop gain g = ||Xi Phi||; that
         recursion is stable only for g < 1/2. Capping every entry at
-        0.4 / (max |Phi element| * stack size) bounds g by 0.4 even with all
-        entries pinned, leaving margin for the measured older window entries.
+        0.4 / (max |Phi element| * m) bounds g by 0.4 even with all entries
+        pinned.
         """
-        return 0.4 / (self.diag_span * self.diag_floor * m * math.sqrt(window))
+        return 0.4 / (self.diag_span * self.diag_floor * m)
 
 
 @dataclass
@@ -205,17 +203,18 @@ def _predict(y_d_next, y_t, phi: list, du) -> list[float]:
     return [a - b - p * d for a, b, p, d in zip(y_d_next, y_t, phi, du)]
 
 
-def _feedback(xi: list, stack) -> list[float]:
-    """Feedback component: gains applied to the stacked error increments."""
-    return [sum(map(mul, row, stack)) for row in xi]
+def _feedback(xi: list, de) -> list[float]:
+    """Feedback component: gains applied to the error increment."""
+    return [sum(map(mul, row, de)) for row in xi]
 
 
-def _compose(base, u_b, u_f, lo: float, hi: float) -> list[float]:
-    """Rest drive plus feedback plus feedforward, saturated elementwise."""
+def _compose(base, u_b, u_f) -> list[float]:
+    """Rest drive plus feedback plus feedforward, saturated to [0, 1]
+    elementwise."""
     out = []
     for b, ub, uf in zip(base, u_b, u_f):
         v = b + ub + uf
-        out.append(lo if v < lo else hi if v > hi else v)   # NaN stays, as in np.clip
+        out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)   # NaN stays, as in np.clip
     return out
 
 
@@ -271,7 +270,7 @@ class DdilcController:
     out as arrays at any time, mid-trial included. ``u_ff`` is the (horizon,
     m) feedforward table itself: changes to it take effect at the next
     ``begin_iteration``. ``rest_drive`` is the per-channel bias the drive is
-    composed on, within [u_min, u_max]; the harness passes the measured
+    composed on, within [0, 1]; the harness passes the measured
     drives that hold the start posture, so the first iteration continues the
     pre-trial equilibrium. ``response_lag_ticks`` (>= 0) is the probe's
     identified response lag in control ticks, which scales the feedforward's
@@ -292,7 +291,9 @@ class DdilcController:
         self.rest_drive = np.asarray(rest_drive, dtype=float).copy()
         if self.rest_drive.shape != (self.m,):
             raise ValueError("rest_drive must have one entry per channel")
-        params.check_rest_drive(self.rest_drive)
+        self._rest = self.rest_drive.tolist()
+        if not all(0.0 <= v <= 1.0 for v in self._rest):
+            raise ValueError(f"rest_drive must lie within [0, 1]: {self._rest}")
         self.gamma = params.diag_floor * math.sqrt(params.diag_span)
         s_pinv = np.linalg.pinv(sensitivity, rcond=1e-8)
         self.transform = self.gamma * s_pinv            # (m, y_dim)
@@ -300,15 +301,13 @@ class DdilcController:
         # feed the error increment scaled by the plant's identified response
         # lag (in control ticks) so the learning inverts gain and phase
         self.beta_deriv = response_lag_ticks * self.beta
-        n_e = params.error_window
         self._phi0 = [self.gamma] * self.m
-        self._xi_cap = params.xi_cap(self.m, n_e)
-        self._xi = [[0.0] * (self.m * n_e) for _ in range(self.m)]
+        self._xi_cap = params.xi_cap(self.m)
+        self._xi = [[0.0] * self.m for _ in range(self.m)]
         self.u_ff = np.zeros((horizon, self.m))
         # rows are replaced, never mutated, so they may start shared
         self._errors = [[0.0] * self.y_dim] * (horizon + 1)
         self._transform_rows = self.transform.tolist()
-        self._rest = self.rest_drive.tolist()
         self._start_trial()
         self.ff_shrink_count = 0
         self.counts = DdilcCounts()
@@ -321,20 +320,17 @@ class DdilcController:
 
     @property
     def xi_hat(self) -> np.ndarray:
-        """The live feedback gains, (m, m * error_window)."""
+        """The live feedback gains, (m, m)."""
         return np.array(self._xi)
 
     # -- iteration lifecycle -------------------------------------------------
 
     def _start_trial(self) -> None:
-        zeros = [0.0] * self.m
         self._phi = self._phi0[:]
-        self._window = [zeros] * self.params.error_window
         self._y_prev = None
-        self._e_prev = zeros
         self._drive_prev = None
-        self._du_prev = zeros
-        self._stack_prev = zeros * self.params.error_window
+        # replaced, never mutated, so they may start shared
+        self._du_prev = self._de_prev = [0.0] * self.m
 
     def begin_iteration(self, y_d0: np.ndarray) -> None:
         """Start a repetition: learn feedforward from the last run, reset PJM.
@@ -353,8 +349,8 @@ class DdilcController:
             # Anti-windup: errors inside the plant's response lag of the trial
             # start cannot be driven to zero by any table entry, so without a
             # bound they would integrate forever past the saturation limits.
-            lo = self.params.u_min - self.rest_drive
-            hi = self.params.u_max - self.rest_drive
+            lo = 0.0 - self.rest_drive     # not -rest_drive: 0.0 - 0.0 is 0.0, not -0.0
+            hi = 1.0 - self.rest_drive
             self.counts.ff_clips = int(np.count_nonzero((u_ff < lo) | (u_ff > hi)))
             self.u_ff = np.clip(u_ff, lo, hi, out=u_ff)
         self._start_trial()
@@ -383,24 +379,18 @@ class DdilcController:
             self.counts.pjm_diag_resets += _project_pjm(
                 phi, self._phi0,
                 [a - b for a, b in zip(y_t, self._y_prev)], du_prev, params)
-            self._window = [[a - b for a, b in zip(e_t, self._e_prev)]] \
-                + self._window[:-1]
         e_next_hat = _predict([sum(map(mul, row, y_d_next)) for row in rows],
                               y_t, phi, du_prev)
-        stack = [a - b for a, b in zip(e_next_hat, e_t)]
-        for older in self._window[:-1]:
-            stack += older
+        de = [a - b for a, b in zip(e_next_hat, e_t)]
         self.counts.xi_clips += _descend_gain(self._xi, phi, e_t,
-                                              self._stack_prev, stack,
+                                              self._de_prev, de,
                                               params, self._xi_cap)
-        drive = _compose(self._rest, _feedback(self._xi, stack),
-                         self._ff_rows[t], params.u_min, params.u_max)
+        drive = _compose(self._rest, _feedback(self._xi, de), self._ff_rows[t])
         if self._drive_prev is not None:
             self._du_prev = [a - b for a, b in zip(drive, self._drive_prev)]
         self._drive_prev = drive
         self._y_prev = y_t
-        self._e_prev = e_t
-        self._stack_prev = stack
+        self._de_prev = de
         self._y_d_t = y_d_next
         return list(drive)
 

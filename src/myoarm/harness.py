@@ -61,7 +61,7 @@ from .arm import (
     task_jacobian,
     tip_path,
 )
-from .control import DdilcController, DdilcParams, pair_drive_to_excitations
+from .control import DdilcController, DdilcParams, _check_numbers, pair_drive_to_excitations
 from .muscle import step_muscle
 from .presets import make_arm, preset_key
 
@@ -167,7 +167,7 @@ def _check_decimation(n_ticks: int, decimation: int, name: str) -> None:
 # experiment descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrajectorySpec:
     """A spatial sine laid along a straight workspace chord.
 
@@ -188,6 +188,7 @@ class TrajectorySpec:
     direction_y: float = 1.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         for name in ("amplitude", "spatial_period", "duration"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"TrajectorySpec.{name} must be > 0")
@@ -303,7 +304,7 @@ class ReplayController:
         pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class PidGains:
     """Task-space PID gains and the torque scale of the pair mapping.
 
@@ -324,9 +325,9 @@ class PidGains:
     torque_scale: float = 6.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         for name in ("kp", "ki", "kd"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
+            if not getattr(self, name) >= 0.0:
                 raise ValueError(f"PidGains.{name} must be finite and >= 0")
         if not self.torque_scale > 0.0:
             raise ValueError("PidGains.torque_scale must be > 0")
@@ -735,17 +736,20 @@ def sweep_condition(fraction: float) -> str:
     return f"load_{round(1000 * fraction):03d}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment, fully specified: plant, task, controller, outputs.
 
     The arm is not a field but follows from the fields: ``model`` builds the
     preset with the muscle overrides. Construction validates every field,
-    so ``dataclasses.replace`` cannot build an invalid config; the preset
-    name is normalized to its ``PRESETS`` key. The run's rules on ``dt``,
-    ``settle_time``, ``probe_delta``, ``probe_hold``, ``control_decimation``,
-    the trajectory and ``sweep_fractions`` are checked by the functions the
-    run itself checks them with. The rules owned here: ``iterations``,
+    and the config is frozen, so neither ``dataclasses.replace`` nor an
+    assignment can make an invalid config; the preset name is normalized to
+    its ``PRESETS`` key, and the config keeps its own copy of the muscle
+    overrides. Each integer field holds an integer and each float field a
+    finite number, so the ``config.ini`` echo reads back. The run's rules on
+    ``dt``, ``settle_time``, ``probe_delta``, ``probe_hold``,
+    ``control_decimation``, the trajectory and ``sweep_fractions`` are
+    checked by the functions the run itself checks them with. The rules owned here: ``iterations``,
     ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
     is non-negative; ``sweep_fractions`` is not empty, is stored as a tuple
     of floats, and no two of its loads share a ``sweep_condition``
@@ -764,13 +768,14 @@ class ExperimentConfig:
     probe_hold: float = 8.0
     divergence_patience: int = 3
     sweep_fractions: tuple[float, ...] = (0.0, 0.05, 0.10, 0.15, 0.20)
-    trajectory: TrajectorySpec = field(default_factory=TrajectorySpec)
-    controller: DdilcParams = field(default_factory=DdilcParams)
+    trajectory: TrajectorySpec = TrajectorySpec()
+    controller: DdilcParams = DdilcParams()
     muscle_overrides: dict[str, float] = field(default_factory=dict)
     disturbance: DisturbanceSpec = DisturbanceSpec()
-    pid: PidGains = field(default_factory=PidGains)
+    pid: PidGains = PidGains()
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         for name, least in (("iterations", 1), ("seed", 0),
                             ("divergence_patience", 1), ("repetitions", 1)):
             if not getattr(self, name) >= least:
@@ -784,13 +789,15 @@ class ExperimentConfig:
                         "ExperimentConfig.trajectory.duration")
         _check_decimation(n_traj, self.control_decimation,
                           "ExperimentConfig.control_decimation")
-        self.sweep_fractions = tuple(map(float, self.sweep_fractions))
+        # frozen, so the normalized fields are set through object.__setattr__
+        object.__setattr__(self, "sweep_fractions", tuple(map(float, self.sweep_fractions)))
         if not self.sweep_fractions:
             raise ValueError("ExperimentConfig.sweep_fractions must not be empty")
         for f in self.sweep_fractions:
             _check_load(f, "ExperimentConfig.sweep_fractions")
         # make_arm, through self.model below, rejects an unknown preset
-        self.preset = preset_key(self.preset)
+        object.__setattr__(self, "preset", preset_key(self.preset))
+        object.__setattr__(self, "muscle_overrides", dict(self.muscle_overrides))
         for i, f in enumerate(self.sweep_fractions):
             for g in self.sweep_fractions[:i]:
                 if sweep_condition(g) == sweep_condition(f):
@@ -864,7 +871,6 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     model = cfg.model
     task = _task(cfg, model)
     start, u_hold = _park(cfg, model, task, cfg.disturbance)
-    cfg.controller.check_rest_drive(u_hold)     # before the probe's holds
     probe = probe_sensitivity(loaded_plant(model, cfg.disturbance), start,
                               task.dt, delta=cfg.probe_delta,
                               hold_time=cfg.probe_hold, rest=u_hold)
@@ -899,8 +905,7 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
             summary.ff_shrink_iterations.append(k)
             growth_streak = 0
 
-    ff = np.clip(u_hold + controller.u_ff,
-                 cfg.controller.u_min, cfg.controller.u_max)
+    ff = np.clip(u_hold + controller.u_ff, 0.0, 1.0)
     return IlcResult(summary=summary, feedforward_drives=ff,
                      sensitivity=probe.sensitivity, start_state=start,
                      task=task, final_log=log)
@@ -1036,8 +1041,8 @@ def _lockin_amplitude(series: np.ndarray, freq: float, dt: float) -> float:
     n_cycles = math.floor(series.shape[0] * dt * freq)
     if n_cycles < 1:
         raise ValueError(f"measurement window shorter than one {freq} Hz cycle")
-    n_window = round(n_cycles / (freq * dt))
-    window = series[-n_window:]
+    n_samples = round(n_cycles / (freq * dt))
+    window = series[-n_samples:]
     t = np.arange(window.shape[0]) * dt
     z = np.exp(-2j * np.pi * freq * t)
     return 2.0 * abs(np.mean(window * z))

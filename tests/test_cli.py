@@ -538,8 +538,11 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, start", [
-    # a drive bound outside the plant's [0, 1] domain
-    ("[controller]\nu_max = 1.2\n", "line 2: [controller] u_max: "),
+    # keys with one value in use: a window of one error increment, and drive
+    # bounds at the plant's [0, 1] domain
+    ("[controller]\nerror_window = 2\n", "line 2: unknown key 'error_window'"),
+    ("[controller]\nu_min = 0.0\n", "line 2: unknown key 'u_min'"),
+    ("[controller]\nu_max = 1.2\n", "line 2: unknown key 'u_max'"),
     # keys with one value in use, now constants
     ("[controller]\nrest_command = 0.5\n", "line 2: unknown key 'rest_command'"),
     # the PJM is diagonal, so no off-diagonal cap remains to set

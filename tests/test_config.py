@@ -4,7 +4,7 @@ field-naming validation errors, env-var overrides, and round-trip identity.
 
 import random
 import re
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
@@ -87,7 +87,7 @@ def test_full_file_parses_every_section():
 
     [controller]
     feedforward_scale = 0.2
-    error_window = 2
+    diag_span = 3.0
 
     [muscle]
     a_min = 0.05
@@ -113,7 +113,7 @@ def test_full_file_parses_every_section():
     assert (cfg.trajectory.direction_x, cfg.trajectory.direction_y) == (1.0, 0.0)
     assert cfg.trajectory.cycles == 3
     assert cfg.controller.feedforward_scale == 0.2
-    assert cfg.controller.error_window == 2
+    assert cfg.controller.diag_span == 3.0
     assert cfg.controller.diag_floor == 10.0       # untouched default
     assert cfg.muscle_overrides == {"a_min": 0.05, "eps0_t": 0.02}
     assert cfg.disturbance.noise_frequency_hz == 8.0
@@ -341,6 +341,75 @@ def test_error_is_the_full_configs_named_by_the_key_that_breaks_it():
 # serialization round trip
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("section, name, value", [
+    (ExperimentConfig(), "sweep_fractions", ()),
+    (ExperimentConfig(), "control_decimation", 3),
+    (TrajectorySpec(), "cycles", 3),
+    (PidGains(), "kp", 1.0),
+    (DdilcParams(), "gain_step", 0.0),
+])
+def test_run_description_is_frozen(section, name, value):
+    # an assignment used to skip every construction check: the first two
+    # were accepted, and their echo failed to load
+    with pytest.raises(FrozenInstanceError):
+        setattr(section, name, value)
+
+
+def test_config_keeps_its_own_muscle_overrides():
+    # the caller's dict used to be kept: changing it changed the echo to
+    # "f0_max = -1.0", and cfg.model then raised
+    overrides = {"a_min": 0.05}
+    cfg = ExperimentConfig(muscle_overrides=overrides)
+    overrides["f0_max"] = -1.0
+    assert cfg.muscle_overrides == {"a_min": 0.05}
+    assert "f0_max" not in serialize_config(cfg)
+    assert all(mp.a_min == 0.05 for mp in cfg.model.muscles)
+
+
+@pytest.mark.parametrize("build, message", [
+    # each used to be accepted: the first two parked, then failed with
+    # "'float' object cannot be interpreted as an integer", and the echo
+    # of the first, "control_decimation = 10.0", failed to load
+    (lambda: ExperimentConfig(control_decimation=10.0),
+     "ExperimentConfig.control_decimation must be an integer, got 10.0"),
+    (lambda: ExperimentConfig(iterations=2.5),
+     "ExperimentConfig.iterations must be an integer, got 2.5"),
+    # echoed "seed = True"
+    (lambda: ExperimentConfig(seed=True), "ExperimentConfig.seed must be an integer, got True"),
+    (lambda: ExperimentConfig(repetitions=2.0),
+     "ExperimentConfig.repetitions must be an integer, got 2.0"),
+    (lambda: ExperimentConfig(divergence_patience=False),
+     "ExperimentConfig.divergence_patience must be an integer, got False"),
+    (lambda: TrajectorySpec(cycles=1.5), "TrajectorySpec.cycles must be an integer, got 1.5"),
+    # these two surfaced only as "trajectory sample 0 at (nan, nan): inverse
+    # kinematics did not converge within 100 steps"
+    (lambda: TrajectorySpec(amplitude=float("inf")),
+     "TrajectorySpec.amplitude must be a finite number, got inf"),
+    (lambda: TrajectorySpec(offset_x=float("nan")),
+     "TrajectorySpec.offset_x must be a finite number, got nan"),
+    # these three were accepted silently
+    (lambda: PidGains(torque_scale=float("inf")),
+     "PidGains.torque_scale must be a finite number, got inf"),
+    (lambda: DdilcParams(gain_step=float("inf")),
+     "DdilcParams.gain_step must be a finite number, got inf"),
+    (lambda: DdilcParams(diag_floor=float("inf")),
+     "DdilcParams.diag_floor must be a finite number, got inf"),
+    (lambda: ExperimentConfig(dt=float("nan")),
+     "ExperimentConfig.dt must be a finite number, got nan"),
+    (lambda: ExperimentConfig(settle_time=True),
+     "ExperimentConfig.settle_time must be a finite number, got True"),
+])
+def test_run_description_holds_only_values_its_echo_reads_back(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_integer_and_float_fields_take_numbers_that_read_back():
+    # an int in a float field echoes as an integer and parses back equal
+    cfg = ExperimentConfig(settle_time=3, trajectory=TrajectorySpec(duration=1))
+    assert parse(serialize_config(cfg)) == cfg
+
+
 def test_sweep_fractions_are_stored_as_a_tuple():
     # a list used to be kept, and echoed as "[0.0, 0.2]", which does not parse
     cfg = ExperimentConfig(sweep_fractions=[0.0, 0.2])
@@ -417,11 +486,8 @@ energy_weight = 1.0
 estimator_step = 1.0
 estimator_weight = 1.0
 feedforward_scale = 0.3
-error_window = 1
 diag_floor = 10.0
 diag_span = 2.0
-u_min = 0.0
-u_max = 1.0
 
 [muscle]
 
@@ -457,9 +523,7 @@ def _controllers(draw):
         gain_step=draw(_POSITIVE), energy_weight=draw(_POSITIVE),
         estimator_step=draw(_floats(0.0, 1.0, exclude_min=True)),
         estimator_weight=draw(_POSITIVE), feedforward_scale=draw(_POSITIVE),
-        error_window=draw(st.integers(1, 8)), diag_floor=draw(_POSITIVE),
-        diag_span=draw(_floats(1.0, 10.0)),
-        u_min=draw(_floats(0.0, 0.4)), u_max=draw(_floats(0.6, 1.0)))
+        diag_floor=draw(_POSITIVE), diag_span=draw(_floats(1.0, 10.0)))
 
 
 # every field scaled by a factor near 1 stays inside MuscleParams' bounds
@@ -546,7 +610,7 @@ def _respell(text: str, rnd) -> str:
 @given(_configs(), st.randoms(use_true_random=False))
 @example(ExperimentConfig(
     preset="spatial-ltdm", sweep_fractions=(0.0, 0.125, 0.5),
-    controller=DdilcParams(error_window=3),
+    controller=DdilcParams(diag_span=3.0),
     muscle_overrides={"eps0_t": 0.02, "a_min": 0.05},
     disturbance=DisturbanceSpec(0.2, 0.01, 2.0), pid=PidGains(kd=15.0)),
     random.Random(0))

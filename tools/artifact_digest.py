@@ -9,8 +9,12 @@ or without spaces, comments); the ``config.ini`` echoes are canonical, so
 the spelling moves no digest. ``sweep`` takes its loads from the sweep
 fractions and rejects a configured tip load, so it runs on the same config
 without the load. The tool prints one
-``<sha256>  <command>/<file>`` line per artifact, sorted by path. It uses
-only the CLI, so the outputs of two checkouts can be compared with ``diff``:
+``<sha256>  <command>/<file>`` line per artifact, sorted by path. After
+each ``run_summary.json`` comes a ``<command>/run_summary.json#results``
+line: the digest of that JSON without its ``config_ini`` echo, so a change
+that moves only the echo (a config key added or removed) leaves it equal.
+It uses only the CLI, so the outputs of two checkouts can be compared with
+``diff``:
 
     PYTHONPATH=<checkout>/src python tools/artifact_digest.py > digests.txt
 
@@ -21,6 +25,7 @@ used. ``MYOARM_*`` environment overrides apply as they do to the CLI.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import sys
 import tempfile
@@ -52,9 +57,23 @@ noise_frequency_hz = 2.0
 SWEEP_CONFIG = CONFIG.replace("load_fraction = 0.2\n", "")
 
 
+def _lines(path: Path, name: str) -> list[str]:
+    """The ``sha256  name`` line of ``path``; for a ``run_summary.json``,
+    then the ``name#results`` line of its JSON without ``config_ini``."""
+    data = path.read_bytes()
+    lines = [f"{hashlib.sha256(data).hexdigest()}  {name}"]
+    if path.name == "run_summary.json":
+        results = json.loads(data)
+        results.pop("config_ini")
+        text = json.dumps(results, sort_keys=True, indent=2, allow_nan=False)
+        lines.append(f"{hashlib.sha256(text.encode()).hexdigest()}  {name}#results")
+    return lines
+
+
 def digests() -> list[str]:
     """Run every command on CONFIG (``sweep`` on SWEEP_CONFIG); one
-    ``sha256  path`` line per artifact."""
+    ``sha256  path`` line per artifact, and a ``#results`` line after each
+    ``run_summary.json``."""
     if str(_SRC) not in sys.path:
         sys.path.append(str(_SRC))      # after PYTHONPATH, which thus wins
     from myoarm.cli import main
@@ -71,9 +90,8 @@ def digests() -> list[str]:
                 if code != 0:
                     raise RuntimeError(f"myoarm {command} exited with {code}")
             root = Path("runs")
-            return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
-                    f"{path.relative_to(root).as_posix()}"
-                    for path in sorted(root.rglob("*")) if path.is_file()]
+            return [line for path in sorted(root.rglob("*")) if path.is_file()
+                    for line in _lines(path, path.relative_to(root).as_posix())]
         finally:
             os.chdir(cwd)
 
