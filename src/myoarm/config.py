@@ -49,6 +49,7 @@ from dataclasses import asdict, fields
 from .arm import ArmModel
 from .control import DdilcParams
 from .harness import (
+    _COMMENT,
     DisturbanceSpec,
     ExperimentConfig,
     PidGains,
@@ -149,8 +150,6 @@ def _coerce(where: str, raw: str, typ: type, line: int | None = None):
 _Sources = dict[tuple[str, str], tuple[str, int | None]]
 
 
-# a comment starts at '#' or ';' at the start of a line or after whitespace
-_COMMENT = re.compile(r"(?:^|\s)[#;].*")
 _HEADER = re.compile(r"\[([^\]]*)\]")
 _KEY = re.compile(r"([^=:]+?)\s*[=:](.*)")
 

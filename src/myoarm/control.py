@@ -29,12 +29,15 @@ coupling between channels to the sensitivity transform above. (Under the
 sign rule an off-diagonal element starting at 0 would be reset to 0 by
 every update, as sign(0) = 0.)
 
-The per-tick law runs on the controller state held as Python lists of
-floats (row-major matrices, the PJM as its diagonal), through the list
+The per-tick law runs on the controller state held as short Python lists
+of floats (row-major matrices, the PJM as its diagonal), through the list
 kernels below, the one implementation of each equation; ``estimate_pjm``
 wraps the PJM kernel for numpy callers. For vectors of a few elements this
 is several times cheaper than numpy calls, and the result does not depend
-on the BLAS build.
+on the BLAS build. The per-tick records of a trial hold one 8-byte float
+per value and no Python object per tick: the error series is one float
+array that each tick writes its row of in place, and the ticks read the
+feedforward table from one flat ``array('d')`` copy, row-major.
 
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, fields
 from operator import mul
 
@@ -65,18 +69,24 @@ __all__ = [
 ]
 
 
+def _check_number(where: str, v, kind: type) -> None:
+    """``ValueError`` naming ``where`` unless ``v`` is an integer (``kind``
+    int) or a finite number (``kind`` float); a bool is neither. So the
+    value echoes as text that reads back as itself."""
+    if (isinstance(v, bool)
+            or not isinstance(v, numbers.Integral if kind is int else numbers.Real)
+            or kind is float and not math.isfinite(v)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{where} must be {what}, got {v!r}")
+
+
 def _check_numbers(obj) -> None:
-    """``ValueError`` naming ``Class.field`` unless every field of the
-    dataclass ``obj`` whose default is an int holds an integer, and every
-    field whose default is a float a finite number; a bool is neither. So
-    the value echoes as text that reads back as itself."""
+    """``_check_number`` on every field of the dataclass ``obj`` whose
+    default is an int or a float, naming it ``Class.field``."""
     for f in fields(obj):
-        v, kind = getattr(obj, f.name), type(f.default)
-        if kind in (int, float) and (isinstance(v, bool) or not isinstance(
-                v, numbers.Integral if kind is int else numbers.Real)
-                or kind is float and not math.isfinite(v)):
-            what = "an integer" if kind is int else "a finite number"
-            raise ValueError(f"{type(obj).__name__}.{f.name} must be {what}, got {v!r}")
+        if type(f.default) in (int, float):
+            _check_number(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name),
+                          type(f.default))
 
 
 @dataclass(frozen=True)
@@ -208,18 +218,23 @@ def _feedback(xi: list, de) -> list[float]:
     return [sum(map(mul, row, de)) for row in xi]
 
 
-def _compose(base, u_b, u_f) -> list[float]:
-    """Rest drive plus feedback plus feedforward, saturated to [0, 1]
-    elementwise."""
+def _compose(base, u_b, u_f, at: int) -> list[float]:
+    """Rest drive plus feedback plus the feedforward row that starts at
+    ``u_f[at]`` in the flat table ``u_f``, saturated to [0, 1] elementwise."""
     out = []
-    for b, ub, uf in zip(base, u_b, u_f):
-        v = b + ub + uf
+    for i, (b, ub) in enumerate(zip(base, u_b), at):
+        v = b + ub + u_f[i]
         out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)   # NaN stays, as in np.clip
     return out
 
 
 def _floats(a) -> list:
     return np.asarray(a, dtype=float).tolist()
+
+
+def _flat(a) -> array:
+    """``a`` as one flat ``array('d')``, row-major."""
+    return array("d", np.ascontiguousarray(a, dtype=float).tobytes())
 
 
 def estimate_pjm(est: PjmEstimate, dy: np.ndarray, du_b: np.ndarray,
@@ -267,14 +282,17 @@ class DdilcController:
     units.
 
     The per-tick state lives in Python lists; ``est`` and ``xi_hat`` read it
-    out as arrays at any time, mid-trial included. ``u_ff`` is the (horizon,
-    m) feedforward table itself: changes to it take effect at the next
-    ``begin_iteration``. ``rest_drive`` is the per-channel bias the drive is
-    composed on, within [0, 1]; the harness passes the measured
-    drives that hold the start posture, so the first iteration continues the
-    pre-trial equilibrium. ``response_lag_ticks`` (>= 0) is the probe's
-    identified response lag in control ticks, which scales the feedforward's
-    error-increment term. ``counts`` holds the current iteration's
+    out as arrays at any time, mid-trial included. The trial's error series
+    is one preallocated (horizon + 1, y_dim) float array that ``step`` and
+    ``finish_iteration`` write a row of in place, and ``begin_iteration``
+    learns from. ``u_ff`` is the (horizon, m) feedforward table itself;
+    ``begin_iteration`` copies it into the flat buffer the ticks read, so
+    changes to it take effect at the next ``begin_iteration``.
+    ``rest_drive`` is the per-channel bias the drive is composed on, within
+    [0, 1]; the harness passes the measured drives that hold the start
+    posture, so the first iteration continues the pre-trial equilibrium.
+    ``response_lag_ticks`` (>= 0) is the probe's identified response lag in
+    control ticks, which scales the feedforward's error-increment term. ``counts`` holds the current iteration's
     ``DdilcCounts``. The feedback gains ``xi_hat`` start at zero and carry
     over from trial to trial; the controller draws no random numbers.
     """
@@ -305,8 +323,7 @@ class DdilcController:
         self._xi_cap = params.xi_cap(self.m)
         self._xi = [[0.0] * self.m for _ in range(self.m)]
         self.u_ff = np.zeros((horizon, self.m))
-        # rows are replaced, never mutated, so they may start shared
-        self._errors = [[0.0] * self.y_dim] * (horizon + 1)
+        self._errors = np.zeros((horizon + 1, self.y_dim))
         self._transform_rows = self.transform.tolist()
         self._start_trial()
         self.ff_shrink_count = 0
@@ -343,9 +360,8 @@ class DdilcController:
         """
         self.counts = DdilcCounts()
         if self._errors_recorded:
-            errors = np.array(self._errors)
-            u_ff = self.u_ff + errors[1:] @ self.beta.T
-            u_ff = u_ff + (errors[1:] - errors[:-1]) @ self.beta_deriv.T
+            u_ff = self.u_ff + self._errors[1:] @ self.beta.T
+            u_ff = u_ff + (self._errors[1:] - self._errors[:-1]) @ self.beta_deriv.T
             # Anti-windup: errors inside the plant's response lag of the trial
             # start cannot be driven to zero by any table entry, so without a
             # bound they would integrate forever past the saturation limits.
@@ -354,7 +370,7 @@ class DdilcController:
             self.counts.ff_clips = int(np.count_nonzero((u_ff < lo) | (u_ff > hi)))
             self.u_ff = np.clip(u_ff, lo, hi, out=u_ff)
         self._start_trial()
-        self._ff_rows = self.u_ff.tolist()
+        self._ff = _flat(self.u_ff)
         self._y_d_t = _floats(y_d0)
         self._errors_recorded = False
 
@@ -385,7 +401,7 @@ class DdilcController:
         self.counts.xi_clips += _descend_gain(self._xi, phi, e_t,
                                               self._de_prev, de,
                                               params, self._xi_cap)
-        drive = _compose(self._rest, _feedback(self._xi, de), self._ff_rows[t])
+        drive = _compose(self._rest, _feedback(self._xi, de), self._ff, t * self.m)
         if self._drive_prev is not None:
             self._du_prev = [a - b for a, b in zip(drive, self._drive_prev)]
         self._drive_prev = drive

@@ -23,10 +23,11 @@ Controllers plug into ``run_trial`` through a small duck-typed protocol:
 
 * ``begin_iteration(y_d0)`` — called once before the first tick;
 * ``step(tc, y, y_d_next) -> drive`` — called at every control tick with the
-  measured tip position and the next desired point (each a sequence of
-  Python floats), returning per-joint pair drives, clipped to [0, 1] (a
-  drive that is not one finite value per joint raises ``ValueError`` naming
-  the tick);
+  measured tip position and ``y_d_next``, the task's point one control tick
+  ahead (each a sequence of two Python floats; ``y_d_next`` is a slice of
+  the trial's flat ``array('d')`` of control-tick points), returning
+  per-joint pair drives, clipped to [0, 1] (a drive that is not one finite
+  value per joint raises ``ValueError`` naming the tick);
   controllers with ``wants_state = True`` additionally receive the full
   ``ArmState`` as a keyword argument;
 * ``finish_iteration(y_final)`` — called once after the last tick.
@@ -43,6 +44,7 @@ inputs give bit-identical logs.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from dataclasses import asdict, dataclass, field, replace
 
@@ -61,7 +63,14 @@ from .arm import (
     task_jacobian,
     tip_path,
 )
-from .control import DdilcController, DdilcParams, _check_numbers, pair_drive_to_excitations
+from .control import (
+    DdilcController,
+    DdilcParams,
+    _check_number,
+    _check_numbers,
+    _flat,
+    pair_drive_to_excitations,
+)
 from .muscle import step_muscle
 from .presets import make_arm, preset_key
 
@@ -99,6 +108,10 @@ __all__ = [
 ]
 
 RATED_LOAD_KG = 2.5
+
+# in config text, a comment starts at '#' or ';' at the start of a line or
+# after whitespace
+_COMMENT = re.compile(r"(?:^|\s)[#;].*")
 
 
 class UnreachableTrajectoryError(ValueError):
@@ -372,9 +385,10 @@ class Task:
     """What a trial follows: the desired tip path sampled at ``dt``, its
     inverse-kinematics path, and the physics ticks per control tick.
 
-    Construction checks that the path holds at least two samples, that the
-    joint path has one posture per sample and that ``decimation`` divides
-    the path's physics ticks; ``ValueError`` otherwise.
+    Construction checks that the path is (T+1, 2) with at least two
+    samples, that the joint path is 2-D with one posture per sample and that
+    ``decimation`` divides the path's physics ticks; ``ValueError``
+    otherwise.
     """
 
     points: np.ndarray          # (T+1, 2), the desired tip path
@@ -383,11 +397,16 @@ class Task:
     decimation: int             # physics ticks per control tick
 
     def __post_init__(self) -> None:
-        n = len(self.points)
+        shape, joints = np.shape(self.points), np.shape(self.joint_path)
+        if len(shape) != 2 or shape[1] != 2:
+            raise ValueError(f"trajectory must be (T+1, 2) tip points, got shape {shape}")
+        n = shape[0]
         if n < 2:
             raise ValueError("trajectory must contain at least two samples")
-        if len(self.joint_path) != n:
-            raise ValueError(f"joint path of {len(self.joint_path)} postures for {n} samples")
+        if len(joints) != 2:
+            raise ValueError(f"joint path must be 2-D, one posture per sample, got shape {joints}")
+        if joints[0] != n:
+            raise ValueError(f"joint path of {joints[0]} postures for {n} samples")
         _check_decimation(n - 1, self.decimation, "decimation")
 
     @property
@@ -500,12 +519,12 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     qs, qds = array("d", state[0]), array("d", state[1])
     excitations, forces, drives = array("d"), array("d"), array("d")
     diverged_at = diverged_reason = None
-    targets = points[::decimation].tolist()      # one per control tick
+    targets = _flat(points[::decimation])      # one (x, y) per control tick
 
-    controller.begin_iteration(targets[0])
+    controller.begin_iteration(targets[:2])
     for tc in range(task.n_control):
         y = _chain(eff, state[0])[-1]
-        y_d_next = targets[tc + 1]
+        y_d_next = targets[2 * tc + 2:2 * tc + 4]
         if wants_state:
             raw = controller.step(tc, y, y_d_next, state=ArmState.from_floats(state))
         else:
@@ -776,6 +795,11 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_numbers(self)
+        out = self.out
+        if (not isinstance(out, str) or out.splitlines() != [out]
+                or out != out.strip() or _COMMENT.search(out)):
+            raise ValueError("ExperimentConfig.out must be one line of text with no surrounding "
+                             f"whitespace and no '#' or ';' after whitespace, got {out!r}")
         for name, least in (("iterations", 1), ("seed", 0),
                             ("divergence_patience", 1), ("repetitions", 1)):
             if not getattr(self, name) >= least:
@@ -798,6 +822,8 @@ class ExperimentConfig:
         # make_arm, through self.model below, rejects an unknown preset
         object.__setattr__(self, "preset", preset_key(self.preset))
         object.__setattr__(self, "muscle_overrides", dict(self.muscle_overrides))
+        for key, value in self.muscle_overrides.items():
+            _check_number(f"ExperimentConfig.muscle_overrides[{key!r}]", value, float)
         for i, f in enumerate(self.sweep_fractions):
             for g in self.sweep_fractions[:i]:
                 if sweep_condition(g) == sweep_condition(f):

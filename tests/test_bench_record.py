@@ -78,3 +78,45 @@ def test_assemble_reports_medians_quartiles_and_pair_wins():
     assert entry["correct"] is True
     assert set(entry) == {m["name"] for m in DECLARED["end_to_end"]} | {"raw_run_s",
                                                                        "correct"}
+
+
+def _summary(parent_s, change_s):
+    runs = []
+    for run in bench_record.schedule(["probe-spatial"], len(parent_s), 301):
+        s = (parent_s if run["side"] == "parent" else change_s)[run["pair"]]
+        run.update(bench_record.parse_run(_stdout(s, [f"{s:.3f}"])))
+        runs.append(run)
+    return bench_record.assemble(runs, [], DECLARED, {})["summary"]["probe-spatial"]
+
+
+PARENT_S = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change_s, verdict", [
+    # 9 of 10 pairs won and the medians 0.1 s apart, against an IQR of 0.03 s
+    ([0.90, 0.92, 0.88, 0.91, 0.89, 0.93, 0.87, 0.90, 0.92, 1.05], "gain"),
+    # the change median 30 % above the parent's, past the 0.2 bound
+    ([1.3 * s for s in PARENT_S], "regression"),
+    # 5 % slower, within the bound; the parent's spread is tight
+    ([1.05 * s for s in PARENT_S], "no regression"),
+    # 8 of 10 pairs won by 0.1 s: not a gain, and no regression
+    ([0.90] * 8 + [1.10] * 2, "no regression"),
+], ids=["gain", "regression", "no-regression", "eight-wins"])
+def test_verdict_reads_the_pairs_and_the_spread(change_s, verdict):
+    entry = _summary(PARENT_S, change_s)
+    assert entry["run_s"]["verdict"] == verdict
+    # ticks_per_s is 1000 / run_s, and higher is better: the same reading
+    assert entry["ticks_per_s"]["verdict"] == verdict
+    assert entry["peak_rss_mb"]["verdict"] == "no regression"
+    assert "verdict" not in entry["raw_run_s"]
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
+    wide = [0.60, 1.40, 0.70, 1.30, 0.80, 1.20, 0.65, 1.35, 1.00, 1.00]
+    # every change run faster than every parent run, yet the medians differ
+    # by less than the parent's IQR, so no gain
+    beaten = [0.55, 0.59, 0.55, 0.59, 0.55, 0.59, 0.55, 0.59, 0.55, 0.59]
+    assert _summary(wide, [s * 1.01 for s in wide])["run_s"]["verdict"] == "unresolved"
+    # the parent's relative IQR is wider than the bound, but the change beat
+    # every parent run, which no spread can hide
+    assert _summary(wide, beaten)["run_s"]["verdict"] == "no regression"

@@ -398,10 +398,28 @@ def test_config_keeps_its_own_muscle_overrides():
      "ExperimentConfig.dt must be a finite number, got nan"),
     (lambda: ExperimentConfig(settle_time=True),
      "ExperimentConfig.settle_time must be a finite number, got True"),
+    # each but "300" used to build: its echo failed to load ("out must not
+    # be empty", "unknown section [x]", "f0_max must be finite", "expected a
+    # number, got 'True'") or loaded back as another value ('runs', 'a',
+    # 'a'); "300" raised a TypeError from the muscle's own check
+    *((lambda out=out: ExperimentConfig(out=out),
+       "ExperimentConfig.out must be one line of text with no surrounding whitespace "
+       f"and no '#' or ';' after whitespace, got {out!r}")
+      for out in ("", "a b\n[x]", " runs ", "a #b", "a ;b")),
+    *((lambda v=v: ExperimentConfig(muscle_overrides={"f0_max": v}),
+       f"ExperimentConfig.muscle_overrides['f0_max'] must be a finite number, got {v!r}")
+      for v in (float("inf"), True, "300")),
 ])
 def test_run_description_holds_only_values_its_echo_reads_back(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_out_reads_back_with_delimiters_and_inner_space():
+    # '#' and ';' start a comment only after whitespace; '=' and ':' after
+    # the key's own delimiter stay in the value
+    cfg = ExperimentConfig(out="runs#1;a b=c:d", muscle_overrides={"f0_max": 300})
+    assert parse(serialize_config(cfg)) == cfg
 
 
 def test_integer_and_float_fields_take_numbers_that_read_back():

@@ -19,6 +19,7 @@ from myoarm.control import (
     _compose,
     _descend_gain,
     _feedback,
+    _flat,
     _predict,
     _project_pjm,
     estimate_pjm,
@@ -227,7 +228,8 @@ def test_feedback_gains_start_at_zero():
 
 def test_compose_control_clamps():
     def compose(u_b, u_f):
-        return _compose([0.5], [u_b], [u_f])[0]
+        # the feedforward row starts at offset 1 of the flat table
+        return _compose([0.5], [u_b], [9.0, u_f], 1)[0]
 
     assert compose(0.5, 0.3) == 1.0
     assert compose(-0.5, -0.2) == 0.0
@@ -526,7 +528,7 @@ def _load_state(ctl, ref, rng, first):
         value = getattr(ref, name)
         setattr(ctl, private, None if value is None else value.tolist())
     ctl.u_ff = ref.u_ff.copy()
-    ctl._ff_rows = ref.u_ff.tolist()
+    ctl._ff = _flat(ref.u_ff)
 
 
 @given(m=st.integers(1, 7), y_dim=st.integers(1, 3),

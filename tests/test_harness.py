@@ -6,6 +6,7 @@ stand-in, and the muscle low-pass measurement.
 
 import math
 import re
+import tracemalloc
 import weakref
 from dataclasses import FrozenInstanceError, fields, replace
 
@@ -24,6 +25,7 @@ from myoarm.arm import (
     rest_state,
     tip_path,
 )
+from myoarm.control import DdilcController, DdilcParams
 from myoarm.harness import (
     DisturbanceSpec,
     ExperimentConfig,
@@ -249,6 +251,19 @@ def test_task_needs_one_posture_per_sample(model):
         Task(pts, joint_path(model, longer), DT, 10)
 
 
+@pytest.mark.parametrize("points, joints, message", [
+    # each used to build; a trial replayed along the first two logged a
+    # ``tip_desired`` of shape (5,) or (5, 3), and along the third failed
+    # in numpy broadcasting
+    ((5,), (5, 2), "trajectory must be (T+1, 2) tip points, got shape (5,)"),
+    ((5, 3), (5, 2), "trajectory must be (T+1, 2) tip points, got shape (5, 3)"),
+    ((5, 2), (5,), "joint path must be 2-D, one posture per sample, got shape (5,)"),
+], ids=["flat-points", "3-d-points", "flat-joint-path"])
+def test_task_checks_its_array_shapes(points, joints, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Task(np.zeros(points), np.zeros(joints), DT, 1)
+
+
 def test_task_decimation_must_divide(model):
     pts = _one_second_points()[:11]          # 10 ticks
     with pytest.raises(ValueError, match="^decimation 3 must divide the 10 "
@@ -274,6 +289,30 @@ def test_run_trial_shapes_and_rest_drive(model):
     assert log.muscle_lengths_desired.shape == (1001, model.n_muscles)
     assert log.time[-1] == pytest.approx(1.0)
     assert not log.diverged and log.diverged_at is None
+
+
+def test_ddilc_trial_holds_no_python_object_per_tick(model):
+    # A trial's log arrays are built from flat float buffers of the same
+    # values, so a trial peaks below twice its log. The controller's error
+    # record, its feedforward rows and the trial's targets used to hold a
+    # Python list per control tick, 1.4 MB more at the peak of these 4000
+    # ticks.
+    pts = generate_trajectory(TrajectorySpec(duration=4.0, cycles=1), DT)
+    task = Task(pts, joint_path(model, pts), DT, 1)
+    ctl = DdilcController(np.array([[0.05, 0.02], [-0.01, 0.04]]), DdilcParams(),
+                          task.n_control, response_lag_ticks=10.0, rest_drive=REST)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        log = run_trial(model, ctl, task, **UNDISTURBED, start_state=rest_state(model))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert task.n_control == 4000 and not log.diverged
+    log_bytes = sum(a.nbytes for a in (log.time, log.tip, log.q, log.qdot, log.drives,
+                                       log.excitations, log.tendon_forces,
+                                       log.muscle_lengths, log.muscle_lengths_desired))
+    assert peak < 2 * log_bytes
 
 
 def test_run_trial_logs_the_points_read_only_without_a_copy(model):

@@ -14,8 +14,9 @@ each side makes one traced run per workload on ``SEED0``.
 
 The output file holds every run's JSON line with its seed, side and ``#``
 lines (the machine record among them); per workload and end-to-end metric,
-each side's median and quartiles, the change/parent median ratio and the
-pairs the change won; the same for the raw (unscaled) operation times; and
+each side's median and quartiles, the change/parent median ratio, the
+pairs the change won and the ``verdict`` (see ``verdict``); the same, with
+no verdict, for the raw (unscaled) operation times; and
 the ``tools/src_lines.py`` and ``tools/settings_count.py`` output of each
 side, each run in its own tree, and the sha256 of each side's package
 sources that perfbench keys its outputs by.
@@ -71,6 +72,34 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def verdict(entry: dict, better: str, bound: float) -> str:
+    """How one metric's comparison reads, in the order checked:
+
+    * ``gain`` -- the change won at least 9 in 10 pairs, and the medians
+      differ by more than the parent's interquartile range;
+    * ``regression`` -- the change median is worse than the parent's by more
+      than ``bound`` times the parent median;
+    * ``unresolved`` -- the parent's interquartile range is wider than
+      ``bound`` times its median, and not every change run beats every
+      parent run;
+    * ``no regression`` otherwise.
+    """
+    parent, change = entry["parent"], entry["change"]
+    sign = 1.0 if better == "lower" else -1.0
+    scale = bound * abs(parent["median"])
+    iqr = parent["q3"] - parent["q1"]
+    ahead = sign * (parent["median"] - change["median"])    # > 0: the change is better
+    if 10 * entry["change_better_pairs"] >= 9 * entry["pairs"] and ahead > iqr:
+        return "gain"
+    if -ahead > scale:
+        return "regression"
+    separated = (max(sign * v for v in change["values"])
+                 < min(sign * v for v in parent["values"]))
+    if iqr > scale and not separated:
+        return "unresolved"
+    return "no regression"
+
+
 def compare(runs: list[dict], value, better: str) -> dict:
     """Both sides' spread of ``value(run)`` and how the pairs came out."""
     by_pair: dict[int, dict] = {}
@@ -92,9 +121,12 @@ def assemble(runs: list[dict], traced: list[dict], declared: dict, meta: dict) -
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         mine = [run for run in runs if run["workload"] == workload]
-        entry = {m["name"]: compare(
-            mine, lambda run, name=m["name"]: run["result"]["metrics"][name]["value"],
-            m["better"]) for m in declared["end_to_end"]}
+        entry = {}
+        for m in declared["end_to_end"]:
+            entry[m["name"]] = compare(
+                mine, lambda run, name=m["name"]: run["result"]["metrics"][name]["value"],
+                m["better"])
+            entry[m["name"]]["verdict"] = verdict(entry[m["name"]], m["better"], m["bound"])
         entry["raw_run_s"] = compare(mine, lambda run: run["raw_run_s"], "lower")
         entry["correct"] = all(run["result"]["correct"] for run in mine)
         summary[workload] = entry
