@@ -28,9 +28,12 @@ malformed line. A value is one line. Section names and keys ignore case, and
 
 Every key is optional (an empty file yields the benchmark defaults). An
 unknown section or key, a section or key given twice in any case, and a key
-outside a section are hard errors carrying the offending line number, and
-values are validated on load so a bad config never reaches a simulation; an
-invalid value is reported with its line or environment variable.
+outside a section are hard errors carrying the offending line number. The
+converter only converts: a value is text that reads as its key's type, and
+the dataclasses check it (a finite number, an integer, an empty name, a
+range) as they check a value built in Python, so a bad config never reaches
+a simulation. An invalid value is reported with the dataclass's message,
+prefixed with its line or environment variable.
 After the file, environment variables override individual keys using the
 documented prefix scheme ``MYOARM_<SECTION>__<KEY>`` (for example
 ``MYOARM_EXPERIMENT__SEED=3`` or ``MYOARM_CONTROLLER__FEEDFORWARD_SCALE=0.2``);
@@ -41,7 +44,6 @@ configuration; every experiment writes that echo next to its artifacts.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 from dataclasses import asdict, fields
@@ -117,11 +119,13 @@ _SECTIONS: dict[str, dict[str, type]] = {
 
 
 def _coerce(where: str, raw: str, typ: type, line: int | None = None):
-    """``raw`` as a value of ``typ``; ``where`` names the key in errors."""
+    """``raw`` as a value of ``typ``; ``where`` names the key in errors.
+
+    Only text that is no value of ``typ`` fails here. The dataclasses check
+    the value (an empty name, an infinite number), and ``parse_config``
+    names its line."""
     raw = raw.strip()
     if typ is str:
-        if not raw:
-            raise ConfigError(f"{where} must not be empty", line)
         return raw
     if typ is int:
         try:
@@ -131,13 +135,10 @@ def _coerce(where: str, raw: str, typ: type, line: int | None = None):
                               line) from None
     if typ is float:
         try:
-            value = float(raw)
+            return float(raw)
         except ValueError:
             raise ConfigError(f"{where}: expected a number, got {raw!r}",
                               line) from None
-        if not math.isfinite(value):
-            raise ConfigError(f"{where} must be finite", line)
-        return value
     if typ is tuple:
         tokens = [tok for tok in raw.replace(",", " ").split() if tok]
         if not tokens:

@@ -52,12 +52,13 @@ increments the plant received.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
+
+from .muscle import _check_number, _check_numbers
 
 __all__ = [
     "DdilcParams",
@@ -67,26 +68,6 @@ __all__ = [
     "pair_drive_to_excitations",
     "DdilcController",
 ]
-
-
-def _check_number(where: str, v, kind: type) -> None:
-    """``ValueError`` naming ``where`` unless ``v`` is an integer (``kind``
-    int) or a finite number (``kind`` float); a bool is neither. So the
-    value echoes as text that reads back as itself."""
-    if (isinstance(v, bool)
-            or not isinstance(v, numbers.Integral if kind is int else numbers.Real)
-            or kind is float and not math.isfinite(v)):
-        what = "an integer" if kind is int else "a finite number"
-        raise ValueError(f"{where} must be {what}, got {v!r}")
-
-
-def _check_numbers(obj) -> None:
-    """``_check_number`` on every field of the dataclass ``obj`` whose
-    default is an int or a float, naming it ``Class.field``."""
-    for f in fields(obj):
-        if type(f.default) in (int, float):
-            _check_number(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name),
-                          type(f.default))
 
 
 @dataclass(frozen=True)
@@ -291,8 +272,9 @@ class DdilcController:
     ``rest_drive`` is the per-channel bias the drive is composed on, within
     [0, 1]; the harness passes the measured drives that hold the start
     posture, so the first iteration continues the pre-trial equilibrium.
-    ``response_lag_ticks`` (>= 0) is the probe's identified response lag in
-    control ticks, which scales the feedforward's error-increment term. ``counts`` holds the current iteration's
+    ``response_lag_ticks``, a finite number >= 0, is the probe's identified
+    response lag in control ticks, which scales the feedforward's
+    error-increment term. ``counts`` holds the current iteration's
     ``DdilcCounts``. The feedback gains ``xi_hat`` start at zero and carry
     over from trial to trial; the controller draws no random numbers.
     """
@@ -302,6 +284,7 @@ class DdilcController:
                  rest_drive: np.ndarray):
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
+        _check_number("DdilcController.response_lag_ticks", response_lag_ticks, float)
         if response_lag_ticks < 0.0:
             raise ValueError("response_lag_ticks must be >= 0")
         self.params = params
@@ -416,7 +399,11 @@ class DdilcController:
         self._errors_recorded = True
 
     def shrink_feedforward(self) -> None:
-        """Divergence response: halve the learning gains and restart the table."""
+        """Divergence response: halve the learning gains and zero the table.
+
+        The next ``begin_iteration`` still learns from the trial that
+        triggered the shrink, so the table the next trial runs is one
+        half-gain update from zero, not a zero table."""
         self.beta = 0.5 * self.beta
         self.beta_deriv = 0.5 * self.beta_deriv
         self.u_ff[:] = 0.0

@@ -66,12 +66,10 @@ from .arm import (
 from .control import (
     DdilcController,
     DdilcParams,
-    _check_number,
-    _check_numbers,
     _flat,
     pair_drive_to_excitations,
 )
-from .muscle import step_muscle
+from .muscle import _check_number, _check_numbers, step_muscle
 from .presets import make_arm, preset_key
 
 __all__ = [
@@ -227,11 +225,11 @@ class DisturbanceSpec:
     noise_frequency_hz: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         _check_load(self.load_fraction, "DisturbanceSpec.load_fraction")
         for name in ("noise_amplitude", "noise_frequency_hz"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"DisturbanceSpec.{name} must be finite and >= 0")
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"DisturbanceSpec.{name} must be >= 0")
 
     @property
     def tip_mass(self) -> float:
@@ -341,7 +339,7 @@ class PidGains:
         _check_numbers(self)
         for name in ("kp", "ki", "kd"):
             if not getattr(self, name) >= 0.0:
-                raise ValueError(f"PidGains.{name} must be finite and >= 0")
+                raise ValueError(f"PidGains.{name} must be >= 0")
         if not self.torque_scale > 0.0:
             raise ValueError("PidGains.torque_scale must be > 0")
 
@@ -386,9 +384,9 @@ class Task:
     inverse-kinematics path, and the physics ticks per control tick.
 
     Construction checks that the path is (T+1, 2) with at least two
-    samples, that the joint path is 2-D with one posture per sample and that
-    ``decimation`` divides the path's physics ticks; ``ValueError``
-    otherwise.
+    samples, that the joint path is 2-D with one posture per sample, that
+    ``dt`` is a finite number > 0 and that ``decimation`` is an integer that
+    divides the path's physics ticks; ``ValueError`` otherwise.
     """
 
     points: np.ndarray          # (T+1, 2), the desired tip path
@@ -407,6 +405,10 @@ class Task:
             raise ValueError(f"joint path must be 2-D, one posture per sample, got shape {joints}")
         if joints[0] != n:
             raise ValueError(f"joint path of {joints[0]} postures for {n} samples")
+        _check_number("Task.dt", self.dt, float)
+        if not self.dt > 0.0:
+            raise ValueError(f"Task.dt must be > 0, got {self.dt!r}")
+        _check_number("Task.decimation", self.decimation, int)
         _check_decimation(n - 1, self.decimation, "decimation")
 
     @property
@@ -822,15 +824,13 @@ class ExperimentConfig:
         # make_arm, through self.model below, rejects an unknown preset
         object.__setattr__(self, "preset", preset_key(self.preset))
         object.__setattr__(self, "muscle_overrides", dict(self.muscle_overrides))
-        for key, value in self.muscle_overrides.items():
-            _check_number(f"ExperimentConfig.muscle_overrides[{key!r}]", value, float)
         for i, f in enumerate(self.sweep_fractions):
             for g in self.sweep_fractions[:i]:
                 if sweep_condition(g) == sweep_condition(f):
                     raise ValueError(
                         f"ExperimentConfig.sweep_fractions {g!r} and {f!r} "
                         f"share the output directory {sweep_condition(f)}")
-        # building the arm also bounds-checks the muscle overrides
+        # building the arm checks the muscle overrides: each muscle checks itself
         self.model
 
     @property
@@ -889,9 +889,12 @@ def run_ilc(cfg: ExperimentConfig, on_iteration=None) -> IlcResult:
     Trial ``k`` seeds its noise with ``[cfg.seed, k]``.
     ``cfg.divergence_patience`` consecutive iterations of growing (or
     diverged) error trigger the controller's ``shrink_feedforward`` (halved
-    learning gains, zeroed table), recorded in the summary. The optional
-    ``on_iteration(k, log, metrics, controller)`` callback observes every
-    trial, e.g. for CSV dumps. One trial's log is held at a time: the last
+    learning gains, the table zeroed and then, before the next trial, given
+    one half-gain update from the trial that triggered it), recorded in the
+    summary. An equal error ends the streak. A diverged trial counts as
+    growth; the trial after it has no error to compare with, so it does
+    not. The optional ``on_iteration(k, log, metrics, controller)``
+    callback observes every trial, e.g. for CSV dumps. One trial's log is held at a time: the last
     one becomes ``final_log``.
     """
     model = cfg.model

@@ -16,7 +16,8 @@ Conventions: fiber length is normalized by ``l0_fiber``, fiber velocity by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 
 __all__ = [
     "MuscleParams",
@@ -87,6 +88,27 @@ def _passive(l_norm: float, k_pe: float, eps0_m: float, exp_k_pe_m1: float) -> f
     return (math.exp(k_pe * (l_norm - 1.0) / eps0_m) - 1.0) / exp_k_pe_m1
 
 
+def _check_number(where: str, v, kind: type) -> None:
+    """``ValueError`` naming ``where`` unless ``v`` is an integer (``kind``
+    int) or a finite number (``kind`` float); a bool is neither. So the
+    value echoes as text that reads back as itself. The one number rule of
+    the package: every value that holds a run's numbers applies it."""
+    if (isinstance(v, bool)
+            or not isinstance(v, numbers.Integral if kind is int else numbers.Real)
+            or kind is float and not math.isfinite(v)):
+        what = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"{where} must be {what}, got {v!r}")
+
+
+def _check_numbers(obj) -> None:
+    """``_check_number`` on every field of the dataclass ``obj`` whose
+    default is an int or a float, naming it ``Class.field``."""
+    for f in fields(obj):
+        if type(f.default) in (int, float):
+            _check_number(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name),
+                          type(f.default))
+
+
 @dataclass(frozen=True)
 class MuscleParams:
     """Parameters of one muscle-tendon unit.
@@ -96,7 +118,9 @@ class MuscleParams:
     computed once at construction and read on every tick. They are stored
     outside the dataclass fields, so ``fields(MuscleParams)`` lists only the
     settable parameters. ``k_lin`` follows from slope continuity at the toe
-    break, so the tendon curve is C1 to machine precision.
+    break, so the tendon curve is C1 to machine precision. Every field is a
+    finite number (a bool is not one); ``ValueError`` otherwise, or when a
+    value is out of its range.
     """
 
     f0_max: float = 300.0          # peak isometric force, N
@@ -114,6 +138,7 @@ class MuscleParams:
     a_min: float = 0.01            # activation floor in the equilibrium solve
 
     def __post_init__(self) -> None:
+        _check_numbers(self)
         for name in ("f0_max", "l0_fiber", "l_slack_tendon", "pennation_factor",
                      "t_act", "t_deact", "gamma", "k_pe", "eps0_m", "eps0_t",
                      "k_toe"):

@@ -578,6 +578,16 @@ def test_out_of_range_config_exits_2_naming_the_line(tmp_path, capsys):
     ("[trajectory]\nduration = 0.0004\n",
      "line 2: [trajectory] duration: ExperimentConfig.trajectory.duration of "
      "0.0004 s rounds to no tick of dt = 0.001 s"),
+    # the converter only converts: the dataclass that holds the value
+    # checks it and names its field
+    ("[trajectory]\namplitude = inf\n",
+     "line 2: [trajectory] amplitude: TrajectorySpec.amplitude must be a "
+     "finite number, got inf"),
+    ("[muscle]\nf0_max = inf\n",
+     "line 2: [muscle] f0_max: MuscleParams.f0_max must be a finite number, "
+     "got inf"),
+    ("[experiment]\npreset =\n",
+     "line 2: [experiment] preset: unknown arm preset ''; choose from "),
 ])
 def test_config_key_exits_2_naming_the_line(tmp_path, capsys, text, start):
     cfg = tmp_path / "bad.ini"

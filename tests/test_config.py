@@ -24,7 +24,7 @@ from myoarm.config import (
 from myoarm.control import DdilcParams
 from myoarm.harness import DisturbanceSpec, PidGains, TrajectorySpec
 from myoarm.muscle import MuscleParams
-from myoarm.presets import PRESETS, spatial_ltdm
+from myoarm.presets import PRESETS, planar2x4, spatial_ltdm
 
 
 def parse(text: str, env=None) -> ExperimentConfig:
@@ -401,14 +401,26 @@ def test_config_keeps_its_own_muscle_overrides():
     # each but "300" used to build: its echo failed to load ("out must not
     # be empty", "unknown section [x]", "f0_max must be finite", "expected a
     # number, got 'True'") or loaded back as another value ('runs', 'a',
-    # 'a'); "300" raised a TypeError from the muscle's own check
+    # 'a'); "300" raised a TypeError from the muscle's own check. The
+    # overrides are rejected by the muscles the config builds.
     *((lambda out=out: ExperimentConfig(out=out),
        "ExperimentConfig.out must be one line of text with no surrounding whitespace "
        f"and no '#' or ';' after whitespace, got {out!r}")
       for out in ("", "a b\n[x]", " runs ", "a #b", "a ;b")),
     *((lambda v=v: ExperimentConfig(muscle_overrides={"f0_max": v}),
-       f"ExperimentConfig.muscle_overrides['f0_max'] must be a finite number, got {v!r}")
+       f"MuscleParams.f0_max must be a finite number, got {v!r}")
       for v in (float("inf"), True, "300")),
+    # each of these used to build: a muscle checked only "> 0", so
+    # f0_max = True was a 1 N muscle, and the noise echoed as
+    # "noise_amplitude = True", which failed to load
+    *((lambda name=name, v=v: MuscleParams(**{name: v}),
+       f"MuscleParams.{name} must be a finite number, got {v!r}")
+      for name, v in (("f0_max", float("inf")), ("t_act", float("inf")),
+                      ("k_pe", float("inf")), ("f0_max", True))),
+    (lambda: planar2x4({"f0_max": float("inf")}),
+     "MuscleParams.f0_max must be a finite number, got inf"),
+    (lambda: DisturbanceSpec(noise_amplitude=True),
+     "DisturbanceSpec.noise_amplitude must be a finite number, got True"),
 ])
 def test_run_description_holds_only_values_its_echo_reads_back(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

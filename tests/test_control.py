@@ -3,6 +3,7 @@ convergence on a known linear plant, box/sign reset invariants, and a small
 closed-loop learning exercise on a synthetic lag plant.
 """
 
+import math
 from dataclasses import asdict
 from types import SimpleNamespace
 
@@ -242,6 +243,16 @@ def test_rest_drive_outside_unit_interval_rejected(rest):
     with pytest.raises(ValueError, match="rest_drive must lie within"):
         DdilcController(np.eye(2), DdilcParams(), horizon=4,
                         response_lag_ticks=0.0, rest_drive=rest)
+
+
+@pytest.mark.parametrize("lag", [math.nan, math.inf])
+def test_response_lag_must_be_a_finite_number(lag):
+    # each used to pass, and the next trial failed with "control tick 0:
+    # drive 0 is nan", naming neither the lag nor the constructor
+    with pytest.raises(ValueError, match="^DdilcController.response_lag_ticks "
+                                         f"must be a finite number, got {lag!r}$"):
+        DdilcController(np.eye(2), DdilcParams(), horizon=4,
+                        response_lag_ticks=lag, rest_drive=[0.5, 0.5])
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def test_disturbance_rejects_non_finite_noise(name, value):
     # a NaN amplitude used to pass, and hold_trial failed only after its park
     # with "excitation u must be in [0, 1], got nan", naming neither
     with pytest.raises(ValueError, match=f"^DisturbanceSpec.{name} must be "
-                                         "finite and >= 0$"):
+                                         f"a finite number, got {value!r}$"):
         DisturbanceSpec(**{name: value})
 
 
@@ -262,6 +262,20 @@ def test_task_needs_one_posture_per_sample(model):
 def test_task_checks_its_array_shapes(points, joints, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Task(np.zeros(points), np.zeros(joints), DT, 1)
+
+
+@pytest.mark.parametrize("dt, decimation, message", [
+    # each used to build: nan failed at the first tick with "fv_target must
+    # be in (0, 1.6), got nan", inf logged a trial diverged at tick 0 on a
+    # nan time axis, and 2.0 failed with "slice indices must be integers"
+    (math.nan, 1, "Task.dt must be a finite number, got nan"),
+    (math.inf, 1, "Task.dt must be a finite number, got inf"),
+    (0.0, 1, "Task.dt must be > 0, got 0.0"),
+    (DT, 2.0, "Task.decimation must be an integer, got 2.0"),
+], ids=["nan-dt", "inf-dt", "zero-dt", "float-decimation"])
+def test_task_checks_its_rates(dt, decimation, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Task(np.zeros((5, 2)), np.zeros((5, 2)), dt, decimation)
 
 
 def test_task_decimation_must_divide(model):
@@ -754,6 +768,30 @@ def _credited_ticks(cfg: ExperimentConfig, n_joints: int,
     if trials:
         ticks += cfg.iterations * round(cfg.trajectory.duration / cfg.dt)
     return ticks
+
+
+@pytest.mark.parametrize("errors, diverged, shrinks", [
+    ([5, 4, 5, 6, 7, 3, 4, 5, 6], (), [4, 8]),
+    ([5, 6, 7, 8], (), [3]),
+    ([5, 6, 6, 7, 8], (), []),          # an equal error ends the streak
+    # a diverged trial counts as growth; the next has nothing to compare with
+    ([5, 6, 7, 1, 2], (3,), [3]),
+    ([5, 5, 5], (0, 1, 2), [2]),
+], ids=["twice", "once", "equal", "diverged-then-finite", "all-diverged"])
+def test_patience_rule_shrinks_after_growing_errors(monkeypatch, errors, diverged,
+                                                    shrinks):
+    scripted = iter([harness.TrialMetrics(e, 0.0, 0.0, 0.0, 1, k in diverged)
+                     for k, e in enumerate(errors)])
+    monkeypatch.setattr(harness, "compute_metrics", lambda log: next(scripted))
+    tables = []
+    result = run_ilc(replace(HALF_SECOND, iterations=len(errors), divergence_patience=3),
+                     on_iteration=lambda k, log, m, ctl: tables.append(ctl.u_ff.copy()))
+    assert result.summary.ff_shrink_iterations == shrinks
+    # the trial after a shrink runs no zero table: the next begin_iteration
+    # still learns, at half gain, from the trial that triggered the shrink
+    for k in shrinks:
+        if k + 1 < len(errors):
+            assert np.any(tables[k + 1] != 0.0)
 
 
 def test_run_ilc_ticks_as_the_benchmark_credits(monkeypatch):
