@@ -10,7 +10,7 @@ mechanisms cooperate:
   with a box/sign reset (``_project_pjm``);
 * a time-axis feedback gain matrix updated by gradient descent on a
   tracking-plus-input-energy cost (``_descend_gain``), producing the
-  feedback component u_b = Xi . (predicted error increment) (``_feedback``);
+  feedback component u_b = Xi . (predicted error increment);
 * an iteration-axis feedforward table u_f(t), updated between repetitions of
   the same finite-horizon task from the previous run's error
   (``DdilcController.begin_iteration``).
@@ -30,14 +30,16 @@ sign rule an off-diagonal element starting at 0 would be reset to 0 by
 every update, as sign(0) = 0.)
 
 The per-tick law runs on the controller state held as short Python lists
-of floats (row-major matrices, the PJM as its diagonal), through the list
-kernels below, the one implementation of each equation; ``estimate_pjm``
-wraps the PJM kernel for numpy callers. For vectors of a few elements this
-is several times cheaper than numpy calls, and the result does not depend
-on the BLAS build. The per-tick records of a trial hold one 8-byte float
-per value and no Python object per tick: the error series is one float
-array that each tick writes its row of in place, and the ticks read the
-feedforward table from one flat ``array('d')`` copy, row-major.
+of floats (row-major matrices, the PJM as its diagonal). The two update
+laws are the list kernels below, ``_project_pjm`` and ``_descend_gain``;
+``DdilcController.step`` writes the prediction, the feedback and the
+composition of the drive inline, and ``estimate_pjm`` wraps the PJM kernel
+for numpy callers. For vectors of a few elements this is several times
+cheaper than numpy calls, and the result does not depend on the BLAS
+build. The per-tick records of a trial hold one 8-byte float per value
+and no Python object per tick: the error series is one float array that
+each tick writes its row of in place, and the ticks read the feedforward
+table from one flat ``array('d')`` copy, row-major.
 
 Commands are per-joint scalars in [0,1]: 0.5 is rest, values above drive the
 positive-torque (agonist) muscles of that joint, values below drive the
@@ -136,7 +138,7 @@ class PjmEstimate:
 
 
 # ---------------------------------------------------------------------------
-# list kernels: one implementation of each per-tick equation
+# list kernels: the two per-tick update laws; ``step`` writes the rest inline
 # ---------------------------------------------------------------------------
 
 def _project_pjm(phi: list, phi0: list, dy, du, params: DdilcParams) -> int:
@@ -186,27 +188,6 @@ def _descend_gain(xi: list, phi: list, e_t, s_t, s_next, params: DdilcParams,
                 clipped += 1
             row[k] = v
     return clipped
-
-
-def _predict(y_d_next, y_t, phi: list, du) -> list[float]:
-    """One-step-ahead error prediction from the linearized data model, with
-    the diagonal PJM ``phi``."""
-    return [a - b - p * d for a, b, p, d in zip(y_d_next, y_t, phi, du)]
-
-
-def _feedback(xi: list, de) -> list[float]:
-    """Feedback component: gains applied to the error increment."""
-    return [sum(map(mul, row, de)) for row in xi]
-
-
-def _compose(base, u_b, u_f, at: int) -> list[float]:
-    """Rest drive plus feedback plus the feedforward row that starts at
-    ``u_f[at]`` in the flat table ``u_f``, saturated to [0, 1] elementwise."""
-    out = []
-    for i, (b, ub) in enumerate(zip(base, u_b), at):
-        v = b + ub + u_f[i]
-        out.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)   # NaN stays, as in np.clip
-    return out
 
 
 def _floats(a) -> list:
@@ -364,13 +345,15 @@ class DdilcController:
         new list of floats.
         """
         params = self.params
-        rows = self._transform_rows
         phi = self._phi
         du_prev = self._du_prev
-        y_t = [sum(map(mul, row, y)) for row in rows]
         e_phys = [a - b for a, b in zip(self._y_d_t, y)]
         self._errors[t] = e_phys
-        e_t = [sum(map(mul, row, e_phys)) for row in rows]
+        y_t, e_t, r_next = [], [], []       # transformed output, error, next target
+        for row in self._transform_rows:
+            y_t.append(sum(map(mul, row, y)))
+            e_t.append(sum(map(mul, row, e_phys)))
+            r_next.append(sum(map(mul, row, y_d_next)))
         # The data model pairs output increments with the drive increments the
         # plant actually received (post-saturation), keeping every internal
         # signal bounded even when the raw feedback saturates.
@@ -378,13 +361,17 @@ class DdilcController:
             self.counts.pjm_diag_resets += _project_pjm(
                 phi, self._phi0,
                 [a - b for a, b in zip(y_t, self._y_prev)], du_prev, params)
-        e_next_hat = _predict([sum(map(mul, row, y_d_next)) for row in rows],
-                              y_t, phi, du_prev)
-        de = [a - b for a, b in zip(e_next_hat, e_t)]
+        # predicted error increment: the one-step-ahead error of the data
+        # model, (r - y_t) - phi du, less the current error
+        de = [r - a - p * d - e for r, a, p, d, e in zip(r_next, y_t, phi, du_prev, e_t)]
         self.counts.xi_clips += _descend_gain(self._xi, phi, e_t,
                                               self._de_prev, de,
                                               params, self._xi_cap)
-        drive = _compose(self._rest, _feedback(self._xi, de), self._ff, t * self.m)
+        # rest drive + feedback + this tick's feedforward row, saturated to [0, 1]
+        drive = []
+        for i, (b, row) in enumerate(zip(self._rest, self._xi), t * self.m):
+            v = b + sum(map(mul, row, de)) + self._ff[i]
+            drive.append(0.0 if v < 0.0 else 1.0 if v > 1.0 else v)   # NaN stays, as in np.clip
         if self._drive_prev is not None:
             self._du_prev = [a - b for a, b in zip(drive, self._drive_prev)]
         self._drive_prev = drive

@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from .control import (
     _flat,
     pair_drive_to_excitations,
 )
-from .muscle import _check_number, _check_numbers, step_muscle
+from .muscle import MuscleParams, _check_number, _check_numbers, step_muscle
 from .presets import make_arm, preset_key
 
 __all__ = [
@@ -275,14 +275,17 @@ def joint_path(model: ArmModel, points: np.ndarray) -> np.ndarray:
     xs, ys = np.asarray(points, dtype=float).T.tolist()
     q = [float(v) for v in model.q_ref]
     qs = array("d")     # the solved postures, flat
+    # the chain walked at q: a sample starts from the walk that ended the last
+    walk = _tip_jacobian(model, q)
     for idx, (px, py) in enumerate(zip(xs, ys)):
         for _ in range(_IK_MAX_ITER):
-            tx, ty, jx, jy = _tip_jacobian(model, q)
+            tx, ty, jx, jy = walk
             ex, ey = px - tx, py - ty
             if math.hypot(ex, ey) < _IK_TOL:
                 break
             dq, _ = _pinv_solve(jx, jy, ex, ey)
             q = [qi + d for qi, d in zip(q, dq)]
+            walk = _tip_jacobian(model, q)
         else:
             raise UnreachableTrajectoryError(idx, (px, py), "inverse kinematics "
                                              f"did not converge within {_IK_MAX_ITER} steps")
@@ -524,39 +527,34 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     targets = _flat(points[::decimation])      # one (x, y) per control tick
 
     controller.begin_iteration(targets[:2])
-    for tc in range(task.n_control):
-        y = _chain(eff, state[0])[-1]
-        y_d_next = targets[2 * tc + 2:2 * tc + 4]
-        if wants_state:
-            raw = controller.step(tc, y, y_d_next, state=ArmState.from_floats(state))
-        else:
-            raw = controller.step(tc, y, y_d_next)
-        drive = _checked_drive(tc, raw, eff.n_joints)
-        drives.extend(drive)
-        exc = pair_drive_to_excitations(eff, drive)
-        if noise is not None:
-            exc0 = np.array(exc)
-        for i in range(decimation):
-            tick = tc * decimation + i
+    try:
+        for tc in range(task.n_control):
+            y = _chain(eff, state[0])[-1]
+            y_d_next = targets[2 * tc + 2:2 * tc + 4]
+            if wants_state:
+                raw = controller.step(tc, y, y_d_next, state=ArmState.from_floats(state))
+            else:
+                raw = controller.step(tc, y, y_d_next)
+            drive = _checked_drive(tc, raw, eff.n_joints)
+            drives.extend(drive)
+            exc = pair_drive_to_excitations(eff, drive)
             if noise is not None:
-                phases, omega, buf = noise
-                np.sin(omega * (tick * dt) + phases, out=buf)
-                exc = np.clip(exc0 + disturbance.noise_amplitude * buf, 0.0, 1.0).tolist()
-            try:
+                exc0 = np.array(exc)
+            for tick in range(tc * decimation, (tc + 1) * decimation):
+                if noise is not None:
+                    phases, omega, buf = noise
+                    np.sin(omega * (tick * dt) + phases, out=buf)
+                    exc = np.clip(exc0 + disturbance.noise_amplitude * buf, 0.0, 1.0).tolist()
                 state, info = integrate_step(eff, state, exc, dt)
-            except IntegrationDivergedError as err:
-                diverged_at = tick
-                diverged_reason = str(err)
-                break
-            excitations.extend(exc)
-            forces.extend(info.tendon_forces)
-            qs.extend(state[0])
-            qds.extend(state[1])
-        if diverged_at is not None:
-            break
-    diverged = diverged_at is not None
-    if not diverged:
+                excitations.extend(exc)
+                forces.extend(info.tendon_forces)
+                qs.extend(state[0])
+                qds.extend(state[1])
+    except IntegrationDivergedError as err:
+        diverged_at, diverged_reason = tick, str(err)
+    else:
         controller.finish_iteration(_chain(eff, state[0])[-1])
+    diverged = diverged_at is not None
 
     filled = diverged_at if diverged else len(points) - 1
     q_arr = _rows(qs, eff.n_joints)
@@ -772,9 +770,11 @@ class ExperimentConfig:
     ``control_decimation``, the trajectory and ``sweep_fractions`` are
     checked by the functions the run itself checks them with. The rules owned here: ``iterations``,
     ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
-    is non-negative; ``sweep_fractions`` is not empty, is stored as a tuple
-    of floats, and no two of its loads share a ``sweep_condition``
-    directory; and the preset and the muscle overrides build an arm.
+    is non-negative; ``sweep_fractions`` is a non-empty sequence of finite
+    numbers, stored as a tuple of floats, and no two of its loads share a
+    ``sweep_condition`` directory; the preset is a name, each muscle
+    override names a ``MuscleParams`` field, and together they build an
+    arm.
     """
 
     preset: str = "planar2x4"
@@ -815,15 +815,24 @@ class ExperimentConfig:
                         "ExperimentConfig.trajectory.duration")
         _check_decimation(n_traj, self.control_decimation,
                           "ExperimentConfig.control_decimation")
+        fractions = tuple(self.sweep_fractions)
+        for f in fractions:
+            _check_number("ExperimentConfig.sweep_fractions", f, float)
+            _check_load(f, "ExperimentConfig.sweep_fractions")
         # frozen, so the normalized fields are set through object.__setattr__
-        object.__setattr__(self, "sweep_fractions", tuple(map(float, self.sweep_fractions)))
+        object.__setattr__(self, "sweep_fractions", tuple(map(float, fractions)))
         if not self.sweep_fractions:
             raise ValueError("ExperimentConfig.sweep_fractions must not be empty")
-        for f in self.sweep_fractions:
-            _check_load(f, "ExperimentConfig.sweep_fractions")
         # make_arm, through self.model below, rejects an unknown preset
+        if not isinstance(self.preset, str):
+            raise ValueError(f"ExperimentConfig.preset must be a preset name, got {self.preset!r}")
         object.__setattr__(self, "preset", preset_key(self.preset))
         object.__setattr__(self, "muscle_overrides", dict(self.muscle_overrides))
+        muscle_fields = [f.name for f in fields(MuscleParams)]
+        for key in self.muscle_overrides:
+            if key not in muscle_fields:
+                raise ValueError(f"ExperimentConfig.muscle_overrides: {key!r} is not a "
+                                 f"MuscleParams field; choose from {muscle_fields}")
         for i, f in enumerate(self.sweep_fractions):
             for g in self.sweep_fractions[:i]:
                 if sweep_condition(g) == sweep_condition(f):

@@ -421,6 +421,18 @@ def test_config_keeps_its_own_muscle_overrides():
      "MuscleParams.f0_max must be a finite number, got inf"),
     (lambda: DisturbanceSpec(noise_amplitude=True),
      "DisturbanceSpec.noise_amplitude must be a finite number, got True"),
+    # these two built, as (0.1,) and (0.0, 0.2)
+    (lambda: ExperimentConfig(sweep_fractions=("0.1",)),
+     "ExperimentConfig.sweep_fractions must be a finite number, got '0.1'"),
+    (lambda: ExperimentConfig(sweep_fractions=(False, 0.2)),
+     "ExperimentConfig.sweep_fractions must be a finite number, got False"),
+    # these raised AttributeError from preset_key, and TypeError from
+    # MuscleParams(**overrides) and from the keyword call itself
+    (lambda: ExperimentConfig(preset=3), "ExperimentConfig.preset must be a preset name, got 3"),
+    *((lambda key=key: ExperimentConfig(muscle_overrides={key: 1.0}),
+       f"ExperimentConfig.muscle_overrides: {key!r} is not a MuscleParams field; "
+       f"choose from {[f.name for f in fields(MuscleParams)]}")
+      for key in ("bogus", 1)),
 ])
 def test_run_description_holds_only_values_its_echo_reads_back(build, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -447,6 +459,10 @@ def test_sweep_fractions_are_stored_as_a_tuple():
     assert type(cfg.sweep_fractions) is tuple
     assert "sweep_fractions = 0.0, 0.2\n" in serialize_config(cfg)
     assert parse(serialize_config(cfg)) == cfg
+    # an int is a number too, stored as a float: the echo does not change
+    ints = ExperimentConfig(sweep_fractions=[0, 0.2])
+    assert type(ints.sweep_fractions[0]) is float
+    assert serialize_config(ints) == serialize_config(cfg)
 
 
 def test_round_trip_defaults():

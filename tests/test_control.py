@@ -17,11 +17,8 @@ from myoarm.control import (
     DdilcCounts,
     DdilcParams,
     PjmEstimate,
-    _compose,
     _descend_gain,
-    _feedback,
     _flat,
-    _predict,
     _project_pjm,
     estimate_pjm,
     pair_drive_to_excitations,
@@ -175,22 +172,44 @@ def test_update_feedback_gain_saturates():
 # prediction, feedback, feedforward, composition
 # ---------------------------------------------------------------------------
 
+def tick_1x1(*, y, y_d_next, phi=1.0, du=0.0, xi=0.0, ff=0.0):
+    """One ``step``, at tick 1, of a 1 x 1 controller whose transform is the
+    identity and whose rest drive is 0.5, from the PJM ``phi``, the last
+    drive increment ``du``, the gain ``xi`` and the feedforward entry ``ff``.
+    The target at the tick is ``y``: with no current error and no previous
+    increment the gain step leaves ``xi`` as it is. Returns (the drive, the
+    predicted error increment)."""
+    ctl = DdilcController(np.array([[1.0]]), scalar_params(diag_span=1.0), horizon=2,
+                          response_lag_ticks=0.0, rest_drive=[0.5])
+    ctl.begin_iteration([y])
+    assert ctl._transform_rows == [[1.0]]
+    ctl._phi, ctl._du_prev, ctl._xi = [phi], [du], [[xi]]
+    ctl._ff = _flat([9.0, ff])       # the flat table: tick 1's row starts at 1
+    drive = ctl.step(1, [y], [y_d_next])
+    assert ctl.xi_hat[0, 0] == xi
+    return drive[0], ctl._de_prev[0]
+
+
 def test_predict_error_scalar_hand_value():
-    e = _predict([1.0], [0.8], [2.0], [0.05])
-    assert e[0] == pytest.approx(0.1, abs=1e-15)
+    # (1.0 - 0.8) - 2.0 * 0.05, less a current error of 0
+    _, de = tick_1x1(y=0.8, y_d_next=1.0, phi=2.0, du=0.05)
+    assert de == pytest.approx(0.1, abs=1e-15)
 
 
 def test_predict_error_zero_feedback_increment():
-    e = _predict([1.0], [0.8], [2.0], [0.0])
-    assert e[0] == pytest.approx(0.2)
-    e = _predict([0.8], [0.8], [2.0], [0.0])
-    assert e[0] == 0.0
+    _, de = tick_1x1(y=0.8, y_d_next=1.0, phi=2.0, du=0.0)
+    assert de == pytest.approx(0.2)
+    _, de = tick_1x1(y=0.8, y_d_next=0.8, phi=2.0, du=0.0)
+    assert de == 0.0
 
 
 def test_feedback_control_scalar():
-    assert _feedback([[0.35]], [0.1])[0] == pytest.approx(0.035)
-    assert _feedback([[0.0]], [0.7])[0] == 0.0
-    assert _feedback([[0.35]], [0.0])[0] == 0.0
+    # rest 0.5 plus the gain times the predicted increment (0.1 here)
+    drive, de = tick_1x1(y=0.8, y_d_next=0.9, xi=0.35)
+    assert de == pytest.approx(0.1)
+    assert drive == pytest.approx(0.535)
+    assert tick_1x1(y=0.8, y_d_next=0.9, xi=0.0)[0] == 0.5
+    assert tick_1x1(y=0.8, y_d_next=0.8, xi=0.35)[0] == 0.5
 
 
 def _feedforward_after(ctl, y, y_d):
@@ -229,12 +248,13 @@ def test_feedback_gains_start_at_zero():
 
 def test_compose_control_clamps():
     def compose(u_b, u_f):
-        # the feedforward row starts at offset 1 of the flat table
-        return _compose([0.5], [u_b], [9.0, u_f], 1)[0]
+        # a predicted increment of 2.0 makes the feedback u_b from the gain u_b / 2
+        return tick_1x1(y=0.0, y_d_next=2.0, xi=u_b / 2.0, ff=u_f)[0]
 
     assert compose(0.5, 0.3) == 1.0
     assert compose(-0.5, -0.2) == 0.0
     assert compose(-0.06, 0.03) == pytest.approx(0.47, abs=1e-12)
+    assert math.isnan(compose(0.0, math.nan))       # NaN stays, as in np.clip
 
 
 @pytest.mark.parametrize("rest", [[np.nan, 0.5], [1.2, 0.5], [0.5, -0.1]])

@@ -188,6 +188,21 @@ def test_joint_path_matches_the_list_built_path(arm, spec, dt):
     assert qs.tobytes() == _list_built_joint_path(model, pts).tobytes()
 
 
+def test_joint_path_walks_the_chain_once_per_newton_step(model, monkeypatch):
+    # each sample used to start with a walk at the posture the last sample's
+    # convergence test had just walked: one walk per step plus one per sample
+    pts = generate_trajectory(TrajectorySpec(duration=0.2, cycles=1), DT)
+    walks, steps = [], []
+    walk, solve = harness._tip_jacobian, harness._pinv_solve
+    monkeypatch.setattr(harness, "_tip_jacobian",
+                        lambda *a: walks.append(None) or walk(*a))
+    monkeypatch.setattr(harness, "_pinv_solve",
+                        lambda *a: steps.append(None) or solve(*a))
+    joint_path(model, pts)
+    assert len(steps) >= len(pts)
+    assert len(walks) == len(steps) + 1
+
+
 def test_joint_path_unreachable_names_sample(model):
     # link lengths 0.38 + 0.34 = 0.72 m of reach; 1.5 m is out of range
     pts = np.array([[0.45, -0.2], [1.5, 0.0]])
