@@ -243,6 +243,14 @@ class DdilcController:
     so its internal estimation problem is well-scaled regardless of plant
     units.
 
+    It plugs into ``harness.run_trial`` through the trial protocol:
+    ``begin_iteration()``, then ``step(t, y, q, y_d, y_d_next)`` at every
+    control tick, which reads the targets and ignores the posture ``q``,
+    and ``finish_iteration(y_final, y_d_final)``. A trial must step exactly
+    the ``horizon`` control ticks 0 .. horizon - 1; a step past the horizon,
+    or a trial that finishes short of it, raises ``ValueError`` naming the
+    horizon and the tick or the trial's tick count.
+
     The per-tick state lives in Python lists; ``est`` and ``xi_hat`` read it
     out as arrays at any time, mid-trial included. The trial's error series
     is one preallocated (horizon + 1, y_dim) float array that ``step`` and
@@ -308,12 +316,13 @@ class DdilcController:
 
     def _start_trial(self) -> None:
         self._phi = self._phi0[:]
+        self._t = -1            # the last control tick stepped
         self._y_prev = None
         self._drive_prev = None
         # replaced, never mutated, so they may start shared
         self._du_prev = self._de_prev = [0.0] * self.m
 
-    def begin_iteration(self, y_d0: np.ndarray) -> None:
+    def begin_iteration(self) -> None:
         """Start a repetition: learn feedforward from the last run, reset PJM.
 
         Iteration-axis learning from the last run's error series e:
@@ -335,20 +344,25 @@ class DdilcController:
             self.u_ff = np.clip(u_ff, lo, hi, out=u_ff)
         self._start_trial()
         self._ff = _flat(self.u_ff)
-        self._y_d_t = _floats(y_d0)
         self._errors_recorded = False
 
-    def step(self, t: int, y, y_d_next) -> list[float]:
+    def step(self, t: int, y, q, y_d, y_d_next) -> list[float]:
         """Emit the per-joint drive for tick t given the measured output y(t).
 
-        ``y`` and ``y_d_next`` are sequences of y_dim floats; the drive is a
-        new list of floats.
+        ``y``, the target ``y_d`` at tick t and ``y_d_next`` at tick t + 1
+        are sequences of y_dim floats; the posture ``q`` is not read. The
+        drive is a new list of floats. A tick at or past the horizon raises
+        ``ValueError``.
         """
+        if t >= self.horizon:
+            raise ValueError(f"control tick {t} is past the DDILC horizon of "
+                             f"{self.horizon} control ticks")
         params = self.params
         phi = self._phi
         du_prev = self._du_prev
-        e_phys = [a - b for a, b in zip(self._y_d_t, y)]
+        e_phys = [a - b for a, b in zip(y_d, y)]
         self._errors[t] = e_phys
+        self._t = t
         y_t, e_t, r_next = [], [], []       # transformed output, error, next target
         for row in self._transform_rows:
             y_t.append(sum(map(mul, row, y)))
@@ -377,12 +391,17 @@ class DdilcController:
         self._drive_prev = drive
         self._y_prev = y_t
         self._de_prev = de
-        self._y_d_t = y_d_next
         return list(drive)
 
-    def finish_iteration(self, y_final) -> None:
-        """Record the final-sample error so the next repetition can learn."""
-        self._errors[self.horizon] = [a - b for a, b in zip(self._y_d_t, y_final)]
+    def finish_iteration(self, y_final, y_d_final) -> None:
+        """Record the final-sample error, target ``y_d_final`` less output
+        ``y_final``, so the next repetition can learn. A trial whose last
+        control tick was not the horizon's last raises ``ValueError``.
+        """
+        if self._t != self.horizon - 1:
+            raise ValueError(f"the trial ran {self._t + 1} control ticks on "
+                             f"a DDILC horizon of {self.horizon}")
+        self._errors[self.horizon] = [a - b for a, b in zip(y_d_final, y_final)]
         self._errors_recorded = True
 
     def shrink_feedforward(self) -> None:

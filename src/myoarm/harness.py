@@ -19,18 +19,20 @@ steps, one ``park_state`` of the loaded plant on the task's start and one
 ``control_decimation`` are read once, into the task.
 
 A *trial* is one finite-horizon execution of a ``Task`` on an arm model.
-Controllers plug into ``run_trial`` through a small duck-typed protocol:
+Controllers plug into ``run_trial`` through one duck-typed protocol:
 
-* ``begin_iteration(y_d0)`` — called once before the first tick;
-* ``step(tc, y, y_d_next) -> drive`` — called at every control tick with the
-  measured tip position and ``y_d_next``, the task's point one control tick
-  ahead (each a sequence of two Python floats; ``y_d_next`` is a slice of
-  the trial's flat ``array('d')`` of control-tick points), returning
-  per-joint pair drives, clipped to [0, 1] (a drive that is not one finite
-  value per joint raises ``ValueError`` naming the tick);
-  controllers with ``wants_state = True`` additionally receive the full
-  ``ArmState`` as a keyword argument;
-* ``finish_iteration(y_final)`` — called once after the last tick.
+* ``begin_iteration()`` — called once before the first tick;
+* ``step(tc, y, q, y_d, y_d_next) -> drive`` — called at every control tick
+  with the measured tip position ``y``, the posture ``q`` (the trial's own
+  list of joint angles: read it, do not keep or change it) and the task's
+  targets ``y_d`` at this control tick and ``y_d_next`` at the next (each
+  tip a sequence of two Python floats; the targets are slices of the
+  trial's flat ``array('d')`` of control-tick points), returning per-joint
+  pair drives, clipped to [0, 1] (a drive that is not one finite value per
+  joint raises ``ValueError`` naming the tick); a controller ignores the
+  arguments it does not need;
+* ``finish_iteration(y_final, y_d_final)`` — called once after the last
+  tick with the final tip and target; not called for a trial that diverged.
 
 Physics always advances at the task's ``dt``; drives are held (zero-order)
 over its ``decimation`` physics ticks per control tick. A trial starts from
@@ -174,6 +176,21 @@ def _check_decimation(n_ticks: int, decimation: int, name: str) -> None:
                          f"{n_ticks} trajectory ticks")
 
 
+def _check_fit(name: str, have: int, want: int, what: str) -> None:
+    """An input of ``have`` joints or muscles fits the arm's ``want``;
+    ``ValueError`` naming both counts otherwise."""
+    if have != want:
+        raise ValueError(f"{name} has {have} {what} for an arm of {want}")
+
+
+def _check_state(model: ArmModel, state: ArmState, name: str) -> None:
+    """``state`` has one joint angle and speed per joint and one state per
+    muscle of ``model``."""
+    _check_fit(f"{name} q", np.size(state.q), model.n_joints, "joints")
+    _check_fit(f"{name} qdot", np.size(state.qdot), model.n_joints, "joints")
+    _check_fit(name, len(state.muscle_states), model.n_muscles, "muscles")
+
+
 # ---------------------------------------------------------------------------
 # experiment descriptors
 # ---------------------------------------------------------------------------
@@ -308,13 +325,13 @@ class ReplayController:
     def __init__(self, drive_table: np.ndarray):
         self.table = np.asarray(drive_table, dtype=float)
 
-    def begin_iteration(self, y_d0) -> None:
+    def begin_iteration(self) -> None:
         pass
 
-    def step(self, tc: int, y, y_d_next) -> list[float]:
+    def step(self, tc: int, y, q, y_d, y_d_next) -> list[float]:
         return self.table[tc].tolist()
 
-    def finish_iteration(self, y_final) -> None:
+    def finish_iteration(self, y_final, y_d_final) -> None:
         pass
 
 
@@ -348,32 +365,33 @@ class PidGains:
 
 
 class PidController:
-    """Task-space PID mapped through J^T to antagonist-pair drives."""
+    """Task-space PID mapped through J^T to antagonist-pair drives.
 
-    wants_state = True
+    A ``run_trial`` controller: each ``step`` reads the tip, the posture
+    ``q`` (for the Jacobian) and the target ``y_d``; it ignores the tick and
+    the next target.
+    """
 
     def __init__(self, model: ArmModel, gains: PidGains, dt_control: float):
         self.model = model
         self.gains = gains
         self.dt = dt_control
 
-    def begin_iteration(self, y_d0) -> None:
-        self._y_d_t = np.asarray(y_d0, dtype=float)
+    def begin_iteration(self) -> None:
         self._integral = np.zeros(2)
         self._e_prev = None
 
-    def step(self, tc: int, y, y_d_next, *, state: ArmState) -> np.ndarray:
-        e = self._y_d_t - np.asarray(y, dtype=float)
+    def step(self, tc: int, y, q, y_d, y_d_next) -> np.ndarray:
+        e = np.asarray(y_d, dtype=float) - np.asarray(y, dtype=float)
         self._integral += e * self.dt
         deriv = np.zeros(2) if self._e_prev is None else (e - self._e_prev) / self.dt
         force = self.gains.kp * e + self.gains.ki * self._integral + self.gains.kd * deriv
-        tau = task_jacobian(self.model, state.q).T @ force
+        tau = task_jacobian(self.model, q).T @ force
         drive = 0.5 + tau / self.gains.torque_scale
         self._e_prev = e
-        self._y_d_t = np.asarray(y_d_next, dtype=float)
         return drive      # run_trial clips it to [0, 1]
 
-    def finish_iteration(self, y_final) -> None:
+    def finish_iteration(self, y_final, y_d_final) -> None:
         pass
 
 
@@ -511,14 +529,17 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     Integration divergence is recorded (``diverged``, ``diverged_at`` and
     ``diverged_reason`` with truncated arrays), not raised; a drive that is
     not one finite value per joint raises ``ValueError`` before its tick's
-    physics. Deterministic given identical inputs.
+    physics, and a joint path or start state that does not fit ``model``,
+    naming both counts, before the first tick. Deterministic given identical
+    inputs.
     """
     points, dt, decimation = task.points, task.dt, task.decimation
+    _check_fit("joint path", task.joint_path.shape[1], model.n_joints, "joints")
+    _check_state(model, start_state, "start state")
 
     eff = loaded_plant(model, disturbance)
     state = start_state.floats()
     noise = _noise_table(eff, disturbance, seed)
-    wants_state = getattr(controller, "wants_state", False)
 
     # the per-tick rows, flat; they become the log's arrays at the end
     qs, qds = array("d", state[0]), array("d", state[1])
@@ -526,15 +547,12 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     diverged_at = diverged_reason = None
     targets = _flat(points[::decimation])      # one (x, y) per control tick
 
-    controller.begin_iteration(targets[:2])
+    controller.begin_iteration()
+    y_d_next = targets[:2]
     try:
         for tc in range(task.n_control):
-            y = _chain(eff, state[0])[-1]
-            y_d_next = targets[2 * tc + 2:2 * tc + 4]
-            if wants_state:
-                raw = controller.step(tc, y, y_d_next, state=ArmState.from_floats(state))
-            else:
-                raw = controller.step(tc, y, y_d_next)
+            y_d, y_d_next = y_d_next, targets[2 * tc + 2:2 * tc + 4]
+            raw = controller.step(tc, _chain(eff, state[0])[-1], state[0], y_d, y_d_next)
             drive = _checked_drive(tc, raw, eff.n_joints)
             drives.extend(drive)
             exc = pair_drive_to_excitations(eff, drive)
@@ -553,7 +571,7 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     except IntegrationDivergedError as err:
         diverged_at, diverged_reason = tick, str(err)
     else:
-        controller.finish_iteration(_chain(eff, state[0])[-1])
+        controller.finish_iteration(_chain(eff, state[0])[-1], y_d_next)
     diverged = diverged_at is not None
 
     filled = diverged_at if diverged else len(points) - 1
@@ -639,14 +657,16 @@ def park_state(model: ArmModel, q_target: np.ndarray, dt: float, *,
     because each joint's torque is monotone in its drive; the last two
     seconds hold the drives fixed so the returned state is an equilibrium of
     the final drive vector. ``total_time`` is a whole number of seconds,
-    at least 3, and the 1 s round takes at least one tick of ``dt``; anything
-    else raises ``ValueError`` before the first tick.
+    at least 3, the 1 s round takes at least one tick of ``dt`` and
+    ``q_target`` holds one angle per joint; anything else raises
+    ``ValueError`` before the first tick.
     Returns ``(state, hold_drives)``. A park that diverges raises
     ``IntegrationDivergedError`` naming ``park`` and the tick, with the last
     good state.
     """
     rounds, n_round = _park_rounds(total_time, dt, "park_state total_time")
     q_target = np.asarray(q_target, dtype=float)
+    _check_fit("park target", np.size(q_target), model.n_joints, "joints")
     state = rest_state(model, q_target)
     u = np.full(model.n_joints, 0.5)
     for r in range(rounds):
@@ -684,10 +704,13 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     response time is the residence integral of the step response,
     int (1 - y(t)/y_inf) dt, which equals the time constant for a
     first-order response and the sum of pole time constants in general.
-    A hold that diverges raises ``IntegrationDivergedError`` naming the hold
-    (``rest`` or ``channel j``) and the tick, with the last good state.
+    A start state that does not fit ``model`` raises ``ValueError`` naming
+    both counts; a hold that diverges raises ``IntegrationDivergedError``
+    naming the hold (``rest`` or ``channel j``) and the tick, with the last
+    good state.
     """
     _check_probe_delta(delta, "probe delta")
+    _check_state(model, state0, "probe start state")
     rest_vec = np.array(rest, dtype=float)
     if rest_vec.shape != (model.n_joints,):
         raise ValueError(f"probe rest must be one drive per joint ({model.n_joints})")

@@ -159,7 +159,6 @@ def run_trial(model, controller, points, dt, *, disturbance, seed, start_state,
     eff = loaded_plant(model, disturbance)
     state = start_state
     noise = _noise_table(eff, disturbance, seed)
-    wants_state = getattr(controller, "wants_state", False)
 
     qs, qds, drives = [state.q], [state.qdot], []
     excitations = np.empty((n_ticks, eff.n_muscles))
@@ -167,11 +166,11 @@ def run_trial(model, controller, points, dt, *, disturbance, seed, start_state,
     diverged_at = diverged_reason = None
     filled = 0
     targets = points[::decimation].tolist()
-    controller.begin_iteration(targets[0])
+    controller.begin_iteration()
     for tc in range(n_control):
-        y = _chain(eff, state.q)[-1]
-        kwargs = {"state": state} if wants_state else {}
-        drive = _checked_drive(tc, controller.step(tc, y, targets[tc + 1], **kwargs),
+        q = state.q.tolist()
+        drive = _checked_drive(tc, controller.step(tc, _chain(eff, q)[-1], q, targets[tc],
+                                                   targets[tc + 1]),
                                eff.n_joints)
         drives.append(drive)
         exc0 = np.array(pair_drive_to_excitations(eff, drive))
@@ -195,7 +194,7 @@ def run_trial(model, controller, points, dt, *, disturbance, seed, start_state,
         if diverged_at is not None:
             break
     if diverged_at is None:
-        controller.finish_iteration(_chain(eff, state.q)[-1])
+        controller.finish_iteration(_chain(eff, state.q)[-1], targets[n_control])
 
     q_arr = np.array(qs)
     return TrialLog(

@@ -120,3 +120,20 @@ def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
     # the parent's relative IQR is wider than the bound, but the change beat
     # every parent run, which no spread can hide
     assert _summary(wide, beaten)["run_s"]["verdict"] == "no regression"
+
+
+def test_each_sides_tools_run_on_its_own_package(tmp_path, monkeypatch):
+    # artifact_digest.py appends its tree's src after PYTHONPATH, so an
+    # inherited PYTHONPATH used to digest that package on the parent side
+    for tree in ("side", "other"):
+        (tmp_path / tree / "src" / "myoarm").mkdir(parents=True)
+        (tmp_path / tree / "src" / "myoarm" / "__init__.py").write_text(
+            f"TREE = {tree!r}\n", encoding="utf-8")
+    (tmp_path / "side" / "tools").mkdir()
+    (tmp_path / "side" / "tools" / "which.py").write_text(
+        "import os, sys\n"
+        "sys.path.append(os.path.join(os.getcwd(), 'src'))\n"
+        "import myoarm\n"
+        "print(myoarm.TREE, os.environ.get('PYTHONPATH'))\n", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "other" / "src"))
+    assert bench_record._tool(tmp_path / "side", "which.py") == "side None\n"

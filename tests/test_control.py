@@ -181,11 +181,11 @@ def tick_1x1(*, y, y_d_next, phi=1.0, du=0.0, xi=0.0, ff=0.0):
     predicted error increment)."""
     ctl = DdilcController(np.array([[1.0]]), scalar_params(diag_span=1.0), horizon=2,
                           response_lag_ticks=0.0, rest_drive=[0.5])
-    ctl.begin_iteration([y])
+    ctl.begin_iteration()
     assert ctl._transform_rows == [[1.0]]
     ctl._phi, ctl._du_prev, ctl._xi = [phi], [du], [[xi]]
     ctl._ff = _flat([9.0, ff])       # the flat table: tick 1's row starts at 1
-    drive = ctl.step(1, [y], [y_d_next])
+    drive = ctl.step(1, [y], None, [y], [y_d_next])
     assert ctl.xi_hat[0, 0] == xi
     return drive[0], ctl._de_prev[0]
 
@@ -215,11 +215,11 @@ def test_feedback_control_scalar():
 def _feedforward_after(ctl, y, y_d):
     """Run one iteration holding the output at ``y`` under the constant target
     ``y_d``, then begin the next; returns the table it starts with."""
-    ctl.begin_iteration([y_d])
+    ctl.begin_iteration()
     for t in range(ctl.horizon):
-        ctl.step(t, [y], [y_d])
-    ctl.finish_iteration([y])
-    ctl.begin_iteration([y_d])
+        ctl.step(t, [y], None, [y_d], [y_d])
+    ctl.finish_iteration([y], [y_d])
+    ctl.begin_iteration()
     return ctl.u_ff.copy()
 
 
@@ -369,16 +369,16 @@ def _run_lag_plant_iterations(iterations, horizon=100, alpha=0.5):
     errs = []
     drives = []
     for _ in range(iterations):
-        ctl.begin_iteration(y_d[0])
+        ctl.begin_iteration()
         y = np.zeros(2)
         total = 0.0
         for t in range(horizon):
-            u = np.asarray(ctl.step(t, y, y_d[t + 1]))
+            u = np.asarray(ctl.step(t, y, None, y_d[t], y_d[t + 1]))
             drives.append(u.copy())
             assert np.all(u >= 0.0) and np.all(u <= 1.0)
             y = y + alpha * (s_gain @ (u - 0.5) - y)
             total += np.linalg.norm(y_d[t + 1] - y)
-        ctl.finish_iteration(y)
+        ctl.finish_iteration(y, y_d[horizon])
         errs.append(total / horizon)
     return np.array(errs), np.array(drives)
 
@@ -430,13 +430,12 @@ class _NumpyDdilc:
         self.u_ff = ctl.u_ff.copy()
         self.e_prev = np.zeros((ctl.horizon + 1, ctl.y_dim))
         self.recorded = False
-        self.start_trial(np.zeros(ctl.y_dim))
+        self.start_trial()
 
-    def start_trial(self, y_d0):
+    def start_trial(self):
         m, n_e = self.transform.shape[0], 1
         self.phi = self.phi_init.copy()
         self.window = np.zeros((n_e, m))
-        self.y_d_t = np.asarray(y_d0, dtype=float)
         self.y_prev = None
         self.e_last = np.zeros(m)
         self.drive_prev = None
@@ -446,7 +445,7 @@ class _NumpyDdilc:
         # pre-reset PJM and pre-clip gains of the last step, for edge checks
         self.phi_raw = self.xi_raw = None
 
-    def begin_iteration(self, y_d0):
+    def begin_iteration(self):
         ff_clips = 0
         if self.recorded:
             p = self.params
@@ -455,15 +454,15 @@ class _NumpyDdilc:
             lo, hi = 0.0 - self.rest, 1.0 - self.rest
             ff_clips = int(np.sum((u_ff < lo) | (u_ff > hi)))
             self.u_ff = np.clip(u_ff, lo, hi)
-        self.start_trial(y_d0)
+        self.start_trial()
         self.counts.ff_clips = ff_clips
         self.recorded = False
 
-    def step(self, t, y, y_d_next):
+    def step(self, t, y, q, y_d, y_d_next):
         p = self.params
         y = np.asarray(y, dtype=float)
         y_t = self.transform @ y
-        e_phys = self.y_d_t - y
+        e_phys = np.asarray(y_d, dtype=float) - y
         self.e_prev[t] = e_phys
         e_t = self.transform @ e_phys
         if self.y_prev is not None:
@@ -495,23 +494,23 @@ class _NumpyDdilc:
             self.du_prev = drive - self.drive_prev
         self.drive_prev = drive
         self.y_prev, self.e_last, self.stack_prev = y_t, e_t, stack
-        self.y_d_t = np.asarray(y_d_next, dtype=float)
         return drive
 
-    def finish_iteration(self, y_final):
-        self.e_prev[self.horizon] = self.y_d_t - np.asarray(y_final, dtype=float)
+    def finish_iteration(self, y_final, y_d_final):
+        self.e_prev[self.horizon] = (np.asarray(y_d_final, dtype=float)
+                                     - np.asarray(y_final, dtype=float))
         self.recorded = True
 
 
 EPS = np.finfo(float).eps
 
 
-def _step_error_scales(ref, y, y_d_next, t):
+def _step_error_scales(ref, y, y_d, y_d_next, t):
     """Elementwise bounds on the magnitudes one reference step sums, for its
     PJM, gains and drive: rounding moves each by a few eps times its bound."""
     p, a = ref.params, np.abs
     m, n_e = ref.xi.shape[0], 1
-    ty = a(ref.transform) @ (a(y) + a(ref.y_d_t) + a(np.asarray(y_d_next)))
+    ty = a(ref.transform) @ (a(y) + a(y_d) + a(y_d_next))
     du = a(ref.du_prev)
     phi = a(ref.phi)
     if ref.y_prev is not None:
@@ -530,13 +529,14 @@ def _step_error_scales(ref, y, y_d_next, t):
 # the controller's list state, by the reference's attribute holding it
 _STATE = {"phi": "_phi", "xi": "_xi", "y_prev": "_y_prev",
           "drive_prev": "_drive_prev", "du_prev": "_du_prev",
-          "stack_prev": "_de_prev", "y_d_t": "_y_d_t"}
+          "stack_prev": "_de_prev"}
 
 
 def _load_state(ctl, ref, rng, first):
     """Give the controller and the reference one random mid-trial state: the
     PJM inside and outside its boxes, the gains near and inside +/-xi_cap.
-    ``first`` is the trial's first tick, which updates no PJM."""
+    ``first`` is the trial's first tick, which updates no PJM. Returns the
+    target of the tick."""
     p, m, y_dim = ctl.params, ctl.m, ctl.y_dim
     n_e = 1
     lo, hi, cap = p.diag_floor, p.diag_span * p.diag_floor, p.xi_cap(m)
@@ -547,8 +547,8 @@ def _load_state(ctl, ref, rng, first):
     ref.phi = diag
     ref.xi = np.where(rng.random(shape) < 0.5, near, rng.uniform(-cap, cap, shape))
     ref.window = size * rng.normal(size=(n_e, m))
-    ref.y_d_t = rng.uniform(-0.5, 0.5, y_dim)
-    y_prev = ref.y_d_t + size * rng.normal(size=y_dim)
+    y_d = rng.uniform(-0.5, 0.5, y_dim)
+    y_prev = y_d + size * rng.normal(size=y_dim)
     ref.y_prev = None if first else ctl.transform @ y_prev
     ref.e_last = size * rng.normal(size=m)
     ref.drive_prev = None if first else rng.uniform(0, 1, m)
@@ -560,6 +560,7 @@ def _load_state(ctl, ref, rng, first):
         setattr(ctl, private, None if value is None else value.tolist())
     ctl.u_ff = ref.u_ff.copy()
     ctl._ff = _flat(ref.u_ff)
+    return y_d
 
 
 @given(m=st.integers(1, 7), y_dim=st.integers(1, 3),
@@ -571,22 +572,22 @@ def test_step_matches_numpy_reference(m, y_dim, first, seed):
     ctl = DdilcController(rng.normal(scale=0.05, size=(y_dim, m)), p,
                           horizon=3, response_lag_ticks=0.0,
                           rest_drive=rng.uniform(0, 1, m))
-    ctl.begin_iteration(np.zeros(y_dim))
+    ctl.begin_iteration()
     ref = _NumpyDdilc(ctl)
-    _load_state(ctl, ref, rng, first)
-    y = ref.y_d_t + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
-    y_d_next = ref.y_d_t + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
+    y_d = _load_state(ctl, ref, rng, first)
+    y = y_d + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
+    y_d_next = y_d + 10.0 ** rng.uniform(-4, -1) * rng.normal(size=y_dim)
     t = int(rng.integers(0, 3))
     tol = 128.0 * EPS
-    s_phi, s_xi, s_drive = (tol * s for s in _step_error_scales(ref, y, y_d_next, t))
-    want = ref.step(t, y, y_d_next)
+    s_phi, s_xi, s_drive = (tol * s for s in _step_error_scales(ref, y, y_d, y_d_next, t))
+    want = ref.step(t, y, None, y_d, y_d_next)
     # a reset or clip decision may differ only within rounding of its edge
     if ref.phi_raw is not None:
         v = np.abs(ref.phi_raw)
         lo, hi = p.diag_floor, p.diag_span * p.diag_floor
         assume(np.all(np.minimum(abs(v - lo), abs(v - hi)) > s_phi))
     assume(np.all(abs(np.abs(ref.xi_raw) - p.xi_cap(m)) > s_xi))
-    have = np.asarray(ctl.step(t, y.tolist(), y_d_next.tolist()))
+    have = np.asarray(ctl.step(t, y.tolist(), None, y_d.tolist(), y_d_next.tolist()))
     assert asdict(ctl.counts) == asdict(ref.counts)
     assert np.all(np.abs(ctl.est.phi_hat - np.diag(ref.phi)) <= s_phi)
     assert np.all(np.abs(ctl.xi_hat - ref.xi) <= s_xi)
@@ -606,14 +607,15 @@ def _lag_plant_inputs(iterations, params, gain=1.0, reach=1.0, horizon=100,
     y_d = np.linspace(0.0, reach, horizon + 1)[:, None] * np.array([0.01, -0.008])
     trials = []
     for _ in range(iterations):
-        ctl.begin_iteration(y_d[0])
+        ctl.begin_iteration()
         y = np.zeros(2)
         ticks = []
         for t in range(horizon):
-            drive = np.asarray(ctl.step(t, y.tolist(), y_d[t + 1].tolist()))
-            ticks.append((y.tolist(), y_d[t + 1].tolist(), drive))
+            drive = np.asarray(ctl.step(t, y.tolist(), None, y_d[t].tolist(),
+                                        y_d[t + 1].tolist()))
+            ticks.append((y.tolist(), drive))
             y = y + alpha * (gain * s_gain @ (drive - 0.5) - y)
-        ctl.finish_iteration(y.tolist())
+        ctl.finish_iteration(y.tolist(), y_d[horizon].tolist())
         trials.append((ticks, y.tolist(), asdict(ctl.counts), ctl.est.phi_hat,
                        ctl.xi_hat))
     return ref, y_d, trials
@@ -635,10 +637,11 @@ def test_lag_plant_counts_match_numpy_reference(weight, gain, reach, exercised):
     ref, y_d, trials = _lag_plant_inputs(12, params, gain, reach)
     totals = dict.fromkeys(asdict(DdilcCounts()), 0)
     for ticks, y_final, counts, phi, xi in trials:
-        ref.begin_iteration(y_d[0])
-        for t, (y, y_d_next, drive) in enumerate(ticks):
-            np.testing.assert_allclose(ref.step(t, y, y_d_next), drive, rtol=0, atol=1e-12)
-        ref.finish_iteration(y_final)
+        ref.begin_iteration()
+        for t, (y, drive) in enumerate(ticks):
+            np.testing.assert_allclose(ref.step(t, y, None, y_d[t], y_d[t + 1]), drive,
+                                       rtol=0, atol=1e-12)
+        ref.finish_iteration(y_final, y_d[-1])
         assert counts == asdict(ref.counts)
         np.testing.assert_allclose(phi, np.diag(ref.phi), rtol=1e-12)
         np.testing.assert_allclose(xi, ref.xi, rtol=0, atol=1e-14)
@@ -656,9 +659,9 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
     steps = []
     real_step = DdilcController.step
 
-    def recording_step(self, t, y, y_d_next):
-        steps.append((t, list(y), list(y_d_next)))
-        return real_step(self, t, y, y_d_next)
+    def recording_step(self, t, y, q, y_d, y_d_next):
+        steps.append((t, list(y), list(y_d), list(y_d_next)))
+        return real_step(self, t, y, q, y_d, y_d_next)
 
     monkeypatch.setattr(DdilcController, "step", recording_step)
     seen = {}
@@ -669,7 +672,7 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
             steps.clear()
         else:
             seen.update(phi=controller.est.phi_hat, xi=controller.xi_hat,
-                        u_ff=controller.u_ff.copy(), points=log.tip_desired)
+                        u_ff=controller.u_ff.copy())
 
     cfg = ExperimentConfig(trajectory=TrajectorySpec(duration=1.0, cycles=1),
                            iterations=2, dt=1e-3, control_decimation=1, seed=0,
@@ -677,10 +680,10 @@ def test_diverged_trial_shows_live_estimates(diverge_in_trial, monkeypatch):
     assert run_ilc(cfg, on_iteration=on_iteration).summary.diverged == [False, True]
     ref = seen["ref"]
     ref.u_ff = seen["u_ff"]
-    ref.start_trial(seen["points"][0])
-    assert [t for t, _, _ in steps] == list(range(38))
-    for t, y, y_d_next in steps:
-        ref.step(t, y, y_d_next)
+    ref.start_trial()
+    assert [t for t, _, _, _ in steps] == list(range(38))
+    for t, y, y_d, y_d_next in steps:
+        ref.step(t, y, None, y_d, y_d_next)
     assert not np.array_equal(ref.phi, ref.phi_init)
     np.testing.assert_allclose(seen["phi"], np.diag(ref.phi), rtol=1e-12)
     np.testing.assert_allclose(seen["xi"], ref.xi, rtol=0, atol=1e-14)

@@ -30,6 +30,7 @@ from myoarm.harness import (
     DisturbanceSpec,
     ExperimentConfig,
     IlcResult,
+    PidController,
     PidGains,
     ProbeResult,
     ReplayController,
@@ -344,6 +345,33 @@ def test_ddilc_trial_holds_no_python_object_per_tick(model):
     assert peak < 2 * log_bytes
 
 
+def _ddilc(horizon):
+    return DdilcController(np.array([[0.05, 0.02], [-0.01, 0.04]]), DdilcParams(),
+                           horizon, response_lag_ticks=10.0, rest_drive=REST)
+
+
+def test_a_ddilc_longer_than_the_trial_fails_and_learns_nothing(model):
+    # a horizon of 100 on 50 control ticks used to learn silently, the final
+    # error into row 99, which no tick plays
+    pts = generate_trajectory(TrajectorySpec(duration=0.5, cycles=1), DT)
+    ctl = _ddilc(100)
+    with pytest.raises(ValueError, match=r"^the trial ran 50 control ticks on a "
+                                         r"DDILC horizon of 100$"):
+        run_trial(model, ctl, _task_along(model, pts), **UNDISTURBED,
+                  start_state=rest_state(model, joint_path(model, pts[:1])[0]))
+    ctl.begin_iteration()
+    assert not ctl.u_ff.any()
+
+
+def test_a_ddilc_shorter_than_the_trial_fails_at_its_horizon(model):
+    # a horizon of 25 on 50 control ticks used to raise a bare IndexError
+    pts = generate_trajectory(TrajectorySpec(duration=0.5, cycles=1), DT)
+    with pytest.raises(ValueError, match=r"^control tick 25 is past the DDILC "
+                                         r"horizon of 25 control ticks$"):
+        run_trial(model, _ddilc(25), _task_along(model, pts), **UNDISTURBED,
+                  start_state=rest_state(model, joint_path(model, pts[:1])[0]))
+
+
 def test_run_trial_logs_the_points_read_only_without_a_copy(model):
     pts = _one_second_points()
     log = run_trial(model, _rest(100), _task_along(model, pts), **UNDISTURBED,
@@ -491,6 +519,102 @@ def test_run_trial_clips_finite_drives(model):
     assert log.drives[4].tolist() == [0.5, 0.5]
 
 
+class _Recorder:
+    """A rest-drive controller that records every protocol call: the tip,
+    a copy of the posture and the targets of each step."""
+
+    def __init__(self):
+        self.calls = []
+
+    def begin_iteration(self):
+        self.calls.append(("begin",))
+
+    def step(self, tc, y, q, y_d, y_d_next):
+        self.calls.append(("step", tc, tuple(y), list(q), list(y_d), list(y_d_next)))
+        return [0.5, 0.5]
+
+    def finish_iteration(self, y_final, y_d_final):
+        self.calls.append(("finish", tuple(y_final), list(y_d_final)))
+
+
+def test_every_controller_gets_the_ticks_tip_posture_and_targets(model):
+    task = _task_along(model, _one_second_points())
+    rec = _Recorder()
+    log = run_trial(model, rec, task, **UNDISTURBED,
+                    start_state=rest_state(model, task.joint_path[0]))
+    assert not log.diverged
+    assert rec.calls[0] == ("begin",)
+    steps = rec.calls[1:-1]
+    assert [c[:2] for c in steps] == [("step", tc) for tc in range(task.n_control)]
+    dec = task.decimation
+    for _, tc, y, q, y_d, y_d_next in steps:
+        assert q == log.q[tc * dec].tolist()
+        assert y == tuple(forward_kinematics(model, q))
+        assert y_d == task.points[tc * dec].tolist()
+        assert y_d_next == task.points[(tc + 1) * dec].tolist()
+    assert rec.calls[-1] == ("finish", tuple(forward_kinematics(model, log.q[-1])),
+                             task.points[-1].tolist())
+
+
+def test_a_diverged_trial_steps_no_further_and_does_not_finish(model, diverge_in_trial):
+    # physics tick 37 falls in control tick 3 at decimation 10
+    diverge_in_trial(0, 37)
+    task = _task_along(model, _one_second_points())
+    rec = _Recorder()
+    log = harness.run_trial(model, rec, task, **UNDISTURBED,
+                            start_state=rest_state(model, task.joint_path[0]))
+    assert log.diverged_at == 37
+    assert [c[:2] for c in rec.calls] == [("begin",)] + [("step", tc) for tc in range(4)]
+
+
+def test_a_pid_trial_builds_no_arm_state_per_tick(model, monkeypatch):
+    # the PID used to be handed a new ArmState at every control tick only to
+    # read its posture
+    task = _task_along(model, _one_second_points())
+    start, _ = park_state(model, task.joint_path[0], DT, total_time=3.0)
+    real, built = ArmState.from_floats.__func__, []
+    monkeypatch.setattr(ArmState, "from_floats",
+                        classmethod(lambda cls, s: built.append(None) or real(cls, s)))
+    log = run_trial(model, PidController(model, PidGains(), 10 * DT), task,
+                    **UNDISTURBED, start_state=start)
+    assert not log.diverged
+    assert built == []
+
+
+def _no_physics(monkeypatch, what):
+    def no_step(*args):
+        raise AssertionError(f"{what} ticked before its input check")
+
+    monkeypatch.setattr(harness, "integrate_step", no_step)
+
+
+def test_run_trial_rejects_a_joint_path_of_another_arm(model, monkeypatch):
+    # a 7-column path used to run all 500 ticks, then fail to broadcast
+    # while the log was built
+    pts = generate_trajectory(TrajectorySpec(duration=0.5, cycles=1), DT)
+    task = Task(pts, np.zeros((len(pts), 7)), DT, 1)
+    _no_physics(monkeypatch, "run_trial")
+    with pytest.raises(ValueError, match=r"^joint path has 7 joints for an arm of 2$"):
+        run_trial(model, _rest(500), task, **UNDISTURBED, start_state=rest_state(model))
+
+
+@pytest.mark.parametrize("start, message", [
+    (lambda m: rest_state(spatial_ltdm()), "start state q has 7 joints for an arm of 2"),
+    (lambda m: replace(rest_state(m), qdot=np.zeros(3)),
+     "start state qdot has 3 joints for an arm of 2"),
+    (lambda m: replace(rest_state(m), muscle_states=rest_state(m).muscle_states[:3]),
+     "start state has 3 muscles for an arm of 4"),
+], ids=["spatial-state", "qdot", "muscles"])
+def test_run_trial_rejects_a_start_state_of_another_arm(model, monkeypatch, start, message):
+    # a spatial-ltdm rest state used to raise a bare IndexError from
+    # inside integrate_step
+    task = _task_along(model, _one_second_points())
+    state = start(model)
+    _no_physics(monkeypatch, "run_trial")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_trial(model, _rest(100), task, **UNDISTURBED, start_state=state)
+
+
 @pytest.mark.parametrize("drive, message", [
     ([-0.2, 1.7], None),
     ([0.5, math.nan], "control tick 3: drive 1 is nan"),
@@ -611,6 +735,13 @@ def test_park_state_needs_a_tick_per_round(model, monkeypatch):
         park_state(model, np.asarray(model.q_ref), 2.5, total_time=3)
 
 
+def test_park_state_rejects_a_target_of_another_arm(model, monkeypatch):
+    # a 7-joint target used to fail to broadcast against the arm's 2 joints
+    _no_physics(monkeypatch, "park_state")
+    with pytest.raises(ValueError, match=r"^park target has 7 joints for an arm of 2$"):
+        park_state(model, np.zeros(7), DT, total_time=3)
+
+
 def test_generate_trajectory_needs_a_finite_tick_count():
     # round() of the infinite count used to raise OverflowError
     with pytest.raises(ValueError, match=r"^trajectory duration of 8.0 s is not "
@@ -657,6 +788,16 @@ def test_probe_rest_must_be_one_drive_per_joint(model, monkeypatch, rest):
     with pytest.raises(ValueError, match=r"^probe rest must be one drive per joint \(2\)$"):
         probe_sensitivity(model, rest_state(model), DT, delta=0.2,
                           hold_time=0.2, rest=rest)
+
+
+def test_probe_rejects_a_start_state_of_another_arm(model, monkeypatch):
+    # a spatial-ltdm rest state used to raise a bare IndexError from inside
+    # integrate_step
+    _no_physics(monkeypatch, "probe_sensitivity")
+    with pytest.raises(ValueError, match=r"^probe start state q has 7 joints "
+                                         r"for an arm of 2$"):
+        probe_sensitivity(model, rest_state(spatial_ltdm()), DT, delta=0.2,
+                          hold_time=0.2, rest=REST)
 
 
 def test_probe_blow_up_stops_at_the_joint_speed_bound():

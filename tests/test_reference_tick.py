@@ -1,7 +1,7 @@
 """The float kernels against the pre-float tick in ``reference_tick``, bit for
 bit: one muscle step on random in-range inputs, and whole holds and trials on
-both presets (joint stops, activation noise, a controller that asks for the
-state, and a divergence included).
+both presets (joint stops, activation noise, a controller that reads the
+posture, and a divergence included).
 """
 
 from dataclasses import fields
@@ -112,7 +112,7 @@ def test_noisy_loaded_trial_matches_the_reference_bit_for_bit():
 
 
 def test_pid_trial_matches_the_reference_bit_for_bit():
-    # the PID controller reads the state it is handed at every control tick
+    # the PID controller reads the posture it is handed at every control tick
     model, points, q_d, start = _planar_task()
     have, want = _both(model, lambda: PidController(model, PidGains(), 10 * DT),
                        points, q_d, start, disturbance=DisturbanceSpec(), seed=0,

@@ -17,15 +17,18 @@ lines (the machine record among them); per workload and end-to-end metric,
 each side's median and quartiles, the change/parent median ratio, the
 pairs the change won and the ``verdict`` (see ``verdict``); the same, with
 no verdict, for the raw (unscaled) operation times; and
-the ``tools/src_lines.py`` and ``tools/settings_count.py`` output of each
-side, each run in its own tree, and the sha256 of each side's package
-sources that perfbench keys its outputs by.
+the ``tools/src_lines.py``, ``tools/settings_count.py`` and
+``tools/artifact_digest.py`` output of each side, each run in its own tree
+without ``PYTHONPATH``, with ``same_artifacts`` true when the two digest
+outputs are equal; and the sha256 of each side's package sources that
+perfbench keys its outputs by.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -142,8 +145,11 @@ def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int)
 
 
 def _tool(root: Path, name: str) -> str:
+    """The output of ``root``'s ``tools/<name>``, run in ``root`` without
+    ``PYTHONPATH``, so a tool that imports the package reads ``root``'s own."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     return subprocess.run([sys.executable, str(root / "tools" / name)], cwd=root,
-                          capture_output=True, text=True, check=True).stdout
+                          env=env, capture_output=True, text=True, check=True).stdout
 
 
 def main(argv=None) -> int:
@@ -188,6 +194,9 @@ def main(argv=None) -> int:
             meta.setdefault("src_digest", {})[side] = source_digest(root / "src" / "myoarm")
             meta.setdefault("src_lines", {})[side] = _tool(root, "src_lines.py")
             meta.setdefault("settings_count", {})[side] = _tool(root, "settings_count.py")
+            meta.setdefault("artifact_digest", {})[side] = _tool(root, "artifact_digest.py")
+        digests = meta["artifact_digest"]
+        meta["same_artifacts"] = digests["parent"] == digests["change"]
     record = assemble(runs, traced, declared, meta)
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
