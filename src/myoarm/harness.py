@@ -534,7 +534,7 @@ def run_trial(model: ArmModel, controller, task: Task, *, disturbance: Disturban
     inputs.
     """
     points, dt, decimation = task.points, task.dt, task.decimation
-    _check_fit("joint path", task.joint_path.shape[1], model.n_joints, "joints")
+    _check_fit("joint path", np.shape(task.joint_path)[1], model.n_joints, "joints")
     _check_state(model, start_state, "start state")
 
     eff = loaded_plant(model, disturbance)

@@ -123,17 +123,23 @@ def test_verdict_is_unresolved_when_the_parent_spreads_wider_than_the_bound():
 
 
 def test_each_sides_tools_run_on_its_own_package(tmp_path, monkeypatch):
-    # artifact_digest.py appends its tree's src after PYTHONPATH, so an
-    # inherited PYTHONPATH used to digest that package on the parent side
+    # artifact_digest.py appends its tree's src after PYTHONPATH and after
+    # site-packages, so an inherited PYTHONPATH, or an editable install of
+    # the other tree (a .pth entry among site-packages), used to digest that
+    # package on the parent side
     for tree in ("side", "other"):
         (tmp_path / tree / "src" / "myoarm").mkdir(parents=True)
         (tmp_path / tree / "src" / "myoarm" / "__init__.py").write_text(
             f"TREE = {tree!r}\n", encoding="utf-8")
+    other = str(tmp_path / "other" / "src")
     (tmp_path / "side" / "tools").mkdir()
     (tmp_path / "side" / "tools" / "which.py").write_text(
         "import os, sys\n"
+        "at = next((i for i, p in enumerate(sys.path) if 'site-packages' in p),"
+        " len(sys.path))\n"
+        f"sys.path.insert(at, {other!r})\n"
         "sys.path.append(os.path.join(os.getcwd(), 'src'))\n"
         "import myoarm\n"
-        "print(myoarm.TREE, os.environ.get('PYTHONPATH'))\n", encoding="utf-8")
-    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "other" / "src"))
-    assert bench_record._tool(tmp_path / "side", "which.py") == "side None\n"
+        "print(myoarm.TREE)\n", encoding="utf-8")
+    monkeypatch.setenv("PYTHONPATH", other)
+    assert bench_record._tool(tmp_path / "side", "which.py") == "side\n"

@@ -588,11 +588,13 @@ def _no_physics(monkeypatch, what):
     monkeypatch.setattr(harness, "integrate_step", no_step)
 
 
-def test_run_trial_rejects_a_joint_path_of_another_arm(model, monkeypatch):
+@pytest.mark.parametrize("as_list", [False, True], ids=["array", "list"])
+def test_run_trial_rejects_a_joint_path_of_another_arm(model, monkeypatch, as_list):
     # a 7-column path used to run all 500 ticks, then fail to broadcast
-    # while the log was built
+    # while the log was built; Task also takes the path as nested lists
     pts = generate_trajectory(TrajectorySpec(duration=0.5, cycles=1), DT)
-    task = Task(pts, np.zeros((len(pts), 7)), DT, 1)
+    path = np.zeros((len(pts), 7))
+    task = Task(pts, path.tolist() if as_list else path, DT, 1)
     _no_physics(monkeypatch, "run_trial")
     with pytest.raises(ValueError, match=r"^joint path has 7 joints for an arm of 2$"):
         run_trial(model, _rest(500), task, **UNDISTURBED, start_state=rest_state(model))

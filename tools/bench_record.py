@@ -19,7 +19,7 @@ pairs the change won and the ``verdict`` (see ``verdict``); the same, with
 no verdict, for the raw (unscaled) operation times; and
 the ``tools/src_lines.py``, ``tools/settings_count.py`` and
 ``tools/artifact_digest.py`` output of each side, each run in its own tree
-without ``PYTHONPATH``, with ``same_artifacts`` true when the two digest
+with ``PYTHONPATH`` set to that tree's ``src``, with ``same_artifacts`` true when the two digest
 outputs are equal; and the sha256 of each side's package sources that
 perfbench keys its outputs by.
 """
@@ -145,9 +145,11 @@ def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int)
 
 
 def _tool(root: Path, name: str) -> str:
-    """The output of ``root``'s ``tools/<name>``, run in ``root`` without
-    ``PYTHONPATH``, so a tool that imports the package reads ``root``'s own."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    """The output of ``root``'s ``tools/<name>``, run in ``root`` with
+    ``PYTHONPATH`` set to ``root/src`` alone. Its entries come before
+    site-packages and an editable install's ``.pth`` entry, so a tool that
+    imports the package reads ``root``'s own, installed package or not."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     return subprocess.run([sys.executable, str(root / "tools" / name)], cwd=root,
                           env=env, capture_output=True, text=True, check=True).stdout
 
