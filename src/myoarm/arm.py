@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .muscle import MuscleParams, MuscleState, step_muscle
+from .muscle import MuscleParams, MuscleState, _check_number, _check_numbers, step_muscle
 
 __all__ = [
     "LinkParams",
@@ -89,10 +89,10 @@ class LinkParams:
     com: float      # center-of-mass offset along the link axis, m
     inertia: float  # rotational inertia about the COM, kg m^2
 
+    _BOUNDS = {"length": "> 0", "mass": "> 0", "inertia": "> 0"}
+
     def __post_init__(self) -> None:
-        for name in ("length", "mass", "inertia"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"LinkParams.{name} must be > 0")
+        _check_numbers(self)
         if not 0.0 <= self.com <= self.length:
             raise ValueError("LinkParams.com must lie on the link")
 
@@ -102,17 +102,16 @@ class MuscleRoute:
     """Constant-moment-arm routing of one muscle over one joint."""
 
     joint: int         # joint index the muscle spans
-    moment_arm: float  # m, > 0
+    moment_arm: float  # m
     sign: int          # +1 pulls the joint positive, -1 negative
     l_ref: float       # muscle-tendon length at the reference posture, m
 
+    _BOUNDS = {"moment_arm": "> 0", "l_ref": "> 0"}
+
     def __post_init__(self) -> None:
+        _check_numbers(self)
         if self.sign not in (-1, 1):
             raise ValueError("MuscleRoute.sign must be +1 or -1")
-        if not self.moment_arm > 0.0:
-            raise ValueError("MuscleRoute.moment_arm must be > 0")
-        if not self.l_ref > 0.0:
-            raise ValueError("MuscleRoute.l_ref must be > 0")
 
 
 def _read_only(values) -> np.ndarray:
@@ -128,7 +127,8 @@ class ArmModel:
     The sequence fields are stored as tuples, and ``__post_init__`` builds
     every per-model table the physics reads, once. Variants come from
     ``dataclasses.replace``, which validates and builds them anew, so the
-    tables cannot go stale.
+    tables cannot go stale. ``tip_mass``, ``viscous_friction`` and each
+    ``gravity`` and ``q_ref`` entry are finite numbers, the first two >= 0.
     """
 
     links: tuple[LinkParams, ...]
@@ -140,6 +140,8 @@ class ArmModel:
     q_ref: tuple[float, ...] = ()          # reference posture for the routing lengths
     tip_mass: float = 0.0                  # payload point mass at the end effector, kg
 
+    _BOUNDS = {"viscous_friction": ">= 0", "tip_mass": ">= 0"}
+
     def __post_init__(self) -> None:
         def put(name, value):
             object.__setattr__(self, name, value)
@@ -147,6 +149,10 @@ class ArmModel:
         for name in ("links", "routing", "muscles", "q_ref"):
             put(name, tuple(getattr(self, name)))
         put("joint_limits", tuple(map(tuple, self.joint_limits)))
+        _check_numbers(self)
+        for name in ("gravity", "q_ref"):
+            for v in getattr(self, name):
+                _check_number(f"ArmModel.{name}", v, float)
         n = len(self.links)
         if n == 0:
             raise ValueError("ArmModel needs at least one link")
@@ -161,10 +167,6 @@ class ArmModel:
             put("q_ref", (0.0,) * n)
         if len(self.q_ref) != n:
             raise ValueError("q_ref must have one entry per joint")
-        if self.tip_mass < 0.0:
-            raise ValueError("tip_mass must be >= 0")
-        if self.viscous_friction < 0.0:
-            raise ValueError("viscous_friction must be >= 0")
         signs_by_joint: dict[int, set[int]] = {}
         for route in self.routing:
             if not 0 <= route.joint < n:

@@ -60,7 +60,7 @@ from operator import mul
 
 import numpy as np
 
-from .muscle import _check_number, _check_numbers
+from .muscle import _check_bound, _check_number, _check_numbers
 
 __all__ = [
     "DdilcParams",
@@ -82,27 +82,23 @@ class DdilcParams:
     gain (as a fraction of the inverse sensitivity); diag_floor and
     diag_span define the box of each (diagonal) PJM element, whose magnitude
     stays within [diag_floor, diag_span*diag_floor]. Every field is a
-    finite number.
+    finite number within its ``_BOUNDS`` entry.
     """
 
     gain_step: float = 0.5          # eta
     energy_weight: float = 1.0      # input-energy weight in the gain cost
-    estimator_step: float = 1.0     # projection step, in (0, 1]
-    estimator_weight: float = 1.0   # projection regularizer, > 0
+    estimator_step: float = 1.0     # projection step
+    estimator_weight: float = 1.0   # projection regularizer
     feedforward_scale: float = 0.3  # fraction of inverse sensitivity
     diag_floor: float = 10.0        # c2
     diag_span: float = 2.0          # a, diagonal box is [c2, a*c2]
 
+    _BOUNDS = {**dict.fromkeys(("gain_step", "energy_weight", "estimator_weight",
+                                "feedforward_scale", "diag_floor"), "> 0"),
+               "estimator_step": "in (0, 1]", "diag_span": ">= 1"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
-        if not 0.0 < self.estimator_step <= 1.0:
-            raise ValueError("estimator_step must lie in (0, 1]")
-        for name in ("gain_step", "energy_weight", "estimator_weight",
-                     "feedforward_scale", "diag_floor"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"DdilcParams.{name} must be > 0")
-        if self.diag_span < 1.0:
-            raise ValueError("diag_span must be >= 1")
 
     def xi_cap(self, m: int) -> float:
         """Saturation bound for feedback-gain entries.
@@ -274,8 +270,7 @@ class DdilcController:
         sensitivity = np.asarray(sensitivity, dtype=float)
         self.y_dim, self.m = sensitivity.shape
         _check_number("DdilcController.response_lag_ticks", response_lag_ticks, float)
-        if response_lag_ticks < 0.0:
-            raise ValueError("response_lag_ticks must be >= 0")
+        _check_bound("DdilcController.response_lag_ticks", response_lag_ticks, ">= 0")
         self.params = params
         self.horizon = horizon
         self.rest_drive = np.asarray(rest_drive, dtype=float).copy()

@@ -71,7 +71,7 @@ from .control import (
     _flat,
     pair_drive_to_excitations,
 )
-from .muscle import MuscleParams, _check_number, _check_numbers, step_muscle
+from .muscle import MuscleParams, _check_bound, _check_number, _check_numbers, step_muscle
 from .presets import make_arm, preset_key
 
 __all__ = [
@@ -124,19 +124,25 @@ class UnreachableTrajectoryError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# run rules: one function each, called by the run step it governs and by
-# ExperimentConfig when it loads
+# run rules: one function or bound each, applied by the run step it governs
+# and by ExperimentConfig when it loads. A bound is text that
+# muscle._check_bound reads; a class names it for a field in its _BOUNDS.
 # ---------------------------------------------------------------------------
+
+# a tip load, as a fraction of the rated load: each sweep load and the
+# disturbance's; and the probe's drive step
+_LOAD = "in [0, 0.5]"
+_PROBE_DELTA = "in (0, 0.5]"
+
 
 def _ticks(span: float, dt: float, name: str) -> int:
     """The physics ticks of ``span`` seconds, ``round(span / dt)``: the one
     conversion of the trajectory, the park's 1 s round and the probe's hold.
 
-    ``ValueError`` naming ``name`` unless ``dt > 0`` and the count is finite
-    and at least one tick.
+    ``ValueError`` unless ``dt > 0`` and, naming ``name``, the count is
+    finite and at least one tick.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt = {dt!r} s must be > 0")
+    _check_bound("dt", dt, "> 0")
     n = span / dt
     if not math.isfinite(n):
         raise ValueError(f"{name} of {span!r} s is not a finite number "
@@ -155,18 +161,6 @@ def _park_rounds(total_time: float, dt: float, name: str) -> tuple[int, int]:
     if not (total_time >= 3.0 and float(total_time).is_integer()):
         raise ValueError(f"{name} must be a whole number of seconds >= 3")
     return int(total_time) - 2, _ticks(1.0, dt, "park round")
-
-
-def _check_probe_delta(delta: float, name: str) -> None:
-    """A probe's drive step lies in (0, 0.5]."""
-    if not 0.0 < delta <= 0.5:
-        raise ValueError(f"{name} must lie in (0, 0.5]")
-
-
-def _check_load(fraction: float, name: str) -> None:
-    """A tip load, as a fraction of the rated load, lies in [0, 0.5]."""
-    if not 0.0 <= fraction <= 0.5:
-        raise ValueError(f"{name} must lie in [0, 0.5]")
 
 
 def _check_decimation(n_ticks: int, decimation: int, name: str) -> None:
@@ -215,13 +209,11 @@ class TrajectorySpec:
     direction_x: float = 0.0        # chord direction, any nonzero length
     direction_y: float = 1.0
 
+    _BOUNDS = {"amplitude": "> 0", "spatial_period": "> 0", "cycles": ">= 1",
+               "duration": "> 0"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
-        for name in ("amplitude", "spatial_period", "duration"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"TrajectorySpec.{name} must be > 0")
-        if self.cycles < 1:
-            raise ValueError("TrajectorySpec.cycles must be >= 1")
         if math.hypot(self.direction_x, self.direction_y) == 0.0:
             raise ValueError("TrajectorySpec.direction must be nonzero")
 
@@ -241,12 +233,11 @@ class DisturbanceSpec:
     noise_amplitude: float = 0.0
     noise_frequency_hz: float = 0.0
 
+    _BOUNDS = {"load_fraction": _LOAD, "noise_amplitude": ">= 0",
+               "noise_frequency_hz": ">= 0"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
-        _check_load(self.load_fraction, "DisturbanceSpec.load_fraction")
-        for name in ("noise_amplitude", "noise_frequency_hz"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"DisturbanceSpec.{name} must be >= 0")
 
     @property
     def tip_mass(self) -> float:
@@ -355,13 +346,10 @@ class PidGains:
     kd: float = 20.0
     torque_scale: float = 6.0
 
+    _BOUNDS = {"kp": ">= 0", "ki": ">= 0", "kd": ">= 0", "torque_scale": "> 0"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
-        for name in ("kp", "ki", "kd"):
-            if not getattr(self, name) >= 0.0:
-                raise ValueError(f"PidGains.{name} must be >= 0")
-        if not self.torque_scale > 0.0:
-            raise ValueError("PidGains.torque_scale must be > 0")
 
 
 class PidController:
@@ -415,6 +403,8 @@ class Task:
     dt: float                   # s, the sample and physics period
     decimation: int             # physics ticks per control tick
 
+    _BOUNDS = {"dt": "> 0"}
+
     def __post_init__(self) -> None:
         shape, joints = np.shape(self.points), np.shape(self.joint_path)
         if len(shape) != 2 or shape[1] != 2:
@@ -426,10 +416,7 @@ class Task:
             raise ValueError(f"joint path must be 2-D, one posture per sample, got shape {joints}")
         if joints[0] != n:
             raise ValueError(f"joint path of {joints[0]} postures for {n} samples")
-        _check_number("Task.dt", self.dt, float)
-        if not self.dt > 0.0:
-            raise ValueError(f"Task.dt must be > 0, got {self.dt!r}")
-        _check_number("Task.decimation", self.decimation, int)
+        _check_numbers(self)
         _check_decimation(n - 1, self.decimation, "decimation")
 
     @property
@@ -709,7 +696,7 @@ def probe_sensitivity(model: ArmModel, state0: ArmState, dt: float, *,
     naming the hold (``rest`` or ``channel j``) and the tick, with the last
     good state.
     """
-    _check_probe_delta(delta, "probe delta")
+    _check_bound("probe delta", delta, _PROBE_DELTA)
     _check_state(model, state0, "probe start state")
     rest_vec = np.array(rest, dtype=float)
     if rest_vec.shape != (model.n_joints,):
@@ -788,13 +775,15 @@ class ExperimentConfig:
     assignment can make an invalid config; the preset name is normalized to
     its ``PRESETS`` key, and the config keeps its own copy of the muscle
     overrides. Each integer field holds an integer and each float field a
-    finite number, so the ``config.ini`` echo reads back. The run's rules on
-    ``dt``, ``settle_time``, ``probe_delta``, ``probe_hold``,
-    ``control_decimation``, the trajectory and ``sweep_fractions`` are
-    checked by the functions the run itself checks them with. The rules owned here: ``iterations``,
-    ``repetitions`` and ``divergence_patience`` are at least 1 and ``seed``
-    is non-negative; ``sweep_fractions`` is a non-empty sequence of finite
-    numbers, stored as a tuple of floats, and no two of its loads share a
+    finite number within its ``_BOUNDS`` entry, so the ``config.ini`` echo
+    reads back: ``iterations``, ``repetitions`` and ``divergence_patience``
+    are at least 1, ``seed`` is non-negative, ``dt`` is positive and
+    ``probe_delta`` lies in the probe's own bound. The run's rules on the
+    ticks of ``dt``, ``settle_time``, ``probe_hold``,
+    ``control_decimation``, the trajectory and the sweep's loads are checked
+    by the functions and bounds the run itself checks them with.
+    ``sweep_fractions`` is a non-empty sequence of finite numbers,
+    stored as a tuple of floats, and no two of its loads share a
     ``sweep_condition`` directory; the preset is a name, each muscle
     override names a ``MuscleParams`` field, and together they build an
     arm.
@@ -818,6 +807,9 @@ class ExperimentConfig:
     disturbance: DisturbanceSpec = DisturbanceSpec()
     pid: PidGains = PidGains()
 
+    _BOUNDS = {"iterations": ">= 1", "repetitions": ">= 1", "seed": ">= 0", "dt": "> 0",
+               "probe_delta": _PROBE_DELTA, "divergence_patience": ">= 1"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
         out = self.out
@@ -825,14 +817,9 @@ class ExperimentConfig:
                 or out != out.strip() or _COMMENT.search(out)):
             raise ValueError("ExperimentConfig.out must be one line of text with no surrounding "
                              f"whitespace and no '#' or ';' after whitespace, got {out!r}")
-        for name, least in (("iterations", 1), ("seed", 0),
-                            ("divergence_patience", 1), ("repetitions", 1)):
-            if not getattr(self, name) >= least:
-                raise ValueError(f"ExperimentConfig.{name} must be >= {least}")
-        # the run's own rules, as the park, the probe, the trajectory and
-        # the sweep's loads check them
+        # the run's own rules, as the park, the probe and the trajectory
+        # check them
         _park_rounds(self.settle_time, self.dt, "ExperimentConfig.settle_time")
-        _check_probe_delta(self.probe_delta, "ExperimentConfig.probe_delta")
         _ticks(self.probe_hold, self.dt, "ExperimentConfig.probe_hold")
         n_traj = _ticks(self.trajectory.duration, self.dt,
                         "ExperimentConfig.trajectory.duration")
@@ -841,7 +828,7 @@ class ExperimentConfig:
         fractions = tuple(self.sweep_fractions)
         for f in fractions:
             _check_number("ExperimentConfig.sweep_fractions", f, float)
-            _check_load(f, "ExperimentConfig.sweep_fractions")
+            _check_bound("ExperimentConfig.sweep_fractions", f, _LOAD)
         # frozen, so the normalized fields are set through object.__setattr__
         object.__setattr__(self, "sweep_fractions", tuple(map(float, fractions)))
         if not self.sweep_fractions:

@@ -100,13 +100,43 @@ def _check_number(where: str, v, kind: type) -> None:
         raise ValueError(f"{where} must be {what}, got {v!r}")
 
 
+# the number kinds of a field annotation, which is text: every module of the
+# package postpones the evaluation of its annotations
+_KINDS = {"int": int, "float": float}
+
+
+def _check_bound(where: str, v, bound: str) -> None:
+    """``ValueError("<where> must be <bound>, got <v>")`` unless ``v`` lies
+    within ``bound``: ``> x``, ``>= x``, ``in (a, b)``, ``in (a, b]`` or
+    ``in [a, b]``. The one range rule of the package: the field bounds
+    ``_check_numbers`` reads and the run's few bounded values that are not
+    a field (a run step's ``dt``, the probe's step, each sweep load, the
+    DDILC's response lag) apply it. A nan lies within no bound."""
+    if bound.startswith("in "):
+        lo, hi = map(float, bound[4:-1].split(","))
+        ok = ((lo < v if bound[3] == "(" else lo <= v)
+              and (v < hi if bound[-1] == ")" else v <= hi))
+    else:
+        op, x = bound.split()
+        ok = v > float(x) if op == ">" else v >= float(x)
+    if not ok:
+        raise ValueError(f"{where} must be {bound}, got {v!r}")
+
+
 def _check_numbers(obj) -> None:
-    """``_check_number`` on every field of the dataclass ``obj`` whose
-    default is an int or a float, naming it ``Class.field``."""
+    """The one field rule of the package. For each field of the dataclass
+    ``obj`` annotated ``int`` or ``float``, naming it ``Class.field``:
+    ``_check_number``, then ``_check_bound`` with the field's bound, if it
+    has one, in the class constant ``_BOUNDS``: a dict of field name to
+    bound that every caller's class declares, and not a field."""
+    bounds = obj._BOUNDS
     for f in fields(obj):
-        if type(f.default) in (int, float):
-            _check_number(f"{type(obj).__name__}.{f.name}", getattr(obj, f.name),
-                          type(f.default))
+        kind = _KINDS.get(f.type)
+        if kind is not None:
+            where, v = f"{type(obj).__name__}.{f.name}", getattr(obj, f.name)
+            _check_number(where, v, kind)
+            if f.name in bounds:
+                _check_bound(where, v, bounds[f.name])
 
 
 @dataclass(frozen=True)
@@ -119,8 +149,8 @@ class MuscleParams:
     outside the dataclass fields, so ``fields(MuscleParams)`` lists only the
     settable parameters. ``k_lin`` follows from slope continuity at the toe
     break, so the tendon curve is C1 to machine precision. Every field is a
-    finite number (a bool is not one); ``ValueError`` otherwise, or when a
-    value is out of its range.
+    finite number (a bool is not one) within its ``_BOUNDS`` entry;
+    ``ValueError`` otherwise.
     """
 
     f0_max: float = 300.0          # peak isometric force, N
@@ -137,20 +167,12 @@ class MuscleParams:
     f_toe: float = 0.33            # normalized force at the toe/linear break
     a_min: float = 0.01            # activation floor in the equilibrium solve
 
+    _BOUNDS = {**dict.fromkeys(("f0_max", "l0_fiber", "l_slack_tendon", "t_act", "t_deact",
+                                "gamma", "k_pe", "eps0_m", "eps0_t", "k_toe"), "> 0"),
+               "pennation_factor": "in (0, 1]", "f_toe": "in (0, 1)", "a_min": "in (0, 1)"}
+
     def __post_init__(self) -> None:
         _check_numbers(self)
-        for name in ("f0_max", "l0_fiber", "l_slack_tendon", "pennation_factor",
-                     "t_act", "t_deact", "gamma", "k_pe", "eps0_m", "eps0_t",
-                     "k_toe"):
-            v = getattr(self, name)
-            if not v > 0.0:
-                raise ValueError(f"MuscleParams.{name} must be > 0, got {v}")
-        if not 0.0 < self.f_toe < 1.0:
-            raise ValueError(f"MuscleParams.f_toe must be in (0, 1), got {self.f_toe}")
-        if not 0.0 < self.a_min < 1.0:
-            raise ValueError(f"MuscleParams.a_min must be in (0, 1), got {self.a_min}")
-        if not 0.0 < self.pennation_factor <= 1.0:
-            raise ValueError("MuscleParams.pennation_factor must be in (0, 1]")
         eps_toe = 0.609 * self.eps0_t
         exp_k_toe_m1 = math.exp(self.k_toe) - 1.0
         const = object.__setattr__

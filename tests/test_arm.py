@@ -942,6 +942,16 @@ def test_model_rejects_bad_limits_and_counts():
                  muscles=muscles, tip_mass=-0.1)
 
 
+@pytest.mark.parametrize("name", ["gravity", "q_ref"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, True])
+def test_model_rejects_a_gravity_or_q_ref_entry_that_is_no_finite_number(name, value):
+    # a nan entry used to fail in the conditioning check, with "SVD did not
+    # converge" (gravity) or "mass matrix not positive definite" (q_ref)
+    with pytest.raises(ValueError) as err:
+        replace(planar2x4(), **{name: (value, 0.0)})
+    assert str(err.value) == f"ArmModel.{name} must be a finite number, got {value!r}"
+
+
 # The last link's mass and inertia scaled down until H is ill-conditioned at
 # q_ref: the oracle's cond(H) passes 1e12 at 1e-12 on planar2x4 (1.7e12) and
 # at 1e-10 on spatial-ltdm (1.4e12), and stays within a factor 10 below it

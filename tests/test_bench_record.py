@@ -3,6 +3,8 @@ no benchmark runs."""
 
 import importlib.util
 import json
+import os
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -143,3 +145,30 @@ def test_each_sides_tools_run_on_its_own_package(tmp_path, monkeypatch):
         "print(myoarm.TREE)\n", encoding="utf-8")
     monkeypatch.setenv("PYTHONPATH", other)
     assert bench_record._tool(tmp_path / "side", "which.py") == "side\n"
+
+
+def test_copy_tree_takes_the_files_git_does_not_ignore(tmp_path):
+    # the change side used to run from the working tree itself, with its
+    # __pycache__ and .perfbench_work, while the parent ran from a fresh export
+    tree, dest = tmp_path / "tree", tmp_path / "copy"
+    files = {"tracked.py": "a = 1\n", "src/pkg/mod.py": "b = 2\n",
+             "gone.py": "", "untracked.txt": "new\n", "ignored.log": "x\n",
+             "src/pkg/__pycache__/mod.pyc": "pyc", ".perfbench_work/out/run.csv": "1\n",
+             ".gitignore": "*.log\n"}
+    for name, text in files.items():
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(text, encoding="utf-8")
+    (tree / "tool.sh").write_text("#!/bin/sh\n", encoding="utf-8")
+    (tree / "tool.sh").chmod(0o755)
+    subprocess.run(["git", "init", "-q"], cwd=tree, check=True)
+    subprocess.run(["git", "add", "tracked.py", "src/pkg/mod.py", "gone.py", "tool.sh",
+                    ".gitignore"], cwd=tree, check=True)
+    (tree / "gone.py").unlink()
+    (tree / "tracked.py").write_text("a = 3\n", encoding="utf-8")
+    bench_record.copy_tree(tree, dest)
+    copied = {p.relative_to(dest).as_posix() for p in dest.rglob("*") if p.is_file()}
+    assert copied == {"tracked.py", "src/pkg/mod.py", "untracked.txt", "tool.sh",
+                      ".gitignore"}
+    # the files as they are on disk, modes included
+    assert (dest / "tracked.py").read_text(encoding="utf-8") == "a = 3\n"
+    assert os.access(dest / "tool.sh", os.X_OK)

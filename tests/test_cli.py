@@ -636,7 +636,7 @@ def test_negative_seed_flag_exits_2_before_parking(tmp_path, capsys, monkeypatch
     assert run(tmp_path, "ilc", "--seed", "-1") == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert err == {"type": "ConfigError",
-                   "message": "--seed: ExperimentConfig.seed must be >= 0"}
+                   "message": "--seed: ExperimentConfig.seed must be >= 0, got -1"}
 
 
 def test_nan_hold_drive_exits_1_naming_tick_and_channel(tmp_path, capsys, monkeypatch):

@@ -59,6 +59,24 @@ def test_readme_config_block_is_the_defaults():
     assert parse_config(block, env={}) == ExperimentConfig()
 
 
+def test_readme_config_block_states_each_bound():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+    lines = {}
+    section = None
+    for line in block.splitlines():
+        if line.startswith("["):
+            section = line[1:line.index("]")]
+        elif "=" in line and not line.startswith(";"):
+            lines[section, line.split("=")[0].strip()] = line
+    for section, cls in (("experiment", ExperimentConfig), ("trajectory", TrajectorySpec),
+                         ("controller", DdilcParams), ("disturbance", DisturbanceSpec),
+                         ("pid", PidGains)):
+        for key, bound in cls._BOUNDS.items():
+            assert bound in lines[section, key], (section, key, bound)
+
+
 def test_full_file_parses_every_section():
     cfg = parse("""
     [experiment]
@@ -272,7 +290,7 @@ def test_env_values_are_validated():
     with pytest.raises(ConfigError) as err:
         parse("[experiment]\nseed = 4\n", env=env)
     assert str(err.value) == ("MYOARM_EXPERIMENT__ITERATIONS: "
-                              "ExperimentConfig.iterations must be >= 1")
+                              "ExperimentConfig.iterations must be >= 1, got 0")
     assert err.value.line is None
     # the source that wins is named: the variable over the file ...
     with pytest.raises(ConfigError, match="^MYOARM_EXPERIMENT__ITERATIONS: "):
@@ -306,7 +324,7 @@ def test_out_of_range_file_value_names_its_line():
     with pytest.raises(ConfigError) as err:
         parse("[experiment]\niterations = 0\n")
     assert str(err.value) == ("line 2: [experiment] iterations: "
-                              "ExperimentConfig.iterations must be >= 1")
+                              "ExperimentConfig.iterations must be >= 1, got 0")
     assert err.value.line == 2
     # the failing key is named, after valid keys of other sections
     with pytest.raises(ConfigError, match=r"^line 5: \[pid\] kp: ") as err:
@@ -321,7 +339,7 @@ def test_error_is_the_full_configs_named_by_the_key_that_breaks_it():
     with pytest.raises(ConfigError) as err:
         parse("[experiment]\nprobe_hold = 0.0004\ndt = 0.0001\niterations = 0\n")
     assert str(err.value) == ("line 4: [experiment] iterations: "
-                              "ExperimentConfig.iterations must be >= 1")
+                              "ExperimentConfig.iterations must be >= 1, got 0")
     # either removal builds it: the later key is named
     with pytest.raises(ConfigError) as err:
         parse("[experiment]\ncontrol_decimation = 16\n"
@@ -334,7 +352,7 @@ def test_error_is_the_full_configs_named_by_the_key_that_breaks_it():
     with pytest.raises(ConfigError) as err:
         parse("[experiment]\niterations = 0\nseed = -1\n")
     assert str(err.value) == ("line 2: [experiment] iterations: "
-                              "ExperimentConfig.iterations must be >= 1")
+                              "ExperimentConfig.iterations must be >= 1, got 0")
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
     python tools/bench_record.py --parent REV [--out BENCH.json]
 
-The parent's files are exported with ``git archive REV`` into a temporary
-directory, which is removed afterwards; the change is the working tree this
-script sits in. For each workload of ``BENCHMARK.json``, ``PAIRS`` pairs of
+Both sides run from fresh copies in one temporary directory, which is
+removed afterwards: the parent's files are exported with ``git archive
+REV``, and the change's are the tracked and untracked, not ignored, files
+of the working tree this script sits in (see ``copy_tree``), so neither
+side starts with a ``__pycache__`` or a ``.perfbench_work``. For each workload of ``BENCHMARK.json``, ``PAIRS`` pairs of
 untraced ``perfbench/run.py`` runs follow each other one at a time, each as
 long as the benchmark's ``run_seconds``, pair ``k`` on seed ``SEED0 + k``
 with the side that runs first alternating from pair to pair, so a drift of
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -136,6 +139,21 @@ def assemble(runs: list[dict], traced: list[dict], declared: dict, meta: dict) -
     return {**meta, "summary": summary, "runs": runs, "traced": traced}
 
 
+def copy_tree(root: Path, dest: Path) -> None:
+    """Copy the working tree of the git checkout ``root`` into ``dest``: its
+    tracked and untracked files that git does not ignore, as they are on
+    disk, but none under a ``__pycache__`` or ``.perfbench_work`` directory;
+    a tracked file deleted from the tree is left out."""
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], cwd=root, capture_output=True,
+                            check=True).stdout.decode("utf-8").split("\0")
+    for name in filter(None, listed):
+        path = root / name
+        if path.is_file() and not {"__pycache__", ".perfbench_work"} & set(Path(name).parts):
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(path, dest / name)
+
+
 def _perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed",
@@ -181,7 +199,12 @@ def main(argv=None) -> int:
         parent = Path(tmp) / "parent"
         with tarfile.open(archive) as tar:
             tar.extractall(parent)
-        roots = {"parent": parent, "change": ROOT}
+        # side by side, under names of one length: with the same files, a
+        # checkout's path alone moved probe-spatial's peak RSS by about
+        # 0.7 MB between names of two lengths
+        change = Path(tmp) / "change"
+        copy_tree(ROOT, change)
+        roots = {"parent": parent, "change": change}
         runs = []
         for run in schedule(workloads, PAIRS, SEED0):
             run.update(_perfbench(roots[run["side"]], run["workload"], run["seed"],
